@@ -1,7 +1,7 @@
 """Real, coordinate-free spectral decomposition of real diagonalizable
 matrices, including matrices with complex-conjugate eigenvalue pairs."""
 
-from .densecore import dot, frobenius_norm, mat_mul, solve_linear
+from .densecore import dot, frobenius_norm, solve_linear
 from .eigensolve import (
     ComplexPairEigenvalue,
     ComplexVectorSplit,
@@ -15,10 +15,7 @@ from .eigensolve import (
 )
 from .geoalg import (
     Bivector,
-    GeometricNumber,
-    bivector_apply,
     bivector_square,
-    geometric_product,
     orthonormalize_pair,
     wedge,
 )
@@ -54,7 +51,6 @@ __all__ = [
     "ComplexPlaneTerm",
     "ComplexVectorSplit",
     "EigenSystem",
-    "GeometricNumber",
     "PlantedSpectrum",
     "RealEigenvalue",
     "RealTerm",
@@ -63,7 +59,6 @@ __all__ = [
     "VerificationReport",
     "apply",
     "biorthogonality_residual",
-    "bivector_apply",
     "bivector_square",
     "brute_force_reconstruct",
     "canonicalize_phase",
@@ -73,9 +68,7 @@ __all__ = [
     "extract_eigenvalues",
     "frobenius_norm",
     "gen_test_matrix",
-    "geometric_product",
     "hessenberg_reduce",
-    "mat_mul",
     "nu",
     "orthonormalize_pair",
     "plane_term_left_form",

@@ -20,8 +20,6 @@ from .errors import (
     GenerationError,
     GeoSpectralError,
     NotDiagonalizableError,
-    ParseError,
-    ShapeError,
 )
 from .realdecomp import DEFAULT_TOL, decompose, real_canonical_form
 from .verify import PlantedSpectrum, ToleranceProfile, gen_test_matrix, run_identity_suite
@@ -31,6 +29,22 @@ EXIT_IO = 1
 EXIT_NOT_DIAGONALIZABLE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_USAGE = 64
+
+# first matching class wins; every subcommand's errors end here
+_EXIT_CODES = (
+    (NotDiagonalizableError, EXIT_NOT_DIAGONALIZABLE),
+    (ConvergenceError, EXIT_NO_CONVERGENCE),
+    (GeoSpectralError, EXIT_IO),
+    (OSError, EXIT_IO),
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 64; argparse's own 2 means "not diagonalizable" here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _resolve_tol(flag_value):
@@ -45,18 +59,6 @@ def _resolve_tol(flag_value):
     return DEFAULT_TOL
 
 
-def _load_matrix(path, fmt):
-    try:
-        return matio.parse_matrix(path, fmt), None
-    except FileNotFoundError:
-        print(f"error: no such file: {path}", file=sys.stderr)
-    except (ParseError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-    return None, EXIT_IO
-
-
 def _write_json(doc, output):
     if output and output != "-":
         with open(output, "w", encoding="utf-8") as fh:
@@ -66,29 +68,15 @@ def _write_json(doc, output):
 
 
 def cmd_decompose(args):
-    m, err = _load_matrix(args.input, args.format)
-    if m is None:
-        return err
-    try:
-        dec = decompose(m, _resolve_tol(args.tol))
-    except NotDiagonalizableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_DIAGONALIZABLE
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except GeoSpectralError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    m = matio.parse_matrix(args.input, args.format)
+    dec = decompose(m, _resolve_tol(args.tol))
     doc = matio.decomposition_to_doc(dec, input_digest=matio.file_digest(args.input))
     _write_json(doc, args.output)
     return EXIT_OK
 
 
 def cmd_verify(args):
-    m, err = _load_matrix(args.input, args.format)
-    if m is None:
-        return err
+    m = matio.parse_matrix(args.input, args.format)
     profile = ToleranceProfile()
     if args.tol_scale is not None:
         profile = profile.scaled(args.tol_scale)
@@ -107,17 +95,8 @@ def cmd_verify(args):
 
 
 def cmd_canonical(args):
-    m, err = _load_matrix(args.input, args.format)
-    if m is None:
-        return err
-    try:
-        dec = decompose(m, _resolve_tol(args.tol))
-    except NotDiagonalizableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_DIAGONALIZABLE
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    m = matio.parse_matrix(args.input, args.format)
+    dec = decompose(m, _resolve_tol(args.tol))
     b_real, l_real = real_canonical_form(dec)
     residual = np.linalg.norm(b_real @ l_real @ np.linalg.inv(b_real) - m, "fro")
     norm_m = np.linalg.norm(m, "fro")
@@ -168,20 +147,12 @@ def cmd_gen(args):
     rng = np.random.default_rng(np.random.PCG64(args.seed))
     reals, pairs = _draw_spectrum(rng, n_real, n_pairs)
     spec = PlantedSpectrum(reals, pairs, basis_seed=args.seed, condition_cap=args.cond_cap)
-    try:
-        m = gen_test_matrix(spec)
-    except GenerationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    m = gen_test_matrix(spec)
     fmt = matio.detect_format(args.output) or matio.FORMAT_MATRIX_MARKET
-    try:
-        if fmt == matio.FORMAT_CSV:
-            matio.write_csv(args.output, m)
-        else:
-            matio.write_matrix_market(args.output, m, comment=f"planted spectrum, seed {args.seed}")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    if fmt == matio.FORMAT_CSV:
+        matio.write_csv(args.output, m)
+    else:
+        matio.write_matrix_market(args.output, m, comment=f"planted spectrum, seed {args.seed}")
     sidecar = args.output + ".spectrum.json"
     with open(sidecar, "w", encoding="utf-8") as fh:
         matio.dump_json(
@@ -200,7 +171,7 @@ def cmd_gen(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geospectral",
         description="Real, coordinate-free spectral decomposition of real matrices",
     )
@@ -243,7 +214,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(cls for cls, _ in _EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 def entry():

@@ -31,17 +31,14 @@ def as_matrix(m):
     return a
 
 
-def mat_mul(a, b):
-    """Matrix product with explicit dimension checking."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def frobenius_norm(a):
-    return float(np.sqrt(np.sum(np.asarray(a, dtype=float) ** 2)))
+    """Frobenius norm, scaled by the largest absolute entry so that squaring
+    neither overflows nor underflows (Blue 1978)."""
+    a = np.asarray(a, dtype=float)
+    big = float(np.max(np.abs(a))) if a.size else 0.0
+    if big == 0.0 or not np.isfinite(big):
+        return big
+    return big * float(np.sqrt(np.sum((a / big) ** 2)))
 
 
 def dot(u, v):
@@ -55,13 +52,8 @@ def dot(u, v):
     return float(np.sum(u * v))
 
 
-def lu_factor(a, perturb_singular=False):
-    """Partial-pivoted LU. Returns (lu, swaps) with L/U packed in one array.
-
-    With perturb_singular=True a vanishing pivot is replaced by the
-    singularity threshold instead of raising; inverse iteration relies on
-    this to solve against an (intentionally) near-singular shift.
-    """
+def lu_factor(a):
+    """Partial-pivoted LU. Returns (lu, swaps) with L/U packed in one array."""
     lu = np.array(a, dtype=float)
     n, m = lu.shape
     if n != m:
@@ -71,10 +63,7 @@ def lu_factor(a, perturb_singular=False):
     for k in range(n):
         r = k + int(np.argmax(np.abs(lu[k:, k])))
         if abs(lu[r, k]) <= threshold:
-            if not perturb_singular:
-                raise SingularMatrixError(k, float(lu[r, k]))
-            bump = threshold if threshold > 0.0 else EPS
-            lu[r, k] = bump if lu[r, k] >= 0.0 else -bump
+            raise SingularMatrixError(k, float(lu[r, k]))
         if r != k:
             lu[[k, r], :] = lu[[r, k], :]
             swaps[[k, r]] = swaps[[r, k]]

@@ -1,10 +1,11 @@
 """Self-contained dense real eigensolver.
 
 Pipeline: Householder reduction to Hessenberg form, Francis implicit
-double-shift QR with deflation to real Schur form, eigenvalue extraction
-from the 1x1/2x2 diagonal blocks, right eigenvectors by inverse iteration
-on real shifted systems, and left eigenvectors from the inverse of the
-real eigenvector basis (which enforces biorthogonality up to solve error).
+double-shift QR with deflation to real Schur form Z T Z^T, eigenvalue
+extraction from the 1x1/2x2 diagonal blocks of T, right eigenvectors by
+back-substitution on T mapped back through Z, and left eigenvectors from
+the inverse of the real eigenvector basis (which enforces biorthogonality
+up to solve error).
 
 Complex pairs are represented throughout by real/imaginary splits; no
 complex arithmetic is used.
@@ -17,7 +18,6 @@ import numpy as np
 from . import densecore as dc
 from .densecore import EPS
 from .errors import (
-    AccuracyError,
     ConvergenceError,
     InternalError,
     NotDiagonalizableError,
@@ -25,8 +25,6 @@ from .errors import (
 )
 
 MAX_SWEEPS_PER_N = 30
-_INVERSE_ITER_CAP = 8
-_START_SEED = 0x9E3779B9
 
 
 @dataclass(frozen=True)
@@ -58,9 +56,6 @@ class ComplexVectorSplit:
             raise ShapeError(
                 f"split parts differ in shape: {self.re.shape} vs {self.im.shape}"
             )
-
-    def norm(self):
-        return float(np.sqrt(np.sum(self.re**2) + np.sum(self.im**2)))
 
 
 @dataclass(frozen=True)
@@ -190,9 +185,9 @@ def real_schur(h, q, tol=None, max_sweeps=None):
         # scan for a negligible subdiagonal above hi
         l = hi
         while l > 0:
-            thr = EPS * (abs(t[l - 1, l - 1]) + abs(t[l, l]))
-            if thr == 0.0:
-                thr = tol if tol > 0.0 else EPS
+            # floored at tol: a repeated eigenvalue stalls its subdiagonal
+            # near eps*||H||, above the local eps*(|t_ll| + |t_l-1,l-1|)
+            thr = max(EPS * (abs(t[l - 1, l - 1]) + abs(t[l, l])), tol)
             if abs(t[l, l - 1]) <= thr:
                 t[l, l - 1] = 0.0
                 break
@@ -218,13 +213,6 @@ def real_schur(h, q, tol=None, max_sweeps=None):
             _francis_step(t, z, l, hi, s, p)
             sweeps += 1
             block_iters += 1
-    # a 2x2 block may remain at the top of the matrix
-    if n >= 2 and t[1, 0] != 0.0:
-        thr = EPS * (abs(t[0, 0]) + abs(t[1, 1]))
-        if abs(t[1, 0]) <= (thr if thr > 0.0 else EPS):
-            t[1, 0] = 0.0
-        else:
-            _split_2x2(t, z, 0)
     return t, z
 
 
@@ -254,159 +242,121 @@ def extract_eigenvalues(t):
     return eigs
 
 
-def _sort_eigenvalues(eigs):
-    """Deterministic order: real eigenvalues ascending, then pairs by (sigma, omega)."""
-    reals = sorted(
-        (e for e in eigs if isinstance(e, RealEigenvalue)), key=lambda e: e.alpha
-    )
-    pairs = sorted(
-        (e for e in eigs if isinstance(e, ComplexPairEigenvalue)),
-        key=lambda e: (e.sigma, e.omega),
-    )
-    return reals + pairs
+def _sort_order(eigs):
+    """Deterministic order: real eigenvalues ascending, then pairs by (sigma, omega).
 
-
-def _clusters(eigs, ctol):
-    """Group adjacent (sorted) eigenvalues closer than ctol."""
-    groups = []
-    for i, e in enumerate(eigs):
-        if groups:
-            prev = eigs[groups[-1][-1]]
-            if isinstance(e, RealEigenvalue) and isinstance(prev, RealEigenvalue):
-                if abs(e.alpha - prev.alpha) <= ctol:
-                    groups[-1].append(i)
-                    continue
-            elif isinstance(e, ComplexPairEigenvalue) and isinstance(
-                prev, ComplexPairEigenvalue
-            ):
-                if np.hypot(e.sigma - prev.sigma, e.omega - prev.omega) <= ctol:
-                    groups[-1].append(i)
-                    continue
-        groups.append([i])
-    return groups
-
-
-def _complex_dot_split(u, w):
-    """u^dag w for splits u, w; returns (re, im)."""
-    re = dc.dot(u.re, w.re) + dc.dot(u.im, w.im)
-    im = dc.dot(u.re, w.im) - dc.dot(u.im, w.re)
-    return re, im
-
-
-def _mgs_real(vectors):
-    out = []
-    for v in vectors:
-        for u in out:
-            v = v - dc.dot(u, v) * u
-        nv = np.linalg.norm(v)
-        v = v / nv if nv > 0.0 else v
-        out.append(v)
-    return out
-
-
-def _mgs_split(splits):
-    out = []
-    for s in splits:
-        re, im = s.re.copy(), s.im.copy()
-        for u in out:
-            cr, ci = _complex_dot_split(u, ComplexVectorSplit(re, im))
-            re = re - (cr * u.re - ci * u.im)
-            im = im - (cr * u.im + ci * u.re)
-        s2 = ComplexVectorSplit(re, im)
-        nn = s2.norm()
-        if nn > 0.0:
-            s2 = ComplexVectorSplit(re / nn, im / nn)
-        out.append(s2)
-    return out
-
-
-def _pair_system(m, sigma, omega):
-    """Real bordered system whose null space carries the (b, p) split."""
-    n = m.shape[0]
-    a = np.zeros((2 * n, 2 * n))
-    shifted = m - sigma * np.eye(n)
-    a[:n, :n] = shifted
-    a[n:, n:] = shifted
-    a[:n, n:] = omega * np.eye(n)
-    a[n:, :n] = -omega * np.eye(n)
-    return a
-
-
-def _pair_residual(m, e, s):
-    rb = np.linalg.norm(m @ s.re - (e.sigma * s.re - e.omega * s.im))
-    rp = np.linalg.norm(m @ s.im - (e.omega * s.re + e.sigma * s.im))
-    return rb + rp
-
-
-def right_eigenvectors(m, eigs, tol):
-    """Inverse iteration on real shifted systems, one slot per eigenvalue.
-
-    Eigenvalues clustered within 1e-8*||M||_F are orthogonalized together
-    by modified Gram-Schmidt; a cluster whose vectors cannot reach the
-    residual tolerance marks the matrix as defective.
+    Returns the permutation; equal keys keep their Schur order.
     """
-    m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    norm_m = dc.frobenius_norm(m)
-    ctol = 1e-8 * norm_m
-    rng = np.random.default_rng(_START_SEED ^ n)
-    vectors = [None] * len(eigs)
-    for group in _clusters(eigs, ctol):
-        rep = eigs[group[0]]
-        if isinstance(rep, RealEigenvalue):
-            lu, swaps = dc.lu_factor(m - rep.alpha * np.eye(n), perturb_singular=True)
-            vs = [rng.standard_normal(n) for _ in group]
-            vs = [v / np.linalg.norm(v) for v in vs]
-            best = [np.inf] * len(group)
-            for _ in range(_INVERSE_ITER_CAP):
-                vs = [dc.lu_solve(lu, swaps, v) for v in vs]
-                vs = _mgs_real(vs)
-                best = [
-                    min(b, np.linalg.norm(m @ v - rep.alpha * v))
-                    for b, v in zip(best, vs)
-                ]
-                if all(b <= tol * norm_m for b in best):
-                    break
-            for j, (idx, v) in enumerate(zip(group, vs)):
-                r = np.linalg.norm(m @ v - rep.alpha * v)
-                if r > tol * norm_m:
-                    if len(group) > 1:
-                        raise NotDiagonalizableError(
-                            f"repeated eigenvalue {rep.alpha:.6g} is defective"
-                        )
-                    raise AccuracyError(r, tol * norm_m)
-                vectors[idx] = _canonical_sign(v)
+
+    def key(i):
+        e = eigs[i]
+        if isinstance(e, RealEigenvalue):
+            return (0, e.alpha, 0.0)
+        return (1, e.sigma, e.omega)
+
+    return sorted(range(len(eigs)), key=key)
+
+
+def _solve_perturbed(a, b, smin):
+    """Solve a[i] x[i] = b[i] for a stack of small systems.
+
+    Gaussian elimination with complete pivoting; a pivot below smin is
+    raised to smin (LAPACK dlaln2), so a singular but consistent system, as
+    a repeated eigenvalue gives, still yields a finite solution.
+    """
+    a, b = a.copy(), b.copy()
+    count, k = b.shape
+    rows = np.arange(count)
+    perm = np.tile(np.arange(k), (count, 1))
+    for s in range(k):
+        flat = np.abs(a[:, s:, s:]).reshape(count, -1).argmax(axis=1)
+        p, q = s + flat // (k - s), s + flat % (k - s)
+        # fancy indexing copies, so each right-hand side is read before the swap
+        a[rows, s], a[rows, p] = a[rows, p], a[rows, s]
+        b[rows, s], b[rows, p] = b[rows, p], b[rows, s]
+        a[rows, :, s], a[rows, :, q] = a[rows, :, q], a[rows, :, s]
+        perm[rows, s], perm[rows, q] = perm[rows, q], perm[rows, s]
+        pivot = a[:, s, s]
+        a[:, s, s] = np.where(np.abs(pivot) < smin, smin, pivot)
+        mult = a[:, s + 1:, s] / a[:, s, s, None]
+        a[:, s + 1:, s + 1:] -= mult[:, :, None] * a[:, None, s, s + 1:]
+        b[:, s + 1:] -= mult * b[:, s, None]
+    x = np.zeros_like(b)
+    for s in range(k - 1, -1, -1):
+        x[:, s] = (b[:, s] - np.sum(a[:, s, s + 1:] * x[:, s + 1:], axis=1)) / a[:, s, s]
+    out = np.empty_like(x)
+    out[rows[:, None], perm] = x
+    return out
+
+
+def _pair_block_vector(block, e):
+    """Columns (re, im) of the 2x2 block's eigenvector for sigma + i omega,
+    taken from the block's better-scaled row."""
+    (a, b), (c, d) = block
+    if abs(b) >= abs(c):
+        return np.array([[b, 0.0], [e.sigma - a, e.omega]])
+    return np.array([[e.sigma - d, e.omega], [c, 0.0]])
+
+
+def right_eigenvectors(t, z, eigs):
+    """Right eigenvectors of Z T Z^T by back-substitution on the Schur form.
+
+    eigs are T's eigenvalues in block order (extract_eigenvalues); let L be
+    the block diagonal of alpha and [[sigma, omega], [-omega, sigma]]
+    blocks.  One bottom-up sweep over T's diagonal blocks fills the
+    quasi-upper-triangular Y with T Y = Y L, solving for block row i of
+    every later eigenvalue j at once: T_ii Y_ij - Y_ij L_jj = -sum_k>i
+    T_ik Y_kj (Golub & Van Loan, Matrix Computations, section 7.6; LAPACK
+    dtrevc3).  Then X = Z Y holds a vector for each real eigenvalue and the
+    (re, im) columns for each pair.  Vectors are unit, sign or phase
+    canonicalized, and returned in the order of eigs.
+    """
+    n = t.shape[0]
+    starts, at, lam_t = [], {1: [], 2: []}, {1: [], 2: []}
+    lo = 0
+    for e in eigs:
+        starts.append(lo)
+        if isinstance(e, RealEigenvalue):
+            at[1].append(lo)
+            lam_t[1].append([[e.alpha]])
+            lo += 1
         else:
-            lu, swaps = dc.lu_factor(
-                _pair_system(m, rep.sigma, rep.omega), perturb_singular=True
+            at[2].append(lo)
+            lam_t[2].append([[e.sigma, -e.omega], [e.omega, e.sigma]])
+            lo += 2
+    starts.append(n)
+    at = {size: np.array(v, dtype=int) for size, v in at.items()}
+    lam_t = {size: np.array(v).reshape(-1, size, size) for size, v in lam_t.items()}
+    smin = EPS * (np.max(np.abs(t)) if n else 0.0)
+    y = np.zeros((n, n))
+    for j in range(len(eigs) - 1, -1, -1):
+        lo, hi = starts[j], starts[j + 1]
+        block = t[lo:hi, lo:hi]
+        y[lo:hi, lo:hi] = 1.0 if hi - lo == 1 else _pair_block_vector(block, eigs[j])
+        rhs = -t[lo:hi, hi:] @ y[hi:, hi:]
+        for size in (1, 2):
+            first = np.searchsorted(at[size], hi)
+            count = at[size].size - first
+            if count == 0:
+                continue
+            cols = (at[size][first:, None] + np.arange(size)).ravel()
+            # vec(T_ii Y - Y L_jj) = (I kron T_ii - L_jj^T kron I) vec(Y)
+            kron = np.kron(np.eye(size)[None], block[None]) - np.kron(
+                lam_t[size][first:], np.eye(hi - lo)[None]
             )
-            ss = [
-                ComplexVectorSplit(rng.standard_normal(n), rng.standard_normal(n))
-                for _ in group
-            ]
-            ss = _mgs_split(ss)
-            for _ in range(_INVERSE_ITER_CAP):
-                nxt = []
-                for s in ss:
-                    w = dc.lu_solve(lu, swaps, np.concatenate([s.re, s.im]))
-                    nxt.append(ComplexVectorSplit(w[:n], w[n:]))
-                ss = _mgs_split(nxt)
-                if all(
-                    _pair_residual(m, rep, s) <= tol * norm_m * (s.norm() * np.sqrt(2))
-                    for s in ss
-                ):
-                    break
-            for idx, s in zip(group, ss):
-                e = eigs[idx]
-                r = _pair_residual(m, e, s)
-                bound = tol * norm_m * (np.linalg.norm(s.re) + np.linalg.norm(s.im))
-                if r > bound:
-                    if len(group) > 1:
-                        raise NotDiagonalizableError(
-                            f"repeated pair ({e.sigma:.6g}, {e.omega:.6g}) is defective"
-                        )
-                    raise AccuracyError(r, bound)
-                vectors[idx] = canonicalize_phase(s)
+            r = rhs[:, cols - hi].T.reshape(count, -1)
+            sol = _solve_perturbed(kron, r, smin)
+            y[lo:hi, cols] = sol.reshape(count * size, hi - lo).T
+    x = z @ y
+    vectors = []
+    for e, lo in zip(eigs, starts):
+        if isinstance(e, RealEigenvalue):
+            v = x[:, lo]
+            vectors.append(_canonical_sign(v / np.linalg.norm(v)))
+        else:
+            re, im = x[:, lo], x[:, lo + 1]
+            scale = np.sqrt(np.sum(re**2) + np.sum(im**2))
+            vectors.append(canonicalize_phase(ComplexVectorSplit(re / scale, im / scale)))
     return vectors
 
 
@@ -464,7 +414,7 @@ def left_eigenvectors(eigs, right, rcond_min=1e-12):
     except Exception as exc:
         raise NotDiagonalizableError(str(exc)) from exc
     rcond = dc.rcond_1norm(b_real, b_inv)
-    if rcond < rcond_min:
+    if not rcond >= rcond_min:
         raise NotDiagonalizableError(f"eigenvector basis rcond {rcond:.3e}")
     left = []
     row = 0
@@ -480,7 +430,7 @@ def left_eigenvectors(eigs, right, rcond_min=1e-12):
     return left, rcond
 
 
-def eigensystem(m, tol=1e-9):
+def eigensystem(m):
     """Full right/left eigen-decomposition of a real square matrix."""
     m = dc.as_matrix(m)
     n = m.shape[0]
@@ -493,15 +443,17 @@ def eigensystem(m, tol=1e-9):
         return EigenSystem(tuple(eigs), tuple(basis), tuple(basis), n, 1.0)
     # fixed pre-scaling keeps the QR thresholds meaningful for extreme norms
     h, q = hessenberg_reduce(m / norm_m)
-    t, _ = real_schur(h, q)
+    t, z = real_schur(h, q)
     eigs = extract_eigenvalues(t)
+    right = right_eigenvectors(t, z, eigs)
     eigs = [
         RealEigenvalue(e.alpha * norm_m)
         if isinstance(e, RealEigenvalue)
         else ComplexPairEigenvalue(e.sigma * norm_m, e.omega * norm_m)
         for e in eigs
     ]
-    eigs = _sort_eigenvalues(eigs)
-    right = right_eigenvectors(m, eigs, tol)
+    order = _sort_order(eigs)
+    eigs = [eigs[i] for i in order]
+    right = [right[i] for i in order]
     left, rcond = left_eigenvectors(eigs, right)
     return EigenSystem(tuple(eigs), tuple(right), tuple(left), n, rcond)

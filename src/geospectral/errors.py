@@ -34,18 +34,19 @@ class ConvergenceError(GeoSpectralError):
 
 
 class AccuracyError(GeoSpectralError):
-    """An eigenvector residual stayed above tolerance after iteration."""
+    """A reconstruction residual is not finite (overflow or NaN)."""
 
     def __init__(self, residual, tolerance):
         self.residual = residual
         self.tolerance = tolerance
         super().__init__(
-            f"eigenvector residual {residual:.3e} above tolerance {tolerance:.3e}"
+            f"reconstruction residual {residual:.3e} is not within tolerance {tolerance:.3e}"
         )
 
 
 class NotDiagonalizableError(GeoSpectralError):
-    """The eigenvector basis is numerically singular (defective matrix)."""
+    """The eigenvector basis is numerically singular, or the terms do not
+    reconstruct the matrix within tolerance (defective matrix)."""
 
     def __init__(self, detail=""):
         msg = "matrix is not diagonalizable within tolerance"

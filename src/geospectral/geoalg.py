@@ -30,31 +30,12 @@ class Bivector:
         return self.rep.shape[0]
 
 
-@dataclass(frozen=True)
-class GeometricNumber:
-    """Vector geometric product: a scalar plus a bivector."""
-
-    scalar: float
-    bivector: Bivector
-
-
 def wedge(u, v):
     u = as_vector(u)
     v = as_vector(v)
     if u.shape != v.shape:
         raise ShapeError(f"wedge of {u.shape} against {v.shape}")
     return Bivector(np.outer(u, v) - np.outer(v, u))
-
-
-def geometric_product(u, v):
-    return GeometricNumber(dot(u, v), wedge(u, v))
-
-
-def bivector_apply(b, x):
-    x = as_vector(x)
-    if b.dim != x.shape[0]:
-        raise ShapeError(f"bivector dim {b.dim} against vector dim {x.shape[0]}")
-    return b.rep @ x
 
 
 def bivector_square(b):

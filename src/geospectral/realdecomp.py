@@ -17,7 +17,12 @@ import numpy as np
 from . import densecore as dc
 from . import eigensolve as eg
 from .densecore import dot, frobenius_norm
-from .errors import DegeneratePairError, ShapeError
+from .errors import (
+    AccuracyError,
+    DegeneratePairError,
+    NotDiagonalizableError,
+    ShapeError,
+)
 from .geoalg import wedge
 
 DEFAULT_TOL = 1e-9
@@ -150,12 +155,18 @@ def transpose_term(t):
 
 def decompose(m, tol=DEFAULT_TOL):
     """Decompose a real diagonalizable matrix into real rank-one terms and
-    complex-pair plane terms."""
+    complex-pair plane terms.
+
+    Raises NotDiagonalizableError when the terms reconstruct m only to a
+    relative residual above tol (a defective matrix's computed eigenvalues
+    split and its basis passes the rcond check), and AccuracyError when
+    that residual is not finite.
+    """
     m = dc.as_matrix(m)
     n = m.shape[0]
     if n != m.shape[1]:
         raise ShapeError(f"decompose of non-square {m.shape}")
-    system = eg.eigensystem(m, tol)
+    system = eg.eigensystem(m)
     real_terms = []
     plane_terms = []
     max_bio = 0.0
@@ -169,16 +180,14 @@ def decompose(m, tol=DEFAULT_TOL):
             plane_terms.append(
                 ComplexPlaneTerm(e.sigma, e.omega, b, p, d, q, nu(b, d, q))
             )
-    real_terms.sort(key=lambda t: t.alpha)
-    plane_terms.sort(key=lambda t: (t.sigma, t.omega))
-    partial = SpectralDecomposition(
-        n,
-        tuple(real_terms),
-        tuple(plane_terms),
-        Diagnostics(np.nan, system.basis_rcond, max_bio),
-    )
     norm_m = frobenius_norm(m)
-    resid = frobenius_norm(reconstruct(partial) - m) / (norm_m if norm_m else 1.0)
+    resid = frobenius_norm(_term_sum(n, real_terms, plane_terms) - m) / (norm_m or 1.0)
+    if not np.isfinite(resid):
+        raise AccuracyError(resid, tol)
+    if resid > tol:
+        raise NotDiagonalizableError(
+            f"reconstruction residual {resid:.3e} above tolerance {tol:.3e}"
+        )
     return SpectralDecomposition(
         n,
         tuple(real_terms),
@@ -187,14 +196,18 @@ def decompose(m, tol=DEFAULT_TOL):
     )
 
 
-def reconstruct(dec):
-    """Sum of all rank-one and plane terms (left form)."""
-    out = np.zeros((dec.dim, dec.dim))
-    for t in dec.real_terms:
+def _term_sum(n, real_terms, plane_terms):
+    out = np.zeros((n, n))
+    for t in real_terms:
         out += real_rank_one_term(t)
-    for t in dec.plane_terms:
+    for t in plane_terms:
         out += plane_term_left_form(t)
     return out
+
+
+def reconstruct(dec):
+    """Sum of all rank-one and plane terms (left form)."""
+    return _term_sum(dec.dim, dec.real_terms, dec.plane_terms)
 
 
 def apply(dec, x):

@@ -7,7 +7,7 @@ with explicit seeds so reports reproduce bit-for-bit across platforms.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -89,25 +89,11 @@ class ToleranceProfile:
     blade_samples: int = 1000
 
     def scaled(self, factor):
-        """Uniformly loosened/tightened copy (used by the CLI --tol flag)."""
-        kwargs = {
-            f: getattr(self, f) * factor
-            for f in (
-                "reconstruction",
-                "form_equality",
-                "eigen_action",
-                "annihilation",
-                "biorthogonality",
-                "phase_invariance",
-                "conjugate_symmetry",
-                "transposition",
-                "blade_orthogonality",
-                "bivector_square",
-                "oracle_agreement",
-            )
-        }
-        return ToleranceProfile(
-            phase_samples=self.phase_samples, blade_samples=self.blade_samples, **kwargs
+        """Uniformly loosened/tightened copy (used by the CLI --tol-scale flag);
+        sample counts are kept."""
+        return replace(
+            self,
+            **{f.name: getattr(self, f.name) * factor for f in fields(self) if f.type is float},
         )
 
 

@@ -82,6 +82,22 @@ def test_decompose_defective_exit_code(tmp_path, capsys):
     assert "not diagonalizable" in capsys.readouterr().err
 
 
+def test_decompose_without_input_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose"])
+    assert exc.value.code == 64
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_canonical_defective_exit_code(tmp_path, capsys):
+    path = tmp_path / "j.csv"
+    path.write_text("1,1\n0,1\n")
+    assert main(["canonical", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "not diagonalizable" in err
+    assert "Traceback" not in err
+
+
 def test_decompose_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("1,2\n3\n")

@@ -4,6 +4,7 @@ import pytest
 from geospectral import eigensolve as eg
 from geospectral.densecore import frobenius_norm
 from geospectral.errors import NotDiagonalizableError, ShapeError
+from geospectral.realdecomp import decompose
 from geospectral.verify import PlantedSpectrum, gen_test_matrix
 
 
@@ -66,6 +67,19 @@ def test_schur_companion_known_roots():
     assert frobenius_norm(z @ t @ z.T - c) <= 1e-12 * frobenius_norm(c)
 
 
+def test_schur_semisimple_triple_eigenvalue_converges():
+    # the trailing subdiagonals stall near eps*||H||, above the local
+    # eps*(|t_ll| + |t_l-1,l-1|) deflation threshold
+    b = np.random.default_rng(5).standard_normal((6, 6))
+    m = b @ np.diag([1.0, 1.0, 1.0, -0.5, 2.0, 0.3]) @ np.linalg.inv(b)
+    h, q = eg.hessenberg_reduce(m)
+    t, z = eg.real_schur(h, q)
+    assert frobenius_norm(z @ t @ z.T - m) <= 1e-12 * frobenius_norm(m)
+    eigs = sorted(e.alpha for e in eg.extract_eigenvalues(t))
+    np.testing.assert_allclose(eigs, [-0.5, 0.3, 1.0, 1.0, 1.0, 2.0], atol=1e-8)
+    assert decompose(m).diagnostics.reconstruction_residual <= 1e-9
+
+
 def test_schur_random_residual():
     rng = np.random.default_rng(1)
     for _ in range(20):
@@ -95,10 +109,16 @@ def test_extract_eigenvalues_cases():
     ]
 
 
+def _schur_right_vectors(m):
+    h, q = eg.hessenberg_reduce(m)
+    t, z = eg.real_schur(h, q)
+    eigs = eg.extract_eigenvalues(t)
+    return eigs, eg.right_eigenvectors(t, z, eigs)
+
+
 def test_right_eigenvectors_diagonal():
-    m = np.diag([3.0, 7.0])
-    eigs = [eg.RealEigenvalue(3.0), eg.RealEigenvalue(7.0)]
-    vecs = eg.right_eigenvectors(m, eigs, 1e-9)
+    eigs, vecs = _schur_right_vectors(np.diag([3.0, 7.0]))
+    assert eigs == [eg.RealEigenvalue(3.0), eg.RealEigenvalue(7.0)]
     np.testing.assert_allclose(np.abs(vecs[0]), [1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(np.abs(vecs[1]), [0.0, 1.0], atol=1e-12)
 
@@ -111,8 +131,8 @@ def test_right_eigenvectors_diagonal():
     ],
 )
 def test_right_eigenvectors_pair_identities(m, sigma, omega):
-    eigs = [eg.ComplexPairEigenvalue(sigma, omega)]
-    (split,) = eg.right_eigenvectors(m, eigs, 1e-9)
+    eigs, (split,) = _schur_right_vectors(m)
+    assert eigs == [eg.ComplexPairEigenvalue(sigma, omega)]
     b, p = split.re, split.im
     np.testing.assert_allclose(m @ b, sigma * b - omega * p, atol=1e-12)
     np.testing.assert_allclose(m @ p, omega * b + sigma * p, atol=1e-12)
@@ -133,7 +153,9 @@ def test_left_eigenvectors_unitary_pair_case():
     system = eg.eigensystem(m)
     (split,) = system.right
     (left,) = system.left
-    cr, ci = eg._complex_dot_split(left, split)
+    # d^dag b split into real and imaginary parts
+    cr = np.dot(left.re, split.re) + np.dot(left.im, split.im)
+    ci = np.dot(left.re, split.im) - np.dot(left.im, split.re)
     assert abs(cr - 1.0) <= 1e-12
     assert abs(ci) <= 1e-12
 

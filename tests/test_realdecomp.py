@@ -135,6 +135,23 @@ def test_decompose_propagates_not_diagonalizable():
         rd.decompose(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize(
+    "scale",
+    [1e200, 1e-200, 2.0**660, 2.0**-660, 2.0**-1000],
+    ids=["1e200", "1e-200", "2^660", "2^-660", "2^-1000"],
+)
+def test_decompose_extreme_scales(scale):
+    # squaring these entries overflows or underflows
+    m = np.array([[1.0, 2.0], [-2.0, 1.0]]) * scale
+    dec = rd.decompose(m)
+    assert dec.real_terms == ()
+    (t,) = dec.plane_terms
+    assert t.sigma / scale == pytest.approx(1.0, rel=1e-12)
+    assert t.omega / scale == pytest.approx(2.0, rel=1e-12)
+    assert dec.diagnostics.reconstruction_residual <= 1e-12
+    assert np.linalg.norm((rd.reconstruct(dec) - m) / scale) <= 1e-12
+
+
 def test_reconstruct_round_trips():
     np.testing.assert_allclose(rd.reconstruct(rd.decompose(np.eye(3))), np.eye(3), atol=1e-12)
 

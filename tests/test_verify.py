@@ -127,3 +127,12 @@ def test_suite_deterministic():
     r1 = vf.run_identity_suite(m)
     r2 = vf.run_identity_suite(m)
     assert r1.checks == r2.checks  # timing excluded from comparison
+
+
+def test_tolerance_profile_scaled():
+    base = vf.ToleranceProfile()
+    scaled = base.scaled(10.0)
+    assert scaled.reconstruction == pytest.approx(10.0 * base.reconstruction)
+    assert scaled.bivector_square == pytest.approx(10.0 * base.bivector_square)
+    assert scaled.oracle_agreement == pytest.approx(10.0 * base.oracle_agreement)
+    assert (scaled.phase_samples, scaled.blade_samples) == (base.phase_samples, base.blade_samples)
