@@ -30,7 +30,6 @@ from .realdecomp import (
     plane_term_left_form,
     plane_term_right_form,
     real_canonical_form,
-    real_rank_one_term,
     reconstruct,
     transpose_term,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "plane_term_left_form",
     "plane_term_right_form",
     "real_canonical_form",
-    "real_rank_one_term",
     "real_schur",
     "reconstruct",
     "run_identity_suite",

@@ -3,8 +3,8 @@
 Subcommands: decompose, verify, canonical, gen.  Exit codes are a stable
 contract: 0 success, 1 I/O or parse error, 2 not diagonalizable, 3
 eigensolver non-convergence, 64 usage error.  The default decomposition
-tolerance can be overridden by the GEOSPECTRAL_TOL environment variable;
-an explicit --tol flag wins over the environment.
+tolerance, verify's included, can be overridden by the GEOSPECTRAL_TOL
+environment variable; an explicit --tol flag wins over the environment.
 """
 
 import argparse
@@ -77,7 +77,7 @@ def cmd_decompose(args):
 
 def cmd_verify(args):
     m = matio.parse_matrix(args.input, args.format)
-    profile = ToleranceProfile()
+    profile = ToleranceProfile(reconstruction=_resolve_tol(None))
     if args.tol_scale is not None:
         profile = profile.scaled(args.tol_scale)
     report = run_identity_suite(m, profile)

@@ -8,6 +8,13 @@ built from the real/imaginary splits (b, p) and (d, q) of the right and
 left eigenvectors, with nu = (d.b)^2 + (q.b)^2.  Each real eigenvalue
 contributes the usual rank-one term alpha a c^T / (c.a).  Their sum
 reconstructs the matrix.
+
+Every term is also a factored product U C V^T: U = [b p], V = [d q] and
+the 2x2 core C = J (U^T V)(omega I - sigma J) / nu with
+J = [[0, 1], [-1, 0]], an exact identity since b^p = U J U^T and the
+bracket is V (omega I - sigma J) V^T; a real term has U = a, V = c and
+C = [[alpha / c.a]].  reconstruct, apply and decompose's residual all
+evaluate these factors; the explicit wedge forms stay as the reference.
 """
 
 from dataclasses import dataclass, field
@@ -27,6 +34,7 @@ from .geoalg import wedge
 
 DEFAULT_TOL = 1e-9
 _NU_REL_FLOOR = 1e-24
+_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -63,10 +71,6 @@ class ComplexPlaneTerm:
             raise ValueError(f"plane term needs omega > 0, got {self.omega}")
         if not self.nu > 0.0:
             raise DegeneratePairError(f"nu = {self.nu:.3e} is not positive")
-
-    @property
-    def dim(self):
-        return self.b.shape[0]
 
 
 @dataclass(frozen=True)
@@ -108,30 +112,44 @@ def nu(b, d, q):
     return value
 
 
-def _plane_left(sigma, omega, b, p, d, q, nu_value):
-    bracket = omega * (np.outer(d, d) + np.outer(q, q)) - sigma * wedge(d, q).rep
-    return wedge(b, p).rep @ bracket / nu_value
-
-
-def _plane_right(sigma, omega, b, p, d, q, nu_value):
-    bracket = omega * (np.outer(b, b) + np.outer(p, p)) - sigma * wedge(b, p).rep
-    return bracket @ wedge(d, q).rep / nu_value
-
-
 def plane_term_left_form(t):
     """The plane term with the right-eigenvector wedge on the left."""
-    return _plane_left(t.sigma, t.omega, t.b, t.p, t.d, t.q, t.nu)
+    bracket = t.omega * (np.outer(t.d, t.d) + np.outer(t.q, t.q)) - t.sigma * wedge(t.d, t.q).rep
+    return wedge(t.b, t.p).rep @ bracket / t.nu
 
 
 def plane_term_right_form(t):
     """Equivalent form with the left-eigenvector wedge on the right; equal
     to the left form whenever the biorthogonality conditions hold."""
-    return _plane_right(t.sigma, t.omega, t.b, t.p, t.d, t.q, t.nu)
+    bracket = t.omega * (np.outer(t.b, t.b) + np.outer(t.p, t.p)) - t.sigma * wedge(t.b, t.p).rep
+    return bracket @ wedge(t.d, t.q).rep / t.nu
 
 
-def real_rank_one_term(t):
-    """alpha * a c^T / (c.a)."""
-    return t.alpha * np.outer(t.a, t.c) / dot(t.c, t.a)
+def plane_core(sigma, omega, u, v, nu_value):
+    """2x2 core C = J (U^T V)(omega I - sigma J) / nu of the plane term
+    U C V^T, U = [b p], V = [d q]; exact for any b, p, d, q."""
+    return _J @ (u.T @ v) @ (omega * np.eye(2) - sigma * _J) / nu_value
+
+
+def term_factors(t):
+    """(U, C, V) with the term's matrix equal to U C V^T: n x 1 factors and
+    C = [[alpha / c.a]] for a real term, n x 2 and plane_core for a pair."""
+    if isinstance(t, RealTerm):
+        return t.a[:, None], np.array([[t.alpha / dot(t.c, t.a)]]), t.c[:, None]
+    u = np.column_stack([t.b, t.p])
+    v = np.column_stack([t.d, t.q])
+    return u, plane_core(t.sigma, t.omega, u, v, t.nu), v
+
+
+def stacked_factors(n, terms):
+    """(W, V) with W = [U_1 C_1, U_2 C_2, ...] and V = [V_1, V_2, ...], so
+    the sum of the n x n terms is W V^T."""
+    ws, vs = [np.zeros((n, 0))], [np.zeros((n, 0))]
+    for t in terms:
+        u, c, v = term_factors(t)
+        ws.append(u @ c)
+        vs.append(v)
+    return np.hstack(ws), np.hstack(vs)
 
 
 def transpose_term(t):
@@ -180,8 +198,12 @@ def decompose(m, tol=DEFAULT_TOL):
             plane_terms.append(
                 ComplexPlaneTerm(e.sigma, e.omega, b, p, d, q, nu(b, d, q))
             )
-    norm_m = frobenius_norm(m)
-    resid = frobenius_norm(_term_sum(n, real_terms, plane_terms) - m) / (norm_m or 1.0)
+    # (W / s) V^T against M / s, s a power of two with s <= max|m_ij| < 2s:
+    # W carries the eigenvalues' scale and V the conditioning, so nothing overflows
+    w, v = stacked_factors(n, real_terms + plane_terms)
+    s = np.ldexp(1.0, int(np.frexp(np.max(np.abs(m), initial=0.0))[1]) - 1)
+    m_s = m / s
+    resid = frobenius_norm((w / s) @ v.T - m_s) / (frobenius_norm(m_s) or 1.0)
     if not np.isfinite(resid):
         raise AccuracyError(resid, tol)
     if resid > tol:
@@ -196,37 +218,20 @@ def decompose(m, tol=DEFAULT_TOL):
     )
 
 
-def _term_sum(n, real_terms, plane_terms):
-    out = np.zeros((n, n))
-    for t in real_terms:
-        out += real_rank_one_term(t)
-    for t in plane_terms:
-        out += plane_term_left_form(t)
-    return out
-
-
 def reconstruct(dec):
-    """Sum of all rank-one and plane terms (left form)."""
-    return _term_sum(dec.dim, dec.real_terms, dec.plane_terms)
+    """Sum of all rank-one and plane terms, as the one product W V^T."""
+    w, v = stacked_factors(dec.dim, dec.real_terms + dec.plane_terms)
+    return w @ v.T
 
 
 def apply(dec, x):
-    """Action of the decomposition on a vector, term by term, without
-    forming any n x n matrix."""
+    """Action of the decomposition on a vector, W (V^T x), without forming
+    any n x n matrix."""
     x = dc.as_vector(x)
     if x.shape[0] != dec.dim:
         raise ShapeError(f"vector dim {x.shape[0]} against decomposition dim {dec.dim}")
-    out = np.zeros(dec.dim)
-    for t in dec.real_terms:
-        out += t.alpha * dot(t.c, x) / dot(t.c, t.a) * t.a
-    for t in dec.plane_terms:
-        # bracket action: omega projection onto the left plane, minus
-        # sigma times the left wedge
-        y = t.omega * (dot(t.d, x) * t.d + dot(t.q, x) * t.q)
-        y -= t.sigma * (dot(t.q, x) * t.d - dot(t.d, x) * t.q)
-        # then the right-plane wedge (pi/2 rotation into span(b, p))
-        out += (dot(t.p, y) * t.b - dot(t.b, y) * t.p) / t.nu
-    return out
+    w, v = stacked_factors(dec.dim, dec.real_terms + dec.plane_terms)
+    return w @ (v.T @ x)
 
 
 def real_canonical_form(dec):

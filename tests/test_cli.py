@@ -7,6 +7,7 @@ from geospectral import matio
 from geospectral.cli import main
 from geospectral.errors import ParseError, ShapeError
 from geospectral.realdecomp import decompose
+from test_properties import Case
 
 
 @pytest.fixture
@@ -218,3 +219,17 @@ def test_tol_env_override(tmp_path, capsys, monkeypatch, rotation_csv):
     monkeypatch.setenv("GEOSPECTRAL_TOL", "not-a-number")
     assert main(["decompose", rotation_csv, "--tol", "1e-9"]) == 0
     capsys.readouterr()
+
+
+def test_verify_honours_tol_env(tmp_path, capsys, monkeypatch):
+    # a Jordan-coupled pair decomposes to a residual of a few 1e-9: above the
+    # default 1e-9, within GEOSPECTRAL_TOL=1e-6 for decompose and verify alike
+    path = tmp_path / "j.mtx"
+    matio.write_matrix_market(path, Case((1.0, 1.0), (0,), 0, 0).matrix())
+    monkeypatch.setenv("GEOSPECTRAL_TOL", "1e-6")
+    assert main(["decompose", str(path)]) == 0
+    capsys.readouterr()
+    main(["verify", str(path)])
+    status = {line.split()[0]: line.split()[3] for line in capsys.readouterr().out.splitlines()[1:-1]}
+    assert status["diagonalizable"] == "PASS"
+    assert status["reconstruction"] == "PASS"

@@ -7,7 +7,7 @@ occur), optional Jordan couplings between equal adjacent blocks of L, and
 an exact scale 2^k for k in [-1000, 1000].
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -103,6 +103,8 @@ IDENTITY_3 = Case((1.0, 1.0, 1.0), (), None, 0)
 @example(IDENTITY_3)
 @example(Case((), (), 0, 0))
 @example(Case((-0.5,), (), 0, 0))
+@example(Case(((1.0, 2.0), (1.0, 2.0)), (0,), 0, 1000))
+@example(Case((1.0, 1.0), (0,), 0, 1000))
 def test_decompose_residual_within_tol_or_typed_error(case):
     m = case.matrix()
     must_decompose = not case.couplings and case.exponent == 0
@@ -131,6 +133,9 @@ def test_decompose_residual_within_tol_or_typed_error(case):
         assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-8 * norm_m
 
 
-def test_jordan_pair_not_diagonalizable():
+@pytest.mark.parametrize("exponent", [-1000, 0, 1000])
+def test_jordan_pair_not_diagonalizable(exponent):
+    # the same verdict at every scale: the residual is evaluated scaled,
+    # so nothing overflows near ||M|| = 2^1000
     with pytest.raises(NotDiagonalizableError):
-        rd.decompose(JORDAN_PAIR.matrix())
+        rd.decompose(replace(JORDAN_PAIR, exponent=exponent).matrix())

@@ -87,15 +87,33 @@ def test_form_equality_pipeline():
             assert frobenius_norm(left - right) <= 1e-10 * frobenius_norm(left)
 
 
+def _dense(t):
+    u, c, v = rd.term_factors(t)
+    return u @ c @ v.T
+
+
 def test_real_rank_one_term():
     t = rd.RealTerm(2.0, np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-    np.testing.assert_array_equal(rd.real_rank_one_term(t), [[2.0, 2.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(_dense(t), [[2.0, 2.0], [0.0, 0.0]])
 
     t = rd.RealTerm(0.0, np.array([1.0, 2.0]), np.array([3.0, 1.0]))
-    np.testing.assert_array_equal(rd.real_rank_one_term(t), np.zeros((2, 2)))
+    np.testing.assert_array_equal(_dense(t), np.zeros((2, 2)))
 
     t = rd.RealTerm(5.0, E1, E1)
-    np.testing.assert_array_equal(rd.real_rank_one_term(t), np.diag([5.0, 0.0]))
+    np.testing.assert_array_equal(_dense(t), np.diag([5.0, 0.0]))
+
+
+def test_plane_term_factors_match_left_form():
+    # b, p, d, q are unrelated random vectors, so this holds only if the
+    # core is the exact identity, not a shortcut assuming d^dag b = 1
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 7, 12):
+        for _ in range(10):
+            b, p, d, q = (rng.standard_normal(n) for _ in range(4))
+            sigma, omega = rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0)
+            t = rd.ComplexPlaneTerm(sigma, omega, b, p, d, q, rd.nu(b, d, q))
+            left = rd.plane_term_left_form(t)
+            assert frobenius_norm(_dense(t) - left) <= 1e-13 * frobenius_norm(left)
 
 
 def test_real_term_degenerate_pairing_rejected():
@@ -150,6 +168,22 @@ def test_decompose_extreme_scales(scale):
     assert t.omega / scale == pytest.approx(2.0, rel=1e-12)
     assert dec.diagnostics.reconstruction_residual <= 1e-12
     assert np.linalg.norm((rd.reconstruct(dec) - m) / scale) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [-600, -37, 41, 600])
+def test_decompose_scale_equivariant(k):
+    # every stage is equivariant under an exact power-of-two scale: the
+    # vectors come out bitwise identical, the eigenvalues exactly scaled
+    for m, base in _pipeline_terms(range(3)):
+        dec = rd.decompose(m * 2.0**k)
+        for t, t0 in zip(dec.real_terms, base.real_terms, strict=True):
+            assert t.alpha == t0.alpha * 2.0**k
+            np.testing.assert_array_equal(t.a, t0.a)
+            np.testing.assert_array_equal(t.c, t0.c)
+        for t, t0 in zip(dec.plane_terms, base.plane_terms, strict=True):
+            assert (t.sigma, t.omega, t.nu) == (t0.sigma * 2.0**k, t0.omega * 2.0**k, t0.nu)
+            for f in ("b", "p", "d", "q"):
+                np.testing.assert_array_equal(getattr(t, f), getattr(t0, f))
 
 
 def test_reconstruct_round_trips():
@@ -272,10 +306,14 @@ def test_phase_invariance():
 
 
 def test_conjugate_pair_symmetry():
+    # the conjugate eigenvalue sigma - i omega with splits (b, -p), (d, -q)
+    flip = np.array([1.0, -1.0])
     for _, dec in _pipeline_terms(range(3)):
         for t in dec.plane_terms:
             base = rd.plane_term_left_form(t)
-            conj = rd._plane_left(t.sigma, -t.omega, t.b, -t.p, t.d, -t.q, t.nu)
+            u, _, v = rd.term_factors(t)
+            u, v = u * flip, v * flip
+            conj = u @ rd.plane_core(t.sigma, -t.omega, u, v, t.nu) @ v.T
             assert frobenius_norm(conj - base) <= 1e-12 * frobenius_norm(base)
 
 
