@@ -4,7 +4,6 @@ matrices, including matrices with complex-conjugate eigenvalue pairs."""
 from .densecore import dot, frobenius_norm, solve_linear
 from .eigensolve import (
     ComplexPairEigenvalue,
-    ComplexVectorSplit,
     EigenSystem,
     RealEigenvalue,
     canonicalize_phase,
@@ -48,7 +47,6 @@ __all__ = [
     "Bivector",
     "ComplexPairEigenvalue",
     "ComplexPlaneTerm",
-    "ComplexVectorSplit",
     "EigenSystem",
     "PlantedSpectrum",
     "RealEigenvalue",

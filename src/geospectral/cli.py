@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import densecore as dc
 from . import matio
 from .errors import (
     ConvergenceError,
@@ -47,14 +48,37 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _number(cast, accept, what):
+    """argparse type: cast the text and require accept(value); a NaN
+    fails every comparison, so it is rejected too."""
+
+    def parse(text):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value {text!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+
+    return parse
+
+
+_POSITIVE_FLOAT = _number(float, lambda v: v > 0.0, "a positive number")
+_POSITIVE_INT = _number(int, lambda v: v >= 1, "a positive integer")
+_COUNT = _number(int, lambda v: v >= 0, "a non-negative integer")
+# a condition number is >= 1, and the cap goes into the strict-JSON sidecar
+_CONDITION_CAP = _number(float, lambda v: 1.0 <= v < np.inf, "a finite number >= 1")
+
+
 def _resolve_tol(flag_value):
     if flag_value is not None:
         return flag_value
     env = os.environ.get("GEOSPECTRAL_TOL")
     if env:
         try:
-            return float(env)
-        except ValueError:
+            return _POSITIVE_FLOAT(env)
+        except argparse.ArgumentTypeError:
             print(f"warning: ignoring bad GEOSPECTRAL_TOL={env!r}", file=sys.stderr)
     return DEFAULT_TOL
 
@@ -98,9 +122,11 @@ def cmd_canonical(args):
     m = matio.parse_matrix(args.input, args.format)
     dec = decompose(m, _resolve_tol(args.tol))
     b_real, l_real = real_canonical_form(dec)
-    residual = np.linalg.norm(b_real @ l_real @ np.linalg.inv(b_real) - m, "fro")
-    norm_m = np.linalg.norm(m, "fro")
-    rel = residual / norm_m if norm_m else residual
+    # decompose's exact power-of-two scale keeps the norms finite at any |M|
+    s = dc.pow2_scale(m)
+    m_s = m / s
+    residual = dc.frobenius_norm(b_real @ (l_real / s) @ np.linalg.inv(b_real) - m_s)
+    rel = residual / (dc.frobenius_norm(m_s) or 1.0)
     if args.output_dir:
         out = Path(args.output_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -136,16 +162,15 @@ def _draw_spectrum(rng, n_real, n_pairs, min_separation=0.05):
 
 
 def cmd_gen(args):
-    n_real = args.real if args.real is not None else args.size - 2 * (args.pairs or 0)
-    n_pairs = args.pairs or 0
-    if n_real < 0 or n_real + 2 * n_pairs != args.size:
+    n_real = args.real if args.real is not None else args.size - 2 * args.pairs
+    if n_real < 0 or n_real + 2 * args.pairs != args.size:
         print(
-            f"error: --real {n_real} + 2*--pairs {n_pairs} != --size {args.size}",
+            f"error: --real {n_real} + 2*--pairs {args.pairs} != --size {args.size}",
             file=sys.stderr,
         )
         return EXIT_USAGE
     rng = np.random.default_rng(np.random.PCG64(args.seed))
-    reals, pairs = _draw_spectrum(rng, n_real, n_pairs)
+    reals, pairs = _draw_spectrum(rng, n_real, args.pairs)
     spec = PlantedSpectrum(reals, pairs, basis_seed=args.seed, condition_cap=args.cond_cap)
     m = gen_test_matrix(spec)
     fmt = matio.detect_format(args.output) or matio.FORMAT_MATRIX_MARKET
@@ -162,7 +187,7 @@ def cmd_gen(args):
                 "condition_cap": args.cond_cap,
                 "real_eigenvalues": list(reals),
                 "complex_pairs": [list(p) for p in pairs],
-                "min_separation": spec.min_separation(),
+                "min_separation": spec.min_separation() if spec.dim >= 2 else None,
             },
             fh,
         )
@@ -180,32 +205,32 @@ def build_parser():
     p = sub.add_parser("decompose", help="decompose a matrix into real and plane terms")
     p.add_argument("input", help="matrix file (.mtx Matrix Market array or .csv)")
     p.add_argument("--format", choices=[matio.FORMAT_MATRIX_MARKET, matio.FORMAT_CSV])
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_POSITIVE_FLOAT, default=None)
     p.add_argument("--output", "-o", default=None, help="JSON report path (default stdout)")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("verify", help="run the identity-check suite on a matrix")
     p.add_argument("input")
     p.add_argument("--format", choices=[matio.FORMAT_MATRIX_MARKET, matio.FORMAT_CSV])
-    p.add_argument("--tol-scale", type=float, default=None,
+    p.add_argument("--tol-scale", type=_POSITIVE_FLOAT, default=None,
                    help="multiply every check tolerance by this factor")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("canonical", help="emit the real canonical form B_real, L_real")
     p.add_argument("input")
     p.add_argument("--format", choices=[matio.FORMAT_MATRIX_MARKET, matio.FORMAT_CSV])
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_POSITIVE_FLOAT, default=None)
     p.add_argument("--output", "-o", default=None, help="JSON output path (default stdout)")
     p.add_argument("--output-dir", default=None,
                    help="write B_real.mtx / L_real.mtx here instead of JSON")
     p.set_defaults(func=cmd_canonical)
 
     p = sub.add_parser("gen", help="generate a planted-spectrum test matrix")
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--real", type=int, default=None)
-    p.add_argument("--pairs", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cond-cap", type=float, default=1e4)
+    p.add_argument("--size", type=_POSITIVE_INT, required=True)
+    p.add_argument("--real", type=_COUNT, default=None)
+    p.add_argument("--pairs", type=_COUNT, default=0)
+    p.add_argument("--seed", type=_COUNT, default=0)
+    p.add_argument("--cond-cap", type=_CONDITION_CAP, default=1e4)
     p.add_argument("--output", "-o", required=True)
     p.set_defaults(func=cmd_gen)
 

@@ -41,6 +41,12 @@ def frobenius_norm(a):
     return big * float(np.sqrt(np.sum((a / big) ** 2)))
 
 
+def pow2_scale(a):
+    """The power of two s with s <= max|a_ij| < 2s (0.5 for a zero or empty
+    array); dividing by it is exact and brings the largest entry to [1, 2)."""
+    return float(np.ldexp(1.0, int(np.frexp(np.max(np.abs(a), initial=0.0))[1]) - 1))
+
+
 def dot(u, v):
     """Dot product; dot(u, v) == dot(v, u) exactly (same summation order)."""
     u = np.asarray(u, dtype=float)

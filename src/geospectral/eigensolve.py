@@ -3,12 +3,13 @@
 Pipeline: Householder reduction to Hessenberg form, Francis implicit
 double-shift QR with deflation to real Schur form Z T Z^T, eigenvalue
 extraction from the 1x1/2x2 diagonal blocks of T, right eigenvectors by
-back-substitution on T mapped back through Z, and left eigenvectors from
-the inverse of the real eigenvector basis (which enforces biorthogonality
-up to solve error).
+back-substitution on T mapped back through Z, and the inverse of the
+resulting real eigenvector basis (which enforces biorthogonality of the
+left eigenvectors up to solve error).
 
-Complex pairs are represented throughout by real/imaginary splits; no
-complex arithmetic is used.
+As in LAPACK dgeev, the basis is one real n x n matrix in which a
+conjugate pair takes two adjacent columns (re, im); no complex arithmetic
+is used.
 """
 
 from dataclasses import dataclass
@@ -22,9 +23,11 @@ from .errors import (
     InternalError,
     NotDiagonalizableError,
     ShapeError,
+    SingularMatrixError,
 )
 
 MAX_SWEEPS_PER_N = 30
+_RCOND_MIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,32 +48,19 @@ class ComplexPairEigenvalue:
 
 
 @dataclass(frozen=True)
-class ComplexVectorSplit:
-    """Real and imaginary parts of a complex vector."""
-
-    re: np.ndarray
-    im: np.ndarray
-
-    def __post_init__(self):
-        if self.re.shape != self.im.shape:
-            raise ShapeError(
-                f"split parts differ in shape: {self.re.shape} vs {self.im.shape}"
-            )
-
-
-@dataclass(frozen=True)
 class EigenSystem:
-    """Aligned eigenvalues and right/left eigenvectors of a real matrix.
+    """Eigenvalues of a real matrix with its real eigenvector basis.
 
-    Entries of right/left are real vectors for RealEigenvalue slots and
-    ComplexVectorSplit for ComplexPairEigenvalue slots.  Left vectors are
-    scaled so that d_i^dag b_j = delta_ij.
+    Column block i of basis is a_i for a RealEigenvalue and (b_i, p_i),
+    the real and imaginary parts of the unit right eigenvector, for a
+    ComplexPairEigenvalue.  The matching rows of basis_inv are c_i and
+    (2 d_i, 2 q_i), where (d_i, q_i) is the left eigenvector scaled so
+    that d_i^dag b_j = delta_ij.
     """
 
     eigenvalues: tuple
-    right: tuple
-    left: tuple
-    dim: int
+    basis: np.ndarray
+    basis_inv: np.ndarray
     basis_rcond: float
 
 
@@ -307,9 +297,10 @@ def right_eigenvectors(t, z, eigs):
     quasi-upper-triangular Y with T Y = Y L, solving for block row i of
     every later eigenvalue j at once: T_ii Y_ij - Y_ij L_jj = -sum_k>i
     T_ik Y_kj (Golub & Van Loan, Matrix Computations, section 7.6; LAPACK
-    dtrevc3).  Then X = Z Y holds a vector for each real eigenvalue and the
-    (re, im) columns for each pair.  Vectors are unit, sign or phase
-    canonicalized, and returned in the order of eigs.
+    dtrevc3).  Returns the n x n matrix X = Z Y, in T's block order: a
+    column for each real eigenvalue, unit with its sign canonicalized, and
+    the (re, im) columns for each pair, unit together with the phase
+    canonicalized.
     """
     n = t.shape[0]
     starts, at, lam_t = [], {1: [], 2: []}, {1: [], 2: []}
@@ -348,16 +339,15 @@ def right_eigenvectors(t, z, eigs):
             sol = _solve_perturbed(kron, r, smin)
             y[lo:hi, cols] = sol.reshape(count * size, hi - lo).T
     x = z @ y
-    vectors = []
     for e, lo in zip(eigs, starts):
         if isinstance(e, RealEigenvalue):
             v = x[:, lo]
-            vectors.append(_canonical_sign(v / np.linalg.norm(v)))
+            x[:, lo] = _canonical_sign(v / np.linalg.norm(v))
         else:
             re, im = x[:, lo], x[:, lo + 1]
             scale = np.sqrt(np.sum(re**2) + np.sum(im**2))
-            vectors.append(canonicalize_phase(ComplexVectorSplit(re / scale, im / scale)))
-    return vectors
+            x[:, lo], x[:, lo + 1] = canonicalize_phase(re / scale, im / scale)
+    return x
 
 
 def _canonical_sign(v):
@@ -366,94 +356,60 @@ def _canonical_sign(v):
     return -v if v[j] < 0.0 else v
 
 
-def canonicalize_phase(split):
-    """Rotate a complex split by a unit phase so its largest entry is real > 0.
+def canonicalize_phase(re, im):
+    """Rotate the complex vector re + i im by a unit phase so its largest
+    entry is real > 0; returns the rotated (re, im).
 
     Idempotent bit-for-bit: the pinned entry is stored with an exact zero
-    imaginary part, so a second application is the identity.
+    imaginary part, so a second application returns its inputs unchanged.
     """
-    mags = split.re**2 + split.im**2
+    mags = re**2 + im**2
     if not np.any(mags > 0.0):
         raise ShapeError("cannot canonicalize a zero vector")
     j = int(np.argmax(mags))
-    bj, pj = split.re[j], split.im[j]
+    bj, pj = re[j], im[j]
     if pj == 0.0 and bj > 0.0:
-        return split
+        return re, im
     phi = np.arctan2(pj, bj)
     c, s = np.cos(phi), np.sin(phi)
-    re = c * split.re + s * split.im
-    im = c * split.im - s * split.re
+    re, im = c * re + s * im, c * im - s * re
     re[j] = np.hypot(bj, pj)
     im[j] = 0.0
-    return ComplexVectorSplit(re, im)
-
-
-def real_basis(eigs, right):
-    """Columns a_i for real slots and (b_i, p_i) for pair slots, in order."""
-    cols = []
-    for e, v in zip(eigs, right):
-        if isinstance(e, RealEigenvalue):
-            cols.append(v)
-        else:
-            cols.append(v.re)
-            cols.append(v.im)
-    return np.column_stack(cols)
-
-
-def left_eigenvectors(eigs, right, rcond_min=1e-12):
-    """Left eigenvectors from the inverse of the real eigenvector basis.
-
-    For a pair occupying columns (b, p), rows (r1, r2) of the inverse give
-    d = r1/2 and q = r2/2, which satisfy d^dag b = 1 and biorthogonality
-    against every other eigenvector up to solve error.
-    Returns (left, basis_rcond).
-    """
-    b_real = real_basis(eigs, right)
-    try:
-        b_inv = dc.inverse(b_real)
-    except Exception as exc:
-        raise NotDiagonalizableError(str(exc)) from exc
-    rcond = dc.rcond_1norm(b_real, b_inv)
-    if not rcond >= rcond_min:
-        raise NotDiagonalizableError(f"eigenvector basis rcond {rcond:.3e}")
-    left = []
-    row = 0
-    for e in eigs:
-        if isinstance(e, RealEigenvalue):
-            left.append(b_inv[row, :].copy())
-            row += 1
-        else:
-            left.append(
-                ComplexVectorSplit(b_inv[row, :] / 2.0, b_inv[row + 1, :] / 2.0)
-            )
-            row += 2
-    return left, rcond
+    return re, im
 
 
 def eigensystem(m):
-    """Full right/left eigen-decomposition of a real square matrix."""
+    """Eigenvalues, real eigenvector basis and its inverse of a real square
+    matrix, in the canonical order of _sort_order."""
     m = dc.as_matrix(m)
     n = m.shape[0]
     if n != m.shape[1]:
         raise ShapeError(f"eigensystem of non-square {m.shape}")
     norm_m = dc.frobenius_norm(m)
     if norm_m == 0.0:
-        eigs = [RealEigenvalue(0.0)] * n
-        basis = [np.eye(n)[:, i] for i in range(n)]
-        return EigenSystem(tuple(eigs), tuple(basis), tuple(basis), n, 1.0)
+        return EigenSystem((RealEigenvalue(0.0),) * n, np.eye(n), np.eye(n), 1.0)
     # fixed pre-scaling keeps the QR thresholds meaningful for extreme norms
     h, q = hessenberg_reduce(m / norm_m)
     t, z = real_schur(h, q)
     eigs = extract_eigenvalues(t)
-    right = right_eigenvectors(t, z, eigs)
+    x = right_eigenvectors(t, z, eigs)
     eigs = [
         RealEigenvalue(e.alpha * norm_m)
         if isinstance(e, RealEigenvalue)
         else ComplexPairEigenvalue(e.sigma * norm_m, e.omega * norm_m)
         for e in eigs
     ]
+    starts = np.cumsum([0] + [1 if isinstance(e, RealEigenvalue) else 2 for e in eigs])
     order = _sort_order(eigs)
-    eigs = [eigs[i] for i in order]
-    right = [right[i] for i in order]
-    left, rcond = left_eigenvectors(eigs, right)
-    return EigenSystem(tuple(eigs), tuple(right), tuple(left), n, rcond)
+    cols = [c for i in order for c in range(starts[i], starts[i + 1])]
+    # C order: the LU's row dot products round differently on the
+    # F-ordered array that column indexing returns
+    basis = np.ascontiguousarray(x[:, cols])
+    try:
+        basis_inv = dc.inverse(basis)
+    except SingularMatrixError as exc:
+        raise NotDiagonalizableError(str(exc)) from exc
+    rcond = dc.rcond_1norm(basis, basis_inv)
+    if not rcond >= _RCOND_MIN:
+        raise NotDiagonalizableError(f"eigenvector basis rcond {rcond:.3e}")
+    return EigenSystem(tuple(eigs[i] for i in order), basis, basis_inv, rcond)

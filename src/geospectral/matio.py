@@ -239,5 +239,7 @@ def doc_to_decomposition(doc):
 
 
 def dump_json(doc, fh):
-    json.dump(doc, fh, indent=2)
+    """Write strict JSON: a NaN or infinity raises ValueError instead of
+    producing a non-standard literal."""
+    json.dump(doc, fh, indent=2, allow_nan=False)
     fh.write("\n")

@@ -175,33 +175,42 @@ def decompose(m, tol=DEFAULT_TOL):
     """Decompose a real diagonalizable matrix into real rank-one terms and
     complex-pair plane terms.
 
-    Raises NotDiagonalizableError when the terms reconstruct m only to a
-    relative residual above tol (a defective matrix's computed eigenvalues
-    split and its basis passes the rcond check), and AccuracyError when
-    that residual is not finite.
+    Raises ValueError unless tol > 0, NotDiagonalizableError when the
+    terms reconstruct m only to a relative residual above tol (a defective
+    matrix's computed eigenvalues split and its basis passes the rcond
+    check), and AccuracyError when that residual is not finite.
     """
+    if not tol > 0.0:
+        raise ValueError(f"decompose needs tol > 0, got {tol}")
     m = dc.as_matrix(m)
     n = m.shape[0]
     if n != m.shape[1]:
         raise ShapeError(f"decompose of non-square {m.shape}")
     system = eg.eigensystem(m)
+    # row i is basis column i: a_i, or b_i and p_i in two rows for a pair
+    right = np.ascontiguousarray(system.basis.T)
+    rows = system.basis_inv
     real_terms = []
     plane_terms = []
     max_bio = 0.0
-    for e, v, l in zip(system.eigenvalues, system.right, system.left):
+    i = 0
+    for e in system.eigenvalues:
         if isinstance(e, eg.RealEigenvalue):
-            real_terms.append(RealTerm(e.alpha, v, l))
+            real_terms.append(RealTerm(e.alpha, right[i], rows[i]))
+            i += 1
         else:
-            b, p, d, q = v.re, v.im, l.re, l.im
+            # basis_inv holds (2d, 2q) for the pair's columns (b, p): d^dag b = 1
+            b, p, d, q = right[i], right[i + 1], rows[i] / 2.0, rows[i + 1] / 2.0
             r1, r2 = biorthogonality_residual(b, p, d, q)
             max_bio = max(max_bio, abs(r1), abs(r2))
             plane_terms.append(
                 ComplexPlaneTerm(e.sigma, e.omega, b, p, d, q, nu(b, d, q))
             )
+            i += 2
     # (W / s) V^T against M / s, s a power of two with s <= max|m_ij| < 2s:
     # W carries the eigenvalues' scale and V the conditioning, so nothing overflows
     w, v = stacked_factors(n, real_terms + plane_terms)
-    s = np.ldexp(1.0, int(np.frexp(np.max(np.abs(m), initial=0.0))[1]) - 1)
+    s = dc.pow2_scale(m)
     m_s = m / s
     resid = frobenius_norm((w / s) @ v.T - m_s) / (frobenius_norm(m_s) or 1.0)
     if not np.isfinite(resid):

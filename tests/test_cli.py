@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -233,3 +234,83 @@ def test_verify_honours_tol_env(tmp_path, capsys, monkeypatch):
     status = {line.split()[0]: line.split()[3] for line in capsys.readouterr().out.splitlines()[1:-1]}
     assert status["diagonalizable"] == "PASS"
     assert status["reconstruction"] == "PASS"
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0"])
+@pytest.mark.parametrize("command", [["decompose"], ["canonical"]], ids=["decompose", "canonical"])
+def test_tol_flags_reject_non_positive(rotation_csv, capsys, command, value):
+    for argv in (command + [rotation_csv, "--tol", value],
+                 ["verify", rotation_csv, "--tol-scale", value]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
+        assert "not a positive number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0"])
+def test_tol_env_non_positive_ignored(tmp_path, capsys, monkeypatch, value):
+    # ignored, so the default 1e-9 gates the Jordan-coupled pair (residual
+    # a few 1e-9) instead of no gate at all
+    path = tmp_path / "j.mtx"
+    matio.write_matrix_market(path, Case((1.0, 1.0), (0,), 0, 0).matrix())
+    monkeypatch.setenv("GEOSPECTRAL_TOL", value)
+    assert main(["decompose", str(path)]) == 2
+    assert f"ignoring bad GEOSPECTRAL_TOL={value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--size", "0"],
+        ["--size", "2", "--pairs", "-1"],
+        ["--size", "2", "--real", "-1"],
+        ["--size", "2", "--seed", "-1"],
+        ["--size", "2", "--cond-cap", "inf"],
+    ],
+)
+def test_gen_rejects_out_of_range_arguments(tmp_path, capsys, args):
+    out = tmp_path / "x.mtx"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", *args, "-o", str(out)])
+    assert exc.value.code == 64
+    assert "usage:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_every_subcommand_writes_strict_json(tmp_path, capsys, rotation_csv):
+    one = tmp_path / "one.mtx"
+    assert main(["gen", "--size", "1", "-o", str(one)]) == 0
+    sidecar = _strict_json((tmp_path / "one.mtx.spectrum.json").read_text())
+    assert sidecar["min_separation"] is None
+    capsys.readouterr()
+    for command in ("decompose", "canonical"):
+        for path in (str(one), rotation_csv):
+            assert main([command, path]) == 0
+            _strict_json(capsys.readouterr().out)
+    with pytest.raises(ValueError):
+        matio.dump_json({"residual": float("inf")}, io.StringIO())
+
+
+@pytest.mark.parametrize("exponent", [-1000, 1000])
+def test_canonical_extreme_scale(tmp_path, capsys, exponent):
+    # exact power-of-two scaling: the same basis, L_real scaled exactly and
+    # the same similarity residual as at scale 1, with no overflow warning
+    m = np.array([[1.0, 2.0, 0.3], [-2.0, 1.0, 0.1], [0.0, 0.5, 3.0]])
+    docs = []
+    for k in (0, exponent):
+        path = tmp_path / f"s{k}.mtx"
+        matio.write_matrix_market(path, m * 2.0**k)
+        assert main(["canonical", str(path)]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    base, scaled = docs
+    assert base["similarity_residual"] > 0.0
+    assert scaled["similarity_residual"] == base["similarity_residual"]
+    assert scaled["B_real"] == base["B_real"]
+    np.testing.assert_array_equal(scaled["L_real"], np.array(base["L_real"]) * 2.0**exponent)

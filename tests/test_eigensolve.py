@@ -117,10 +117,10 @@ def _schur_right_vectors(m):
 
 
 def test_right_eigenvectors_diagonal():
-    eigs, vecs = _schur_right_vectors(np.diag([3.0, 7.0]))
+    eigs, x = _schur_right_vectors(np.diag([3.0, 7.0]))
     assert eigs == [eg.RealEigenvalue(3.0), eg.RealEigenvalue(7.0)]
-    np.testing.assert_allclose(np.abs(vecs[0]), [1.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(np.abs(vecs[1]), [0.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(np.abs(x[:, 0]), [1.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(np.abs(x[:, 1]), [0.0, 1.0], atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -131,9 +131,9 @@ def test_right_eigenvectors_diagonal():
     ],
 )
 def test_right_eigenvectors_pair_identities(m, sigma, omega):
-    eigs, (split,) = _schur_right_vectors(m)
+    eigs, x = _schur_right_vectors(m)
     assert eigs == [eg.ComplexPairEigenvalue(sigma, omega)]
-    b, p = split.re, split.im
+    b, p = x[:, 0], x[:, 1]
     np.testing.assert_allclose(m @ b, sigma * b - omega * p, atol=1e-12)
     np.testing.assert_allclose(m @ p, omega * b + sigma * p, atol=1e-12)
 
@@ -143,7 +143,7 @@ def test_left_eigenvectors_symmetric_matrix_match_right():
     a = rng.standard_normal((4, 4))
     m = a + a.T
     system = eg.eigensystem(m)
-    for v, l in zip(system.right, system.left):
+    for v, l in zip(system.basis.T, system.basis_inv):
         # right vectors are unit, so c = v / (v.v) = v
         np.testing.assert_allclose(l, v / np.dot(v, v), atol=1e-9)
 
@@ -151,11 +151,11 @@ def test_left_eigenvectors_symmetric_matrix_match_right():
 def test_left_eigenvectors_unitary_pair_case():
     m = np.array([[1.0, 2.0], [-2.0, 1.0]])
     system = eg.eigensystem(m)
-    (split,) = system.right
-    (left,) = system.left
+    b, p = system.basis.T
+    d, q = system.basis_inv / 2.0
     # d^dag b split into real and imaginary parts
-    cr = np.dot(left.re, split.re) + np.dot(left.im, split.im)
-    ci = np.dot(left.re, split.im) - np.dot(left.im, split.re)
+    cr = np.dot(d, b) + np.dot(q, p)
+    ci = np.dot(d, p) - np.dot(q, b)
     assert abs(cr - 1.0) <= 1e-12
     assert abs(ci) <= 1e-12
 
@@ -164,7 +164,7 @@ def test_left_eigenvectors_triangular_hand_case():
     m = np.array([[2.0, 1.0], [0.0, 3.0]])
     system = eg.eigensystem(m)
     idx = [i for i, e in enumerate(system.eigenvalues) if e.alpha == pytest.approx(2.0)][0]
-    c = system.left[idx]
+    c = system.basis_inv[idx]
     # left eigenvector of alpha=2 is proportional to (1, -1)
     np.testing.assert_allclose(c.T @ m, 2.0 * c, atol=1e-12)
     assert c[0] == pytest.approx(-c[1])
@@ -177,15 +177,7 @@ def test_biorthogonality_on_generated_matrices():
         )
         m = gen_test_matrix(spec)
         system = eg.eigensystem(m)
-        b_real = eg.real_basis(system.eigenvalues, system.right)
-        b_inv_rows = []
-        for e, l in zip(system.eigenvalues, system.left):
-            if isinstance(e, eg.RealEigenvalue):
-                b_inv_rows.append(l)
-            else:
-                b_inv_rows.append(2.0 * l.re)
-                b_inv_rows.append(2.0 * l.im)
-        prod = np.array(b_inv_rows) @ b_real
+        prod = system.basis_inv @ system.basis
         assert frobenius_norm(prod - np.eye(spec.dim)) <= 1e-10 * spec.dim
 
 
@@ -207,42 +199,37 @@ def test_eigenvalue_recovery_matches_planted():
 
 
 def test_canonicalize_phase_examples():
-    s = eg.ComplexVectorSplit(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    c = eg.canonicalize_phase(s)
-    assert c is s  # already canonical, returned unchanged
+    re, im = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    c_re, c_im = eg.canonicalize_phase(re, im)
+    assert c_re is re and c_im is im  # already canonical, returned unchanged
 
     rng = np.random.default_rng(3)
-    base = eg.canonicalize_phase(
-        eg.ComplexVectorSplit(rng.standard_normal(4), rng.standard_normal(4))
-    )
+    base_re, base_im = eg.canonicalize_phase(rng.standard_normal(4), rng.standard_normal(4))
     theta = 0.7
-    rot = eg.ComplexVectorSplit(
-        np.cos(theta) * base.re - np.sin(theta) * base.im,
-        np.sin(theta) * base.re + np.cos(theta) * base.im,
+    rec_re, rec_im = eg.canonicalize_phase(
+        np.cos(theta) * base_re - np.sin(theta) * base_im,
+        np.sin(theta) * base_re + np.cos(theta) * base_im,
     )
-    rec = eg.canonicalize_phase(rot)
-    np.testing.assert_allclose(rec.re, base.re, atol=1e-12)
-    np.testing.assert_allclose(rec.im, base.im, atol=1e-12)
+    np.testing.assert_allclose(rec_re, base_re, atol=1e-12)
+    np.testing.assert_allclose(rec_im, base_im, atol=1e-12)
 
-    s = eg.ComplexVectorSplit(np.array([0.0, 0.0]), np.array([2.0, 0.0]))
-    c = eg.canonicalize_phase(s)
-    np.testing.assert_array_equal(c.re, [2.0, 0.0])
-    np.testing.assert_array_equal(c.im, [0.0, 0.0])
+    c_re, c_im = eg.canonicalize_phase(np.array([0.0, 0.0]), np.array([2.0, 0.0]))
+    np.testing.assert_array_equal(c_re, [2.0, 0.0])
+    np.testing.assert_array_equal(c_im, [0.0, 0.0])
 
 
 def test_canonicalize_phase_idempotent_bitwise():
     rng = np.random.default_rng(4)
     for _ in range(50):
-        s = eg.ComplexVectorSplit(rng.standard_normal(6), rng.standard_normal(6))
-        c1 = eg.canonicalize_phase(s)
-        c2 = eg.canonicalize_phase(c1)
-        np.testing.assert_array_equal(c1.re, c2.re)
-        np.testing.assert_array_equal(c1.im, c2.im)
+        re1, im1 = eg.canonicalize_phase(rng.standard_normal(6), rng.standard_normal(6))
+        re2, im2 = eg.canonicalize_phase(re1, im1)
+        np.testing.assert_array_equal(re1, re2)
+        np.testing.assert_array_equal(im1, im2)
 
 
 def test_canonicalize_phase_zero_vector_rejected():
     with pytest.raises(ShapeError):
-        eg.canonicalize_phase(eg.ComplexVectorSplit(np.zeros(2), np.zeros(2)))
+        eg.canonicalize_phase(np.zeros(2), np.zeros(2))
 
 
 def test_defective_matrix_rejected():
@@ -253,7 +240,7 @@ def test_defective_matrix_rejected():
 def test_repeated_eigenvalues_diagonalizable():
     system = eg.eigensystem(np.eye(3))
     assert all(e.alpha == pytest.approx(1.0) for e in system.eigenvalues)
-    b = eg.real_basis(system.eigenvalues, system.right)
+    b = system.basis
     assert frobenius_norm(b @ b.T - np.eye(3)) <= 1e-10
 
 
@@ -264,10 +251,13 @@ def test_eigenvalue_residual_property_random():
         m = rng.standard_normal((n, n))
         norm_m = frobenius_norm(m)
         system = eg.eigensystem(m)
-        for e, v in zip(system.eigenvalues, system.right):
+        col = 0
+        for e in system.eigenvalues:
             if isinstance(e, eg.RealEigenvalue):
+                col += 1
                 continue
-            b, p = v.re, v.im
+            b, p = system.basis[:, col], system.basis[:, col + 1]
+            col += 2
             resid = np.linalg.norm(m @ b - (e.sigma * b - e.omega * p))
             resid += np.linalg.norm(m @ p - (e.omega * b + e.sigma * p))
             bound = 1e-9 * norm_m * (np.linalg.norm(b) + np.linalg.norm(p))

@@ -153,6 +153,13 @@ def test_decompose_propagates_not_diagonalizable():
         rd.decompose(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0])
+def test_decompose_rejects_non_positive_tol(tol):
+    # a NaN tolerance would pass every residual through `resid > tol`
+    with pytest.raises(ValueError):
+        rd.decompose(np.array([[1.0, 2.0], [-2.0, 1.0]]), tol)
+
+
 @pytest.mark.parametrize(
     "scale",
     [1e200, 1e-200, 2.0**660, 2.0**-660, 2.0**-1000],
