@@ -1,7 +1,7 @@
 """Real, coordinate-free spectral decomposition of real diagonalizable
 matrices, including matrices with complex-conjugate eigenvalue pairs."""
 
-from .densecore import dot, frobenius_norm, solve_linear
+from .densecore import dot, frobenius_norm
 from .eigensolve import (
     ComplexPairEigenvalue,
     EigenSystem,
@@ -12,12 +12,7 @@ from .eigensolve import (
     hessenberg_reduce,
     real_schur,
 )
-from .geoalg import (
-    Bivector,
-    bivector_square,
-    orthonormalize_pair,
-    wedge,
-)
+from .geoalg import wedge
 from .realdecomp import (
     ComplexPlaneTerm,
     RealTerm,
@@ -44,7 +39,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bivector",
     "ComplexPairEigenvalue",
     "ComplexPlaneTerm",
     "EigenSystem",
@@ -56,7 +50,6 @@ __all__ = [
     "VerificationReport",
     "apply",
     "biorthogonality_residual",
-    "bivector_square",
     "brute_force_reconstruct",
     "canonicalize_phase",
     "decompose",
@@ -67,14 +60,12 @@ __all__ = [
     "gen_test_matrix",
     "hessenberg_reduce",
     "nu",
-    "orthonormalize_pair",
     "plane_term_left_form",
     "plane_term_right_form",
     "real_canonical_form",
     "real_schur",
     "reconstruct",
     "run_identity_suite",
-    "solve_linear",
     "transpose_term",
     "wedge",
 ]

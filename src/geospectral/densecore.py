@@ -79,12 +79,9 @@ def lu_factor(a):
 
 
 def lu_solve(lu, swaps, b):
-    """Solve using a factorization from lu_factor; b may be a vector or matrix."""
+    """Solve AX = B for a matrix B, using a factorization from lu_factor."""
     n = lu.shape[0]
     x = np.array(b, dtype=float)
-    vec = x.ndim == 1
-    if vec:
-        x = x[:, None]
     if x.shape[0] != n:
         raise ShapeError(f"rhs rows {x.shape[0]} != system size {n}")
     x = x[swaps, :]
@@ -93,25 +90,17 @@ def lu_solve(lu, swaps, b):
     for k in range(n - 1, -1, -1):  # back substitution
         x[k, :] -= lu[k, k + 1:] @ x[k + 1:, :]
         x[k, :] /= lu[k, k]
-    return x[:, 0] if vec else x
+    return x
 
 
-def solve_linear(a, b):
-    """Solve AX = B by partial-pivoted elimination.
+def inverse(a):
+    """Inverse by partial-pivoted elimination.
 
     Raises SingularMatrixError (with the offending pivot index) when A is
     numerically singular per the n*eps*max|A| threshold.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape[0] != b.shape[0]:
-        raise ShapeError(f"solve of {a.shape} against rhs {b.shape}")
     lu, swaps = lu_factor(a)
-    return lu_solve(lu, swaps, b)
-
-
-def inverse(a):
-    return solve_linear(a, np.eye(a.shape[0]))
+    return lu_solve(lu, swaps, np.eye(lu.shape[0]))
 
 
 def rcond_1norm(a, a_inv):

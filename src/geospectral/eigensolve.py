@@ -154,7 +154,7 @@ def _split_2x2(t, z, l):
     return True
 
 
-def real_schur(h, q, tol=None, max_sweeps=None):
+def real_schur(h, q):
     """Francis double-shift QR with deflation.
 
     Returns (T, Z) with T quasi-upper-triangular (every surviving 2x2
@@ -163,11 +163,8 @@ def real_schur(h, q, tol=None, max_sweeps=None):
     t = dc.as_matrix(h)
     z = dc.as_matrix(q)
     n = t.shape[0]
-    norm_h = dc.frobenius_norm(t)
-    if tol is None:
-        tol = n * EPS * norm_h
-    if max_sweeps is None:
-        max_sweeps = MAX_SWEEPS_PER_N * max(n, 1)
+    tol = n * EPS * dc.frobenius_norm(t)
+    max_sweeps = MAX_SWEEPS_PER_N * max(n, 1)
     sweeps = 0
     block_iters = 0
     hi = n - 1

@@ -55,10 +55,6 @@ class NotDiagonalizableError(GeoSpectralError):
         super().__init__(msg)
 
 
-class DegeneratePlaneError(GeoSpectralError):
-    """Two vectors meant to span a plane are numerically collinear."""
-
-
 class DegeneratePairError(GeoSpectralError):
     """A left/right eigenvector pairing is numerically invalid."""
 

@@ -114,15 +114,15 @@ def nu(b, d, q):
 
 def plane_term_left_form(t):
     """The plane term with the right-eigenvector wedge on the left."""
-    bracket = t.omega * (np.outer(t.d, t.d) + np.outer(t.q, t.q)) - t.sigma * wedge(t.d, t.q).rep
-    return wedge(t.b, t.p).rep @ bracket / t.nu
+    bracket = t.omega * (np.outer(t.d, t.d) + np.outer(t.q, t.q)) - t.sigma * wedge(t.d, t.q)
+    return wedge(t.b, t.p) @ bracket / t.nu
 
 
 def plane_term_right_form(t):
     """Equivalent form with the left-eigenvector wedge on the right; equal
     to the left form whenever the biorthogonality conditions hold."""
-    bracket = t.omega * (np.outer(t.b, t.b) + np.outer(t.p, t.p)) - t.sigma * wedge(t.b, t.p).rep
-    return bracket @ wedge(t.d, t.q).rep / t.nu
+    bracket = t.omega * (np.outer(t.b, t.b) + np.outer(t.p, t.p)) - t.sigma * wedge(t.b, t.p)
+    return bracket @ wedge(t.d, t.q) / t.nu
 
 
 def plane_core(sigma, omega, u, v, nu_value):

@@ -12,12 +12,12 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import realdecomp as rd
-from .densecore import dot, frobenius_norm
+from .densecore import frobenius_norm, pow2_scale
 from .errors import GenerationError, GeoSpectralError, OracleInconsistencyError
-from .geoalg import bivector_square, orthonormalize_pair, wedge
 
 _RESAMPLE_CAP = 100
 _ABS_FLOOR = 1e-14
+_PHASE_SAMPLES = 100
 
 
 @dataclass(frozen=True)
@@ -82,19 +82,11 @@ class ToleranceProfile:
     phase_invariance: float = 1e-10
     conjugate_symmetry: float = 1e-12
     transposition: float = 1e-12
-    blade_orthogonality: float = 1e-12
-    bivector_square: float = 1e-13
     oracle_agreement: float = 1e-9
-    phase_samples: int = 100
-    blade_samples: int = 1000
 
     def scaled(self, factor):
-        """Uniformly loosened/tightened copy (used by the CLI --tol-scale flag);
-        sample counts are kept."""
-        return replace(
-            self,
-            **{f.name: getattr(self, f.name) * factor for f in fields(self) if f.type is float},
-        )
+        """Uniformly loosened/tightened copy (used by the CLI --tol-scale flag)."""
+        return replace(self, **{f.name: getattr(self, f.name) * factor for f in fields(self)})
 
 
 def _canonical_blocks(spec):
@@ -221,7 +213,7 @@ def _decomposition_checks(m, dec, tol):
         scale_b = np.linalg.norm(t.d) * np.linalg.norm(t.b) + np.linalg.norm(t.q) * np.linalg.norm(t.p)
         bio = max(bio, _rel(max(abs(r1), abs(r2), cross), scale_b))
 
-        for theta in rng.uniform(0.0, 2.0 * np.pi, tol.phase_samples):
+        for theta in rng.uniform(0.0, 2.0 * np.pi, _PHASE_SAMPLES):
             rotated = _dense(*rd.term_factors(_rotate_term(t, theta)))
             phase = max(phase, _rel(frobenius_norm(rotated - left), norm_t))
 
@@ -244,41 +236,23 @@ def _decomposition_checks(m, dec, tol):
     return checks
 
 
-def _blade_checks(tol):
-    rng = np.random.default_rng(np.random.PCG64(0xB1ADE))
-    worst = 0.0
-    for _ in range(tol.blade_samples):
-        u = rng.standard_normal(5)
-        v = rng.standard_normal(5)
-        x = rng.standard_normal(5)
-        w = wedge(u, v)
-        scale = np.dot(x, x) * frobenius_norm(w.rep)
-        worst = max(worst, _rel(abs(dot(x, w.rep @ x)), scale))
-    checks = [("blade_orthogonality", worst, tol.blade_orthogonality)]
-
-    worst = 0.0
-    for _ in range(50):
-        n = int(rng.integers(2, 8))
-        e1, e2 = orthonormalize_pair(rng.standard_normal(n), rng.standard_normal(n))
-        sq = bivector_square(wedge(e1, e2))
-        projector = np.outer(e1, e1) + np.outer(e2, e2)
-        worst = max(worst, frobenius_norm(sq + projector))
-    checks.append(("bivector_square", worst, tol.bivector_square))
-    return checks
-
-
 def run_identity_suite(m, tol_profile=None):
     """Decompose m and evaluate every identity against its tolerance.
 
     The decomposition runs at the profile's reconstruction tolerance, so
     the diagonalizable gate and the reconstruction check agree; its
-    failures are recorded as a failed check rather than raised.
+    failures are recorded as a failed check rather than raised.  Every
+    check is relative and decompose is exactly equivariant under powers of
+    two, so m is first divided by the power of two pow2_scale(m), which
+    keeps every norm finite at any scale.
     """
     tol = tol_profile or ToleranceProfile()
     start = time.perf_counter()
     checks = []
+    m = np.asarray(m, dtype=float)
+    m = m / pow2_scale(m)
     try:
-        dec = rd.decompose(np.asarray(m, dtype=float), tol.reconstruction)
+        dec = rd.decompose(m, tol.reconstruction)
     except GeoSpectralError as exc:
         checks.append(Check("diagonalizable", np.inf, 0.0, False, str(exc)))
         dec = None
@@ -286,7 +260,5 @@ def run_identity_suite(m, tol_profile=None):
         checks.append(Check("diagonalizable", 0.0, 0.0, True))
         for name, residual, tolerance in _decomposition_checks(m, dec, tol):
             checks.append(Check(name, residual, tolerance, residual <= tolerance))
-    for name, residual, tolerance in _blade_checks(tol):
-        checks.append(Check(name, residual, tolerance, residual <= tolerance))
     elapsed = time.perf_counter() - start
     return VerificationReport(tuple(checks), all(c.passed for c in checks), elapsed)

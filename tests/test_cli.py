@@ -8,6 +8,7 @@ from geospectral import matio
 from geospectral.cli import main
 from geospectral.errors import ParseError, ShapeError
 from geospectral.realdecomp import decompose
+from geospectral.verify import PlantedSpectrum, gen_test_matrix
 from test_properties import Case
 
 
@@ -108,10 +109,11 @@ def test_decompose_parse_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_gen_decompose_round_trip(tmp_path, capsys):
+def _gen_decompose_round_trip(tmp_path, capsys, gen_args):
+    # decompose recovers the planted spectrum recorded in gen's sidecar
     out = tmp_path / "g.mtx"
     report = tmp_path / "g.json"
-    assert main(["gen", "--size", "6", "--pairs", "2", "--seed", "9", "-o", str(out)]) == 0
+    assert main(["gen", *gen_args, "-o", str(out)]) == 0
     capsys.readouterr()
     assert main(["decompose", str(out), "-o", str(report)]) == 0
     doc = json.loads(report.read_text())
@@ -120,6 +122,7 @@ def test_gen_decompose_round_trip(tmp_path, capsys):
         (e["sigma"], e["omega"]) for e in doc["eigenvalues"] if e["kind"] == "complex_pair"
     )
     want_pairs = sorted((s, w) for s, w in planted["complex_pairs"])
+    assert len(got_pairs) == len(want_pairs)
     m = matio.parse_matrix(str(out))
     tol = 1e-8 * np.linalg.norm(m)
     for (gs, gw), (ws, ww) in zip(got_pairs, want_pairs):
@@ -128,6 +131,16 @@ def test_gen_decompose_round_trip(tmp_path, capsys):
     got_reals = sorted(e["alpha"] for e in doc["eigenvalues"] if e["kind"] == "real")
     for g, w in zip(got_reals, sorted(planted["real_eigenvalues"])):
         assert g == pytest.approx(w, abs=tol)
+
+
+def test_gen_decompose_round_trip(tmp_path, capsys):
+    _gen_decompose_round_trip(tmp_path, capsys, ["--size", "6", "--pairs", "2", "--seed", "9"])
+
+
+def test_gen_large_spectrum(tmp_path, capsys):
+    # a jittered-grid draw cannot fail, whatever the size
+    assert main(["gen", "--size", "100", "--pairs", "25", "-o", str(tmp_path / "l.mtx")]) == 0
+    _gen_decompose_round_trip(tmp_path, capsys, ["--size", "64", "--pairs", "16"])
 
 
 def test_gen_real_only_round_trip(tmp_path, capsys):
@@ -168,6 +181,15 @@ def test_verify_exit_codes(tmp_path, capsys, rotation_csv):
     jordan.write_text("1,1\n0,1\n")
     assert main(["verify", str(jordan)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("exponent", [-1000, 900, 1000])
+def test_verify_extreme_scale(tmp_path, capsys, exponent):
+    spec = PlantedSpectrum((0.5, -1.0), ((0.3, 1.1), (-0.7, 0.6)), basis_seed=3)
+    path = tmp_path / "m.mtx"
+    matio.write_matrix_market(path, gen_test_matrix(spec) * 2.0**exponent)
+    assert main(["verify", str(path)]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
 
 
 def test_canonical_hand_case(rotation_csv, capsys):

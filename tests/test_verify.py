@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,17 @@ def test_tolerance_profile_scaled():
     base = vf.ToleranceProfile()
     scaled = base.scaled(10.0)
     assert scaled.reconstruction == pytest.approx(10.0 * base.reconstruction)
-    assert scaled.bivector_square == pytest.approx(10.0 * base.bivector_square)
+    assert scaled.transposition == pytest.approx(10.0 * base.transposition)
     assert scaled.oracle_agreement == pytest.approx(10.0 * base.oracle_agreement)
-    assert (scaled.phase_samples, scaled.blade_samples) == (base.phase_samples, base.blade_samples)
+    assert len(fields(base)) == 9
+
+
+@pytest.mark.parametrize("exponent", [-1000, 1000])
+def test_suite_extreme_scale(exponent):
+    # every check is relative and m is brought to unit scale by an exact
+    # power of two, so 2^k m reports exactly the checks of m
+    spec = vf.PlantedSpectrum((0.5, -1.0), ((0.3, 1.1), (-0.7, 0.6)), basis_seed=3)
+    m = vf.gen_test_matrix(spec)
+    base = vf.run_identity_suite(m)
+    assert base.overall
+    assert vf.run_identity_suite(m * 2.0**exponent).checks == base.checks
