@@ -7,11 +7,16 @@ back-substitution on T mapped back through Z, and the inverse of the
 resulting real eigenvector basis (which enforces biorthogonality of the
 left eigenvectors up to solve error).
 
+The QR sweep is Python-bound, not flop-bound: each bulge reflector is a
+3x3 matrix built from Python floats and applied only to the rows and
+columns the bulge touches, three small products per step.
+
 As in LAPACK dgeev, the basis is one real n x n matrix in which a
 conjugate pair takes two adjacent columns (re, im); no complex arithmetic
 is used.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,38 +100,41 @@ def hessenberg_reduce(m):
     return a, q
 
 
-def _apply_reflector(t, z, k, v):
-    """Similarity-apply reflector on rows/cols k..k+len(v)-1, accumulate in z."""
-    j = k + v.shape[0]
-    t[k:j, :] -= 2.0 * np.outer(v, v @ t[k:j, :])
-    t[:, k:j] -= 2.0 * np.outer(t[:, k:j] @ v, v)
-    z[:, k:j] -= 2.0 * np.outer(z[:, k:j] @ v, v)
-
-
 def _francis_step(t, z, lo, hi, s, p):
     """One implicit double-shift sweep on the active block [lo, hi].
 
-    s and p are the sum and product of the two shifts.
+    s and p are the sum and product of the two shifts.  Each bulge
+    reflector is built from (x, y, w) in Python floats as an explicit 3x3
+    Householder matrix (2x2 for the last step) and applied only where the
+    Hessenberg bulge is nonzero: rows k..k+2 from column max(lo, k-1) on,
+    and columns k..k+2 down to row min(k+3, hi), plus columns k..k+2 of z
+    (Golub & Van Loan, Matrix Computations, section 7.5.5).
     """
     x = t[lo, lo] * t[lo, lo] + t[lo, lo + 1] * t[lo + 1, lo] - s * t[lo, lo] + p
     y = t[lo + 1, lo] * (t[lo, lo] + t[lo + 1, lo + 1] - s)
     w = t[lo + 2, lo + 1] * t[lo + 1, lo]
-    for k in range(lo, hi - 1):
-        v = _house_vec(np.array([x, y, w]))
-        if v is not None:
-            _apply_reflector(t, z, k, v)
+    for k in range(lo, hi):
+        j = min(k + 3, hi + 1)  # w is 0.0 on the last, 2x2 step
+        alpha = math.hypot(x, y, w)
+        if alpha != 0.0:
+            a = x + alpha if x >= 0.0 else x - alpha
+            nv = math.hypot(a, y, w)
+            a, b, c = a / nv, y / nv, w / nv
+            pm = np.array([
+                [1.0 - 2.0 * a * a, -2.0 * a * b, -2.0 * a * c],
+                [-2.0 * a * b, 1.0 - 2.0 * b * b, -2.0 * b * c],
+                [-2.0 * a * c, -2.0 * b * c, 1.0 - 2.0 * c * c],
+            ])[:j - k, :j - k]
+            c0, r1 = max(lo, k - 1), min(k + 4, hi + 1)
+            t[k:j, c0:] = pm @ t[k:j, c0:]
+            t[:r1, k:j] = t[:r1, k:j] @ pm
+            z[:, k:j] = z[:, k:j] @ pm
         if k > lo:
             # the reflector zeroed the bulge column below the subdiagonal
-            t[k + 1, k - 1] = 0.0
-            t[k + 2, k - 1] = 0.0
-        x = t[k + 1, k]
-        y = t[k + 2, k]
-        w = t[k + 3, k] if k < hi - 2 else 0.0
-    v = _house_vec(np.array([x, y]))
-    if v is not None:
-        _apply_reflector(t, z, hi - 1, v)
-    if hi - 1 > lo:
-        t[hi, hi - 2] = 0.0
+            t[k + 1:j, k - 1] = 0.0
+        if k < hi - 1:
+            x, y = t.item(k + 1, k), t.item(k + 2, k)
+            w = t.item(k + 3, k) if k < hi - 2 else 0.0
 
 
 def _split_2x2(t, z, l):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from geospectral import matio
+from geospectral import eigensolve, matio
 from geospectral.cli import main
 from geospectral.errors import ParseError, ShapeError
 from geospectral.realdecomp import decompose
@@ -83,6 +83,19 @@ def test_decompose_defective_exit_code(tmp_path, capsys):
     path.write_text("1,1\n0,1\n")
     assert main(["decompose", str(path)]) == 2
     assert "not diagonalizable" in capsys.readouterr().err
+
+
+def test_decompose_non_convergence_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(eigensolve, "MAX_SWEEPS_PER_N", 0)
+    # companion matrix of (x-1)(x-2)(x-3)
+    path = tmp_path / "c.csv"
+    path.write_text("0,0,6\n1,0,-11\n0,1,6\n")
+    assert main(["decompose", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: QR iteration stuck at subdiagonal index 2 after 0 sweeps"
+    ]
 
 
 def test_decompose_without_input_is_usage_error(capsys):

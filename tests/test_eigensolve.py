@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from geospectral import eigensolve as eg
+from geospectral.cli import _draw_spectrum
 from geospectral.densecore import frobenius_norm
-from geospectral.errors import NotDiagonalizableError, ShapeError
+from geospectral.errors import ConvergenceError, NotDiagonalizableError, ShapeError
 from geospectral.realdecomp import decompose
 from geospectral.verify import PlantedSpectrum, gen_test_matrix
 
@@ -15,6 +16,24 @@ def _companion(coeffs):
     c[1:, :-1] = np.eye(n - 1)
     c[:, -1] = [-a for a in coeffs]
     return c
+
+
+def _assert_quasi_triangular(t):
+    """Nothing below the first subdiagonal, and no two consecutive nonzero
+    subdiagonal entries."""
+    assert np.all(t[np.tril_indices(t.shape[0], -2)] == 0.0)
+    sub = np.diag(t, -1)
+    assert not np.any((sub[:-1] != 0.0) & (sub[1:] != 0.0))
+
+
+def _as_complex(eigs):
+    out = []
+    for e in eigs:
+        if isinstance(e, eg.RealEigenvalue):
+            out.append(complex(e.alpha))
+        else:
+            out.extend([complex(e.sigma, e.omega), complex(e.sigma, -e.omega)])
+    return np.array(out)
 
 
 def test_hessenberg_2x2_is_noop():
@@ -88,11 +107,32 @@ def test_schur_random_residual():
         h, q = eg.hessenberg_reduce(m)
         t, z = eg.real_schur(h, q)
         assert frobenius_norm(z @ t @ z.T - m) <= 1e-12 * frobenius_norm(m)
-        # quasi-triangular: nothing below the first subdiagonal, and no
-        # two consecutive nonzero subdiagonal entries
-        assert np.all(t[np.tril_indices(n, -2)] == 0.0)
-        sub = np.diag(t, -1)
-        assert not np.any((sub[:-1] != 0.0) & (sub[1:] != 0.0))
+        _assert_quasi_triangular(t)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_schur_planted_structure(n):
+    # the bench's dense recipe: n/4 pairs on jittered grids, cap 1e6
+    reals, pairs = _draw_spectrum(np.random.default_rng(n), n - 2 * (n // 4), n // 4)
+    spec = PlantedSpectrum(reals, pairs, basis_seed=n, condition_cap=1e6)
+    m = gen_test_matrix(spec)
+    norm_m = frobenius_norm(m)
+    h, q = eg.hessenberg_reduce(m)
+    t, z = eg.real_schur(h, q)
+    assert frobenius_norm(z @ t @ z.T - m) <= 1e-12 * norm_m
+    assert frobenius_norm(z.T @ z - np.eye(n)) <= 1e-12
+    _assert_quasi_triangular(t)
+    gap = np.abs(spec.as_complex()[:, None] - _as_complex(eg.extract_eigenvalues(t))[None, :])
+    assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-8 * norm_m
+
+
+def test_sweep_budget_exhausted_raises_convergence_error(monkeypatch):
+    monkeypatch.setattr(eg, "MAX_SWEEPS_PER_N", 0)
+    # (x-1)(x-2)(x-3): no subdiagonal is negligible before the first sweep
+    with pytest.raises(ConvergenceError) as err:
+        decompose(_companion([-6.0, 11.0, -6.0]))
+    assert err.value.subdiagonal_index == 2
+    assert err.value.sweeps == 0
 
 
 def test_extract_eigenvalues_cases():
@@ -187,15 +227,9 @@ def test_eigenvalue_recovery_matches_planted():
         m = gen_test_matrix(spec)
         system = eg.eigensystem(m)
         norm_m = frobenius_norm(m)
-        got = []
-        for e in system.eigenvalues:
-            if isinstance(e, eg.RealEigenvalue):
-                got.append(complex(e.alpha))
-            else:
-                got.extend([complex(e.sigma, e.omega), complex(e.sigma, -e.omega)])
-        want = spec.as_complex()
-        for w in want:
-            assert np.min(np.abs(np.array(got) - w)) <= 1e-8 * norm_m
+        got = _as_complex(system.eigenvalues)
+        for w in spec.as_complex():
+            assert np.min(np.abs(got - w)) <= 1e-8 * norm_m
 
 
 def test_canonicalize_phase_examples():

@@ -1,7 +1,7 @@
 """Property test of the decompose contract: every call either returns a
 finite reconstruction residual within tolerance, or raises a typed error.
 
-Inputs are planted matrices M = B L B^-1 with n in 0..12, basis condition
+Inputs are planted matrices M = B L B^-1 with n in 0..24, basis condition
 at most 1e4, eigenvalues drawn partly from small pools (so repeated values
 occur), optional Jordan couplings between equal adjacent blocks of L, and
 an exact scale 2^k for k in [-1000, 1000].
@@ -72,7 +72,7 @@ _PAIR = st.one_of(
 
 @st.composite
 def cases(draw):
-    n = draw(st.integers(0, 12))
+    n = draw(st.integers(0, 24))
     blocks = []
     while n > 0:
         if n >= 2 and draw(st.booleans()):
