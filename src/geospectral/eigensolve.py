@@ -3,17 +3,18 @@
 Pipeline: Householder reduction to Hessenberg form, Francis implicit
 double-shift QR with deflation to real Schur form Z T Z^T, eigenvalue
 extraction from the 1x1/2x2 diagonal blocks of T, right eigenvectors by
-back-substitution on T mapped back through Z, and the inverse of the
-resulting real eigenvector basis (which enforces biorthogonality of the
-left eigenvectors up to solve error).
+back-substitution on T with one complex eigenvalue per block, mapped back
+through Z, and the inverse of the resulting real eigenvector basis (which
+enforces biorthogonality of the left eigenvectors up to solve error).
 
 The QR sweep is Python-bound, not flop-bound: each bulge reflector is a
 3x3 matrix built from Python floats and applied only to the rows and
 columns the bulge touches, three small products per step.
 
 As in LAPACK dgeev, the basis is one real n x n matrix in which a
-conjugate pair takes two adjacent columns (re, im); no complex arithmetic
-is used.
+conjugate pair takes two adjacent columns (re, im).  The basis and every
+output are real; complex values exist only inside the back-substitution
+of right_eigenvectors.
 """
 
 import math
@@ -253,7 +254,8 @@ def _sort_order(eigs):
 
 
 def _solve_perturbed(a, b, smin):
-    """Solve a[i] x[i] = b[i] for a stack of small systems.
+    """Solve a[i] x[i] = b[i] for a stack of 1x1 or 2x2 systems, real or
+    complex.
 
     Gaussian elimination with complete pivoting; a pivot below smin is
     raised to smin (LAPACK dlaln2), so a singular but consistent system, as
@@ -284,72 +286,48 @@ def _solve_perturbed(a, b, smin):
     return out
 
 
-def _pair_block_vector(block, e):
-    """Columns (re, im) of the 2x2 block's eigenvector for sigma + i omega,
-    taken from the block's better-scaled row."""
-    (a, b), (c, d) = block
-    if abs(b) >= abs(c):
-        return np.array([[b, 0.0], [e.sigma - a, e.omega]])
-    return np.array([[e.sigma - d, e.omega], [c, 0.0]])
-
-
 def right_eigenvectors(t, z, eigs):
     """Right eigenvectors of Z T Z^T by back-substitution on the Schur form.
 
-    eigs are T's eigenvalues in block order (extract_eigenvalues); let L be
-    the block diagonal of alpha and [[sigma, omega], [-omega, sigma]]
-    blocks.  One bottom-up sweep over T's diagonal blocks fills the
-    quasi-upper-triangular Y with T Y = Y L, solving for block row i of
-    every later eigenvalue j at once: T_ii Y_ij - Y_ij L_jj = -sum_k>i
-    T_ik Y_kj (Golub & Van Loan, Matrix Computations, section 7.6; LAPACK
-    dtrevc3).  Returns the n x n matrix X = Z Y, in T's block order: a
-    column for each real eigenvalue, unit with its sign canonicalized, and
-    the (re, im) columns for each pair, unit together with the phase
+    eigs are T's eigenvalues in block order (extract_eigenvalues).  Y holds
+    one complex column per eigenvalue lambda_j, alpha_j or sigma_j + i
+    omega_j, with T y_j = lambda_j y_j.  One bottom-up sweep over T's
+    diagonal blocks sets block j's own entries of y_j and then solves block
+    row j for every later eigenvalue at once: (T_jj - lambda_k) Y_jk =
+    -sum_i>j T_ji Y_ik (Golub & Van Loan, Matrix Computations, section 7.6;
+    LAPACK ztrevc).  Complex values stay inside this function: it returns
+    the real n x n matrix X = Z Y, in T's block order, with a column for
+    each real eigenvalue, unit with its sign canonicalized, and the
+    (re, im) columns for each pair, unit together with the phase
     canonicalized.
     """
     n = t.shape[0]
-    starts, at, lam_t = [], {1: [], 2: []}, {1: [], 2: []}
-    lo = 0
-    for e in eigs:
-        starts.append(lo)
-        if isinstance(e, RealEigenvalue):
-            at[1].append(lo)
-            lam_t[1].append([[e.alpha]])
-            lo += 1
-        else:
-            at[2].append(lo)
-            lam_t[2].append([[e.sigma, -e.omega], [e.omega, e.sigma]])
-            lo += 2
-    starts.append(n)
-    at = {size: np.array(v, dtype=int) for size, v in at.items()}
-    lam_t = {size: np.array(v).reshape(-1, size, size) for size, v in lam_t.items()}
+    starts = np.cumsum([0] + [1 if isinstance(e, RealEigenvalue) else 2 for e in eigs])
+    lam = np.array([
+        e.alpha if isinstance(e, RealEigenvalue) else complex(e.sigma, e.omega)
+        for e in eigs
+    ], dtype=complex)
     smin = EPS * (np.max(np.abs(t)) if n else 0.0)
-    y = np.zeros((n, n))
+    y = np.zeros((n, len(eigs)), dtype=complex)
     for j in range(len(eigs) - 1, -1, -1):
         lo, hi = starts[j], starts[j + 1]
         block = t[lo:hi, lo:hi]
-        y[lo:hi, lo:hi] = 1.0 if hi - lo == 1 else _pair_block_vector(block, eigs[j])
-        rhs = -t[lo:hi, hi:] @ y[hi:, hi:]
-        for size in (1, 2):
-            first = np.searchsorted(at[size], hi)
-            count = at[size].size - first
-            if count == 0:
-                continue
-            cols = (at[size][first:, None] + np.arange(size)).ravel()
-            # vec(T_ii Y - Y L_jj) = (I kron T_ii - L_jj^T kron I) vec(Y)
-            kron = np.kron(np.eye(size)[None], block[None]) - np.kron(
-                lam_t[size][first:], np.eye(hi - lo)[None]
-            )
-            r = rhs[:, cols - hi].T.reshape(count, -1)
-            sol = _solve_perturbed(kron, r, smin)
-            y[lo:hi, cols] = sol.reshape(count * size, hi - lo).T
-    x = z @ y
-    for e, lo in zip(eigs, starts):
-        if isinstance(e, RealEigenvalue):
-            v = x[:, lo]
-            x[:, lo] = _canonical_sign(v / np.linalg.norm(v))
+        if hi - lo == 1:
+            y[lo, j] = 1.0
         else:
-            re, im = x[:, lo], x[:, lo + 1]
+            # the block's eigenvector for lambda_j, from its better-scaled row
+            (a, b), (c, d) = block
+            y[lo:hi, j] = [b, lam[j] - a] if abs(b) >= abs(c) else [lam[j] - d, c]
+        if j + 1 < len(eigs):
+            rhs = -t[lo:hi, hi:] @ y[hi:, j + 1:]
+            shifted = block[None] - lam[j + 1:, None, None] * np.eye(hi - lo)
+            y[lo:hi, j + 1:] = _solve_perturbed(shifted, rhs.T, smin).T
+    x = np.empty((n, n))
+    for e, lo, v in zip(eigs, starts, (z @ y).T):
+        re, im = v.real, v.imag
+        if isinstance(e, RealEigenvalue):
+            x[:, lo] = _canonical_sign(re / np.linalg.norm(re))
+        else:
             scale = np.sqrt(np.sum(re**2) + np.sum(im**2))
             x[:, lo], x[:, lo + 1] = canonicalize_phase(re / scale, im / scale)
     return x
@@ -390,18 +368,21 @@ def eigensystem(m):
     n = m.shape[0]
     if n != m.shape[1]:
         raise ShapeError(f"eigensystem of non-square {m.shape}")
-    norm_m = dc.frobenius_norm(m)
+    # fixed pre-scaling keeps the QR thresholds meaningful for extreme norms;
+    # the exact power-of-two step first keeps ||M||_F itself from overflowing
+    s = dc.pow2_scale(m)
+    norm_m = dc.frobenius_norm(m / s)
     if norm_m == 0.0:
         return EigenSystem((RealEigenvalue(0.0),) * n, np.eye(n), np.eye(n), 1.0)
-    # fixed pre-scaling keeps the QR thresholds meaningful for extreme norms
-    h, q = hessenberg_reduce(m / norm_m)
+    h, q = hessenberg_reduce(m / s / norm_m)
     t, z = real_schur(h, q)
     eigs = extract_eigenvalues(t)
     x = right_eigenvectors(t, z, eigs)
+    # left to right: norm_m * s alone may overflow where an eigenvalue does not
     eigs = [
-        RealEigenvalue(e.alpha * norm_m)
+        RealEigenvalue(e.alpha * norm_m * s)
         if isinstance(e, RealEigenvalue)
-        else ComplexPairEigenvalue(e.sigma * norm_m, e.omega * norm_m)
+        else ComplexPairEigenvalue(e.sigma * norm_m * s, e.omega * norm_m * s)
         for e in eigs
     ]
     starts = np.cumsum([0] + [1 if isinstance(e, RealEigenvalue) else 2 for e in eigs])

@@ -1,9 +1,11 @@
 """Independent oracles and the identity-check harness.
 
-This is the only module that touches complex arithmetic: the production
-decomposition is real throughout, and the complex eigendecomposition here
-exists purely to cross-check it.  Random draws use numpy's PCG64 generator
-with explicit seeds so reports reproduce bit-for-bit across platforms.
+The production decomposition is real in its basis and every output
+(complex values exist only inside eigensolve's back-substitution).  The
+complex eigendecomposition here, LAPACK dgeev through numpy, is a
+different algorithm and exists purely to cross-check it.  Random draws
+use numpy's PCG64 generator with explicit seeds so reports reproduce
+bit-for-bit across platforms.
 """
 
 import time

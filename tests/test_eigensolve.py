@@ -122,8 +122,21 @@ def test_schur_planted_structure(n):
     assert frobenius_norm(z @ t @ z.T - m) <= 1e-12 * norm_m
     assert frobenius_norm(z.T @ z - np.eye(n)) <= 1e-12
     _assert_quasi_triangular(t)
-    gap = np.abs(spec.as_complex()[:, None] - _as_complex(eg.extract_eigenvalues(t))[None, :])
+    eigs = eg.extract_eigenvalues(t)
+    gap = np.abs(spec.as_complex()[:, None] - _as_complex(eigs)[None, :])
     assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-8 * norm_m
+    # each column block X_j of the right vectors satisfies M X_j = X_j L_j
+    x = eg.right_eigenvectors(t, z, eigs)
+    lo, worst = 0, 0.0
+    for e in eigs:
+        if isinstance(e, eg.RealEigenvalue):
+            hi, lam = lo + 1, np.array([[e.alpha]])
+        else:
+            hi, lam = lo + 2, np.array([[e.sigma, e.omega], [-e.omega, e.sigma]])
+        xj = x[:, lo:hi]
+        worst = max(worst, frobenius_norm(m @ xj - xj @ lam))
+        lo = hi
+    assert worst <= 1e-12 * norm_m
 
 
 def test_sweep_budget_exhausted_raises_convergence_error(monkeypatch):

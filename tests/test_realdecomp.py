@@ -177,7 +177,20 @@ def test_decompose_extreme_scales(scale):
     assert np.linalg.norm((rd.reconstruct(dec) - m) / scale) <= 1e-12
 
 
-@pytest.mark.parametrize("k", [-600, -37, 41, 600])
+@pytest.mark.parametrize(
+    "m",
+    [np.diag([1.5e308, 1.5e308]), np.array([[1e308, 1e308], [0.0, 1.5e308]])],
+    ids=["diagonal", "triangular"],
+)
+def test_decompose_frobenius_norm_overflow(m):
+    # every entry is finite but ||M||_F is not
+    dec = rd.decompose(m)
+    assert dec.plane_terms == ()
+    assert sorted(t.alpha for t in dec.real_terms) == sorted(np.diag(m))
+    assert dec.diagnostics.reconstruction_residual <= 1e-12
+
+
+@pytest.mark.parametrize("k",[-600, -37, 41, 600])
 def test_decompose_scale_equivariant(k):
     # every stage is equivariant under an exact power-of-two scale: the
     # vectors come out bitwise identical, the eigenvalues exactly scaled
