@@ -3,9 +3,7 @@ matrices, including matrices with complex-conjugate eigenvalue pairs."""
 
 from .densecore import dot, frobenius_norm
 from .eigensolve import (
-    ComplexPairEigenvalue,
     EigenSystem,
-    RealEigenvalue,
     canonicalize_phase,
     eigensystem,
     extract_eigenvalues,
@@ -39,11 +37,9 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComplexPairEigenvalue",
     "ComplexPlaneTerm",
     "EigenSystem",
     "PlantedSpectrum",
-    "RealEigenvalue",
     "RealTerm",
     "SpectralDecomposition",
     "ToleranceProfile",

@@ -8,6 +8,7 @@ environment variable; an explicit --tol flag wins over the environment.
 """
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -232,8 +233,12 @@ def build_parser():
     return parser
 
 
+# parse_args leaves a parser unchanged, so main builds one per process
+_main_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         return args.func(args)
     except tuple(cls for cls, _ in _EXIT_CODES) as exc:

@@ -11,10 +11,11 @@ The QR sweep is Python-bound, not flop-bound: each bulge reflector is a
 3x3 matrix built from Python floats and applied only to the rows and
 columns the bulge touches, three small products per step.
 
-As in LAPACK dgeev, the basis is one real n x n matrix in which a
-conjugate pair takes two adjacent columns (re, im).  The basis and every
-output are real; complex values exist only inside the back-substitution
-of right_eigenvectors.
+As in LAPACK dgeev, the eigenvalues are one complex array, an entry per
+diagonal block: exactly real for a real eigenvalue, sigma + i omega with
+omega > 0 for the pair sigma +- i omega.  The basis is one real n x n
+matrix in which a pair takes two adjacent columns (re, im), as
+block_starts counts them; its inverse and every term are real too.
 """
 
 import math
@@ -37,34 +38,18 @@ _RCOND_MIN = 1e-12
 
 
 @dataclass(frozen=True)
-class RealEigenvalue:
-    alpha: float
-
-
-@dataclass(frozen=True)
-class ComplexPairEigenvalue:
-    """One conjugate pair sigma +- i*omega, stored via its omega > 0 member."""
-
-    sigma: float
-    omega: float
-
-    def __post_init__(self):
-        if not self.omega > 0.0:
-            raise ValueError(f"pair representative needs omega > 0, got {self.omega}")
-
-
-@dataclass(frozen=True)
 class EigenSystem:
     """Eigenvalues of a real matrix with its real eigenvector basis.
 
-    Column block i of basis is a_i for a RealEigenvalue and (b_i, p_i),
-    the real and imaginary parts of the unit right eigenvector, for a
-    ComplexPairEigenvalue.  The matching rows of basis_inv are c_i and
+    eigenvalues is the complex array of the module docstring.  Column
+    block i of basis (block_starts) is a_i for a real eigenvalue and
+    (b_i, p_i), the real and imaginary parts of the unit right
+    eigenvector, for a pair.  The matching rows of basis_inv are c_i and
     (2 d_i, 2 q_i), where (d_i, q_i) is the left eigenvector scaled so
     that d_i^dag b_j = delta_ij.
     """
 
-    eigenvalues: tuple
+    eigenvalues: np.ndarray
     basis: np.ndarray
     basis_inv: np.ndarray
     basis_rcond: float
@@ -213,14 +198,15 @@ def real_schur(h, q):
 
 
 def extract_eigenvalues(t):
-    """Read eigenvalues off the 1x1 and 2x2 diagonal blocks of a Schur form."""
+    """The complex eigenvalue array of a Schur form, one entry per 1x1 or
+    2x2 diagonal block in block order."""
     t = np.asarray(t, dtype=float)
     n = t.shape[0]
     eigs = []
     i = 0
     while i < n:
         if i == n - 1 or t[i + 1, i] == 0.0:
-            eigs.append(RealEigenvalue(float(t[i, i])))
+            eigs.append(complex(t[i, i]))
             i += 1
         else:
             a, b = t[i, i], t[i, i + 1]
@@ -231,26 +217,15 @@ def extract_eigenvalues(t):
                     f"2x2 Schur block at {i} has real eigenvalues; "
                     "real_schur should have split it"
                 )
-            eigs.append(
-                ComplexPairEigenvalue(float((a + d) / 2.0), float(np.sqrt(-disc)))
-            )
+            eigs.append(complex((a + d) / 2.0, np.sqrt(-disc)))
             i += 2
-    return eigs
+    return np.array(eigs, dtype=complex)
 
 
-def _sort_order(eigs):
-    """Deterministic order: real eigenvalues ascending, then pairs by (sigma, omega).
-
-    Returns the permutation; equal keys keep their Schur order.
-    """
-
-    def key(i):
-        e = eigs[i]
-        if isinstance(e, RealEigenvalue):
-            return (0, e.alpha, 0.0)
-        return (1, e.sigma, e.omega)
-
-    return sorted(range(len(eigs)), key=key)
+def block_starts(eigs):
+    """First basis column of each eigenvalue's block, then the dimension:
+    a real eigenvalue takes one column and a pair two."""
+    return np.concatenate(([0], np.cumsum(1 + (eigs.imag > 0))))
 
 
 def _solve_perturbed(a, b, smin):
@@ -289,24 +264,19 @@ def _solve_perturbed(a, b, smin):
 def right_eigenvectors(t, z, eigs):
     """Right eigenvectors of Z T Z^T by back-substitution on the Schur form.
 
-    eigs are T's eigenvalues in block order (extract_eigenvalues).  Y holds
-    one complex column per eigenvalue lambda_j, alpha_j or sigma_j + i
-    omega_j, with T y_j = lambda_j y_j.  One bottom-up sweep over T's
-    diagonal blocks sets block j's own entries of y_j and then solves block
-    row j for every later eigenvalue at once: (T_jj - lambda_k) Y_jk =
-    -sum_i>j T_ji Y_ik (Golub & Van Loan, Matrix Computations, section 7.6;
-    LAPACK ztrevc).  Complex values stay inside this function: it returns
+    eigs is extract_eigenvalues(t), lambda_j for block j.  Y holds one
+    complex column per eigenvalue, with T y_j = lambda_j y_j.  One bottom-up
+    sweep over T's diagonal blocks sets block j's own entries of y_j and then
+    solves block row j for every later eigenvalue at once: (T_jj - lambda_k)
+    Y_jk = -sum_i>j T_ji Y_ik (Golub & Van Loan, Matrix Computations, section
+    7.6; LAPACK ztrevc).  Complex vectors stay inside this function: it returns
     the real n x n matrix X = Z Y, in T's block order, with a column for
     each real eigenvalue, unit with its sign canonicalized, and the
     (re, im) columns for each pair, unit together with the phase
     canonicalized.
     """
     n = t.shape[0]
-    starts = np.cumsum([0] + [1 if isinstance(e, RealEigenvalue) else 2 for e in eigs])
-    lam = np.array([
-        e.alpha if isinstance(e, RealEigenvalue) else complex(e.sigma, e.omega)
-        for e in eigs
-    ], dtype=complex)
+    starts = block_starts(eigs)
     smin = EPS * (np.max(np.abs(t)) if n else 0.0)
     y = np.zeros((n, len(eigs)), dtype=complex)
     for j in range(len(eigs) - 1, -1, -1):
@@ -317,15 +287,15 @@ def right_eigenvectors(t, z, eigs):
         else:
             # the block's eigenvector for lambda_j, from its better-scaled row
             (a, b), (c, d) = block
-            y[lo:hi, j] = [b, lam[j] - a] if abs(b) >= abs(c) else [lam[j] - d, c]
+            y[lo:hi, j] = [b, eigs[j] - a] if abs(b) >= abs(c) else [eigs[j] - d, c]
         if j + 1 < len(eigs):
             rhs = -t[lo:hi, hi:] @ y[hi:, j + 1:]
-            shifted = block[None] - lam[j + 1:, None, None] * np.eye(hi - lo)
+            shifted = block[None] - eigs[j + 1:, None, None] * np.eye(hi - lo)
             y[lo:hi, j + 1:] = _solve_perturbed(shifted, rhs.T, smin).T
     x = np.empty((n, n))
-    for e, lo, v in zip(eigs, starts, (z @ y).T):
+    for lo, hi, v in zip(starts, starts[1:], (z @ y).T):
         re, im = v.real, v.imag
-        if isinstance(e, RealEigenvalue):
+        if hi - lo == 1:
             x[:, lo] = _canonical_sign(re / np.linalg.norm(re))
         else:
             scale = np.sqrt(np.sum(re**2) + np.sum(im**2))
@@ -363,7 +333,8 @@ def canonicalize_phase(re, im):
 
 def eigensystem(m):
     """Eigenvalues, real eigenvector basis and its inverse of a real square
-    matrix, in the canonical order of _sort_order."""
+    matrix: real eigenvalues ascending, then pairs by (sigma, omega), equal
+    keys in Schur order."""
     m = dc.as_matrix(m)
     n = m.shape[0]
     if n != m.shape[1]:
@@ -373,20 +344,15 @@ def eigensystem(m):
     s = dc.pow2_scale(m)
     norm_m = dc.frobenius_norm(m / s)
     if norm_m == 0.0:
-        return EigenSystem((RealEigenvalue(0.0),) * n, np.eye(n), np.eye(n), 1.0)
+        return EigenSystem(np.zeros(n, dtype=complex), np.eye(n), np.eye(n), 1.0)
     h, q = hessenberg_reduce(m / s / norm_m)
     t, z = real_schur(h, q)
     eigs = extract_eigenvalues(t)
     x = right_eigenvectors(t, z, eigs)
     # left to right: norm_m * s alone may overflow where an eigenvalue does not
-    eigs = [
-        RealEigenvalue(e.alpha * norm_m * s)
-        if isinstance(e, RealEigenvalue)
-        else ComplexPairEigenvalue(e.sigma * norm_m * s, e.omega * norm_m * s)
-        for e in eigs
-    ]
-    starts = np.cumsum([0] + [1 if isinstance(e, RealEigenvalue) else 2 for e in eigs])
-    order = _sort_order(eigs)
+    eigs = eigs * norm_m * s
+    starts = block_starts(eigs)
+    order = np.lexsort((eigs.imag, eigs.real, eigs.imag > 0))
     cols = [c for i in order for c in range(starts[i], starts[i + 1])]
     # C order: the LU's row dot products round differently on the
     # F-ordered array that column indexing returns
@@ -398,4 +364,4 @@ def eigensystem(m):
     rcond = dc.rcond_1norm(basis, basis_inv)
     if not rcond >= _RCOND_MIN:
         raise NotDiagonalizableError(f"eigenvector basis rcond {rcond:.3e}")
-    return EigenSystem(tuple(eigs[i] for i in order), basis, basis_inv, rcond)
+    return EigenSystem(eigs[order], basis, basis_inv, rcond)

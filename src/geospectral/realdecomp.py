@@ -14,9 +14,11 @@ the 2x2 core C = J (U^T V)(omega I - sigma J) / nu with
 J = [[0, 1], [-1, 0]], an exact identity since b^p = U J U^T and the
 bracket is V (omega I - sigma J) V^T; a real term has U = a, V = c and
 C = [[alpha / c.a]].  reconstruct, apply and decompose's residual all
-evaluate these factors; the explicit wedge forms stay as the reference.
+evaluate these factors, on eigenvalues divided by one exact power of two
+so no core overflows; the explicit wedge forms stay as the reference.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,25 +133,35 @@ def plane_core(sigma, omega, u, v, nu_value):
     return _J @ (u.T @ v) @ (omega * np.eye(2) - sigma * _J) / nu_value
 
 
-def term_factors(t):
-    """(U, C, V) with the term's matrix equal to U C V^T: n x 1 factors and
-    C = [[alpha / c.a]] for a real term, n x 2 and plane_core for a pair."""
+def term_factors(t, s=1.0):
+    """(U, C, V) with the term's matrix divided by s equal to U C V^T: n x 1
+    factors and C = [[(alpha / s) / c.a]] for a real term, n x 2 and
+    plane_core on (sigma / s, omega / s) for a pair."""
     if isinstance(t, RealTerm):
-        return t.a[:, None], np.array([[t.alpha / dot(t.c, t.a)]]), t.c[:, None]
+        return t.a[:, None], np.array([[t.alpha / s / dot(t.c, t.a)]]), t.c[:, None]
     u = np.column_stack([t.b, t.p])
     v = np.column_stack([t.d, t.q])
-    return u, plane_core(t.sigma, t.omega, u, v, t.nu), v
+    return u, plane_core(t.sigma / s, t.omega / s, u, v, t.nu), v
 
 
-def stacked_factors(n, terms):
+def stacked_factors(n, terms, s):
     """(W, V) with W = [U_1 C_1, U_2 C_2, ...] and V = [V_1, V_2, ...], so
-    the sum of the n x n terms is W V^T."""
+    the sum of the n x n terms divided by s is W V^T."""
     ws, vs = [np.zeros((n, 0))], [np.zeros((n, 0))]
     for t in terms:
-        u, c, v = term_factors(t)
+        u, c, v = term_factors(t, s)
         ws.append(u @ c)
         vs.append(v)
     return np.hstack(ws), np.hstack(vs)
+
+
+def _scaled_factors(dec):
+    """(W, V, s) with the sum of dec's terms equal to (W V^T) s, s the power
+    of two with s <= the largest |alpha|, |sigma| or omega < 2s."""
+    top = max([abs(t.alpha) for t in dec.real_terms]
+              + [max(abs(t.sigma), t.omega) for t in dec.plane_terms], default=0.0)
+    s = math.ldexp(0.5, math.frexp(top)[1])
+    return (*stacked_factors(dec.dim, dec.real_terms + dec.plane_terms, s), s)
 
 
 def transpose_term(t):
@@ -193,26 +205,24 @@ def decompose(m, tol=DEFAULT_TOL):
     real_terms = []
     plane_terms = []
     max_bio = 0.0
-    i = 0
-    for e in system.eigenvalues:
-        if isinstance(e, eg.RealEigenvalue):
-            real_terms.append(RealTerm(e.alpha, right[i], rows[i]))
-            i += 1
+    starts = eg.block_starts(system.eigenvalues)
+    for lam, i in zip(system.eigenvalues.tolist(), starts.tolist()):
+        if lam.imag == 0.0:
+            real_terms.append(RealTerm(lam.real, right[i], rows[i]))
         else:
             # basis_inv holds (2d, 2q) for the pair's columns (b, p): d^dag b = 1
             b, p, d, q = right[i], right[i + 1], rows[i] / 2.0, rows[i + 1] / 2.0
             r1, r2 = biorthogonality_residual(b, p, d, q)
             max_bio = max(max_bio, abs(r1), abs(r2))
             plane_terms.append(
-                ComplexPlaneTerm(e.sigma, e.omega, b, p, d, q, nu(b, d, q))
+                ComplexPlaneTerm(lam.real, lam.imag, b, p, d, q, nu(b, d, q))
             )
-            i += 2
-    # (W / s) V^T against M / s, s a power of two with s <= max|m_ij| < 2s:
-    # W carries the eigenvalues' scale and V the conditioning, so nothing overflows
-    w, v = stacked_factors(n, real_terms + plane_terms)
+    # W V^T against M / s, s a power of two with s <= max|m_ij| < 2s: the
+    # cores take the eigenvalues over s and V the conditioning, so nothing overflows
     s = dc.pow2_scale(m)
+    w, v = stacked_factors(n, real_terms + plane_terms, s)
     m_s = m / s
-    resid = frobenius_norm((w / s) @ v.T - m_s) / (frobenius_norm(m_s) or 1.0)
+    resid = frobenius_norm(w @ v.T - m_s) / (frobenius_norm(m_s) or 1.0)
     if not np.isfinite(resid):
         raise AccuracyError(resid, tol)
     if resid > tol:
@@ -228,19 +238,19 @@ def decompose(m, tol=DEFAULT_TOL):
 
 
 def reconstruct(dec):
-    """Sum of all rank-one and plane terms, as the one product W V^T."""
-    w, v = stacked_factors(dec.dim, dec.real_terms + dec.plane_terms)
-    return w @ v.T
+    """Sum of all rank-one and plane terms, as the one product (W V^T) s."""
+    w, v, s = _scaled_factors(dec)
+    return (w @ v.T) * s
 
 
 def apply(dec, x):
-    """Action of the decomposition on a vector, W (V^T x), without forming
-    any n x n matrix."""
+    """Action of the decomposition on a vector, (W (V^T x)) s, without
+    forming any n x n matrix."""
     x = dc.as_vector(x)
     if x.shape[0] != dec.dim:
         raise ShapeError(f"vector dim {x.shape[0]} against decomposition dim {dec.dim}")
-    w, v = stacked_factors(dec.dim, dec.real_terms + dec.plane_terms)
-    return w @ (v.T @ x)
+    w, v, s = _scaled_factors(dec)
+    return (w @ (v.T @ x)) * s
 
 
 def real_canonical_form(dec):

@@ -1,7 +1,8 @@
 """Independent oracles and the identity-check harness.
 
 The production decomposition is real in its basis and every output
-(complex values exist only inside eigensolve's back-substitution).  The
+(complex values exist only inside eigensolve, for its eigenvalue array and
+back-substitution).  The
 complex eigendecomposition here, LAPACK dgeev through numpy, is a
 different algorithm and exists purely to cross-check it.  Random draws
 use numpy's PCG64 generator with explicit seeds so reports reproduce

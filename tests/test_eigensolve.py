@@ -4,7 +4,12 @@ import pytest
 from geospectral import eigensolve as eg
 from geospectral.cli import _draw_spectrum
 from geospectral.densecore import frobenius_norm
-from geospectral.errors import ConvergenceError, NotDiagonalizableError, ShapeError
+from geospectral.errors import (
+    ConvergenceError,
+    InternalError,
+    NotDiagonalizableError,
+    ShapeError,
+)
 from geospectral.realdecomp import decompose
 from geospectral.verify import PlantedSpectrum, gen_test_matrix
 
@@ -27,13 +32,18 @@ def _assert_quasi_triangular(t):
 
 
 def _as_complex(eigs):
-    out = []
-    for e in eigs:
-        if isinstance(e, eg.RealEigenvalue):
-            out.append(complex(e.alpha))
-        else:
-            out.extend([complex(e.sigma, e.omega), complex(e.sigma, -e.omega)])
-    return np.array(out)
+    """Every eigenvalue: each pair's omega > 0 entry, then its conjugate."""
+    return np.concatenate([eigs, eigs[eigs.imag > 0].conj()])
+
+
+def _assert_eigs_equal(eigs, want):
+    """Exact equality with a complex array of the same shape."""
+    np.testing.assert_array_equal(eigs, np.array(want, dtype=complex), strict=True)
+
+
+def _real_eigs(eigs):
+    assert not np.any(eigs.imag)
+    return np.sort(eigs.real)
 
 
 def test_hessenberg_2x2_is_noop():
@@ -71,8 +81,7 @@ def test_schur_rotation_block_kept():
     j = np.array([[0.0, -1.0], [1.0, 0.0]])
     t, z = eg.real_schur(j, np.eye(2))
     # lambda^2 + 1 = 0: one 2x2 block with eigenvalues +-i
-    eigs = eg.extract_eigenvalues(t)
-    assert eigs == [eg.ComplexPairEigenvalue(0.0, 1.0)]
+    _assert_eigs_equal(eg.extract_eigenvalues(t), [1j])
     assert frobenius_norm(z @ t @ z.T - j) <= 1e-13
 
 
@@ -81,7 +90,7 @@ def test_schur_companion_known_roots():
     c = _companion([-6.0, 11.0, -6.0])
     h, q = eg.hessenberg_reduce(c)
     t, z = eg.real_schur(h, q)
-    eigs = sorted(e.alpha for e in eg.extract_eigenvalues(t))
+    eigs = _real_eigs(eg.extract_eigenvalues(t))
     np.testing.assert_allclose(eigs, [1.0, 2.0, 3.0], atol=1e-10)
     assert frobenius_norm(z @ t @ z.T - c) <= 1e-12 * frobenius_norm(c)
 
@@ -94,7 +103,7 @@ def test_schur_semisimple_triple_eigenvalue_converges():
     h, q = eg.hessenberg_reduce(m)
     t, z = eg.real_schur(h, q)
     assert frobenius_norm(z @ t @ z.T - m) <= 1e-12 * frobenius_norm(m)
-    eigs = sorted(e.alpha for e in eg.extract_eigenvalues(t))
+    eigs = _real_eigs(eg.extract_eigenvalues(t))
     np.testing.assert_allclose(eigs, [-0.5, 0.3, 1.0, 1.0, 1.0, 2.0], atol=1e-8)
     assert decompose(m).diagnostics.reconstruction_residual <= 1e-9
 
@@ -127,15 +136,14 @@ def test_schur_planted_structure(n):
     assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-8 * norm_m
     # each column block X_j of the right vectors satisfies M X_j = X_j L_j
     x = eg.right_eigenvectors(t, z, eigs)
-    lo, worst = 0, 0.0
-    for e in eigs:
-        if isinstance(e, eg.RealEigenvalue):
-            hi, lam = lo + 1, np.array([[e.alpha]])
+    starts, worst = eg.block_starts(eigs), 0.0
+    for e, lo, hi in zip(eigs, starts, starts[1:]):
+        if hi - lo == 1:
+            lam = np.array([[e.real]])
         else:
-            hi, lam = lo + 2, np.array([[e.sigma, e.omega], [-e.omega, e.sigma]])
+            lam = np.array([[e.real, e.imag], [-e.imag, e.real]])
         xj = x[:, lo:hi]
         worst = max(worst, frobenius_norm(m @ xj - xj @ lam))
-        lo = hi
     assert worst <= 1e-12 * norm_m
 
 
@@ -149,17 +157,16 @@ def test_sweep_budget_exhausted_raises_convergence_error(monkeypatch):
 
 
 def test_extract_eigenvalues_cases():
-    assert eg.extract_eigenvalues(np.diag([1.0, 2.0])) == [
-        eg.RealEigenvalue(1.0),
-        eg.RealEigenvalue(2.0),
-    ]
+    _assert_eigs_equal(eg.extract_eigenvalues(np.diag([1.0, 2.0])), [1.0, 2.0])
     # lambda^2 - 2 lambda + 5 = 0 -> 1 +- 2i
-    assert eg.extract_eigenvalues(np.array([[1.0, 2.0], [-2.0, 1.0]])) == [
-        eg.ComplexPairEigenvalue(1.0, 2.0)
-    ]
-    assert eg.extract_eigenvalues(np.array([[0.0, -1.0], [1.0, 0.0]])) == [
-        eg.ComplexPairEigenvalue(0.0, 1.0)
-    ]
+    _assert_eigs_equal(eg.extract_eigenvalues(np.array([[1.0, 2.0], [-2.0, 1.0]])), [1 + 2j])
+    _assert_eigs_equal(eg.extract_eigenvalues(np.array([[0.0, -1.0], [1.0, 0.0]])), [1j])
+
+
+def test_extract_eigenvalues_rejects_unsplit_real_block():
+    # discriminant 1: real_schur would have split this block
+    with pytest.raises(InternalError):
+        eg.extract_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))
 
 
 def _schur_right_vectors(m):
@@ -171,7 +178,7 @@ def _schur_right_vectors(m):
 
 def test_right_eigenvectors_diagonal():
     eigs, x = _schur_right_vectors(np.diag([3.0, 7.0]))
-    assert eigs == [eg.RealEigenvalue(3.0), eg.RealEigenvalue(7.0)]
+    _assert_eigs_equal(eigs, [3.0, 7.0])
     np.testing.assert_allclose(np.abs(x[:, 0]), [1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(np.abs(x[:, 1]), [0.0, 1.0], atol=1e-12)
 
@@ -185,7 +192,7 @@ def test_right_eigenvectors_diagonal():
 )
 def test_right_eigenvectors_pair_identities(m, sigma, omega):
     eigs, x = _schur_right_vectors(m)
-    assert eigs == [eg.ComplexPairEigenvalue(sigma, omega)]
+    _assert_eigs_equal(eigs, [complex(sigma, omega)])
     b, p = x[:, 0], x[:, 1]
     np.testing.assert_allclose(m @ b, sigma * b - omega * p, atol=1e-12)
     np.testing.assert_allclose(m @ p, omega * b + sigma * p, atol=1e-12)
@@ -216,7 +223,7 @@ def test_left_eigenvectors_unitary_pair_case():
 def test_left_eigenvectors_triangular_hand_case():
     m = np.array([[2.0, 1.0], [0.0, 3.0]])
     system = eg.eigensystem(m)
-    idx = [i for i, e in enumerate(system.eigenvalues) if e.alpha == pytest.approx(2.0)][0]
+    idx = [i for i, e in enumerate(system.eigenvalues) if e == pytest.approx(2.0)][0]
     c = system.basis_inv[idx]
     # left eigenvector of alpha=2 is proportional to (1, -1)
     np.testing.assert_allclose(c.T @ m, 2.0 * c, atol=1e-12)
@@ -286,7 +293,7 @@ def test_defective_matrix_rejected():
 
 def test_repeated_eigenvalues_diagonalizable():
     system = eg.eigensystem(np.eye(3))
-    assert all(e.alpha == pytest.approx(1.0) for e in system.eigenvalues)
+    assert all(e == pytest.approx(1.0) for e in system.eigenvalues)
     b = system.basis
     assert frobenius_norm(b @ b.T - np.eye(3)) <= 1e-10
 
@@ -298,14 +305,13 @@ def test_eigenvalue_residual_property_random():
         m = rng.standard_normal((n, n))
         norm_m = frobenius_norm(m)
         system = eg.eigensystem(m)
-        col = 0
-        for e in system.eigenvalues:
-            if isinstance(e, eg.RealEigenvalue):
-                col += 1
+        starts = eg.block_starts(system.eigenvalues)
+        for e, col, end in zip(system.eigenvalues, starts, starts[1:]):
+            if end - col == 1:
                 continue
             b, p = system.basis[:, col], system.basis[:, col + 1]
-            col += 2
-            resid = np.linalg.norm(m @ b - (e.sigma * b - e.omega * p))
-            resid += np.linalg.norm(m @ p - (e.omega * b + e.sigma * p))
+            sigma, omega = e.real, e.imag
+            resid = np.linalg.norm(m @ b - (sigma * b - omega * p))
+            resid += np.linalg.norm(m @ p - (omega * b + sigma * p))
             bound = 1e-9 * norm_m * (np.linalg.norm(b) + np.linalg.norm(p))
             assert resid <= bound

@@ -1,5 +1,6 @@
 """Property test of the decompose contract: every call either returns a
-finite reconstruction residual within tolerance, or raises a typed error.
+finite reconstruction residual within tolerance, with its terms in the
+canonical order, or raises a typed error.
 
 Inputs are planted matrices M = B L B^-1 with n in 0..24, basis condition
 at most 1e4, eigenvalues drawn partly from small pools (so repeated values
@@ -94,6 +95,8 @@ def cases(draw):
 JORDAN_PAIR = Case(((1.0, 2.0), (1.0, 2.0)), (0,), 3, 0)
 REPEATED_PAIR = Case(((1.0, 2.0), (1.0, 2.0)), (), 3, 0)
 IDENTITY_3 = Case((1.0, 1.0, 1.0), (), None, 0)
+# pairs that tie exactly on sigma (identity basis), so only omega orders them
+SIGMA_TIES = Case(((1.0, 2.0), 1.0, (1.0, 0.5), -0.5, (0.0, 1.0)), (), None, 900)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -101,6 +104,7 @@ IDENTITY_3 = Case((1.0, 1.0, 1.0), (), None, 0)
 @example(JORDAN_PAIR)
 @example(REPEATED_PAIR)
 @example(IDENTITY_3)
+@example(SIGMA_TIES)
 @example(Case((), (), 0, 0))
 @example(Case((-0.5,), (), 0, 0))
 @example(Case(((1.0, 2.0), (1.0, 2.0)), (0,), 0, 1000))
@@ -116,6 +120,12 @@ def test_decompose_residual_within_tol_or_typed_error(case):
         return
     resid = dec.diagnostics.reconstruction_residual
     assert np.isfinite(resid) and resid <= TOL
+    # canonical order: real terms by alpha, then plane terms by (sigma, omega)
+    alphas = [t.alpha for t in dec.real_terms]
+    assert alphas == sorted(alphas)
+    keys = [(t.sigma, t.omega) for t in dec.plane_terms]
+    assert keys == sorted(keys)
+    assert all(omega > 0.0 for _, omega in keys)
     if not np.any(m):
         return
     # the same residual without the package's norm: an exact power-of-two

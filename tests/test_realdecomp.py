@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,21 @@ def test_decompose_frobenius_norm_overflow(m):
     assert dec.plane_terms == ()
     assert sorted(t.alpha for t in dec.real_terms) == sorted(np.diag(m))
     assert dec.diagnostics.reconstruction_residual <= 1e-12
+
+
+def test_decompose_plane_core_near_overflow():
+    # the pair 1e308 +- 1e308 i: W = U C and M are finite, C itself is not
+    m = np.array([[1e308, 1e308], [-1e308, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        dec = rd.decompose(m)
+        (t,) = dec.plane_terms
+        assert t.sigma == pytest.approx(1e308, rel=1e-15)
+        assert t.omega == pytest.approx(1e308, rel=1e-15)
+        assert dec.diagnostics.reconstruction_residual <= 1e-12
+        np.testing.assert_allclose(rd.reconstruct(dec), m, rtol=1e-15)
+        for x in (E1, E2):
+            np.testing.assert_allclose(rd.apply(dec, x), m @ x, rtol=1e-15)
 
 
 @pytest.mark.parametrize("k",[-600, -37, 41, 600])

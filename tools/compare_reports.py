@@ -1,0 +1,136 @@
+"""Check that two source trees give byte-identical decomposition reports.
+
+Usage: python tools/compare_reports.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories that hold a ``geospectral`` package
+(for example a parent commit's ``src`` and this checkout's ``src``).  The
+783 inputs are built once, from this checkout: 400 matrices of the
+bench's cli-corpus recipe (seeds 1 and 2), the dense recipe at n = 16,
+32, 64 and 128 with 0, n/4 and n/2 pairs, 120 planted spectra drawn from
+small pools of repeated values at scales 2^-900, 1 and 2^900, and a list
+of edge cases.  Each tree then decomposes every input in its own
+subprocess under ``-W error::RuntimeWarning`` and records the JSON report
+text, or the exception type and message.  The script prints how many
+inputs differ and exits 1 if any do.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+from geospectral import verify  # noqa: E402
+from workloads import corpus_spectrum, grid_spectrum  # noqa: E402
+
+_POOL_REAL = (0.0, 1.0, -0.5)
+_POOL_PAIR = ((0.0, 1.0), (1.0, 2.0))
+
+# run as ``python -c`` in each tree: argv[1] is the inputs, argv[2] the output
+_CHILD = """
+import io, json, sys
+import numpy as np
+from geospectral import matio, realdecomp
+
+out = []
+with np.load(sys.argv[1]) as inputs:
+    for key in sorted(inputs.files):
+        try:
+            text = io.StringIO()
+            matio.dump_json(matio.decomposition_to_doc(realdecomp.decompose(inputs[key])), text)
+            out.append(text.getvalue())
+        except Exception as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+with open(sys.argv[2], "w", encoding="utf-8") as fh:
+    json.dump(out, fh)
+"""
+
+
+def _repeated_spectrum(rng):
+    """A planted spectrum of 1..12 eigenvalues drawn from small pools, so
+    most draws repeat an eigenvalue."""
+    n = int(rng.integers(1, 13))
+    reals, pairs = [], []
+    while n > 0:
+        if n >= 2 and rng.random() < 0.5:
+            pairs.append(_POOL_PAIR[rng.integers(len(_POOL_PAIR))])
+            n -= 2
+        else:
+            reals.append(_POOL_REAL[rng.integers(len(_POOL_REAL))])
+            n -= 1
+    return verify.PlantedSpectrum(reals, pairs, basis_seed=int(rng.integers(2**63)))
+
+
+def build_inputs():
+    """(label, matrix) for every input, in a fixed order."""
+    inputs = []
+    for seed in (1, 2):
+        rng = np.random.default_rng([seed, 1])
+        for i in range(200):
+            m = verify.gen_test_matrix(corpus_spectrum(rng, 2 + i % 15))
+            inputs.append((f"corpus seed {seed} #{i}", m))
+    rng = np.random.default_rng([1, 2])
+    for n in (16, 32, 64, 128):
+        for k in (0, n // 4, n // 2):
+            m = verify.gen_test_matrix(grid_spectrum(rng, n, k, 1e6))
+            inputs.append((f"dense n={n} k={k}", m))
+    rng = np.random.default_rng(3)
+    for i in range(120):
+        m = verify.gen_test_matrix(_repeated_spectrum(rng))
+        for e in (-900, 0, 900):
+            inputs.append((f"repeated #{i} 2^{e}", m * 2.0**e))
+    edge = {
+        "eye(3)": np.eye(3),
+        "zeros(4, 4)": np.zeros((4, 4)),
+        "n=0": np.zeros((0, 0)),
+        "[[-0.5]]": np.array([[-0.5]]),
+        "[[3]]": np.array([[3.0]]),
+        "[[1,2],[-2,1]]": np.array([[1.0, 2.0], [-2.0, 1.0]]),
+        "[[1,2],[-2,1]] 1e200": np.array([[1.0, 2.0], [-2.0, 1.0]]) * 1e200,
+        "[[1,1],[0,1]]": np.array([[1.0, 1.0], [0.0, 1.0]]),
+        "diag(1.5e308, 1.5e308)": np.diag([1.5e308, 1.5e308]),
+        "[[1e308,1e308],[0,1.5e308]]": np.array([[1e308, 1e308], [0.0, 1.5e308]]),
+        "diag(3,1,2,1)": np.diag([3.0, 1.0, 2.0, 1.0]),
+    }
+    inputs.extend(edge.items())
+    return inputs
+
+
+def run_tree(src, inputs_path, out_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    return subprocess.Popen(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", _CHILD, inputs_path, out_path],
+        env=env,
+        cwd=os.path.dirname(inputs_path),
+    )
+
+
+def main(argv):
+    if len(argv) != 3:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 64
+    inputs = build_inputs()
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs_path = os.path.join(tmp, "inputs.npz")
+        np.savez(inputs_path, **{f"m{i:04d}": m for i, (_, m) in enumerate(inputs)})
+        outs = [os.path.join(tmp, f"{side}.json") for side in ("old", "new")]
+        procs = [run_tree(src, inputs_path, out) for src, out in zip(argv[1:], outs)]
+        if any([p.wait() != 0 for p in procs]):
+            print("a tree failed to run; see its traceback above", file=sys.stderr)
+            return 1
+        old, new = (json.loads(Path(out).read_text(encoding="utf-8")) for out in outs)
+    differ = [label for (label, _), a, b in zip(inputs, old, new) if a != b]
+    for label in differ[:10]:
+        print(f"differs: {label}")
+    print(f"{len(differ)} of {len(inputs)} inputs differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
