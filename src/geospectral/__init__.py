@@ -6,7 +6,6 @@ from .eigensolve import (
     EigenSystem,
     canonicalize_phase,
     eigensystem,
-    extract_eigenvalues,
     hessenberg_reduce,
     real_schur,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "decompose",
     "dot",
     "eigensystem",
-    "extract_eigenvalues",
     "frobenius_norm",
     "gen_test_matrix",
     "hessenberg_reduce",

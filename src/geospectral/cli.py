@@ -158,12 +158,10 @@ def _draw_spectrum(rng, n_real, n_pairs):
 
 
 def cmd_gen(args):
-    n_real = args.real if args.real is not None else args.size - 2 * args.pairs
-    if n_real < 0 or n_real + 2 * args.pairs != args.size:
-        print(
-            f"error: --real {n_real} + 2*--pairs {args.pairs} != --size {args.size}",
-            file=sys.stderr,
-        )
+    n_real = args.size - 2 * args.pairs
+    if n_real < 0:
+        print(f"error: --pairs {args.pairs} needs --size >= {2 * args.pairs}, "
+              f"got {args.size}", file=sys.stderr)
         return EXIT_USAGE
     rng = np.random.default_rng(np.random.PCG64(args.seed))
     reals, pairs = _draw_spectrum(rng, n_real, args.pairs)
@@ -223,7 +221,6 @@ def build_parser():
 
     p = sub.add_parser("gen", help="generate a planted-spectrum test matrix")
     p.add_argument("--size", type=_POSITIVE_INT, required=True)
-    p.add_argument("--real", type=_COUNT, default=None)
     p.add_argument("--pairs", type=_COUNT, default=0)
     p.add_argument("--seed", type=_COUNT, default=0)
     p.add_argument("--cond-cap", type=_CONDITION_CAP, default=1e4)

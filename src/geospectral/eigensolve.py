@@ -1,8 +1,8 @@
 """Self-contained dense real eigensolver.
 
 Pipeline: Householder reduction to Hessenberg form, Francis implicit
-double-shift QR with deflation to real Schur form Z T Z^T, eigenvalue
-extraction from the 1x1/2x2 diagonal blocks of T, right eigenvectors by
+double-shift QR with deflation to real Schur form Z T Z^T, recording each
+1x1/2x2 diagonal block's eigenvalue as it deflates, right eigenvectors by
 back-substitution on T with one complex eigenvalue per block, mapped back
 through Z, and the inverse of the resulting real eigenvector basis (which
 enforces biorthogonality of the left eigenvectors up to solve error).
@@ -27,7 +27,6 @@ from . import densecore as dc
 from .densecore import EPS
 from .errors import (
     ConvergenceError,
-    InternalError,
     NotDiagonalizableError,
     ShapeError,
     SingularMatrixError,
@@ -124,35 +123,38 @@ def _francis_step(t, z, lo, hi, s, p):
 
 
 def _split_2x2(t, z, l):
-    """Triangularize the 2x2 block at l if its eigenvalues are real."""
+    """Eigenvalue entries of the deflated 2x2 block at l, in block order:
+    [sigma + i omega] for a complex pair, whose block is kept, or the two
+    diagonal entries after the block is triangularized."""
     a, b = t[l, l], t[l, l + 1]
     c, d = t[l + 1, l], t[l + 1, l + 1]
     mid = (a + d) / 2.0
     disc = ((a - d) / 2.0) ** 2 + b * c
     if disc < 0.0:
-        return False  # genuine complex pair, keep the block
+        return [complex(mid, np.sqrt(-disc))]
     sq = np.sqrt(disc)
     lam = mid + sq if mid >= 0.0 else mid - sq
     # eigenvector of the block for lam, from the better-scaled row
     v1 = np.array([b, lam - a])
     v2 = np.array([lam - d, c])
     v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-    nv = np.linalg.norm(v)
-    if nv > 0.0:
-        v /= nv
-        g = np.array([[v[0], -v[1]], [v[1], v[0]]])
-        t[:, l:l + 2] = t[:, l:l + 2] @ g
-        t[l:l + 2, :] = g.T @ t[l:l + 2, :]
-        z[:, l:l + 2] = z[:, l:l + 2] @ g
+    v /= np.linalg.norm(v)
+    g = np.array([[v[0], -v[1]], [v[1], v[0]]])
+    t[:, l:l + 2] = t[:, l:l + 2] @ g
+    t[l:l + 2, :] = g.T @ t[l:l + 2, :]
+    z[:, l:l + 2] = z[:, l:l + 2] @ g
     t[l + 1, l] = 0.0
-    return True
+    return [complex(t[l, l]), complex(t[l + 1, l + 1])]
 
 
 def real_schur(h, q):
     """Francis double-shift QR with deflation.
 
-    Returns (T, Z) with T quasi-upper-triangular (every surviving 2x2
-    diagonal block has complex eigenvalues) and Z T Z^T = Q H Q^T.
+    Returns (T, Z, eigs) with T quasi-upper-triangular (every surviving 2x2
+    diagonal block has complex eigenvalues), Z T Z^T = Q H Q^T and eigs the
+    complex eigenvalue array of the module docstring, one entry per
+    diagonal block in block order.  As in LAPACK dlahqr, each block's
+    entry is recorded when the block deflates; no later sweep touches it.
     """
     t = dc.as_matrix(h)
     z = dc.as_matrix(q)
@@ -161,8 +163,9 @@ def real_schur(h, q):
     max_sweeps = MAX_SWEEPS_PER_N * max(n, 1)
     sweeps = 0
     block_iters = 0
+    eigs = []  # bottom block first
     hi = n - 1
-    while hi > 0:
+    while hi >= 0:
         # scan for a negligible subdiagonal above hi
         l = hi
         while l > 0:
@@ -174,10 +177,11 @@ def real_schur(h, q):
                 break
             l -= 1
         if l == hi:
+            eigs.append(complex(t[hi, hi]))
             hi -= 1
             block_iters = 0
         elif l == hi - 1:
-            _split_2x2(t, z, l)
+            eigs.extend(reversed(_split_2x2(t, z, l)))
             hi -= 2
             block_iters = 0
         else:
@@ -194,32 +198,7 @@ def real_schur(h, q):
             _francis_step(t, z, l, hi, s, p)
             sweeps += 1
             block_iters += 1
-    return t, z
-
-
-def extract_eigenvalues(t):
-    """The complex eigenvalue array of a Schur form, one entry per 1x1 or
-    2x2 diagonal block in block order."""
-    t = np.asarray(t, dtype=float)
-    n = t.shape[0]
-    eigs = []
-    i = 0
-    while i < n:
-        if i == n - 1 or t[i + 1, i] == 0.0:
-            eigs.append(complex(t[i, i]))
-            i += 1
-        else:
-            a, b = t[i, i], t[i, i + 1]
-            c, d = t[i + 1, i], t[i + 1, i + 1]
-            disc = ((a - d) / 2.0) ** 2 + b * c
-            if disc >= 0.0:
-                raise InternalError(
-                    f"2x2 Schur block at {i} has real eigenvalues; "
-                    "real_schur should have split it"
-                )
-            eigs.append(complex((a + d) / 2.0, np.sqrt(-disc)))
-            i += 2
-    return np.array(eigs, dtype=complex)
+    return t, z, np.array(eigs[::-1], dtype=complex)
 
 
 def block_starts(eigs):
@@ -264,7 +243,7 @@ def _solve_perturbed(a, b, smin):
 def right_eigenvectors(t, z, eigs):
     """Right eigenvectors of Z T Z^T by back-substitution on the Schur form.
 
-    eigs is extract_eigenvalues(t), lambda_j for block j.  Y holds one
+    eigs is real_schur's eigenvalue array, lambda_j for block j.  Y holds one
     complex column per eigenvalue, with T y_j = lambda_j y_j.  One bottom-up
     sweep over T's diagonal blocks sets block j's own entries of y_j and then
     solves block row j for every later eigenvalue at once: (T_jj - lambda_k)
@@ -346,8 +325,7 @@ def eigensystem(m):
     if norm_m == 0.0:
         return EigenSystem(np.zeros(n, dtype=complex), np.eye(n), np.eye(n), 1.0)
     h, q = hessenberg_reduce(m / s / norm_m)
-    t, z = real_schur(h, q)
-    eigs = extract_eigenvalues(t)
+    t, z, eigs = real_schur(h, q)
     x = right_eigenvectors(t, z, eigs)
     # left to right: norm_m * s alone may overflow where an eigenvalue does not
     eigs = eigs * norm_m * s

@@ -75,7 +75,3 @@ class ParseError(GeoSpectralError):
         if line is not None:
             message = f"{message} (line {line})"
         super().__init__(message)
-
-
-class InternalError(GeoSpectralError):
-    """Invariant violated inside the package; indicates a bug."""

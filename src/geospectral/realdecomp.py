@@ -258,7 +258,7 @@ def real_canonical_form(dec):
     is block diagonal with alpha_i scalars and [[sigma, omega], [-omega,
     sigma]] blocks."""
     n = dec.dim
-    cols = []
+    cols = [np.zeros((n, 0))]
     blocks = np.zeros((n, n))
     i = 0
     for t in dec.real_terms:

@@ -168,12 +168,8 @@ def _rotate_term(t, theta):
 
 def _decomposition_checks(m, dec, tol):
     norm_m = frobenius_norm(m)
-    checks = []
-
-    checks.append(("counting", 0.0 if len(dec.real_terms) + 2 * len(dec.plane_terms) == dec.dim else 1.0, 0.0))
-
     recon = rd.reconstruct(dec)
-    checks.append(("reconstruction", _rel(frobenius_norm(recon - m), norm_m), tol.reconstruction))
+    checks = [("reconstruction", _rel(frobenius_norm(recon - m), norm_m), tol.reconstruction)]
 
     oracle = brute_force_reconstruct(m)
     checks.append(("oracle_agreement", _rel(frobenius_norm(oracle - recon), norm_m), tol.oracle_agreement))

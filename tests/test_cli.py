@@ -158,7 +158,7 @@ def test_gen_large_spectrum(tmp_path, capsys):
 
 def test_gen_real_only_round_trip(tmp_path, capsys):
     out = tmp_path / "r.csv"
-    assert main(["gen", "--size", "3", "--real", "3", "--seed", "1", "-o", str(out)]) == 0
+    assert main(["gen", "--size", "3", "--seed", "1", "-o", str(out)]) == 0
     report = tmp_path / "r.json"
     assert main(["decompose", str(out), "-o", str(report)]) == 0
     capsys.readouterr()
@@ -168,9 +168,9 @@ def test_gen_real_only_round_trip(tmp_path, capsys):
 
 def test_gen_inconsistent_counts_usage_error(tmp_path, capsys):
     out = tmp_path / "x.mtx"
-    rc = main(["gen", "--size", "3", "--real", "2", "--pairs", "1", "-o", str(out)])
+    rc = main(["gen", "--size", "3", "--pairs", "2", "-o", str(out)])
     assert rc == 64
-    capsys.readouterr()
+    assert "--pairs 2 needs --size >= 4" in capsys.readouterr().err
 
 
 def test_gen_deterministic_per_seed(tmp_path, capsys):
@@ -247,6 +247,14 @@ def test_json_report_round_trip_bitwise(tmp_path):
             np.testing.assert_array_equal(getattr(t1, f), getattr(t2, f))
 
 
+def test_report_with_wrong_dim_rejected():
+    # j + 2k = dim guards a report read from outside the program
+    doc = matio.decomposition_to_doc(decompose(np.array([[1.0, 2.0], [-2.0, 1.0]])))
+    doc["dim"] += 1
+    with pytest.raises(ShapeError, match="do not satisfy j \\+ 2k = 3"):
+        matio.doc_to_decomposition(doc)
+
+
 def test_tol_env_override(tmp_path, capsys, monkeypatch, rotation_csv):
     monkeypatch.setenv("GEOSPECTRAL_TOL", "1e-6")
     assert main(["decompose", rotation_csv]) == 0
@@ -298,7 +306,6 @@ def test_tol_env_non_positive_ignored(tmp_path, capsys, monkeypatch, value):
     [
         ["--size", "0"],
         ["--size", "2", "--pairs", "-1"],
-        ["--size", "2", "--real", "-1"],
         ["--size", "2", "--seed", "-1"],
         ["--size", "2", "--cond-cap", "inf"],
     ],

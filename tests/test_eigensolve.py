@@ -6,7 +6,6 @@ from geospectral.cli import _draw_spectrum
 from geospectral.densecore import frobenius_norm
 from geospectral.errors import (
     ConvergenceError,
-    InternalError,
     NotDiagonalizableError,
     ShapeError,
 )
@@ -72,16 +71,17 @@ def test_hessenberg_random_similarity():
 
 def test_schur_diagonal_is_noop():
     d = np.diag([3.0, 1.0, 2.0])
-    t, z = eg.real_schur(d, np.eye(3))
+    t, z, eigs = eg.real_schur(d, np.eye(3))
     np.testing.assert_array_equal(t, d)
     np.testing.assert_array_equal(z, np.eye(3))
+    _assert_eigs_equal(eigs, [3.0, 1.0, 2.0])
 
 
 def test_schur_rotation_block_kept():
     j = np.array([[0.0, -1.0], [1.0, 0.0]])
-    t, z = eg.real_schur(j, np.eye(2))
+    t, z, eigs = eg.real_schur(j, np.eye(2))
     # lambda^2 + 1 = 0: one 2x2 block with eigenvalues +-i
-    _assert_eigs_equal(eg.extract_eigenvalues(t), [1j])
+    _assert_eigs_equal(eigs, [1j])
     assert frobenius_norm(z @ t @ z.T - j) <= 1e-13
 
 
@@ -89,9 +89,8 @@ def test_schur_companion_known_roots():
     # (x-1)(x-2)(x-3) = x^3 - 6x^2 + 11x - 6
     c = _companion([-6.0, 11.0, -6.0])
     h, q = eg.hessenberg_reduce(c)
-    t, z = eg.real_schur(h, q)
-    eigs = _real_eigs(eg.extract_eigenvalues(t))
-    np.testing.assert_allclose(eigs, [1.0, 2.0, 3.0], atol=1e-10)
+    t, z, eigs = eg.real_schur(h, q)
+    np.testing.assert_allclose(_real_eigs(eigs), [1.0, 2.0, 3.0], atol=1e-10)
     assert frobenius_norm(z @ t @ z.T - c) <= 1e-12 * frobenius_norm(c)
 
 
@@ -101,10 +100,9 @@ def test_schur_semisimple_triple_eigenvalue_converges():
     b = np.random.default_rng(5).standard_normal((6, 6))
     m = b @ np.diag([1.0, 1.0, 1.0, -0.5, 2.0, 0.3]) @ np.linalg.inv(b)
     h, q = eg.hessenberg_reduce(m)
-    t, z = eg.real_schur(h, q)
+    t, z, eigs = eg.real_schur(h, q)
     assert frobenius_norm(z @ t @ z.T - m) <= 1e-12 * frobenius_norm(m)
-    eigs = _real_eigs(eg.extract_eigenvalues(t))
-    np.testing.assert_allclose(eigs, [-0.5, 0.3, 1.0, 1.0, 1.0, 2.0], atol=1e-8)
+    np.testing.assert_allclose(_real_eigs(eigs), [-0.5, 0.3, 1.0, 1.0, 1.0, 2.0], atol=1e-8)
     assert decompose(m).diagnostics.reconstruction_residual <= 1e-9
 
 
@@ -114,9 +112,28 @@ def test_schur_random_residual():
         n = int(rng.integers(2, 17))
         m = rng.standard_normal((n, n))
         h, q = eg.hessenberg_reduce(m)
-        t, z = eg.real_schur(h, q)
+        t, z, _ = eg.real_schur(h, q)
         assert frobenius_norm(z @ t @ z.T - m) <= 1e-12 * frobenius_norm(m)
         _assert_quasi_triangular(t)
+
+
+def _assert_eigs_match_blocks(t, eigs):
+    """Each entry is exactly its block's value on T: a 1x1 block's diagonal
+    entry, with zero subdiagonals at both block edges, or a kept 2x2
+    block's (a + d) / 2 + i sqrt(-disc), disc < 0."""
+    n = t.shape[0]
+    starts = eg.block_starts(eigs)
+    assert starts[-1] == n
+    for e, i, end in zip(eigs, starts, starts[1:]):
+        assert i == 0 or t[i, i - 1] == 0.0
+        assert end == n or t[end, end - 1] == 0.0
+        if end - i == 1:
+            assert e == t[i, i]
+        else:
+            (a, b), (c, d) = t[i:end, i:end]
+            disc = ((a - d) / 2.0) ** 2 + b * c
+            assert c != 0.0 and disc < 0.0
+            assert e == complex((a + d) / 2.0, np.sqrt(-disc))
 
 
 @pytest.mark.parametrize("n", [64, 128])
@@ -127,11 +144,11 @@ def test_schur_planted_structure(n):
     m = gen_test_matrix(spec)
     norm_m = frobenius_norm(m)
     h, q = eg.hessenberg_reduce(m)
-    t, z = eg.real_schur(h, q)
+    t, z, eigs = eg.real_schur(h, q)
     assert frobenius_norm(z @ t @ z.T - m) <= 1e-12 * norm_m
     assert frobenius_norm(z.T @ z - np.eye(n)) <= 1e-12
     _assert_quasi_triangular(t)
-    eigs = eg.extract_eigenvalues(t)
+    _assert_eigs_match_blocks(t, eigs)
     gap = np.abs(spec.as_complex()[:, None] - _as_complex(eigs)[None, :])
     assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-8 * norm_m
     # each column block X_j of the right vectors satisfies M X_j = X_j L_j
@@ -156,23 +173,28 @@ def test_sweep_budget_exhausted_raises_convergence_error(monkeypatch):
     assert err.value.sweeps == 0
 
 
-def test_extract_eigenvalues_cases():
-    _assert_eigs_equal(eg.extract_eigenvalues(np.diag([1.0, 2.0])), [1.0, 2.0])
+def _schur_eigs(m):
+    return eg.real_schur(m, np.eye(m.shape[0]))[2]
+
+
+def test_schur_eigenvalue_cases():
+    _assert_eigs_equal(_schur_eigs(np.diag([1.0, 2.0])), [1.0, 2.0])
     # lambda^2 - 2 lambda + 5 = 0 -> 1 +- 2i
-    _assert_eigs_equal(eg.extract_eigenvalues(np.array([[1.0, 2.0], [-2.0, 1.0]])), [1 + 2j])
-    _assert_eigs_equal(eg.extract_eigenvalues(np.array([[0.0, -1.0], [1.0, 0.0]])), [1j])
-
-
-def test_extract_eigenvalues_rejects_unsplit_real_block():
-    # discriminant 1: real_schur would have split this block
-    with pytest.raises(InternalError):
-        eg.extract_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    _assert_eigs_equal(_schur_eigs(np.array([[1.0, 2.0], [-2.0, 1.0]])), [1 + 2j])
+    _assert_eigs_equal(_schur_eigs(np.array([[0.0, -1.0], [1.0, 0.0]])), [1j])
+    _assert_eigs_equal(_schur_eigs(np.zeros((0, 0))), [])
+    _assert_eigs_equal(_schur_eigs(np.array([[-2.5]])), [-2.5])
+    # discriminant 1: the block is triangularized, and its two entries are
+    # T's diagonal after the split
+    t, _, eigs = eg.real_schur(np.array([[2.0, 1.0], [1.0, 2.0]]), np.eye(2))
+    assert t[1, 0] == 0.0
+    _assert_eigs_equal(eigs, np.diag(t))
+    np.testing.assert_allclose(eigs.real, [3.0, 1.0], rtol=0.0, atol=1e-15)
 
 
 def _schur_right_vectors(m):
     h, q = eg.hessenberg_reduce(m)
-    t, z = eg.real_schur(h, q)
-    eigs = eg.extract_eigenvalues(t)
+    t, z, eigs = eg.real_schur(h, q)
     return eigs, eg.right_eigenvectors(t, z, eigs)
 
 

@@ -110,6 +110,13 @@ def test_suite_identity_matrix():
     assert "reconstruction" in names
 
 
+def test_empty_matrix_canonical_form_and_suite():
+    empty = np.zeros((0, 0))
+    b_real, l_real = rd.real_canonical_form(rd.decompose(empty))
+    assert b_real.shape == l_real.shape == (0, 0)
+    assert vf.run_identity_suite(empty).overall
+
+
 def test_suite_hand_verified_pair():
     report = vf.run_identity_suite(np.array([[1.0, 2.0], [-2.0, 1.0]]))
     assert report.overall
