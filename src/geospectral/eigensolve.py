@@ -3,9 +3,10 @@
 Pipeline: Householder reduction to Hessenberg form, Francis implicit
 double-shift QR with deflation to real Schur form Z T Z^T, recording each
 1x1/2x2 diagonal block's eigenvalue as it deflates, right eigenvectors by
-back-substitution on T with one complex eigenvalue per block, mapped back
-through Z, and the inverse of the resulting real eigenvector basis (which
-enforces biorthogonality of the left eigenvectors up to solve error).
+back-substitution on the complex triangular form of T (MATLAB rsf2csf,
+LAPACK ztrevc), mapped back through Z, and the inverse of the resulting
+real eigenvector basis (which enforces biorthogonality of the left
+eigenvectors up to solve error).
 
 The QR sweep is Python-bound, not flop-bound: each bulge reflector is a
 3x3 matrix built from Python floats and applied only to the rows and
@@ -122,6 +123,23 @@ def _francis_step(t, z, lo, hi, s, p):
             w = t.item(k + 3, k) if k < hi - 2 else 0.0
 
 
+def _triangularize_2x2(t, z, l, lam):
+    """Rotate the 2x2 diagonal block of t at l to upper triangular with lam,
+    one of its eigenvalues, at (l, l): t <- G^H t G and z <- z G for the
+    unitary G whose first column is the block's unit eigenvector for lam
+    (MATLAB rsf2csf).  Real for a real lam; t and z must be complex
+    otherwise."""
+    (a, b), (c, d) = t[l:l + 2, l:l + 2]
+    # eigenvector of the block for lam, from the better-scaled row
+    v = np.array(max([b, lam - a], [lam - d, c], key=np.linalg.norm))
+    v /= np.linalg.norm(v)
+    g = np.array([[v[0], -np.conj(v[1])], [v[1], np.conj(v[0])]])
+    t[:, l:l + 2] = t[:, l:l + 2] @ g
+    t[l:l + 2, :] = g.conj().T @ t[l:l + 2, :]
+    z[:, l:l + 2] = z[:, l:l + 2] @ g
+    t[l + 1, l] = 0.0
+
+
 def _split_2x2(t, z, l):
     """Eigenvalue entries of the deflated 2x2 block at l, in block order:
     [sigma + i omega] for a complex pair, whose block is kept, or the two
@@ -133,17 +151,7 @@ def _split_2x2(t, z, l):
     if disc < 0.0:
         return [complex(mid, np.sqrt(-disc))]
     sq = np.sqrt(disc)
-    lam = mid + sq if mid >= 0.0 else mid - sq
-    # eigenvector of the block for lam, from the better-scaled row
-    v1 = np.array([b, lam - a])
-    v2 = np.array([lam - d, c])
-    v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-    v /= np.linalg.norm(v)
-    g = np.array([[v[0], -v[1]], [v[1], v[0]]])
-    t[:, l:l + 2] = t[:, l:l + 2] @ g
-    t[l:l + 2, :] = g.T @ t[l:l + 2, :]
-    z[:, l:l + 2] = z[:, l:l + 2] @ g
-    t[l + 1, l] = 0.0
+    _triangularize_2x2(t, z, l, mid + sq if mid >= 0.0 else mid - sq)
     return [complex(t[l, l]), complex(t[l + 1, l + 1])]
 
 
@@ -157,6 +165,9 @@ def real_schur(h, q):
     entry is recorded when the block deflates; no later sweep touches it.
     """
     t = dc.as_matrix(h)
+    # an exact power-of-two scaling keeps squared entries from underflowing
+    scale = dc.pow2_scale(t)
+    t /= scale
     z = dc.as_matrix(q)
     n = t.shape[0]
     tol = n * EPS * dc.frobenius_norm(t)
@@ -198,7 +209,7 @@ def real_schur(h, q):
             _francis_step(t, z, l, hi, s, p)
             sweeps += 1
             block_iters += 1
-    return t, z, np.array(eigs[::-1], dtype=complex)
+    return t * scale, z, np.array(eigs[::-1], dtype=complex) * scale
 
 
 def block_starts(eigs):
@@ -207,70 +218,38 @@ def block_starts(eigs):
     return np.concatenate(([0], np.cumsum(1 + (eigs.imag > 0))))
 
 
-def _solve_perturbed(a, b, smin):
-    """Solve a[i] x[i] = b[i] for a stack of 1x1 or 2x2 systems, real or
-    complex.
-
-    Gaussian elimination with complete pivoting; a pivot below smin is
-    raised to smin (LAPACK dlaln2), so a singular but consistent system, as
-    a repeated eigenvalue gives, still yields a finite solution.
-    """
-    a, b = a.copy(), b.copy()
-    count, k = b.shape
-    rows = np.arange(count)
-    perm = np.tile(np.arange(k), (count, 1))
-    for s in range(k):
-        flat = np.abs(a[:, s:, s:]).reshape(count, -1).argmax(axis=1)
-        p, q = s + flat // (k - s), s + flat % (k - s)
-        # fancy indexing copies, so each right-hand side is read before the swap
-        a[rows, s], a[rows, p] = a[rows, p], a[rows, s]
-        b[rows, s], b[rows, p] = b[rows, p], b[rows, s]
-        a[rows, :, s], a[rows, :, q] = a[rows, :, q], a[rows, :, s]
-        perm[rows, s], perm[rows, q] = perm[rows, q], perm[rows, s]
-        pivot = a[:, s, s]
-        a[:, s, s] = np.where(np.abs(pivot) < smin, smin, pivot)
-        mult = a[:, s + 1:, s] / a[:, s, s, None]
-        a[:, s + 1:, s + 1:] -= mult[:, :, None] * a[:, None, s, s + 1:]
-        b[:, s + 1:] -= mult * b[:, s, None]
-    x = np.zeros_like(b)
-    for s in range(k - 1, -1, -1):
-        x[:, s] = (b[:, s] - np.sum(a[:, s, s + 1:] * x[:, s + 1:], axis=1)) / a[:, s, s]
-    out = np.empty_like(x)
-    out[rows[:, None], perm] = x
-    return out
-
-
 def right_eigenvectors(t, z, eigs):
     """Right eigenvectors of Z T Z^T by back-substitution on the Schur form.
 
-    eigs is real_schur's eigenvalue array, lambda_j for block j.  Y holds one
-    complex column per eigenvalue, with T y_j = lambda_j y_j.  One bottom-up
-    sweep over T's diagonal blocks sets block j's own entries of y_j and then
-    solves block row j for every later eigenvalue at once: (T_jj - lambda_k)
-    Y_jk = -sum_i>j T_ji Y_ik (Golub & Van Loan, Matrix Computations, section
-    7.6; LAPACK ztrevc).  Complex vectors stay inside this function: it returns
-    the real n x n matrix X = Z Y, in T's block order, with a column for
-    each real eigenvalue, unit with its sign canonicalized, and the
-    (re, im) columns for each pair, unit together with the phase
-    canonicalized.
+    eigs is real_schur's eigenvalue array, lambda_j for block j.  Complex
+    copies of T and Z are made triangular by rotating each pair block to put
+    lambda_j at its top left (MATLAB rsf2csf).  Y holds one column per
+    eigenvalue, with T y_j = lambda_j y_j and 1 atop block j.  One bottom-up
+    sweep solves row i for every eigenvalue whose block starts below it, a
+    division by t_ii - lambda_k raised to smin in magnitude, so a repeated
+    eigenvalue still gives a finite vector (Golub & Van Loan, Matrix
+    Computations, section 7.6; LAPACK ztrevc).  Complex vectors stay inside
+    this function: it returns the real n x n matrix X = Z Y, in T's block
+    order, with a column for each real eigenvalue, unit with its sign
+    canonicalized, and the (re, im) columns for each pair, unit together
+    with the phase canonicalized.
     """
     n = t.shape[0]
     starts = block_starts(eigs)
     smin = EPS * (np.max(np.abs(t)) if n else 0.0)
+    t, z = t.astype(complex), z.astype(complex)
+    for lam, lo in zip(eigs, starts):
+        if lam.imag > 0:
+            _triangularize_2x2(t, z, lo, lam)
+    # the first eigenvalue whose block starts below each row
+    later = np.repeat(np.arange(1, len(eigs) + 1), np.diff(starts))
     y = np.zeros((n, len(eigs)), dtype=complex)
-    for j in range(len(eigs) - 1, -1, -1):
-        lo, hi = starts[j], starts[j + 1]
-        block = t[lo:hi, lo:hi]
-        if hi - lo == 1:
-            y[lo, j] = 1.0
-        else:
-            # the block's eigenvector for lambda_j, from its better-scaled row
-            (a, b), (c, d) = block
-            y[lo:hi, j] = [b, eigs[j] - a] if abs(b) >= abs(c) else [eigs[j] - d, c]
-        if j + 1 < len(eigs):
-            rhs = -t[lo:hi, hi:] @ y[hi:, j + 1:]
-            shifted = block[None] - eigs[j + 1:, None, None] * np.eye(hi - lo)
-            y[lo:hi, j + 1:] = _solve_perturbed(shifted, rhs.T, smin).T
+    y[starts[:-1], np.arange(len(eigs))] = 1.0
+    for i in range(n - 1, -1, -1):
+        k = later[i]
+        d = t[i, i] - eigs[k:]
+        d[np.abs(d) < smin] = smin
+        y[i, k:] = -(t[i, i + 1:] @ y[i + 1:, k:]) / d
     x = np.empty((n, n))
     for lo, hi, v in zip(starts, starts[1:], (z @ y).T):
         re, im = v.real, v.imag

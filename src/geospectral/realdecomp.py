@@ -18,7 +18,6 @@ evaluate these factors, on eigenvalues divided by one exact power of two
 so no core overflows; the explicit wedge forms stay as the reference.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,9 +157,8 @@ def stacked_factors(n, terms, s):
 def _scaled_factors(dec):
     """(W, V, s) with the sum of dec's terms equal to (W V^T) s, s the power
     of two with s <= the largest |alpha|, |sigma| or omega < 2s."""
-    top = max([abs(t.alpha) for t in dec.real_terms]
-              + [max(abs(t.sigma), t.omega) for t in dec.plane_terms], default=0.0)
-    s = math.ldexp(0.5, math.frexp(top)[1])
+    s = dc.pow2_scale([t.alpha for t in dec.real_terms]
+                      + [v for t in dec.plane_terms for v in (t.sigma, t.omega)])
     return (*stacked_factors(dec.dim, dec.real_terms + dec.plane_terms, s), s)
 
 

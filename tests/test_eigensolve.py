@@ -136,10 +136,18 @@ def _assert_eigs_match_blocks(t, eigs):
             assert e == complex((a + d) / 2.0, np.sqrt(-disc))
 
 
-@pytest.mark.parametrize("n", [64, 128])
-def test_schur_planted_structure(n):
-    # the bench's dense recipe: n/4 pairs on jittered grids, cap 1e6
-    reals, pairs = _draw_spectrum(np.random.default_rng(n), n - 2 * (n // 4), n // 4)
+@pytest.mark.parametrize(
+    "n,k",
+    [
+        pytest.param(64, 16, id="64"),
+        pytest.param(128, 32, id="128"),
+        # no real eigenvalue: every block goes through the complex rotation
+        pytest.param(64, 32, id="64-all-pairs"),
+    ],
+)
+def test_schur_planted_structure(n, k):
+    # the bench's dense recipe: k pairs on jittered grids, cap 1e6
+    reals, pairs = _draw_spectrum(np.random.default_rng(n), n - 2 * k, k)
     spec = PlantedSpectrum(reals, pairs, basis_seed=n, condition_cap=1e6)
     m = gen_test_matrix(spec)
     norm_m = frobenius_norm(m)
@@ -151,8 +159,12 @@ def test_schur_planted_structure(n):
     _assert_eigs_match_blocks(t, eigs)
     gap = np.abs(spec.as_complex()[:, None] - _as_complex(eigs)[None, :])
     assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-8 * norm_m
-    # each column block X_j of the right vectors satisfies M X_j = X_j L_j
+    # each column block X_j of the right vectors satisfies M X_j = X_j L_j,
+    # and T and Z are left as they were
+    t0, z0 = t.copy(), z.copy()
     x = eg.right_eigenvectors(t, z, eigs)
+    np.testing.assert_array_equal(t, t0, strict=True)
+    np.testing.assert_array_equal(z, z0, strict=True)
     starts, worst = eg.block_starts(eigs), 0.0
     for e, lo, hi in zip(eigs, starts, starts[1:]):
         if hi - lo == 1:
@@ -162,6 +174,15 @@ def test_schur_planted_structure(n):
         xj = x[:, lo:hi]
         worst = max(worst, frobenius_norm(m @ xj - xj @ lam))
     assert worst <= 1e-12 * norm_m
+
+
+def test_schur_tiny_entries_scaled_exactly():
+    # unscaled, the split's eigenvector norm underflows to 0 and divides
+    m = np.full((2, 2), 1e-200)
+    t, z, eigs = eg.real_schur(m, np.eye(2))
+    np.testing.assert_allclose(np.sort(eigs.real), [0.0, 2e-200], rtol=0.0, atol=1e-215)
+    assert not np.any(eigs.imag)
+    assert frobenius_norm(z @ t @ z.T - m) <= 1e-15 * frobenius_norm(m)
 
 
 def test_sweep_budget_exhausted_raises_convergence_error(monkeypatch):

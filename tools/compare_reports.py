@@ -11,7 +11,9 @@ small pools of repeated values at scales 2^-900, 1 and 2^900, and a list
 of edge cases.  Each tree then decomposes every input in its own
 subprocess under ``-W error::RuntimeWarning`` and records the JSON report
 text, or the exception type and message.  The script prints how many
-inputs differ and exits 1 if any do.
+inputs differ, how many verdicts differ (one tree raised, or the two raised
+different exception types) and how many inputs that both trees decompose
+have different eigenvalue entries.  It exits 1 if any input differs.
 """
 
 import json
@@ -102,6 +104,11 @@ def build_inputs():
     return inputs
 
 
+def _verdict(report):
+    """The string "ok" for a JSON report, else the exception type's name."""
+    return "ok" if report.startswith("{") else report.split(":", 1)[0]
+
+
 def run_tree(src, inputs_path, out_path):
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     return subprocess.Popen(
@@ -129,6 +136,11 @@ def main(argv):
     for label in differ[:10]:
         print(f"differs: {label}")
     print(f"{len(differ)} of {len(inputs)} inputs differ")
+    verdicts = [(_verdict(a), _verdict(b)) for a, b in zip(old, new)]
+    print(f"{sum(va != vb for va, vb in verdicts)} of {len(inputs)} verdicts differ")
+    both = [(a, b) for a, b, v in zip(old, new, verdicts) if v == ("ok", "ok")]
+    eigs = sum(json.loads(a)["eigenvalues"] != json.loads(b)["eigenvalues"] for a, b in both)
+    print(f"{eigs} of {len(both)} inputs that both trees decompose differ in eigenvalues")
     return 1 if differ else 0
 
 
