@@ -86,19 +86,22 @@ def hessenberg_reduce(m):
     return a, q
 
 
-def _francis_step(t, z, lo, hi, s, p):
+def _francis_step(t, z, lo, hi, r1, r2):
     """One implicit double-shift sweep on the active block [lo, hi].
 
-    s and p are the sum and product of the two shifts.  Each bulge
-    reflector is built from (x, y, w) in Python floats as an explicit 3x3
-    Householder matrix (2x2 for the last step) and applied only where the
-    Hessenberg bulge is nonzero: rows k..k+2 from column max(lo, k-1) on,
-    and columns k..k+2 down to row min(k+3, hi), plus columns k..k+2 of z
-    (Golub & Van Loan, Matrix Computations, section 7.5.5).
+    r1 and r2 are the shifts, two reals or a conjugate pair; the first
+    column of (T - r1 I)(T - r2 I) subtracts each before multiplying, so a
+    cluster far from 0 does not cancel it to rounding noise (LAPACK dlahqr).
+    Each bulge reflector is built from (x, y, w) in Python floats as an
+    explicit 3x3 Householder matrix (2x2 for the last step) and applied only
+    where the Hessenberg bulge is nonzero: rows k..k+2 from column
+    max(lo, k-1) on, and columns k..k+2 down to row min(k+3, hi), plus
+    columns k..k+2 of z (Golub & Van Loan, Matrix Computations, section 7.5.5).
     """
-    x = t[lo, lo] * t[lo, lo] + t[lo, lo + 1] * t[lo + 1, lo] - s * t[lo, lo] + p
-    y = t[lo + 1, lo] * (t[lo, lo] + t[lo + 1, lo + 1] - s)
-    w = t[lo + 2, lo + 1] * t[lo + 1, lo]
+    t00, t10 = t.item(lo, lo), t.item(lo + 1, lo)
+    x = ((t00 - r1) * (t00 - r2)).real + t.item(lo, lo + 1) * t10
+    y = t10 * (t00 + t.item(lo + 1, lo + 1) - (r1 + r2).real)
+    w = t.item(lo + 2, lo + 1) * t10
     for k in range(lo, hi):
         j = min(k + 3, hi + 1)  # w is 0.0 on the last, 2x2 step
         alpha = math.hypot(x, y, w)
@@ -140,18 +143,28 @@ def _triangularize_2x2(t, z, l, lam):
     t[l + 1, l] = 0.0
 
 
+def _eig_2x2(t, l):
+    """The two eigenvalues of the 2x2 block of t at l, as Python numbers: a
+    conjugate pair sigma +- i omega, omega > 0 first, or two reals, the
+    larger in magnitude first."""
+    (a, b), (c, d) = t[l:l + 2, l:l + 2].tolist()
+    mid = (a + d) / 2.0
+    disc = ((a - d) / 2.0) ** 2 + b * c
+    if disc < 0.0:
+        omega = math.sqrt(-disc)
+        return complex(mid, omega), complex(mid, -omega)
+    sq = math.sqrt(disc) if mid >= 0.0 else -math.sqrt(disc)
+    return mid + sq, mid - sq
+
+
 def _split_2x2(t, z, l):
     """Eigenvalue entries of the deflated 2x2 block at l, in block order:
     [sigma + i omega] for a complex pair, whose block is kept, or the two
     diagonal entries after the block is triangularized."""
-    a, b = t[l, l], t[l, l + 1]
-    c, d = t[l + 1, l], t[l + 1, l + 1]
-    mid = (a + d) / 2.0
-    disc = ((a - d) / 2.0) ** 2 + b * c
-    if disc < 0.0:
-        return [complex(mid, np.sqrt(-disc))]
-    sq = np.sqrt(disc)
-    _triangularize_2x2(t, z, l, mid + sq if mid >= 0.0 else mid - sq)
+    lam, _ = _eig_2x2(t, l)
+    if isinstance(lam, complex):
+        return [lam]
+    _triangularize_2x2(t, z, l, lam)
     return [complex(t[l, l]), complex(t[l + 1, l + 1])]
 
 
@@ -200,13 +213,11 @@ def real_schur(h, q):
                 raise ConvergenceError(hi, sweeps)
             if block_iters > 0 and block_iters % 10 == 0:
                 # exceptional shift to break symmetry-induced cycles
-                ex = abs(t[hi, hi - 1]) + abs(t[hi - 1, hi - 2])
-                shift = t[hi, hi] + 0.75 * ex
-                s, p = 2.0 * shift, shift * shift
+                ex = abs(t.item(hi, hi - 1)) + abs(t.item(hi - 1, hi - 2))
+                r1 = r2 = t.item(hi, hi) + 0.75 * ex
             else:
-                s = t[hi - 1, hi - 1] + t[hi, hi]
-                p = t[hi - 1, hi - 1] * t[hi, hi] - t[hi - 1, hi] * t[hi, hi - 1]
-            _francis_step(t, z, l, hi, s, p)
+                r1, r2 = _eig_2x2(t, hi - 1)
+            _francis_step(t, z, l, hi, r1, r2)
             sweeps += 1
             block_iters += 1
     return t * scale, z, np.array(eigs[::-1], dtype=complex) * scale

@@ -15,7 +15,8 @@ J = [[0, 1], [-1, 0]], an exact identity since b^p = U J U^T and the
 bracket is V (omega I - sigma J) V^T; a real term has U = a, V = c and
 C = [[alpha / c.a]].  reconstruct, apply and decompose's residual all
 evaluate these factors, on eigenvalues divided by one exact power of two
-so no core overflows; the explicit wedge forms stay as the reference.
+so no core overflows, and so do verify's identity checks; the explicit
+wedge forms, applied by associativity at O(n^2), stay as the reference.
 """
 
 from dataclasses import dataclass, field
@@ -114,22 +115,25 @@ def nu(b, d, q):
 
 
 def plane_term_left_form(t):
-    """The plane term with the right-eigenvector wedge on the left."""
+    """The plane term with the right-eigenvector wedge on the left, applied
+    by associativity as (b^p) X = b (p^T X) - p (b^T X)."""
     bracket = t.omega * (np.outer(t.d, t.d) + np.outer(t.q, t.q)) - t.sigma * wedge(t.d, t.q)
-    return wedge(t.b, t.p) @ bracket / t.nu
+    return (np.outer(t.b, t.p @ bracket) - np.outer(t.p, t.b @ bracket)) / t.nu
 
 
 def plane_term_right_form(t):
-    """Equivalent form with the left-eigenvector wedge on the right; equal
-    to the left form whenever the biorthogonality conditions hold."""
+    """Equivalent form with the left-eigenvector wedge on the right, applied
+    as X (d^q) = (X d) q^T - (X q) d^T; equal to the left form whenever the
+    biorthogonality conditions hold."""
     bracket = t.omega * (np.outer(t.b, t.b) + np.outer(t.p, t.p)) - t.sigma * wedge(t.b, t.p)
-    return bracket @ wedge(t.d, t.q) / t.nu
+    return (np.outer(bracket @ t.d, t.q) - np.outer(bracket @ t.q, t.d)) / t.nu
 
 
-def plane_core(sigma, omega, u, v, nu_value):
-    """2x2 core C = J (U^T V)(omega I - sigma J) / nu of the plane term
-    U C V^T, U = [b p], V = [d q]; exact for any b, p, d, q."""
-    return _J @ (u.T @ v) @ (omega * np.eye(2) - sigma * _J) / nu_value
+def plane_core(sigma, omega, g, nu_value):
+    """2x2 core C = J G (omega I - sigma J) / nu of the plane term U C V^T from
+    the Gram G = U^T V, U = [b p], V = [d q]; exact for any b, p, d, q.  A
+    k x 2 x 2 stack of Grams, nu broadcast against it, gives k cores."""
+    return _J @ g @ (omega * np.eye(2) - sigma * _J) / nu_value
 
 
 def term_factors(t, s=1.0):
@@ -140,7 +144,7 @@ def term_factors(t, s=1.0):
         return t.a[:, None], np.array([[t.alpha / s / dot(t.c, t.a)]]), t.c[:, None]
     u = np.column_stack([t.b, t.p])
     v = np.column_stack([t.d, t.q])
-    return u, plane_core(t.sigma / s, t.omega / s, u, v, t.nu), v
+    return u, plane_core(t.sigma / s, t.omega / s, u.T @ v, t.nu), v
 
 
 def stacked_factors(n, terms, s):

@@ -106,6 +106,28 @@ def test_schur_semisimple_triple_eigenvalue_converges():
     assert decompose(m).diagnostics.reconstruction_residual <= 1e-9
 
 
+def test_schur_clustered_spectrum_converges():
+    # a real triple and two pair doubles, each cluster 1.2e-8 wide: with the
+    # bulge's first column built from the shifts' sum and product, x is
+    # rounding noise and the sweep stalls on a 3x3 block for 480 sweeps
+    spec = PlantedSpectrum(
+        [-1.7727715, -1.772771488, -1.772771476, -1.889441675, 1.440067507, 1.440067519],
+        [(0.766644726, 0.42891062), (-0.171471424, 1.767586424), (-0.171471412, 1.767586424),
+         (1.442834046, 1.115891314), (1.442834057, 1.115891314)],
+        basis_seed=2154093266,
+        condition_cap=1e4,
+    )
+    m = gen_test_matrix(spec)
+    dec = decompose(m)
+    assert dec.diagnostics.reconstruction_residual <= 1e-13
+    found = np.array(
+        [complex(t.alpha) for t in dec.real_terms]
+        + [complex(t.sigma, s * t.omega) for t in dec.plane_terms for s in (1, -1)]
+    )
+    gap = np.abs(spec.as_complex()[:, None] - found[None, :])
+    assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-12 * frobenius_norm(m)
+
+
 def test_schur_random_residual():
     rng = np.random.default_rng(1)
     for _ in range(20):

@@ -5,7 +5,8 @@ canonical order, or raises a typed error.
 Inputs are planted matrices M = B L B^-1 with n in 0..24, basis condition
 at most 1e4, eigenvalues drawn partly from small pools (so repeated values
 occur), optional Jordan couplings between equal adjacent blocks of L, and
-an exact scale 2^k for k in [-1000, 1000].
+an exact scale 2^k for k in [-1000, 1000].  A second property draws
+spectra of tight clusters, which must all decompose.
 """
 
 from dataclasses import dataclass, replace
@@ -63,6 +64,17 @@ class Case:
             else:
                 out.extend([complex(*b), complex(b[0], -b[1])])
         return np.array(out)
+
+
+def _eigenvalue_gap(case, dec):
+    """Largest distance from a planted eigenvalue to the nearest found one,
+    or from a found one to the nearest planted one."""
+    found = np.array(
+        [complex(t.alpha) for t in dec.real_terms]
+        + [complex(t.sigma, s * t.omega) for t in dec.plane_terms for s in (1, -1)]
+    )
+    gap = np.abs(case.planted()[:, None] - found[None, :])
+    return max(gap.min(axis=0).max(), gap.min(axis=1).max())
 
 
 _REAL = st.one_of(st.sampled_from(_POOL_REAL), st.floats(-2.0, 2.0))
@@ -135,12 +147,41 @@ def test_decompose_residual_within_tol_or_typed_error(case):
     norm_m = np.linalg.norm(m / scale)
     assert diff <= TOL * (1.0 + 1e-6) * norm_m
     if must_decompose:
-        found = np.array(
-            [complex(t.alpha) for t in dec.real_terms]
-            + [complex(t.sigma, s * t.omega) for t in dec.plane_terms for s in (1, -1)]
-        )
-        gap = np.abs(case.planted()[:, None] - found[None, :]) / scale
-        assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-8 * norm_m
+        assert _eigenvalue_gap(case, dec) / scale <= 1e-8 * norm_m
+
+
+@st.composite
+def clustered_cases(draw):
+    """n in 4..24 filled with clusters: 1-3 real eigenvalues or 1-2 pairs
+    with one shared omega, spacing 10^[-13, -2] and centres of either sign
+    and magnitude 1e-3 to 2, so each cluster is narrow against its distance
+    from 0 (the floating-point range is the property above's concern)."""
+    n = draw(st.integers(4, 24))
+    blocks = []
+    while n > 0:
+        centre = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(1e-3, 2.0))
+        spacing = 10.0 ** draw(st.floats(-13.0, -2.0))
+        if n >= 2 and draw(st.booleans()):
+            k = draw(st.integers(1, min(2, n // 2)))
+            omega = draw(st.floats(0.3, 2.0))
+            blocks.extend((centre + j * spacing, omega) for j in range(k))
+            n -= 2 * k
+        else:
+            k = draw(st.integers(1, min(3, n)))
+            blocks.extend(centre + j * spacing for j in range(k))
+            n -= k
+    return Case(tuple(blocks), (), draw(st.integers(0, 2**32 - 1)), 0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(clustered_cases())
+def test_clustered_spectrum_decomposes(case):
+    # diagonalizable with basis condition at most 1e4, however tight the
+    # clusters, so every draw must decompose to its planted eigenvalues
+    m = case.matrix()
+    dec = rd.decompose(m)
+    assert dec.diagnostics.reconstruction_residual <= TOL
+    assert _eigenvalue_gap(case, dec) <= 1e-8 * np.linalg.norm(m)
 
 
 @pytest.mark.parametrize("exponent", [-1000, 0, 1000])

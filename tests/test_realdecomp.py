@@ -350,7 +350,7 @@ def test_conjugate_pair_symmetry():
             base = rd.plane_term_left_form(t)
             u, _, v = rd.term_factors(t)
             u, v = u * flip, v * flip
-            conj = u @ rd.plane_core(t.sigma, -t.omega, u, v, t.nu) @ v.T
+            conj = u @ rd.plane_core(t.sigma, -t.omega, u.T @ v, t.nu) @ v.T
             assert frobenius_norm(conj - base) <= 1e-12 * frobenius_norm(base)
 
 

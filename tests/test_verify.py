@@ -144,7 +144,42 @@ def test_tolerance_profile_scaled():
     assert scaled.reconstruction == pytest.approx(10.0 * base.reconstruction)
     assert scaled.transposition == pytest.approx(10.0 * base.transposition)
     assert scaled.oracle_agreement == pytest.approx(10.0 * base.oracle_agreement)
-    assert len(fields(base)) == 9
+    assert len(fields(base)) == 8
+
+
+def _dense_phase_distance(t, left, thetas):
+    # reference: rotate both splits by theta and build each term densely
+    out = []
+    for theta in thetas:
+        c, s = np.cos(theta), np.sin(theta)
+        b, p = c * t.b - s * t.p, s * t.b + c * t.p
+        d, q = c * t.d - s * t.q, s * t.d + c * t.q
+        u, core, v = rd.term_factors(rd.ComplexPlaneTerm(t.sigma, t.omega, b, p, d, q, rd.nu(b, d, q)))
+        out.append(frobenius_norm(u @ core @ v.T - left))
+    return np.array(out)
+
+
+def test_phase_distance_matches_dense_rotation():
+    rng = np.random.default_rng(11)
+    for n, cap in [(2, 1e1), (5, 1e3), (12, 1e5), (21, 1e7)]:
+        pairs = [(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0)) for _ in range(n // 2)]
+        spec = vf.PlantedSpectrum(rng.uniform(-2.0, 2.0, n % 2), pairs, basis_seed=n, condition_cap=cap)
+        for t in rd.decompose(vf.gen_test_matrix(spec)).plane_terms:
+            left = rd.plane_term_left_form(t)
+            thetas = rng.uniform(0.0, 2.0 * np.pi, 100)
+            fast = vf._phase_distance(t, *rd.term_factors(t), left, thetas)
+            diff = np.abs(fast - _dense_phase_distance(t, left, thetas))
+            assert diff.max() <= 1e-12 * frobenius_norm(left)
+    # unrelated b, p, d, q: the rotated terms differ from the reference by
+    # O(1), and the fast evaluation still measures that distance
+    for n in (2, 3, 7, 12):
+        b, p, d, q = (rng.standard_normal(n) for _ in range(4))
+        t = rd.ComplexPlaneTerm(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0), b, p, d, q, rd.nu(b, d, q))
+        left = rd.plane_term_left_form(t)
+        thetas = rng.uniform(0.0, 2.0 * np.pi, 100)
+        dense = _dense_phase_distance(t, left, thetas)
+        fast = vf._phase_distance(t, *rd.term_factors(t), left, thetas)
+        np.testing.assert_allclose(fast, dense, rtol=1e-9, atol=0.0)
 
 
 @pytest.mark.parametrize("exponent", [-1000, 1000])

@@ -10,10 +10,13 @@ bench's cli-corpus recipe (seeds 1 and 2), the dense recipe at n = 16,
 small pools of repeated values at scales 2^-900, 1 and 2^900, and a list
 of edge cases.  Each tree then decomposes every input in its own
 subprocess under ``-W error::RuntimeWarning`` and records the JSON report
-text, or the exception type and message.  The script prints how many
-inputs differ, how many verdicts differ (one tree raised, or the two raised
-different exception types) and how many inputs that both trees decompose
-have different eigenvalue entries.  It exits 1 if any input differs.
+text, or the exception type and message, and the identity suite's verdict:
+the sorted names of the checks ``verify.run_identity_suite`` fails, or the
+type of the exception it raises.  The script prints how many inputs differ,
+how many verdicts differ (one tree raised, or the two raised different
+exception types), how many inputs that both trees decompose have different
+eigenvalue entries and how many identity-suite verdicts differ.  It exits 1
+if any input's report differs.
 """
 
 import json
@@ -38,7 +41,7 @@ _POOL_PAIR = ((0.0, 1.0), (1.0, 2.0))
 _CHILD = """
 import io, json, sys
 import numpy as np
-from geospectral import matio, realdecomp
+from geospectral import matio, realdecomp, verify
 
 out = []
 with np.load(sys.argv[1]) as inputs:
@@ -46,9 +49,14 @@ with np.load(sys.argv[1]) as inputs:
         try:
             text = io.StringIO()
             matio.dump_json(matio.decomposition_to_doc(realdecomp.decompose(inputs[key])), text)
-            out.append(text.getvalue())
+            report = text.getvalue()
         except Exception as exc:
-            out.append(f"{type(exc).__name__}: {exc}")
+            report = f"{type(exc).__name__}: {exc}"
+        try:
+            suite = sorted(c.name for c in verify.run_identity_suite(inputs[key]).checks if not c.passed)
+        except Exception as exc:
+            suite = type(exc).__name__
+        out.append([report, suite])
 with open(sys.argv[2], "w", encoding="utf-8") as fh:
     json.dump(out, fh)
 """
@@ -131,7 +139,9 @@ def main(argv):
         if any([p.wait() != 0 for p in procs]):
             print("a tree failed to run; see its traceback above", file=sys.stderr)
             return 1
-        old, new = (json.loads(Path(out).read_text(encoding="utf-8")) for out in outs)
+        (old, old_suite), (new, new_suite) = (
+            zip(*json.loads(Path(out).read_text(encoding="utf-8"))) for out in outs
+        )
     differ = [label for (label, _), a, b in zip(inputs, old, new) if a != b]
     for label in differ[:10]:
         print(f"differs: {label}")
@@ -141,6 +151,8 @@ def main(argv):
     both = [(a, b) for a, b, v in zip(old, new, verdicts) if v == ("ok", "ok")]
     eigs = sum(json.loads(a)["eigenvalues"] != json.loads(b)["eigenvalues"] for a, b in both)
     print(f"{eigs} of {len(both)} inputs that both trees decompose differ in eigenvalues")
+    suites = sum(a != b for a, b in zip(old_suite, new_suite))
+    print(f"{suites} of {len(inputs)} identity-suite verdicts differ")
     return 1 if differ else 0
 
 
