@@ -26,7 +26,6 @@ from .realdecomp import (
 )
 from .verify import (
     PlantedSpectrum,
-    ToleranceProfile,
     VerificationReport,
     brute_force_reconstruct,
     gen_test_matrix,
@@ -41,7 +40,6 @@ __all__ = [
     "PlantedSpectrum",
     "RealTerm",
     "SpectralDecomposition",
-    "ToleranceProfile",
     "VerificationReport",
     "apply",
     "biorthogonality_residual",

@@ -19,7 +19,7 @@ from . import densecore as dc
 from . import matio
 from .errors import ConvergenceError, GeoSpectralError, NotDiagonalizableError
 from .realdecomp import DEFAULT_TOL, decompose, real_canonical_form
-from .verify import PlantedSpectrum, ToleranceProfile, gen_test_matrix, run_identity_suite
+from .verify import PlantedSpectrum, gen_test_matrix, run_identity_suite
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -97,10 +97,7 @@ def cmd_decompose(args):
 
 def cmd_verify(args):
     m = matio.parse_matrix(args.input, args.format)
-    profile = ToleranceProfile(reconstruction=_resolve_tol(None))
-    if args.tol_scale is not None:
-        profile = profile.scaled(args.tol_scale)
-    report = run_identity_suite(m, profile)
+    report = run_identity_suite(m, _resolve_tol(None), args.tol_scale)
     width = max(len(c.name) for c in report.checks)
     print(f"{'check':<{width}}  {'residual':>12}  {'tolerance':>12}  status")
     for c in report.checks:
@@ -206,7 +203,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run the identity-check suite on a matrix")
     p.add_argument("input")
     p.add_argument("--format", choices=[matio.FORMAT_MATRIX_MARKET, matio.FORMAT_CSV])
-    p.add_argument("--tol-scale", type=_POSITIVE_FLOAT, default=None,
+    p.add_argument("--tol-scale", type=_POSITIVE_FLOAT, default=1.0,
                    help="multiply every check tolerance by this factor")
     p.set_defaults(func=cmd_verify)
 

@@ -1,16 +1,17 @@
 """Self-contained dense real eigensolver.
 
 Pipeline: Householder reduction to Hessenberg form, Francis implicit
-double-shift QR with deflation to real Schur form Z T Z^T, recording each
-1x1/2x2 diagonal block's eigenvalue as it deflates, right eigenvectors by
-back-substitution on the complex triangular form of T (MATLAB rsf2csf,
-LAPACK ztrevc), mapped back through Z, and the inverse of the resulting
-real eigenvector basis (which enforces biorthogonality of the left
-eigenvectors up to solve error).
+double-shift QR to real Schur form Z T Z^T, deflating at every subdiagonal
+entry of at most n eps ||T||_F and recording each 1x1/2x2 diagonal block's
+eigenvalue as it deflates, right eigenvectors by back-substitution on the
+complex triangular form of T (MATLAB rsf2csf, LAPACK ztrevc), mapped back
+through Z, and the inverse of the resulting real eigenvector basis (which
+enforces biorthogonality of the left eigenvectors up to solve error).
 
 The QR sweep is Python-bound, not flop-bound: each bulge reflector is a
 3x3 matrix built from Python floats and applied only to the rows and
-columns the bulge touches, three small products per step.
+columns the bulge touches, three small products per step.  The deflation
+test between sweeps is one numpy scan of the subdiagonal.
 
 As in LAPACK dgeev, the eigenvalues are one complex array, an entry per
 diagonal block: exactly real for a real eigenvalue, sigma + i omega with
@@ -174,8 +175,11 @@ def real_schur(h, q):
     Returns (T, Z, eigs) with T quasi-upper-triangular (every surviving 2x2
     diagonal block has complex eigenvalues), Z T Z^T = Q H Q^T and eigs the
     complex eigenvalue array of the module docstring, one entry per
-    diagonal block in block order.  As in LAPACK dlahqr, each block's
-    entry is recorded when the block deflates; no later sweep touches it.
+    diagonal block in block order.  Before each sweep one scan finds the
+    lowest subdiagonal with |t[l, l-1]| <= n eps ||T||_F, the normwise
+    rule of Golub & Van Loan, Matrix Computations, section 7.5, and zeroes
+    it.  As in LAPACK dlahqr, each block's entry is recorded when the
+    block deflates; no later sweep touches it.
     """
     t = dc.as_matrix(h)
     # an exact power-of-two scaling keeps squared entries from underflowing
@@ -183,23 +187,21 @@ def real_schur(h, q):
     t /= scale
     z = dc.as_matrix(q)
     n = t.shape[0]
+    # normwise, not local: a repeated eigenvalue stalls its subdiagonal
+    # near eps ||H||, far above eps (|t_ll| + |t_l-1,l-1|)
     tol = n * EPS * dc.frobenius_norm(t)
-    max_sweeps = MAX_SWEEPS_PER_N * max(n, 1)
+    sub = t.diagonal(-1)  # a view: t[l, l-1] is sub[l-1]
+    max_sweeps = MAX_SWEEPS_PER_N * n
     sweeps = 0
     block_iters = 0
     eigs = []  # bottom block first
     hi = n - 1
     while hi >= 0:
-        # scan for a negligible subdiagonal above hi
-        l = hi
-        while l > 0:
-            # floored at tol: a repeated eigenvalue stalls its subdiagonal
-            # near eps*||H||, above the local eps*(|t_ll| + |t_l-1,l-1|)
-            thr = max(EPS * (abs(t[l - 1, l - 1]) + abs(t[l, l])), tol)
-            if abs(t[l, l - 1]) <= thr:
-                t[l, l - 1] = 0.0
-                break
-            l -= 1
+        # the active block starts below the last negligible subdiagonal
+        small = np.flatnonzero(np.abs(sub[:hi]) <= tol)
+        l = int(small[-1]) + 1 if small.size else 0
+        if l > 0:
+            t[l, l - 1] = 0.0
         if l == hi:
             eigs.append(complex(t[hi, hi]))
             hi -= 1
@@ -318,7 +320,10 @@ def eigensystem(m):
     t, z, eigs = real_schur(h, q)
     x = right_eigenvectors(t, z, eigs)
     # left to right: norm_m * s alone may overflow where an eigenvalue does not
-    eigs = eigs * norm_m * s
+    scaled = eigs * norm_m * s
+    # a pair whose omega underflows to 0 becomes a real double, one entry per
+    # column (b, p): at omega = 0 its plane term is sigma (b 2d^T + p 2q^T)
+    eigs = np.repeat(scaled, 1 + ((scaled.imag == 0) & (eigs.imag > 0)))
     starts = block_starts(eigs)
     order = np.lexsort((eigs.imag, eigs.real, eigs.imag > 0))
     cols = [c for i in order for c in range(starts[i], starts[i + 1])]

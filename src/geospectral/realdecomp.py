@@ -131,8 +131,7 @@ def plane_term_right_form(t):
 
 def plane_core(sigma, omega, g, nu_value):
     """2x2 core C = J G (omega I - sigma J) / nu of the plane term U C V^T from
-    the Gram G = U^T V, U = [b p], V = [d q]; exact for any b, p, d, q.  A
-    k x 2 x 2 stack of Grams, nu broadcast against it, gives k cores."""
+    the Gram G = U^T V, U = [b p], V = [d q]; exact for any b, p, d, q."""
     return _J @ g @ (omega * np.eye(2) - sigma * _J) / nu_value
 
 

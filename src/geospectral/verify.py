@@ -5,13 +5,14 @@ The production decomposition is real in its basis and every output
 back-substitution).  The complex eigendecomposition here, LAPACK dgeev
 through numpy, is a different algorithm and exists purely to cross-check
 it.  The identity checks evaluate each plane term's factors U C V^T against
-its explicit wedge form, at O(n^2) per term.  Random draws use numpy's
+its explicit wedge form, at O(n^2) per term, each against a fixed relative
+tolerance that one scale multiplies.  Random draws use numpy's
 PCG64 generator with explicit seeds so reports reproduce bit-for-bit
 across platforms.
 """
 
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +23,17 @@ from .errors import GenerationError, GeoSpectralError, OracleInconsistencyError
 _RESAMPLE_CAP = 100
 _ABS_FLOOR = 1e-14
 _PHASE_SAMPLES = 100
+# relative tolerance of every check but reconstruction, whose tolerance is
+# decompose's (absolute floor 1e-14 throughout)
+_TOLERANCES = {
+    "oracle_agreement": 1e-9,
+    "form_equality": 1e-10,
+    "eigen_action": 1e-9,
+    "annihilation": 1e-9,
+    "biorthogonality": 1e-10,
+    "phase_invariance": 1e-10,
+    "transposition": 1e-12,
+}
 
 
 @dataclass(frozen=True)
@@ -72,24 +84,6 @@ class VerificationReport:
     checks: tuple
     overall: bool
     elapsed_seconds: float = field(compare=False, default=0.0)
-
-
-@dataclass(frozen=True)
-class ToleranceProfile:
-    """Per-check relative tolerances (absolute floor 1e-14 throughout)."""
-
-    reconstruction: float = 1e-9
-    form_equality: float = 1e-10
-    eigen_action: float = 1e-9
-    annihilation: float = 1e-9
-    biorthogonality: float = 1e-10
-    phase_invariance: float = 1e-10
-    transposition: float = 1e-12
-    oracle_agreement: float = 1e-9
-
-    def scaled(self, factor):
-        """Uniformly loosened/tightened copy (used by the CLI --tol-scale flag)."""
-        return replace(self, **{f.name: getattr(self, f.name) * factor for f in fields(self)})
 
 
 def _canonical_blocks(spec):
@@ -154,29 +148,30 @@ def _rel(residual, scale):
 
 
 def _phase_distance(t, u, c, v, left, thetas):
-    """||rotated term - left||_F for each phase in thetas, in O(n^2) in all:
-    rotating both splits maps U, V to U R, V R, so the rotated term is
-    U (R C_theta R^T) V^T, C_theta the core on the Gram R^T (U^T V) R.  With
-    D = R C_theta R^T - C and E = U C V^T - left, its squared distance is
-    tr(D^T G_U D G_V) + 2 <D, U^T E V> + ||E||_F^2, G_U = U^T U, G_V = V^T V."""
-    cos, sin = np.cos(thetas), np.sin(thetas)
-    r = np.moveaxis(np.array([[cos, sin], [-sin, cos]]), -1, 0)
-    rt = np.swapaxes(r, 1, 2)
-    g = rt @ (u.T @ v) @ r
-    nu_theta = g[:, :1, :1] ** 2 + g[:, :1, 1:] ** 2
-    dd = r @ rd.plane_core(t.sigma, t.omega, g, nu_theta) @ rt - c
-    e = u @ c @ v.T - left
-    square = np.sum(dd * (u.T @ u @ dd @ (v.T @ v) + 2.0 * (u.T @ e @ v)), axis=(1, 2))
-    return np.sqrt(np.maximum(square + frobenius_norm(e) ** 2, 0.0))
+    """||rotated term - left||_F for each phase in thetas, in O(n^2) in all.
+    Rotating both splits maps U, V to U R, V R and the Gram U^T V to
+    R^T (U^T V) R; R commutes with J and with omega I - sigma J, so the
+    rotated term is (nu / nu_theta) A with A = U C V^T.  With
+    f = nu / nu_theta - 1 and E = A - left, its squared distance is
+    f^2 ||A||^2 + 2 f <A, E> + ||E||^2."""
+    g = u.T @ v
+    # nu_theta is the squared norm of the rotated Gram's first row, and
+    # R^T's first row is (cos, -sin)
+    row = np.outer(np.cos(thetas), g[0]) - np.outer(np.sin(thetas), g[1])
+    f = t.nu / np.sum(row**2, axis=1) - 1.0
+    a = u @ c @ v.T
+    e = a - left
+    square = f**2 * frobenius_norm(a) ** 2 + 2.0 * f * np.sum(a * e) + frobenius_norm(e) ** 2
+    return np.sqrt(np.maximum(square, 0.0))
 
 
-def _decomposition_checks(m, dec, tol):
+def _decomposition_checks(m, dec):
     norm_m = frobenius_norm(m)
     recon = rd.reconstruct(dec)
-    checks = [("reconstruction", _rel(frobenius_norm(recon - m), norm_m), tol.reconstruction)]
+    checks = [("reconstruction", _rel(frobenius_norm(recon - m), norm_m))]
 
     oracle = brute_force_reconstruct(m)
-    checks.append(("oracle_agreement", _rel(frobenius_norm(oracle - recon), norm_m), tol.oracle_agreement))
+    checks.append(("oracle_agreement", _rel(frobenius_norm(oracle - recon), norm_m)))
 
     # every check evaluates the term's factors U C V^T, at O(n^2) per term; the
     # explicit wedge form is built once per term, as the reference they must match
@@ -222,38 +217,40 @@ def _decomposition_checks(m, dec, tol):
         transp = max(transp, _rel(frobenius_norm(ut @ ct @ vt.T - left.T), norm_t))
 
     if dec.plane_terms:
-        checks.append(("form_equality", form, tol.form_equality))
-        checks.append(("eigen_action", eigact, tol.eigen_action))
-        checks.append(("annihilation", annih, tol.annihilation))
-        checks.append(("biorthogonality", bio, tol.biorthogonality))
-        checks.append(("phase_invariance", phase, tol.phase_invariance))
-        checks.append(("transposition", transp, tol.transposition))
+        checks.append(("form_equality", form))
+        checks.append(("eigen_action", eigact))
+        checks.append(("annihilation", annih))
+        checks.append(("biorthogonality", bio))
+        checks.append(("phase_invariance", phase))
+        checks.append(("transposition", transp))
     return checks
 
 
-def run_identity_suite(m, tol_profile=None):
+def run_identity_suite(m, tol=rd.DEFAULT_TOL, scale=1.0):
     """Decompose m and evaluate every identity against its tolerance.
 
-    The decomposition runs at the profile's reconstruction tolerance, so
-    the diagonalizable gate and the reconstruction check agree; its
+    The decomposition runs at tol * scale, which is also the reconstruction
+    check's tolerance, so the diagonalizable gate and that check agree; its
     failures are recorded as a failed check rather than raised.  Every
-    check is relative and decompose is exactly equivariant under powers of
-    two, so m is first divided by the power of two pow2_scale(m), which
-    keeps every norm finite at any scale.
+    other check's tolerance is fixed, times scale.  Every check is relative
+    and decompose is exactly equivariant under powers of two, so m is first
+    divided by the power of two pow2_scale(m), which keeps every norm
+    finite at any scale.
     """
-    tol = tol_profile or ToleranceProfile()
+    tolerances = dict(_TOLERANCES, reconstruction=tol)
     start = time.perf_counter()
     checks = []
     m = np.asarray(m, dtype=float)
     m = m / pow2_scale(m)
     try:
-        dec = rd.decompose(m, tol.reconstruction)
+        dec = rd.decompose(m, tol * scale)
     except GeoSpectralError as exc:
         checks.append(Check("diagonalizable", np.inf, 0.0, False, str(exc)))
         dec = None
     if dec is not None:
         checks.append(Check("diagonalizable", 0.0, 0.0, True))
-        for name, residual, tolerance in _decomposition_checks(m, dec, tol):
+        for name, residual in _decomposition_checks(m, dec):
+            tolerance = tolerances[name] * scale
             checks.append(Check(name, residual, tolerance, residual <= tolerance))
     elapsed = time.perf_counter() - start
     return VerificationReport(tuple(checks), all(c.passed for c in checks), elapsed)

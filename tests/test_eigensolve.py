@@ -216,6 +216,29 @@ def test_sweep_budget_exhausted_raises_convergence_error(monkeypatch):
     assert err.value.sweeps == 0
 
 
+def _deflation_case(factor):
+    # the diagonal is small against ||T||, so a local rule
+    # eps (|t_ll| + |t_l-1,l-1|) would be far below the normwise n eps ||T||_F
+    t = np.array([[1e-3, 1.0, 1.0], [0.0, -2e-3, 1.0], [0.0, 0.0, 3e-3]])
+    t[1, 0] = t[2, 1] = factor * 3 * eg.EPS * frobenius_norm(t)
+    return t
+
+
+def test_subdiagonal_below_normwise_tol_deflates_without_a_sweep(monkeypatch):
+    monkeypatch.setattr(eg, "MAX_SWEEPS_PER_N", 0)
+    t, _, eigs = eg.real_schur(_deflation_case(0.5), np.eye(3))
+    assert not np.any(np.diag(t, -1))
+    _assert_eigs_equal(eigs, [1e-3, -2e-3, 3e-3])
+
+
+def test_subdiagonal_above_normwise_tol_needs_a_sweep(monkeypatch):
+    monkeypatch.setattr(eg, "MAX_SWEEPS_PER_N", 0)
+    with pytest.raises(ConvergenceError) as err:
+        eg.real_schur(_deflation_case(2.0), np.eye(3))
+    assert err.value.subdiagonal_index == 2
+    assert err.value.sweeps == 0
+
+
 def _schur_eigs(m):
     return eg.real_schur(m, np.eye(m.shape[0]))[2]
 

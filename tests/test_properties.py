@@ -109,6 +109,10 @@ REPEATED_PAIR = Case(((1.0, 2.0), (1.0, 2.0)), (), 3, 0)
 IDENTITY_3 = Case((1.0, 1.0, 1.0), (), None, 0)
 # pairs that tie exactly on sigma (identity basis), so only omega orders them
 SIGMA_TIES = Case(((1.0, 2.0), 1.0, (1.0, 0.5), -0.5, (0.0, 1.0)), (), None, 900)
+# max entry 1.1e-313: the zero cluster's computed pair has omega near
+# 7e-12 ||M||, which underflows to 0 as the eigenvalues are scaled back, so
+# it must decompose as a real double
+UNDERFLOWING_PAIR = Case((2.2250738585e-313, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), (), 0, 0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -117,6 +121,7 @@ SIGMA_TIES = Case(((1.0, 2.0), 1.0, (1.0, 0.5), -0.5, (0.0, 1.0)), (), None, 900
 @example(REPEATED_PAIR)
 @example(IDENTITY_3)
 @example(SIGMA_TIES)
+@example(UNDERFLOWING_PAIR)
 @example(Case((), (), 0, 0))
 @example(Case((-0.5,), (), 0, 0))
 @example(Case(((1.0, 2.0), (1.0, 2.0)), (0,), 0, 1000))

@@ -1,5 +1,3 @@
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
@@ -138,13 +136,17 @@ def test_suite_deterministic():
     assert r1.checks == r2.checks  # timing excluded from comparison
 
 
-def test_tolerance_profile_scaled():
-    base = vf.ToleranceProfile()
-    scaled = base.scaled(10.0)
-    assert scaled.reconstruction == pytest.approx(10.0 * base.reconstruction)
-    assert scaled.transposition == pytest.approx(10.0 * base.transposition)
-    assert scaled.oracle_agreement == pytest.approx(10.0 * base.oracle_agreement)
-    assert len(fields(base)) == 8
+def test_suite_scale_multiplies_every_tolerance():
+    m = vf.gen_test_matrix(vf.PlantedSpectrum((1.0,), ((0.3, 1.0),), basis_seed=3))
+    base = vf.run_identity_suite(m)
+    scaled = vf.run_identity_suite(m, tol=1e-6, scale=10.0)
+    assert [c.name for c in scaled.checks] == [c.name for c in base.checks]
+    assert len(base.checks) == 9
+    tolerances = {c.name: c.tolerance for c in scaled.checks}
+    assert tolerances["reconstruction"] == pytest.approx(1e-5)
+    for c in base.checks:
+        if c.name != "reconstruction":
+            assert tolerances[c.name] == pytest.approx(10.0 * c.tolerance)
 
 
 def _dense_phase_distance(t, left, thetas):

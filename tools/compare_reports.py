@@ -12,11 +12,13 @@ of edge cases.  Each tree then decomposes every input in its own
 subprocess under ``-W error::RuntimeWarning`` and records the JSON report
 text, or the exception type and message, and the identity suite's verdict:
 the sorted names of the checks ``verify.run_identity_suite`` fails, or the
-type of the exception it raises.  The script prints how many inputs differ,
-how many verdicts differ (one tree raised, or the two raised different
-exception types), how many inputs that both trees decompose have different
-eigenvalue entries and how many identity-suite verdicts differ.  It exits 1
-if any input's report differs.
+type of the exception it raises.  It also records every check the suite
+reports as ``(name, tolerance)``, in order.  The script prints how many
+inputs differ, how many verdicts differ (one tree raised, or the two raised
+different exception types), how many inputs that both trees decompose have
+different eigenvalue entries, how many identity-suite verdicts differ and
+how many identity-suite tolerance lists differ.  It exits 1 if any input's
+report differs.
 """
 
 import json
@@ -53,10 +55,12 @@ with np.load(sys.argv[1]) as inputs:
         except Exception as exc:
             report = f"{type(exc).__name__}: {exc}"
         try:
-            suite = sorted(c.name for c in verify.run_identity_suite(inputs[key]).checks if not c.passed)
+            checks = verify.run_identity_suite(inputs[key]).checks
+            suite = sorted(c.name for c in checks if not c.passed)
+            tolerances = [[c.name, c.tolerance] for c in checks]
         except Exception as exc:
-            suite = type(exc).__name__
-        out.append([report, suite])
+            suite = tolerances = type(exc).__name__
+        out.append([report, suite, tolerances])
 with open(sys.argv[2], "w", encoding="utf-8") as fh:
     json.dump(out, fh)
 """
@@ -139,7 +143,7 @@ def main(argv):
         if any([p.wait() != 0 for p in procs]):
             print("a tree failed to run; see its traceback above", file=sys.stderr)
             return 1
-        (old, old_suite), (new, new_suite) = (
+        (old, old_suite, old_tols), (new, new_suite, new_tols) = (
             zip(*json.loads(Path(out).read_text(encoding="utf-8"))) for out in outs
         )
     differ = [label for (label, _), a, b in zip(inputs, old, new) if a != b]
@@ -153,6 +157,8 @@ def main(argv):
     print(f"{eigs} of {len(both)} inputs that both trees decompose differ in eigenvalues")
     suites = sum(a != b for a, b in zip(old_suite, new_suite))
     print(f"{suites} of {len(inputs)} identity-suite verdicts differ")
+    tols = sum(a != b for a, b in zip(old_tols, new_tols))
+    print(f"{tols} of {len(inputs)} identity-suite tolerance lists differ")
     return 1 if differ else 0
 
 
