@@ -11,23 +11,25 @@ from .errors import ShapeError, SingularMatrixError
 EPS = float(np.finfo(np.float64).eps)
 
 
-def as_vector(v):
-    """Coerce to a finite 1-d float array, copying the input."""
-    a = np.array(v, dtype=float)
-    if a.ndim != 1:
-        raise ShapeError(f"expected a vector, got ndim={a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
-        raise ShapeError("vector has non-finite entries")
-    return a
+def as_array(x, ndim):
+    """Coerce to a finite real float array with ndim axes, copying the input.
 
-
-def as_matrix(m):
-    """Coerce to a finite 2-d float array, copying the input."""
-    a = np.array(m, dtype=float)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a matrix, got ndim={a.ndim}")
+    A complex, ragged or non-numeric input raises ShapeError instead of
+    being truncated or cast, as does a wrong number of axes or a non-finite
+    entry.
+    """
+    what = "vector" if ndim == 1 else "matrix"
+    try:
+        a = np.asarray(x)
+        if np.iscomplexobj(a):
+            raise ShapeError(f"{what} has complex entries")
+        a = np.array(a, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"cannot read a real {what}: {exc}") from None
+    if a.ndim != ndim:
+        raise ShapeError(f"expected a {what}, got ndim={a.ndim}")
     if a.size and not np.all(np.isfinite(a)):
-        raise ShapeError("matrix has non-finite entries")
+        raise ShapeError(f"{what} has non-finite entries")
     return a
 
 
@@ -78,29 +80,22 @@ def lu_factor(a):
     return lu, swaps
 
 
-def lu_solve(lu, swaps, b):
-    """Solve AX = B for a matrix B, using a factorization from lu_factor."""
+def inverse(a):
+    """Inverse by partial-pivoted elimination: one forward and one back
+    substitution on the row-permuted identity.
+
+    Raises SingularMatrixError (with the offending pivot index) when A is
+    numerically singular per the n*eps*max|A| threshold.
+    """
+    lu, swaps = lu_factor(a)
     n = lu.shape[0]
-    x = np.array(b, dtype=float)
-    if x.shape[0] != n:
-        raise ShapeError(f"rhs rows {x.shape[0]} != system size {n}")
-    x = x[swaps, :]
+    x = np.eye(n)[swaps, :]
     for k in range(1, n):  # forward substitution, unit lower triangle
         x[k, :] -= lu[k, :k] @ x[:k, :]
     for k in range(n - 1, -1, -1):  # back substitution
         x[k, :] -= lu[k, k + 1:] @ x[k + 1:, :]
         x[k, :] /= lu[k, k]
     return x
-
-
-def inverse(a):
-    """Inverse by partial-pivoted elimination.
-
-    Raises SingularMatrixError (with the offending pivot index) when A is
-    numerically singular per the n*eps*max|A| threshold.
-    """
-    lu, swaps = lu_factor(a)
-    return lu_solve(lu, swaps, np.eye(lu.shape[0]))
 
 
 def rcond_1norm(a, a_inv):

@@ -71,7 +71,7 @@ def _house_vec(x):
 
 def hessenberg_reduce(m):
     """Householder similarity reduction. Returns (H, Q) with Q H Q^T = M."""
-    a = dc.as_matrix(m)
+    a = dc.as_array(m, 2)
     n = a.shape[0]
     if n != a.shape[1]:
         raise ShapeError(f"hessenberg of non-square {a.shape}")
@@ -181,11 +181,11 @@ def real_schur(h, q):
     it.  As in LAPACK dlahqr, each block's entry is recorded when the
     block deflates; no later sweep touches it.
     """
-    t = dc.as_matrix(h)
+    t = dc.as_array(h, 2)
     # an exact power-of-two scaling keeps squared entries from underflowing
     scale = dc.pow2_scale(t)
     t /= scale
-    z = dc.as_matrix(q)
+    z = dc.as_array(q, 2)
     n = t.shape[0]
     # normwise, not local: a repeated eigenvalue stalls its subdiagonal
     # near eps ||H||, far above eps (|t_ll| + |t_l-1,l-1|)
@@ -306,7 +306,7 @@ def eigensystem(m):
     """Eigenvalues, real eigenvector basis and its inverse of a real square
     matrix: real eigenvalues ascending, then pairs by (sigma, omega), equal
     keys in Schur order."""
-    m = dc.as_matrix(m)
+    m = dc.as_array(m, 2)
     n = m.shape[0]
     if n != m.shape[1]:
         raise ShapeError(f"eigensystem of non-square {m.shape}")

@@ -8,14 +8,14 @@ direction taking v towards u.
 
 import numpy as np
 
-from .densecore import as_vector
+from .densecore import as_array
 from .errors import ShapeError
 
 
 def wedge(u, v):
     """The n x n matrix u v^T - v u^T."""
-    u = as_vector(u)
-    v = as_vector(v)
+    u = as_array(u, 1)
+    v = as_array(v, 1)
     if u.shape != v.shape:
         raise ShapeError(f"wedge of {u.shape} against {v.shape}")
     return np.outer(u, v) - np.outer(v, u)

@@ -196,7 +196,7 @@ def decomposition_to_doc(dec, input_digest=None):
         "diagnostics": {
             "reconstruction_residual": dec.diagnostics.reconstruction_residual,
             "basis_rcond": dec.diagnostics.basis_rcond,
-            "max_biorthogonality_residual": dec.diagnostics.max_biorthogonality_residual,
+            "max_biorthogonality_residual": dec.max_biorthogonality_residual,
         },
     }
     if input_digest is not None:
@@ -205,37 +205,39 @@ def decomposition_to_doc(dec, input_digest=None):
 
 
 def doc_to_decomposition(doc):
-    """Rebuild a SpectralDecomposition from its JSON document."""
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ParseError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    dim = int(doc["dim"])
-    real_terms = tuple(
-        RealTerm(float(t["alpha"]), np.array(t["a"], dtype=float), np.array(t["c"], dtype=float))
-        for t in doc["real_terms"]
-    )
-    plane_terms = tuple(
-        ComplexPlaneTerm(
-            float(t["sigma"]),
-            float(t["omega"]),
-            np.array(t["b"], dtype=float),
-            np.array(t["p"], dtype=float),
-            np.array(t["d"], dtype=float),
-            np.array(t["q"], dtype=float),
-            float(t["nu"]),
+    """Rebuild a SpectralDecomposition from its JSON document; nu and the
+    biorthogonality residual are recomputed, not read.  A missing field, a
+    non-number or omega <= 0 raises ParseError, a dim other than j + 2k
+    ShapeError."""
+    try:
+        if doc.get("schema_version") != SCHEMA_VERSION:
+            raise ParseError(f"unsupported schema_version {doc.get('schema_version')!r}")
+        dim = int(doc["dim"])
+        real_terms = tuple(
+            RealTerm(float(t["alpha"]), *(np.array(t[f], dtype=float) for f in "ac"))
+            for t in doc["real_terms"]
         )
-        for t in doc["plane_terms"]
-    )
-    diag = doc.get("diagnostics", {})
-    return SpectralDecomposition(
-        dim,
-        real_terms,
-        plane_terms,
-        Diagnostics(
+        plane_terms = tuple(
+            ComplexPlaneTerm(
+                float(t["sigma"]), float(t["omega"]), *(np.array(t[f], dtype=float) for f in "bpdq")
+            )
+            for t in doc["plane_terms"]
+        )
+        diag = doc.get("diagnostics", {})
+        diagnostics = Diagnostics(
             float(diag.get("reconstruction_residual", float("nan"))),
             float(diag.get("basis_rcond", float("nan"))),
-            float(diag.get("max_biorthogonality_residual", float("nan"))),
-        ),
-    )
+        )
+    # AttributeError: a report or its diagnostics is not a JSON object
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed report: {type(exc).__name__}: {exc}") from exc
+    dec = SpectralDecomposition(real_terms, plane_terms, diagnostics)
+    if dec.dim != dim:
+        raise ShapeError(
+            f"term counts j={len(real_terms)}, k={len(plane_terms)} "
+            f"do not satisfy j + 2k = {dim}"
+        )
+    return dec
 
 
 def dump_json(doc, fh):

@@ -58,7 +58,8 @@ class RealTerm:
 @dataclass(frozen=True)
 class ComplexPlaneTerm:
     """One conjugate pair's plane data: eigenvalue sigma + i omega, right
-    split (b, p), left split (d, q) and the normalization nu."""
+    split (b, p) and left split (d, q); the normalization nu is computed
+    from b, d and q once, on construction."""
 
     sigma: float
     omega: float
@@ -66,35 +67,53 @@ class ComplexPlaneTerm:
     p: np.ndarray
     d: np.ndarray
     q: np.ndarray
-    nu: float
+    nu: float = field(init=False)
 
     def __post_init__(self):
         if not self.omega > 0.0:
             raise ValueError(f"plane term needs omega > 0, got {self.omega}")
-        if not self.nu > 0.0:
-            raise DegeneratePairError(f"nu = {self.nu:.3e} is not positive")
+        shapes = [v.shape for v in (self.b, self.p, self.d, self.q)]
+        if len(set(shapes)) != 1:
+            raise ShapeError(f"term vectors differ: {shapes}")
+        object.__setattr__(self, "nu", nu(self.b, self.d, self.q))
 
 
 @dataclass(frozen=True)
 class Diagnostics:
     reconstruction_residual: float
     basis_rcond: float
-    max_biorthogonality_residual: float
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    dim: int
+    """The j real terms and k plane terms of an n x n matrix, n = j + 2k;
+    every eigenvalue must be finite, and every term vector finite and of
+    length n."""
+
     real_terms: tuple
     plane_terms: tuple
     diagnostics: Diagnostics = field(compare=False)
 
     def __post_init__(self):
-        if len(self.real_terms) + 2 * len(self.plane_terms) != self.dim:
-            raise ShapeError(
-                f"term counts j={len(self.real_terms)}, k={len(self.plane_terms)} "
-                f"do not satisfy j + 2k = {self.dim}"
-            )
+        n = self.dim
+        vectors = [v for t in self.real_terms for v in (t.a, t.c)]
+        vectors += [v for t in self.plane_terms for v in (t.b, t.p, t.d, t.q)]
+        if any(v.shape != (n,) for v in vectors) or not np.all(np.isfinite(vectors)):
+            raise ShapeError(f"term vectors must be finite and of length j + 2k = {n}")
+        values = [t.alpha for t in self.real_terms]
+        values += [x for t in self.plane_terms for x in (t.sigma, t.omega)]
+        if not np.all(np.isfinite(values)):
+            raise ShapeError("term eigenvalues must be finite")
+
+    @property
+    def dim(self):
+        return len(self.real_terms) + 2 * len(self.plane_terms)
+
+    @property
+    def max_biorthogonality_residual(self):
+        """Largest |d.b - q.p| or |q.b + d.p| over the plane terms."""
+        pairs = [biorthogonality_residual(t.b, t.p, t.d, t.q) for t in self.plane_terms]
+        return max([0.0] + [abs(r) for pair in pairs for r in pair])
 
 
 def biorthogonality_residual(b, p, d, q):
@@ -109,7 +128,8 @@ def nu(b, d, q):
     scale = (
         np.linalg.norm(d) * np.linalg.norm(b) + np.linalg.norm(q) * np.linalg.norm(b)
     ) ** 2
-    if value <= _NU_REL_FLOOR * scale:
+    # a NaN fails the comparison, so it is refused too
+    if not value > _NU_REL_FLOOR * scale:
         raise DegeneratePairError(f"nu = {value:.3e} below degeneracy floor")
     return value
 
@@ -180,7 +200,6 @@ def transpose_term(t):
         p=-t.q,
         d=t.b,
         q=-t.p,
-        nu=nu(t.d, t.b, -t.p),
     )
 
 
@@ -195,7 +214,7 @@ def decompose(m, tol=DEFAULT_TOL):
     """
     if not tol > 0.0:
         raise ValueError(f"decompose needs tol > 0, got {tol}")
-    m = dc.as_matrix(m)
+    m = dc.as_array(m, 2)
     n = m.shape[0]
     if n != m.shape[1]:
         raise ShapeError(f"decompose of non-square {m.shape}")
@@ -205,7 +224,6 @@ def decompose(m, tol=DEFAULT_TOL):
     rows = system.basis_inv
     real_terms = []
     plane_terms = []
-    max_bio = 0.0
     starts = eg.block_starts(system.eigenvalues)
     for lam, i in zip(system.eigenvalues.tolist(), starts.tolist()):
         if lam.imag == 0.0:
@@ -213,11 +231,7 @@ def decompose(m, tol=DEFAULT_TOL):
         else:
             # basis_inv holds (2d, 2q) for the pair's columns (b, p): d^dag b = 1
             b, p, d, q = right[i], right[i + 1], rows[i] / 2.0, rows[i + 1] / 2.0
-            r1, r2 = biorthogonality_residual(b, p, d, q)
-            max_bio = max(max_bio, abs(r1), abs(r2))
-            plane_terms.append(
-                ComplexPlaneTerm(lam.real, lam.imag, b, p, d, q, nu(b, d, q))
-            )
+            plane_terms.append(ComplexPlaneTerm(lam.real, lam.imag, b, p, d, q))
     # W V^T against M / s, s a power of two with s <= max|m_ij| < 2s: the
     # cores take the eigenvalues over s and V the conditioning, so nothing overflows
     s = dc.pow2_scale(m)
@@ -231,10 +245,7 @@ def decompose(m, tol=DEFAULT_TOL):
             f"reconstruction residual {resid:.3e} above tolerance {tol:.3e}"
         )
     return SpectralDecomposition(
-        n,
-        tuple(real_terms),
-        tuple(plane_terms),
-        Diagnostics(resid, system.basis_rcond, max_bio),
+        tuple(real_terms), tuple(plane_terms), Diagnostics(resid, system.basis_rcond)
     )
 
 
@@ -247,7 +258,7 @@ def reconstruct(dec):
 def apply(dec, x):
     """Action of the decomposition on a vector, (W (V^T x)) s, without
     forming any n x n matrix."""
-    x = dc.as_vector(x)
+    x = dc.as_array(x, 1)
     if x.shape[0] != dec.dim:
         raise ShapeError(f"vector dim {x.shape[0]} against decomposition dim {dec.dim}")
     w, v, s = _scaled_factors(dec)

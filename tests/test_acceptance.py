@@ -181,7 +181,7 @@ def test_criterion_07_phase_invariance(corpus):
                 p = s * t.b + c * t.p
                 d = c * t.d - s * t.q
                 q = s * t.d + c * t.q
-                rot = rd.ComplexPlaneTerm(t.sigma, t.omega, b, p, d, q, rd.nu(b, d, q))
+                rot = rd.ComplexPlaneTerm(t.sigma, t.omega, b, p, d, q)
                 worst = max(worst, frobenius_norm(rd.plane_term_left_form(rot) - base) / norm_b)
     _report(7, "plane term invariant under 100 random phases", worst, 1e-10)
     # bitwise idempotency of the canonical phase

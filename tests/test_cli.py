@@ -7,7 +7,7 @@ import pytest
 from geospectral import eigensolve, matio
 from geospectral.cli import main
 from geospectral.errors import ParseError, ShapeError
-from geospectral.realdecomp import decompose
+from geospectral.realdecomp import apply, decompose, real_canonical_form
 from geospectral.verify import PlantedSpectrum, gen_test_matrix
 from test_properties import Case
 
@@ -120,6 +120,65 @@ def test_decompose_parse_error_exit_code(tmp_path, capsys):
     assert main(["decompose", str(path)]) == 1
     assert main(["decompose", str(tmp_path / "missing.csv")]) == 1
     capsys.readouterr()
+
+
+_MM = "%%MatrixMarket matrix array real general\n"
+
+
+@pytest.mark.parametrize(
+    ("name", "text", "message", "line"),
+    [
+        ("empty.mtx", "", "empty file", 1),
+        ("header.mtx", "%%MatrixMarket matrix coordinate real general\n1 1\n1\n",
+         "expected header", 1),
+        ("nosize.mtx", _MM + "% only a comment\n", "missing size line", 2),
+        ("size3.mtx", _MM + "1 1 1\n1\n", "bad size line", 2),
+        ("sizeword.mtx", _MM + "1 x\n1\n", "bad size line", 2),
+        ("zero.mtx", _MM + "0 2\n", "non-positive dimensions", 2),
+        ("short.mtx", _MM + "2 2\n1\n2\n3\n", "expected 4 entries, found 3", 5),
+        ("nobody.mtx", _MM + "% c\n2 2\n", "expected 4 entries, found 0", 3),
+        ("word.mtx", _MM + "1 1\nabc\n", "bad number", 3),
+        ("blank.csv", "\n\n", "no data rows", 1),
+        ("m.txt", "1\n", "cannot infer format", None),
+    ],
+)
+def test_parse_errors_name_their_line(tmp_path, capsys, name, text, message, line):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message) as err:
+        matio.parse_matrix(str(path))
+    assert err.value.line == line
+    assert main(["decompose", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_unknown_format_and_schema_rejected(rotation_csv):
+    with pytest.raises(ParseError, match="unknown format 'json'"):
+        matio.parse_matrix(rotation_csv, "json")
+    doc = matio.decomposition_to_doc(decompose(np.eye(2)))
+    doc["schema_version"] = "2"
+    with pytest.raises(ParseError, match="unsupported schema_version '2'"):
+        matio.doc_to_decomposition(doc)
+    with pytest.raises(ParseError):
+        matio.doc_to_decomposition([doc])
+
+
+def test_canonical_output_dir(tmp_path, capsys):
+    m = np.array([[1.0, 2.0, 0.3], [-2.0, 1.0, 0.1], [0.0, 0.5, 3.0]])
+    path = tmp_path / "m.mtx"
+    matio.write_matrix_market(path, m)
+    assert main(["canonical", str(path)]) == 0
+    residual = json.loads(capsys.readouterr().out)["similarity_residual"]
+    out = tmp_path / "out"
+    assert main(["canonical", str(path), "--output-dir", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    b_real, l_real = real_canonical_form(decompose(m))
+    np.testing.assert_array_equal(matio.parse_matrix(str(out / "B_real.mtx")), b_real)
+    np.testing.assert_array_equal(matio.parse_matrix(str(out / "L_real.mtx")), l_real)
+    assert printed == [
+        f"wrote {out / 'B_real.mtx'} and {out / 'L_real.mtx'}",
+        f"similarity residual: {residual:.3e}",
+    ]
 
 
 def _gen_decompose_round_trip(tmp_path, capsys, gen_args):
@@ -252,6 +311,59 @@ def test_report_with_wrong_dim_rejected():
     doc = matio.decomposition_to_doc(decompose(np.array([[1.0, 2.0], [-2.0, 1.0]])))
     doc["dim"] += 1
     with pytest.raises(ShapeError, match="do not satisfy j \\+ 2k = 3"):
+        matio.doc_to_decomposition(doc)
+
+
+_M3 = np.array([[1.0, 2.0, 0.0], [-2.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
+
+
+def _report_doc(m):
+    # a report as read back from text; json.loads also accepts NaN and Infinity
+    return json.loads(json.dumps(matio.decomposition_to_doc(decompose(m))))
+
+
+def test_report_nu_and_biorthogonality_are_recomputed():
+    doc = _report_doc(_M3)
+    doc["plane_terms"][0]["nu"] = 7.0
+    doc["diagnostics"]["max_biorthogonality_residual"] = 7.0
+    dec = matio.doc_to_decomposition(doc)
+    x = np.ones(3)
+    np.testing.assert_allclose(apply(dec, x), _M3 @ x, rtol=1e-12)
+    assert dec.max_biorthogonality_residual <= 1e-15
+
+
+def _cut(term, fields):
+    for f in fields:
+        term[f] = term[f][:2]
+
+
+@pytest.mark.parametrize(
+    ("edit", "error"),
+    [
+        (lambda doc: doc["plane_terms"][0].pop("q"), ParseError),
+        (lambda doc: doc.pop("real_terms"), ParseError),
+        (lambda doc: doc.pop("dim"), ParseError),
+        (lambda doc: doc.update(diagnostics=[]), ParseError),
+        (lambda doc: doc["plane_terms"][0].update(sigma="x"), ParseError),
+        (lambda doc: doc["real_terms"][0].update(alpha=None), ParseError),
+        (lambda doc: doc["plane_terms"][0].update(omega=0.0), ParseError),
+        (lambda doc: doc["real_terms"][0].update(alpha=float("inf")), ShapeError),
+        (lambda doc: doc["plane_terms"][0].update(sigma=float("nan")), ShapeError),
+        (lambda doc: doc["plane_terms"][0]["b"].append([1.0]), ParseError),
+        (lambda doc: _cut(doc["plane_terms"][0], "b"), ShapeError),
+        (lambda doc: _cut(doc["plane_terms"][0], "bpdq"), ShapeError),
+        (lambda doc: doc["plane_terms"][0]["p"].__setitem__(0, float("nan")), ShapeError),
+    ],
+    ids=[
+        "missing-q", "missing-real-terms", "missing-dim", "list-diagnostics", "string-sigma",
+        "null-alpha", "zero-omega", "infinite-alpha", "nan-sigma", "ragged-b", "short-b",
+        "short-plane", "nan-p",
+    ],
+)
+def test_malformed_report_rejected(edit, error):
+    doc = _report_doc(_M3)
+    edit(doc)
+    with pytest.raises(error):
         matio.doc_to_decomposition(doc)
 
 

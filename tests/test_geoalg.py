@@ -20,6 +20,12 @@ def test_wedge_basis_plane():
     np.testing.assert_array_equal(w, [[0.0, 1.0], [-1.0, 0.0]])
 
 
+@pytest.mark.parametrize("u", [[1j, 0.0], [[1.0, 2.0], 3.0]], ids=["complex", "ragged"])
+def test_wedge_rejects_complex_and_ragged_input(u):
+    with pytest.raises(ShapeError):
+        ga.wedge(u, E2)
+
+
 def test_wedge_self_is_zero():
     u = np.array([1.0, 2.0, 3.0])
     np.testing.assert_array_equal(ga.wedge(u, u), np.zeros((3, 3)))

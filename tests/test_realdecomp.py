@@ -55,7 +55,7 @@ def test_nu_homogeneity():
 
 
 def _unit_term(sigma, omega):
-    return rd.ComplexPlaneTerm(sigma, omega, E1, E2, E1, E2, 1.0)
+    return rd.ComplexPlaneTerm(sigma, omega, E1, E2, E1, E2)
 
 
 def test_plane_term_hand_examples():
@@ -75,7 +75,7 @@ def test_plane_term_hand_examples():
 
 def test_plane_term_embedded_block():
     e = np.eye(3)
-    t = rd.ComplexPlaneTerm(1.0, 2.0, e[:, 0], e[:, 1], e[:, 0], e[:, 1], 1.0)
+    t = rd.ComplexPlaneTerm(1.0, 2.0, e[:, 0], e[:, 1], e[:, 0], e[:, 1])
     expected = np.zeros((3, 3))
     expected[:2, :2] = [[1.0, 2.0], [-2.0, 1.0]]
     np.testing.assert_allclose(rd.plane_term_left_form(t), expected)
@@ -113,7 +113,7 @@ def test_plane_term_factors_match_left_form():
         for _ in range(10):
             b, p, d, q = (rng.standard_normal(n) for _ in range(4))
             sigma, omega = rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0)
-            t = rd.ComplexPlaneTerm(sigma, omega, b, p, d, q, rd.nu(b, d, q))
+            t = rd.ComplexPlaneTerm(sigma, omega, b, p, d, q)
             left = rd.plane_term_left_form(t)
             assert frobenius_norm(_dense(t) - left) <= 1e-13 * frobenius_norm(left)
 
@@ -121,6 +121,34 @@ def test_plane_term_factors_match_left_form():
 def test_real_term_degenerate_pairing_rejected():
     with pytest.raises(DegeneratePairError):
         rd.RealTerm(1.0, E1, E2)
+
+
+def test_plane_term_computes_nu():
+    rng = np.random.default_rng(6)
+    b, p, d, q = (rng.standard_normal(5) for _ in range(4))
+    assert rd.ComplexPlaneTerm(0.5, 1.5, b, p, d, q).nu == rd.nu(b, d, q)
+
+
+def test_plane_term_vectors_must_share_shape():
+    with pytest.raises(ShapeError):
+        rd.ComplexPlaneTerm(1.0, 2.0, E1, E2, E1, np.array([0.0, 1.0, 0.0]))
+
+
+def test_nu_rejects_nan():
+    with pytest.raises(DegeneratePairError):
+        rd.nu(np.array([np.nan, 1.0]), E1, E2)
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [np.eye(3)[:, [0, 1, 0, 1]].T, [E1, np.array([np.inf, 1.0]), E1, E2]],
+    ids=["length", "infinite"],
+)
+def test_decomposition_rejects_bad_term_vectors(vectors):
+    # one pair, so every vector must be finite and of length j + 2k = 2
+    term = rd.ComplexPlaneTerm(1.0, 2.0, *vectors)
+    with pytest.raises(ShapeError):
+        rd.SpectralDecomposition((), (term,), None)
 
 
 def test_decompose_identity():
@@ -260,6 +288,30 @@ def test_apply_shape_error():
         rd.apply(dec, np.ones(3))
 
 
+@pytest.mark.parametrize("m", [[[1 + 1j, 2], [0, 3]], [[1, 2], [3]]], ids=["complex", "ragged"])
+def test_decompose_rejects_complex_and_ragged_input(m):
+    # a complex entry is refused, not truncated to its real part
+    with pytest.raises(ShapeError):
+        rd.decompose(m)
+
+
+@pytest.mark.parametrize("x", [[1 + 5j, 1], [[1, 2], 3]], ids=["complex", "ragged"])
+def test_apply_rejects_complex_and_ragged_input(x):
+    dec = rd.decompose([[1.0, 2.0], [0.0, 3.0]])
+    with pytest.raises(ShapeError):
+        rd.apply(dec, x)
+
+
+def test_decomposition_derives_dim_and_biorthogonality():
+    m = np.array([[1.0, 2.0, 0.0], [-2.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
+    dec = rd.decompose(m)
+    assert dec.dim == 3
+    (t,) = dec.plane_terms
+    r1, r2 = rd.biorthogonality_residual(t.b, t.p, t.d, t.q)
+    assert dec.max_biorthogonality_residual == max(abs(r1), abs(r2))
+    assert rd.decompose(np.eye(2)).max_biorthogonality_residual == 0.0
+
+
 def test_real_canonical_form_hand_cases():
     m = np.array([[1.0, 2.0], [-2.0, 1.0]])
     b_real, l_real = rd.real_canonical_form(rd.decompose(m))
@@ -337,7 +389,7 @@ def test_phase_invariance():
                 p = s * t.b + c * t.p
                 d = c * t.d - s * t.q
                 q = s * t.d + c * t.q
-                rot = rd.ComplexPlaneTerm(t.sigma, t.omega, b, p, d, q, rd.nu(b, d, q))
+                rot = rd.ComplexPlaneTerm(t.sigma, t.omega, b, p, d, q)
                 diff = frobenius_norm(rd.plane_term_left_form(rot) - base)
                 assert diff <= 1e-10 * frobenius_norm(base)
 

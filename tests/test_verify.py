@@ -156,7 +156,7 @@ def _dense_phase_distance(t, left, thetas):
         c, s = np.cos(theta), np.sin(theta)
         b, p = c * t.b - s * t.p, s * t.b + c * t.p
         d, q = c * t.d - s * t.q, s * t.d + c * t.q
-        u, core, v = rd.term_factors(rd.ComplexPlaneTerm(t.sigma, t.omega, b, p, d, q, rd.nu(b, d, q)))
+        u, core, v = rd.term_factors(rd.ComplexPlaneTerm(t.sigma, t.omega, b, p, d, q))
         out.append(frobenius_norm(u @ core @ v.T - left))
     return np.array(out)
 
@@ -176,7 +176,7 @@ def test_phase_distance_matches_dense_rotation():
     # O(1), and the fast evaluation still measures that distance
     for n in (2, 3, 7, 12):
         b, p, d, q = (rng.standard_normal(n) for _ in range(4))
-        t = rd.ComplexPlaneTerm(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0), b, p, d, q, rd.nu(b, d, q))
+        t = rd.ComplexPlaneTerm(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0), b, p, d, q)
         left = rd.plane_term_left_form(t)
         thetas = rng.uniform(0.0, 2.0 * np.pi, 100)
         dense = _dense_phase_distance(t, left, thetas)

@@ -13,12 +13,14 @@ subprocess under ``-W error::RuntimeWarning`` and records the JSON report
 text, or the exception type and message, and the identity suite's verdict:
 the sorted names of the checks ``verify.run_identity_suite`` fails, or the
 type of the exception it raises.  It also records every check the suite
-reports as ``(name, tolerance)``, in order.  The script prints how many
-inputs differ, how many verdicts differ (one tree raised, or the two raised
-different exception types), how many inputs that both trees decompose have
-different eigenvalue entries, how many identity-suite verdicts differ and
-how many identity-suite tolerance lists differ.  It exits 1 if any input's
-report differs.
+reports as ``(name, tolerance)``, in order, and whether the report,
+loaded by ``matio.doc_to_decomposition`` and dumped again, comes back
+byte for byte.  The script prints how many inputs differ, how many
+verdicts differ (one tree raised, or the two raised different exception
+types), how many inputs that both trees decompose have different
+eigenvalue entries, how many identity-suite verdicts differ, how many
+identity-suite tolerance lists differ and how many of NEW_SRC's reports
+change in that round trip.  It exits 1 if any input's report differs.
 """
 
 import json
@@ -45,22 +47,31 @@ import io, json, sys
 import numpy as np
 from geospectral import matio, realdecomp, verify
 
+def dump(dec):
+    text = io.StringIO()
+    matio.dump_json(matio.decomposition_to_doc(dec), text)
+    return text.getvalue()
+
 out = []
 with np.load(sys.argv[1]) as inputs:
     for key in sorted(inputs.files):
+        round_trip = None
         try:
-            text = io.StringIO()
-            matio.dump_json(matio.decomposition_to_doc(realdecomp.decompose(inputs[key])), text)
-            report = text.getvalue()
+            report = dump(realdecomp.decompose(inputs[key]))
         except Exception as exc:
             report = f"{type(exc).__name__}: {exc}"
+        else:
+            try:
+                round_trip = dump(matio.doc_to_decomposition(json.loads(report))) == report
+            except Exception:
+                round_trip = False
         try:
             checks = verify.run_identity_suite(inputs[key]).checks
             suite = sorted(c.name for c in checks if not c.passed)
             tolerances = [[c.name, c.tolerance] for c in checks]
         except Exception as exc:
             suite = tolerances = type(exc).__name__
-        out.append([report, suite, tolerances])
+        out.append([report, suite, tolerances, round_trip])
 with open(sys.argv[2], "w", encoding="utf-8") as fh:
     json.dump(out, fh)
 """
@@ -143,7 +154,7 @@ def main(argv):
         if any([p.wait() != 0 for p in procs]):
             print("a tree failed to run; see its traceback above", file=sys.stderr)
             return 1
-        (old, old_suite, old_tols), (new, new_suite, new_tols) = (
+        (old, old_suite, old_tols, _), (new, new_suite, new_tols, new_trips) = (
             zip(*json.loads(Path(out).read_text(encoding="utf-8"))) for out in outs
         )
     differ = [label for (label, _), a, b in zip(inputs, old, new) if a != b]
@@ -159,6 +170,8 @@ def main(argv):
     print(f"{suites} of {len(inputs)} identity-suite verdicts differ")
     tols = sum(a != b for a, b in zip(old_tols, new_tols))
     print(f"{tols} of {len(inputs)} identity-suite tolerance lists differ")
+    trips = [t for t in new_trips if t is not None]
+    print(f"{trips.count(False)} of {len(trips)} new reports change in a load-and-dump round trip")
     return 1 if differ else 0
 
 
