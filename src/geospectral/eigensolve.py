@@ -8,9 +8,11 @@ complex triangular form of T (MATLAB rsf2csf, LAPACK ztrevc), mapped back
 through Z, and the inverse of the resulting real eigenvector basis (which
 enforces biorthogonality of the left eigenvectors up to solve error).
 
-The QR sweep is Python-bound, not flop-bound: each bulge reflector is a
-3x3 matrix built from Python floats and applied only to the rows and
-columns the bulge touches, three small products per step.  The deflation
+The QR sweep is Python-bound, not flop-bound.  T and Z^T sit side by
+side in one C-ordered n x 2n work array [T | Z^T], and each bulge
+reflector is a symmetric 3x3 matrix built from Python floats, so a bulge
+step is two small products: one on the contiguous rows of T and Z^T the
+reflector mixes, one on the columns of T above the bulge.  The deflation
 test between sweeps is one numpy scan of the subdiagonal.
 
 As in LAPACK dgeev, the eigenvalues are one complex array, an entry per
@@ -87,44 +89,54 @@ def hessenberg_reduce(m):
     return a, q
 
 
-def _francis_step(t, z, lo, hi, r1, r2):
-    """One implicit double-shift sweep on the active block [lo, hi].
+def _francis_step(a, lo, hi, r1, r2):
+    """One implicit double-shift sweep on the active block [lo, hi] of the
+    work array a = [T | Z^T] (C-ordered, n x 2n).
 
     r1 and r2 are the shifts, two reals or a conjugate pair; the first
     column of (T - r1 I)(T - r2 I) subtracts each before multiplying, so a
     cluster far from 0 does not cancel it to rounding noise (LAPACK dlahqr).
-    Each bulge reflector is built from (x, y, w) in Python floats as an
-    explicit 3x3 Householder matrix (2x2 for the last step) and applied only
-    where the Hessenberg bulge is nonzero: rows k..k+2 from column
-    max(lo, k-1) on, and columns k..k+2 down to row min(k+3, hi), plus
-    columns k..k+2 of z (Golub & Van Loan, Matrix Computations, section 7.5.5).
+    Each bulge reflector is built from (x, y, w) in Python floats into one
+    3x3 Householder matrix (its 2x2 corner for the last step) and applied
+    only where the Hessenberg bulge is nonzero (Golub & Van Loan, Matrix
+    Computations, section 7.5.5).  The reflector is symmetric, so one left
+    product on rows k..k+2 of a, from column max(lo, k-1) on, updates those
+    rows of T and columns k..k+2 of Z together; the right product touches
+    columns k..k+2 of T down to row min(k+3, hi).  The entries each
+    reflector zeroes below the subdiagonal are never read again in the
+    sweep, so they are set to 0 once at its end.
     """
-    t00, t10 = t.item(lo, lo), t.item(lo + 1, lo)
-    x = ((t00 - r1) * (t00 - r2)).real + t.item(lo, lo + 1) * t10
-    y = t10 * (t00 + t.item(lo + 1, lo + 1) - (r1 + r2).real)
-    w = t.item(lo + 2, lo + 1) * t10
+    n = a.shape[0]
+    pm = np.empty((3, 3))
+    pm_flat = pm.reshape(-1)  # a view: filling it is cheaper than pm.flat
+    t00, t10 = a.item(lo, lo), a.item(lo + 1, lo)
+    x = ((t00 - r1) * (t00 - r2)).real + a.item(lo, lo + 1) * t10
+    y = t10 * (t00 + a.item(lo + 1, lo + 1) - (r1 + r2).real)
+    w = a.item(lo + 2, lo + 1) * t10
     for k in range(lo, hi):
         j = min(k + 3, hi + 1)  # w is 0.0 on the last, 2x2 step
         alpha = math.hypot(x, y, w)
         if alpha != 0.0:
-            a = x + alpha if x >= 0.0 else x - alpha
-            nv = math.hypot(a, y, w)
-            a, b, c = a / nv, y / nv, w / nv
-            pm = np.array([
-                [1.0 - 2.0 * a * a, -2.0 * a * b, -2.0 * a * c],
-                [-2.0 * a * b, 1.0 - 2.0 * b * b, -2.0 * b * c],
-                [-2.0 * a * c, -2.0 * b * c, 1.0 - 2.0 * c * c],
-            ])[:j - k, :j - k]
-            c0, r1 = max(lo, k - 1), min(k + 4, hi + 1)
-            t[k:j, c0:] = pm @ t[k:j, c0:]
-            t[:r1, k:j] = t[:r1, k:j] @ pm
-            z[:, k:j] = z[:, k:j] @ pm
-        if k > lo:
-            # the reflector zeroed the bulge column below the subdiagonal
-            t[k + 1:j, k - 1] = 0.0
+            u = x + alpha if x >= 0.0 else x - alpha
+            nv = math.hypot(u, y, w)
+            u, v, c = u / nv, y / nv, w / nv
+            pm_flat[:] = (
+                1.0 - 2.0 * u * u, -2.0 * u * v, -2.0 * u * c,
+                -2.0 * u * v, 1.0 - 2.0 * v * v, -2.0 * v * c,
+                -2.0 * u * c, -2.0 * v * c, 1.0 - 2.0 * c * c,
+            )
+            p = pm if j - k == 3 else pm[:2, :2]
+            c0, r = max(lo, k - 1), min(k + 4, hi + 1)
+            a[k:j, c0:] = p @ a[k:j, c0:]
+            a[:r, k:j] = a[:r, k:j] @ p
         if k < hi - 1:
-            x, y = t.item(k + 1, k), t.item(k + 2, k)
-            w = t.item(k + 3, k) if k < hi - 2 else 0.0
+            x, y = a.item(k + 1, k), a.item(k + 2, k)
+            w = a.item(k + 3, k) if k < hi - 2 else 0.0
+    # the second and third subdiagonals of [lo, hi]: a[i, i - d] is
+    # a.flat[i (2n + 1) - d]
+    step = 2 * n + 1
+    a.flat[(lo + 2) * step - 2:(hi + 1) * step - 2:step] = 0.0
+    a.flat[(lo + 3) * step - 3:(hi + 1) * step - 3:step] = 0.0
 
 
 def _triangularize_2x2(t, z, l, lam):
@@ -179,14 +191,18 @@ def real_schur(h, q):
     lowest subdiagonal with |t[l, l-1]| <= n eps ||T||_F, the normwise
     rule of Golub & Van Loan, Matrix Computations, section 7.5, and zeroes
     it.  As in LAPACK dlahqr, each block's entry is recorded when the
-    block deflates; no later sweep touches it.
+    block deflates; no later sweep touches it.  T and Z live in one
+    C-ordered work array [T | Z^T]; T is returned in the memory order of
+    h and Z C-ordered.
     """
-    t = dc.as_array(h, 2)
+    h = dc.as_array(h, 2)
+    n = h.shape[0]
     # an exact power-of-two scaling keeps squared entries from underflowing
-    scale = dc.pow2_scale(t)
-    t /= scale
-    z = dc.as_array(q, 2)
-    n = t.shape[0]
+    scale = dc.pow2_scale(h)
+    a = np.empty((n, 2 * n))
+    a[:, :n] = h / scale
+    a[:, n:] = dc.as_array(q, 2).T
+    t, z = a[:, :n], a[:, n:].T
     # normwise, not local: a repeated eigenvalue stalls its subdiagonal
     # near eps ||H||, far above eps (|t_ll| + |t_l-1,l-1|)
     tol = n * EPS * dc.frobenius_norm(t)
@@ -219,10 +235,12 @@ def real_schur(h, q):
                 r1 = r2 = t.item(hi, hi) + 0.75 * ex
             else:
                 r1, r2 = _eig_2x2(t, hi - 1)
-            _francis_step(t, z, l, hi, r1, r2)
+            _francis_step(a, l, hi, r1, r2)
             sweeps += 1
             block_iters += 1
-    return t * scale, z, np.array(eigs[::-1], dtype=complex) * scale
+    # right_eigenvectors rounds by memory layout, so T keeps h's
+    np.multiply(t, scale, out=h)
+    return h, np.ascontiguousarray(z), np.array(eigs[::-1], dtype=complex) * scale
 
 
 def block_starts(eigs):

@@ -39,6 +39,16 @@ _NU_REL_FLOOR = 1e-24
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
+def _check_vectors(*vectors):
+    """Refuse term vectors of different shapes or with a non-finite entry,
+    before anything computes with them."""
+    shapes = [v.shape for v in vectors]
+    if len(set(shapes)) != 1:
+        raise ShapeError(f"term vectors differ: {shapes}")
+    if not np.all(np.isfinite(vectors)):
+        raise ShapeError("term vectors must be finite")
+
+
 @dataclass(frozen=True)
 class RealTerm:
     """One real eigenvalue alpha with right/left eigenvectors a, c."""
@@ -48,8 +58,7 @@ class RealTerm:
     c: np.ndarray
 
     def __post_init__(self):
-        if self.a.shape != self.c.shape:
-            raise ShapeError(f"term vectors differ: {self.a.shape} vs {self.c.shape}")
+        _check_vectors(self.a, self.c)
         ca = dot(self.c, self.a)
         if abs(ca) <= 1e-12 * (np.linalg.norm(self.c) * np.linalg.norm(self.a)):
             raise DegeneratePairError(f"left/right product c.a = {ca:.3e} is degenerate")
@@ -72,9 +81,7 @@ class ComplexPlaneTerm:
     def __post_init__(self):
         if not self.omega > 0.0:
             raise ValueError(f"plane term needs omega > 0, got {self.omega}")
-        shapes = [v.shape for v in (self.b, self.p, self.d, self.q)]
-        if len(set(shapes)) != 1:
-            raise ShapeError(f"term vectors differ: {shapes}")
+        _check_vectors(self.b, self.p, self.d, self.q)
         object.__setattr__(self, "nu", nu(self.b, self.d, self.q))
 
 
@@ -87,8 +94,8 @@ class Diagnostics:
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """The j real terms and k plane terms of an n x n matrix, n = j + 2k;
-    every eigenvalue must be finite, and every term vector finite and of
-    length n."""
+    every eigenvalue must be finite, and every term vector (finite, as the
+    terms check) of length n."""
 
     real_terms: tuple
     plane_terms: tuple
@@ -98,8 +105,8 @@ class SpectralDecomposition:
         n = self.dim
         vectors = [v for t in self.real_terms for v in (t.a, t.c)]
         vectors += [v for t in self.plane_terms for v in (t.b, t.p, t.d, t.q)]
-        if any(v.shape != (n,) for v in vectors) or not np.all(np.isfinite(vectors)):
-            raise ShapeError(f"term vectors must be finite and of length j + 2k = {n}")
+        if any(v.shape != (n,) for v in vectors):
+            raise ShapeError(f"term vectors must be of length j + 2k = {n}")
         values = [t.alpha for t in self.real_terms]
         values += [x for t in self.plane_terms for x in (t.sigma, t.omega)]
         if not np.all(np.isfinite(values)):

@@ -353,11 +353,13 @@ def _cut(term, fields):
         (lambda doc: _cut(doc["plane_terms"][0], "b"), ShapeError),
         (lambda doc: _cut(doc["plane_terms"][0], "bpdq"), ShapeError),
         (lambda doc: doc["plane_terms"][0]["p"].__setitem__(0, float("nan")), ShapeError),
+        (lambda doc: doc["plane_terms"][0]["b"].__setitem__(0, float("nan")), ShapeError),
+        (lambda doc: doc["real_terms"][0]["a"].__setitem__(2, float("inf")), ShapeError),
     ],
     ids=[
         "missing-q", "missing-real-terms", "missing-dim", "list-diagnostics", "string-sigma",
         "null-alpha", "zero-omega", "infinite-alpha", "nan-sigma", "ragged-b", "short-b",
-        "short-plane", "nan-p",
+        "short-plane", "nan-p", "nan-b", "infinite-a",
     ],
 )
 def test_malformed_report_rejected(edit, error):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,66 @@ def test_schur_planted_structure(n, k):
         xj = x[:, lo:hi]
         worst = max(worst, frobenius_norm(m @ xj - xj @ lam))
     assert worst <= 1e-12 * norm_m
+
+
+def _dense_hessenberg(n):
+    reals, pairs = _draw_spectrum(np.random.default_rng(n), n - 2 * (n // 4), n // 4)
+    m = gen_test_matrix(PlantedSpectrum(reals, pairs, basis_seed=n, condition_cap=1e6))
+    return eg.hessenberg_reduce(m)
+
+
+def test_schur_same_bits_for_either_memory_order():
+    # T and Z are worked on in one C-ordered array whatever h's order; T
+    # comes back in h's order (right_eigenvectors rounds by layout), Z C-ordered
+    h, q = _dense_hessenberg(32)
+    tc, zc, eigs_c = eg.real_schur(np.ascontiguousarray(h), q)
+    tf, zf, eigs_f = eg.real_schur(np.asfortranarray(h), q)
+    assert tc.flags.c_contiguous and tf.flags.f_contiguous
+    assert zc.flags.c_contiguous and zf.flags.c_contiguous
+    np.testing.assert_array_equal(tc, tf, strict=True)
+    np.testing.assert_array_equal(zc, zf, strict=True)
+    np.testing.assert_array_equal(eigs_c, eigs_f, strict=True)
+
+
+def _reference_sweep(t, z, lo, hi, r1, r2):
+    """The sweep as three products per bulge step on separate T and Z,
+    with each bulge column zeroed as soon as its reflector is applied."""
+    t00, t10 = t.item(lo, lo), t.item(lo + 1, lo)
+    x = ((t00 - r1) * (t00 - r2)).real + t.item(lo, lo + 1) * t10
+    y = t10 * (t00 + t.item(lo + 1, lo + 1) - (r1 + r2).real)
+    w = t.item(lo + 2, lo + 1) * t10
+    for k in range(lo, hi):
+        j = min(k + 3, hi + 1)
+        alpha = math.hypot(x, y, w)
+        if alpha != 0.0:
+            u = x + alpha if x >= 0.0 else x - alpha
+            v = np.array([u, y, w]) / math.hypot(u, y, w)
+            pm = (np.eye(3) - 2.0 * np.outer(v, v))[:j - k, :j - k]
+            c0, r = max(lo, k - 1), min(k + 4, hi + 1)
+            t[k:j, c0:] = pm @ t[k:j, c0:]
+            t[:r, k:j] = t[:r, k:j] @ pm
+            z[:, k:j] = z[:, k:j] @ pm
+        if k > lo:
+            t[k + 1:j, k - 1] = 0.0
+        if k < hi - 1:
+            x, y = t.item(k + 1, k), t.item(k + 2, k)
+            w = t.item(k + 3, k) if k < hi - 2 else 0.0
+
+
+def test_francis_sweep_inside_the_matrix_matches_reference():
+    # the bulge entries are zeroed once at the end of the sweep, by strided
+    # writes over the second and third subdiagonals of [lo, hi] only
+    n, lo, hi = 10, 2, 7
+    h, q = _dense_hessenberg(n)
+    h[lo, lo - 1] = h[hi + 1, hi] = 0.0
+    a = np.empty((n, 2 * n))
+    a[:, :n], a[:, n:] = h, q.T
+    r1, r2 = eg._eig_2x2(h, hi - 1)
+    eg._francis_step(a, lo, hi, r1, r2)
+    assert np.all(a[:, :n][np.tril_indices(n, -2)] == 0.0)
+    _reference_sweep(h, q, lo, hi, r1, r2)
+    np.testing.assert_array_equal(a[:, :n], h, strict=True)
+    np.testing.assert_array_equal(a[:, n:].T, q, strict=True)
 
 
 def test_schur_tiny_entries_scaled_exactly():

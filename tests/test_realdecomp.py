@@ -145,10 +145,26 @@ def test_nu_rejects_nan():
     ids=["length", "infinite"],
 )
 def test_decomposition_rejects_bad_term_vectors(vectors):
-    # one pair, so every vector must be finite and of length j + 2k = 2
-    term = rd.ComplexPlaneTerm(1.0, 2.0, *vectors)
+    # one pair, so every vector must be finite and of length j + 2k = 2;
+    # the term itself refuses the infinite one
     with pytest.raises(ShapeError):
-        rd.SpectralDecomposition((), (term,), None)
+        rd.SpectralDecomposition((), (rd.ComplexPlaneTerm(1.0, 2.0, *vectors),), None)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", "acbpdq")
+def test_term_rejects_non_finite_vector(field, bad):
+    # refused as a shape error before c.a or nu is computed, so neither a
+    # DegeneratePairError nor a numpy warning (an error under pytest's
+    # settings) comes first
+    names = "ac" if field in "ac" else "bpdq"
+    vectors = np.array([E1, E2, E1, E2][:len(names)])
+    vectors[names.index(field), 1] = bad
+    with pytest.raises(ShapeError, match="finite"):
+        if names == "ac":
+            rd.RealTerm(1.0, *vectors)
+        else:
+            rd.ComplexPlaneTerm(1.0, 2.0, *vectors)
 
 
 def test_decompose_identity():
