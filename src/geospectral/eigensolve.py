@@ -106,7 +106,6 @@ def _francis_step(a, lo, hi, r1, r2):
     reflector zeroes below the subdiagonal are never read again in the
     sweep, so they are set to 0 once at its end.
     """
-    n = a.shape[0]
     pm = np.empty((3, 3))
     pm_flat = pm.reshape(-1)  # a view: filling it is cheaper than pm.flat
     t00, t10 = a.item(lo, lo), a.item(lo + 1, lo)
@@ -132,11 +131,10 @@ def _francis_step(a, lo, hi, r1, r2):
         if k < hi - 1:
             x, y = a.item(k + 1, k), a.item(k + 2, k)
             w = a.item(k + 3, k) if k < hi - 2 else 0.0
-    # the second and third subdiagonals of [lo, hi]: a[i, i - d] is
-    # a.flat[i (2n + 1) - d]
-    step = 2 * n + 1
-    a.flat[(lo + 2) * step - 2:(hi + 1) * step - 2:step] = 0.0
-    a.flat[(lo + 3) * step - 3:(hi + 1) * step - 3:step] = 0.0
+    # the second and third subdiagonals of T within [lo, hi]
+    i = np.arange(lo + 2, hi + 1)
+    a[i, i - 2] = 0.0
+    a[i[1:], i[1:] - 3] = 0.0
 
 
 def _triangularize_2x2(t, z, l, lam):

@@ -1,24 +1,26 @@
 """Time each eigensolver stage of one or more source trees on the bench's dense recipe.
 
-Usage: python tools/stage_times.py SRC [SRC ...] [--sizes N ...] [--rounds R]
+Usage: python tools/stage_times.py SRC [SRC ...]
 
 Each SRC is a directory that holds a ``geospectral`` package (for example
 a parent commit's ``src`` and this checkout's ``src``).  The inputs are
 built once, from this checkout: one matrix of the bench's dense recipe
 (``bench/workloads.grid_spectrum`` with n/4 pairs, basis condition cap
-1e6, rng ``[1, 5, n]``) per size, 16, 64, 128 and 256 by default.  Each
-tree then runs in its own subprocess with one BLAS thread and times
-with ``perf_counter``, best of at least 5 passes that each call every
-stage once, and of as many more as fill one second per size:
+1e6, rng ``[1, 5, n]``) for each n in SIZES.  Each tree then runs in
+its own subprocess with one BLAS thread.  There it first runs
+``eigensystem`` on M once with its stages wrapped, to take the
+arguments each stage is given there, and then times with
+``perf_counter``, best of at least 5 passes that each call every stage
+once, and of as many more as fill one second per size:
 
-- ``hessenberg_reduce`` on M / ||M||_F, as ``eigensystem`` scales it
+- ``hessenberg_reduce`` on M scaled as ``eigensystem`` scales it
 - ``real_schur`` on its output, with the number of Francis sweeps
 - ``right_eigenvectors`` on the Schur form
-- ``densecore.inverse`` of ``eigensystem``'s real eigenvector basis
+- ``densecore.inverse`` of the real eigenvector basis
 - ``realdecomp.decompose`` of M
 - ``np.linalg.eig`` of M (LAPACK, the reference speed)
 
-In each of R rounds (3 by default) the trees run in turn, and each
+In each of ROUNDS rounds the trees run in turn, and each
 figure is the least over the rounds, so that slow spells of a shared
 machine fall on every tree alike.  The script prints one table per tree
 in milliseconds and, for two or more trees, each later tree's times
@@ -43,6 +45,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 from geospectral import verify  # noqa: E402
 from workloads import grid_spectrum  # noqa: E402
 
+SIZES = (16, 64, 128, 256)
+ROUNDS = 3
 STAGES = ("hessenberg", "schur", "right_vecs", "basis_inv", "decompose", "np_eig")
 
 # run as ``python -c`` in each tree: argv[1] is the inputs, argv[2] the output
@@ -51,32 +55,49 @@ import json, sys, time
 import numpy as np
 from geospectral import densecore, eigensolve, realdecomp
 
-def sweeps(h, q):
-    step, calls = eigensolve._francis_step, []
-    eigensolve._francis_step = lambda *args: calls.append(None) or step(*args)
+# the stages eigensystem calls, each timed on the arguments it is given there
+CALLED = {
+    "hessenberg": (eigensolve, "hessenberg_reduce"),
+    "schur": (eigensolve, "real_schur"),
+    "right_vecs": (eigensolve, "right_eigenvectors"),
+    "basis_inv": (densecore, "inverse"),
+    "sweep": (eigensolve, "_francis_step"),
+}
+
+def record(m):
+    # run eigensystem(m) once with every stage wrapped; return each stage's
+    # first arguments and the number of calls of each
+    args, calls = {}, dict.fromkeys(CALLED, 0)
+    saved = {key: getattr(mod, name) for key, (mod, name) in CALLED.items()}
+
+    def wrap(key, fn):
+        def stage(*given):
+            args.setdefault(key, given)
+            calls[key] += 1
+            return fn(*given)
+        return stage
+
+    for key, (mod, name) in CALLED.items():
+        setattr(mod, name, wrap(key, saved[key]))
     try:
-        eigensolve.real_schur(h, q)
+        eigensolve.eigensystem(m)
     finally:
-        eigensolve._francis_step = step
-    return len(calls)
+        for key, (mod, name) in CALLED.items():
+            setattr(mod, name, saved[key])
+    return args, calls
 
 rows = []
 with np.load(sys.argv[1]) as inputs:
     for key in sorted(inputs.files):
         m = inputs[key]
-        s = densecore.pow2_scale(m)
-        mn = m / s / densecore.frobenius_norm(m / s)
-        h, q = eigensolve.hessenberg_reduce(mn)
-        t, z, eigs = eigensolve.real_schur(h, q)
-        basis = eigensolve.eigensystem(m).basis
+        args, calls = record(m)
         stages = {
-            "hessenberg": lambda: eigensolve.hessenberg_reduce(mn),
-            "schur": lambda: eigensolve.real_schur(h, q),
-            "right_vecs": lambda: eigensolve.right_eigenvectors(t, z, eigs),
-            "basis_inv": lambda: densecore.inverse(basis),
-            "decompose": lambda: realdecomp.decompose(m),
-            "np_eig": lambda: np.linalg.eig(m),
+            key: (lambda fn=getattr(mod, name), given=args[key]: fn(*given))
+            for key, (mod, name) in CALLED.items()
+            if key != "sweep"
         }
+        stages["decompose"] = lambda: realdecomp.decompose(m)
+        stages["np_eig"] = lambda: np.linalg.eig(m)
         row = dict.fromkeys(stages, float("inf"))
         # each pass times every stage once, so a slow spell hits them alike;
         # small sizes get more passes, so that one spell cannot cover them all
@@ -87,19 +108,19 @@ with np.load(sys.argv[1]) as inputs:
                 start = time.perf_counter()
                 fn()
                 row[name] = min(row[name], (time.perf_counter() - start) * 1e3)
-        rows.append(dict(row, n=m.shape[0], sweeps=sweeps(h, q)))
+        rows.append(dict(row, n=m.shape[0], sweeps=calls["sweep"]))
 with open(sys.argv[2], "w", encoding="utf-8") as fh:
     json.dump(rows, fh)
 """
 
 
-def build_inputs(sizes):
+def build_inputs():
     """One dense-recipe matrix per size, keyed so that sorting keeps the order."""
     return {
         f"n{i:02d}": verify.gen_test_matrix(
             grid_spectrum(np.random.default_rng([1, 5, n]), n, n // 4, 1e6)
         )
-        for i, n in enumerate(sizes)
+        for i, n in enumerate(SIZES)
     }
 
 
@@ -126,28 +147,26 @@ def _table(title, rows, fmt):
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", nargs="+")
-    parser.add_argument("--sizes", type=int, nargs="+", default=[16, 64, 128, 256])
-    parser.add_argument("--rounds", type=int, default=3)
-    args = parser.parse_args(argv)
+    srcs = parser.parse_args(argv).src
     with tempfile.TemporaryDirectory() as tmp:
         inputs_path = os.path.join(tmp, "inputs.npz")
-        np.savez(inputs_path, **build_inputs(args.sizes))
+        np.savez(inputs_path, **build_inputs())
         out_path = os.path.join(tmp, "out.json")
-        best = [None] * len(args.src)
-        for _ in range(args.rounds):
-            for i, src in enumerate(args.src):
+        best = [None] * len(srcs)
+        for _ in range(ROUNDS):
+            for i, src in enumerate(srcs):
                 rows = run_tree(src, inputs_path, out_path)
                 if best[i] is not None:
                     for row, prev in zip(rows, best[i]):
                         row.update({s: min(row[s], prev[s]) for s in STAGES})
                 best[i] = rows
-    for src, rows in zip(args.src, best):
-        _table(f"{src}: ms, best of >= 5 passes x {args.rounds} rounds", rows, "{:.2f}".format)
-    for src, rows in zip(args.src[1:], best[1:]):
+    for src, rows in zip(srcs, best):
+        _table(f"{src}: ms, best of >= 5 passes x {ROUNDS} rounds", rows, "{:.2f}".format)
+    for src, rows in zip(srcs[1:], best[1:]):
         ratios = [
             dict(row, **{s: row[s] / first[s] for s in STAGES}) for row, first in zip(rows, best[0])
         ]
-        _table(f"{src} / {args.src[0]}", ratios, "{:.3f}".format)
+        _table(f"{src} / {srcs[0]}", ratios, "{:.3f}".format)
     return 0
 
 
