@@ -12,18 +12,18 @@ EPS = float(np.finfo(np.float64).eps)
 
 
 def as_array(x, ndim):
-    """Coerce to a finite real float array with ndim axes, copying the input.
-
-    A complex, ragged or non-numeric input raises ShapeError instead of
-    being truncated or cast, as does a wrong number of axes or a non-finite
-    entry.
+    """Coerce to a finite real float array with ndim axes, as a C-ordered
+    copy: every entry point passes its input here, so the package decides
+    memory layout once and its results depend on values alone.  A complex,
+    ragged or non-numeric input raises ShapeError instead of being
+    truncated or cast, as does a wrong number of axes or a non-finite entry.
     """
     what = "vector" if ndim == 1 else "matrix"
     try:
         a = np.asarray(x)
         if np.iscomplexobj(a):
             raise ShapeError(f"{what} has complex entries")
-        a = np.array(a, dtype=float)
+        a = np.array(a, dtype=float, order="C")
     except (TypeError, ValueError) as exc:
         raise ShapeError(f"cannot read a real {what}: {exc}") from None
     if a.ndim != ndim:

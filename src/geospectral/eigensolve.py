@@ -8,12 +8,14 @@ complex triangular form of T (MATLAB rsf2csf, LAPACK ztrevc), mapped back
 through Z, and the inverse of the resulting real eigenvector basis (which
 enforces biorthogonality of the left eigenvectors up to solve error).
 
-The QR sweep is Python-bound, not flop-bound.  T and Z^T sit side by
-side in one C-ordered n x 2n work array [T | Z^T], and each bulge
-reflector is a symmetric 3x3 matrix built from Python floats, so a bulge
-step is two small products: one on the contiguous rows of T and Z^T the
-reflector mixes, one on the columns of T above the bulge.  The deflation
-test between sweeps is one numpy scan of the subdiagonal.
+Both reductions keep the matrix beside its orthogonal factor's transpose
+in one C-ordered n x 2n work array, [H | Q^T] and then [T | Z^T].  A
+reflector is symmetric, so applying it takes two products: one on the
+contiguous rows of both halves that it mixes, one on the matrix's
+columns.  The QR sweep is Python-bound, not flop-bound: each bulge
+reflector is a 3x3 matrix built from Python floats, and its right product
+touches only the columns of T above the bulge.  The deflation test
+between sweeps is one numpy scan of the subdiagonal.
 
 As in LAPACK dgeev, the eigenvalues are one complex array, an entry per
 diagonal block: exactly real for a real eigenvalue, sigma + i omega with
@@ -72,21 +74,21 @@ def _house_vec(x):
 
 
 def hessenberg_reduce(m):
-    """Householder similarity reduction. Returns (H, Q) with Q H Q^T = M."""
-    a = dc.as_array(m, 2)
-    n = a.shape[0]
-    if n != a.shape[1]:
-        raise ShapeError(f"hessenberg of non-square {a.shape}")
-    q = np.eye(n)
+    """Householder similarity reduction on the work array [H | Q^T].
+    Returns (H, Q) with Q H Q^T = M."""
+    m = dc.as_array(m, 2)
+    n = m.shape[0]
+    if n != m.shape[1]:
+        raise ShapeError(f"hessenberg of non-square {m.shape}")
+    a = np.hstack([m, np.eye(n)])
     for k in range(n - 2):
         v = _house_vec(a[k + 1:, k])
         if v is None:
             continue
         a[k + 1:, k:] -= 2.0 * np.outer(v, v @ a[k + 1:, k:])
-        a[:, k + 1:] -= 2.0 * np.outer(a[:, k + 1:] @ v, v)
-        q[:, k + 1:] -= 2.0 * np.outer(q[:, k + 1:] @ v, v)
+        a[:, k + 1:n] -= 2.0 * np.outer(a[:, k + 1:n] @ v, v)
         a[k + 2:, k] = 0.0
-    return a, q
+    return a[:, :n], a[:, n:].T
 
 
 def _francis_step(a, lo, hi, r1, r2):
@@ -190,8 +192,7 @@ def real_schur(h, q):
     rule of Golub & Van Loan, Matrix Computations, section 7.5, and zeroes
     it.  As in LAPACK dlahqr, each block's entry is recorded when the
     block deflates; no later sweep touches it.  T and Z live in one
-    C-ordered work array [T | Z^T]; T is returned in the memory order of
-    h and Z C-ordered.
+    C-ordered work array [T | Z^T] and are returned C-ordered.
     """
     h = dc.as_array(h, 2)
     n = h.shape[0]
@@ -236,9 +237,7 @@ def real_schur(h, q):
             _francis_step(a, l, hi, r1, r2)
             sweeps += 1
             block_iters += 1
-    # right_eigenvectors rounds by memory layout, so T keeps h's
-    np.multiply(t, scale, out=h)
-    return h, np.ascontiguousarray(z), np.array(eigs[::-1], dtype=complex) * scale
+    return t * scale, np.ascontiguousarray(z), np.array(eigs[::-1], dtype=complex) * scale
 
 
 def block_starts(eigs):

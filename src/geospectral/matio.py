@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .densecore import as_array
 from .errors import ParseError, ShapeError
 from .realdecomp import (
     ComplexPlaneTerm,
@@ -49,7 +50,7 @@ def parse_matrix(path, fmt=None):
         raise ParseError(f"unknown format '{fmt}'")
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"matrix in '{path}' is {m.shape[0]}x{m.shape[1]}, not square")
-    return m
+    return as_array(m, 2)
 
 
 def _parse_float(text, lineno):
@@ -206,9 +207,9 @@ def decomposition_to_doc(dec, input_digest=None):
 
 def doc_to_decomposition(doc):
     """Rebuild a SpectralDecomposition from its JSON document; nu and the
-    biorthogonality residual are recomputed, not read.  A missing field, a
-    non-number or omega <= 0 raises ParseError, a dim other than j + 2k
-    ShapeError."""
+    biorthogonality residual are recomputed, not read.  A missing field or
+    a non-number raises ParseError; a dim other than j + 2k, or a term its
+    constructor refuses (non-finite value or vector, omega <= 0), ShapeError."""
     try:
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise ParseError(f"unsupported schema_version {doc.get('schema_version')!r}")

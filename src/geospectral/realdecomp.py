@@ -58,6 +58,8 @@ class RealTerm:
     c: np.ndarray
 
     def __post_init__(self):
+        if not np.isfinite(self.alpha):
+            raise ShapeError(f"real term needs a finite alpha, got {self.alpha}")
         _check_vectors(self.a, self.c)
         ca = dot(self.c, self.a)
         if abs(ca) <= 1e-12 * (np.linalg.norm(self.c) * np.linalg.norm(self.a)):
@@ -79,8 +81,9 @@ class ComplexPlaneTerm:
     nu: float = field(init=False)
 
     def __post_init__(self):
-        if not self.omega > 0.0:
-            raise ValueError(f"plane term needs omega > 0, got {self.omega}")
+        if not (np.isfinite(self.sigma) and 0.0 < self.omega < np.inf):
+            raise ShapeError(f"plane term needs a finite sigma and finite omega > 0, "
+                             f"got {self.sigma}, {self.omega}")
         _check_vectors(self.b, self.p, self.d, self.q)
         object.__setattr__(self, "nu", nu(self.b, self.d, self.q))
 
@@ -94,8 +97,8 @@ class Diagnostics:
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """The j real terms and k plane terms of an n x n matrix, n = j + 2k;
-    every eigenvalue must be finite, and every term vector (finite, as the
-    terms check) of length n."""
+    every term vector must be of length n (the terms check that their
+    eigenvalues and vectors are finite)."""
 
     real_terms: tuple
     plane_terms: tuple
@@ -107,10 +110,6 @@ class SpectralDecomposition:
         vectors += [v for t in self.plane_terms for v in (t.b, t.p, t.d, t.q)]
         if any(v.shape != (n,) for v in vectors):
             raise ShapeError(f"term vectors must be of length j + 2k = {n}")
-        values = [t.alpha for t in self.real_terms]
-        values += [x for t in self.plane_terms for x in (t.sigma, t.omega)]
-        if not np.all(np.isfinite(values)):
-            raise ShapeError("term eigenvalues must be finite")
 
     @property
     def dim(self):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import realdecomp as rd
-from .densecore import frobenius_norm, pow2_scale
+from .densecore import as_array, frobenius_norm, pow2_scale
 from .errors import GenerationError, GeoSpectralError, OracleInconsistencyError
 
 _RESAMPLE_CAP = 100
@@ -139,7 +139,7 @@ def brute_force_reconstruct(m):
     complex eigendecomposition and returns the real part; the imaginary
     part must be negligible for a real input.
     """
-    m = np.asarray(m, dtype=float)
+    m = as_array(m, 2)
     lam, b = np.linalg.eig(m)
     d_dag = np.linalg.inv(b)  # rows are d_i^dag with d_i^dag b_j = delta_ij
     total = (b * lam) @ d_dag
@@ -244,12 +244,12 @@ def run_identity_suite(m, tol=rd.DEFAULT_TOL, scale=1.0):
     other check's tolerance is fixed, times scale.  Every check is relative
     and decompose is exactly equivariant under powers of two, so m is first
     divided by the power of two pow2_scale(m), which keeps every norm
-    finite at any scale.
+    finite at any scale.  An m that as_array refuses raises ShapeError.
     """
     tolerances = dict(_TOLERANCES, reconstruction=tol)
     start = time.perf_counter()
     checks = []
-    m = np.asarray(m, dtype=float)
+    m = as_array(m, 2)
     m = m / pow2_scale(m)
     try:
         dec = rd.decompose(m, tol * scale)

@@ -68,3 +68,12 @@ def test_dot_symmetry_exact():
 def test_dot_shape_error():
     with pytest.raises(ShapeError):
         dc.dot(np.ones(2), np.ones(3))
+
+
+def test_as_array_returns_c_ordered_copy():
+    # the package's one layout decision: every entry point works on a
+    # C-ordered copy, whatever the caller's memory order
+    f = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+    a = dc.as_array(f, 2)
+    assert a.flags.c_contiguous and not np.shares_memory(a, f)
+    np.testing.assert_array_equal(a, f)

@@ -207,12 +207,12 @@ def _dense_hessenberg(n):
 
 
 def test_schur_same_bits_for_either_memory_order():
-    # T and Z are worked on in one C-ordered array whatever h's order; T
-    # comes back in h's order (right_eigenvectors rounds by layout), Z C-ordered
+    # T and Z are worked on in one C-ordered array whatever h's order, and
+    # both come back C-ordered
     h, q = _dense_hessenberg(32)
     tc, zc, eigs_c = eg.real_schur(np.ascontiguousarray(h), q)
     tf, zf, eigs_f = eg.real_schur(np.asfortranarray(h), q)
-    assert tc.flags.c_contiguous and tf.flags.f_contiguous
+    assert tc.flags.c_contiguous and tf.flags.c_contiguous
     assert zc.flags.c_contiguous and zf.flags.c_contiguous
     np.testing.assert_array_equal(tc, tf, strict=True)
     np.testing.assert_array_equal(zc, zf, strict=True)

@@ -167,6 +167,24 @@ def test_term_rejects_non_finite_vector(field, bad):
             rd.ComplexPlaneTerm(1.0, 2.0, *vectors)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: rd.ComplexPlaneTerm(1.0, 0.0, E1, E2, E1, E2),
+        lambda: rd.ComplexPlaneTerm(1.0, np.nan, E1, E2, E1, E2),
+        lambda: rd.ComplexPlaneTerm(1.0, np.inf, E1, E2, E1, E2),
+        lambda: rd.ComplexPlaneTerm(np.nan, 1.0, E1, E2, E1, E2),
+        lambda: rd.RealTerm(np.nan, E1, E1),
+        lambda: rd.RealTerm(-np.inf, E1, E1),
+    ],
+    ids=["zero-omega", "nan-omega", "infinite-omega", "nan-sigma", "nan-alpha", "infinite-alpha"],
+)
+def test_term_rejects_out_of_range_eigenvalue(build):
+    # a typed error, so the CLI maps it to an exit code
+    with pytest.raises(ShapeError):
+        build()
+
+
 def test_decompose_identity():
     dec = rd.decompose(np.eye(3))
     assert len(dec.real_terms) == 3
@@ -254,17 +272,20 @@ def test_decompose_plane_core_near_overflow():
 @pytest.mark.parametrize("k",[-600, -37, 41, 600])
 def test_decompose_scale_equivariant(k):
     # every stage is equivariant under an exact power-of-two scale: the
-    # vectors come out bitwise identical, the eigenvalues exactly scaled
+    # vectors come out bitwise identical, the eigenvalues exactly scaled;
+    # the generated matrix is Fortran-ordered, and its C-ordered copy
+    # gives the same bits too
     for m, base in _pipeline_terms(range(3)):
-        dec = rd.decompose(m * 2.0**k)
-        for t, t0 in zip(dec.real_terms, base.real_terms, strict=True):
-            assert t.alpha == t0.alpha * 2.0**k
-            np.testing.assert_array_equal(t.a, t0.a)
-            np.testing.assert_array_equal(t.c, t0.c)
-        for t, t0 in zip(dec.plane_terms, base.plane_terms, strict=True):
-            assert (t.sigma, t.omega, t.nu) == (t0.sigma * 2.0**k, t0.omega * 2.0**k, t0.nu)
-            for f in ("b", "p", "d", "q"):
-                np.testing.assert_array_equal(getattr(t, f), getattr(t0, f))
+        for x in (m * 2.0**k, np.ascontiguousarray(m) * 2.0**k):
+            dec = rd.decompose(x)
+            for t, t0 in zip(dec.real_terms, base.real_terms, strict=True):
+                assert t.alpha == t0.alpha * 2.0**k
+                np.testing.assert_array_equal(t.a, t0.a)
+                np.testing.assert_array_equal(t.c, t0.c)
+            for t, t0 in zip(dec.plane_terms, base.plane_terms, strict=True):
+                assert (t.sigma, t.omega, t.nu) == (t0.sigma * 2.0**k, t0.omega * 2.0**k, t0.nu)
+                for f in ("b", "p", "d", "q"):
+                    np.testing.assert_array_equal(getattr(t, f), getattr(t0, f))
 
 
 def test_reconstruct_round_trips():

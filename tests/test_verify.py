@@ -4,7 +4,7 @@ import pytest
 from geospectral import realdecomp as rd
 from geospectral import verify as vf
 from geospectral.densecore import frobenius_norm
-from geospectral.errors import GenerationError
+from geospectral.errors import GenerationError, ShapeError
 
 
 def test_gen_identity_basis_cases():
@@ -120,6 +120,13 @@ def test_suite_hand_verified_pair():
     assert report.overall
     recon = next(c for c in report.checks if c.name == "reconstruction")
     assert recon.residual <= 1e-12
+
+
+@pytest.mark.parametrize("check", [vf.run_identity_suite, vf.brute_force_reconstruct])
+def test_complex_input_refused(check):
+    # not cast to its real part, which the suite would pass
+    with pytest.raises(ShapeError, match="complex"):
+        check(np.array([[1.0 + 1.0j, 2.0], [-2.0, 1.0]]))
 
 
 def test_suite_defective_fails_cleanly():

@@ -13,14 +13,17 @@ subprocess under ``-W error::RuntimeWarning`` and records the JSON report
 text, or the exception type and message, and the identity suite's verdict:
 the sorted names of the checks ``verify.run_identity_suite`` fails, or the
 type of the exception it raises.  It also records every check the suite
-reports as ``(name, tolerance)``, in order, and whether the report,
-loaded by ``matio.doc_to_decomposition`` and dumped again, comes back
-byte for byte.  The script prints how many inputs differ, how many
-verdicts differ (one tree raised, or the two raised different exception
-types), how many inputs that both trees decompose have different
-eigenvalue entries, how many identity-suite verdicts differ, how many
-identity-suite tolerance lists differ and how many of NEW_SRC's reports
-change in that round trip.  It exits 1 if any input's report differs.
+reports as ``(name, tolerance)``, in order, whether the report, loaded
+by ``matio.doc_to_decomposition`` and dumped again, comes back byte for
+byte, and whether a C-ordered copy of the input (most inputs are built
+Fortran-ordered) gives the same report.  The script prints how many
+inputs differ, how many verdicts differ (one tree raised, or the two
+raised different exception types), how many inputs that both trees
+decompose have different eigenvalue entries, how many identity-suite
+verdicts differ, how many identity-suite tolerance lists differ, how
+many of NEW_SRC's reports change in that round trip and how many of
+NEW_SRC's reports depend on the input's memory order.  It exits 1 if any
+input's report differs.
 """
 
 import json
@@ -52,15 +55,19 @@ def dump(dec):
     matio.dump_json(matio.decomposition_to_doc(dec), text)
     return text.getvalue()
 
+def report_of(m):
+    try:
+        return dump(realdecomp.decompose(m))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
 out = []
 with np.load(sys.argv[1]) as inputs:
     for key in sorted(inputs.files):
+        report = report_of(inputs[key])
+        same_in_c_order = report_of(np.ascontiguousarray(inputs[key])) == report
         round_trip = None
-        try:
-            report = dump(realdecomp.decompose(inputs[key]))
-        except Exception as exc:
-            report = f"{type(exc).__name__}: {exc}"
-        else:
+        if report.startswith("{"):
             try:
                 round_trip = dump(matio.doc_to_decomposition(json.loads(report))) == report
             except Exception:
@@ -71,7 +78,7 @@ with np.load(sys.argv[1]) as inputs:
             tolerances = [[c.name, c.tolerance] for c in checks]
         except Exception as exc:
             suite = tolerances = type(exc).__name__
-        out.append([report, suite, tolerances, round_trip])
+        out.append([report, suite, tolerances, round_trip, same_in_c_order])
 with open(sys.argv[2], "w", encoding="utf-8") as fh:
     json.dump(out, fh)
 """
@@ -154,7 +161,7 @@ def main(argv):
         if any([p.wait() != 0 for p in procs]):
             print("a tree failed to run; see its traceback above", file=sys.stderr)
             return 1
-        (old, old_suite, old_tols, _), (new, new_suite, new_tols, new_trips) = (
+        (old, old_suite, old_tols, *_), (new, new_suite, new_tols, new_trips, new_layout) = (
             zip(*json.loads(Path(out).read_text(encoding="utf-8"))) for out in outs
         )
     differ = [label for (label, _), a, b in zip(inputs, old, new) if a != b]
@@ -172,6 +179,7 @@ def main(argv):
     print(f"{tols} of {len(inputs)} identity-suite tolerance lists differ")
     trips = [t for t in new_trips if t is not None]
     print(f"{trips.count(False)} of {len(trips)} new reports change in a load-and-dump round trip")
+    print(f"{new_layout.count(False)} of {len(inputs)} reports depend on the input's memory order")
     return 1 if differ else 0
 
 
