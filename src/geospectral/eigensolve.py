@@ -14,8 +14,10 @@ reflector is symmetric, so applying it takes two products: one on the
 contiguous rows of both halves that it mixes, one on the matrix's
 columns.  The QR sweep is Python-bound, not flop-bound: each bulge
 reflector is a 3x3 matrix built from Python floats, and its right product
-touches only the columns of T above the bulge.  The deflation test
-between sweeps is one numpy scan of the subdiagonal.
+touches only the columns of T above the bulge.  A bulge step slices each
+slab once and tests nothing for the last, 2x2 step, which follows the
+loop; two strided writes per sweep clear the bulge entries, and the
+deflation test between sweeps is one numpy scan of the subdiagonal.
 
 As in LAPACK dgeev, the eigenvalues are one complex array, an entry per
 diagonal block: exactly real for a real eigenvalue, sigma + i omega with
@@ -40,6 +42,7 @@ from .errors import (
 
 MAX_SWEEPS_PER_N = 30
 _RCOND_MIN = 1e-12
+_NORM_MIN = 2.0**-480  # above it, a sum of squares keeps full precision
 
 
 @dataclass(frozen=True)
@@ -61,33 +64,46 @@ class EigenSystem:
 
 
 def _house_vec(x):
-    """Unit reflector direction v with (I - 2 v v^T) x = alpha e1, or None."""
+    """Unit reflector direction v with (I - 2 v v^T) x = alpha e1, or None.
+    An x with norm below _NORM_MIN is first divided exactly by the power of
+    two dc.pow2_scale(x), so its squares do not underflow (LAPACK dlarfg)."""
     normx = np.linalg.norm(x)
+    if normx < _NORM_MIN:
+        x = x / dc.pow2_scale(x)
+        normx = np.linalg.norm(x)
     if normx == 0.0:
         return None
-    v = x.astype(float).copy()
+    v = x.astype(float)
     v[0] += normx if v[0] >= 0.0 else -normx
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return None
-    return v / nv
+    return v / np.linalg.norm(v)
 
 
 def hessenberg_reduce(m):
     """Householder similarity reduction on the work array [H | Q^T].
-    Returns (H, Q) with Q H Q^T = M."""
+    Returns (H, Q) with Q H Q^T = M.
+
+    As in real_schur, M is divided by the power of two dc.pow2_scale(M)
+    and H multiplied back, both exactly, so that H scales with M bit for
+    bit and no product overflows for a finite M.
+    """
     m = dc.as_array(m, 2)
     n = m.shape[0]
     if n != m.shape[1]:
         raise ShapeError(f"hessenberg of non-square {m.shape}")
+    scale = dc.pow2_scale(m)
     a = np.hstack([m, np.eye(n)])
+    a[:, :n] /= scale
     for k in range(n - 2):
         v = _house_vec(a[k + 1:, k])
         if v is None:
             continue
-        a[k + 1:, k:] -= 2.0 * np.outer(v, v @ a[k + 1:, k:])
-        a[:, k + 1:n] -= 2.0 * np.outer(a[:, k + 1:n] @ v, v)
+        v2 = 2.0 * v
+        rows = a[k + 1:, k:]
+        rows -= np.outer(v2, v @ rows)
+        cols = a[:, k + 1:n]
+        cols -= np.outer(cols @ v, v2)
         a[k + 2:, k] = 0.0
+    a[:, :n] *= scale
     return a[:, :n], a[:, n:].T
 
 
@@ -99,14 +115,15 @@ def _francis_step(a, lo, hi, r1, r2):
     column of (T - r1 I)(T - r2 I) subtracts each before multiplying, so a
     cluster far from 0 does not cancel it to rounding noise (LAPACK dlahqr).
     Each bulge reflector is built from (x, y, w) in Python floats into one
-    3x3 Householder matrix (its 2x2 corner for the last step) and applied
-    only where the Hessenberg bulge is nonzero (Golub & Van Loan, Matrix
-    Computations, section 7.5.5).  The reflector is symmetric, so one left
-    product on rows k..k+2 of a, from column max(lo, k-1) on, updates those
-    rows of T and columns k..k+2 of Z together; the right product touches
-    columns k..k+2 of T down to row min(k+3, hi).  The entries each
-    reflector zeroes below the subdiagonal are never read again in the
-    sweep, so they are set to 0 once at its end.
+    3x3 Householder matrix and applied only where the Hessenberg bulge is
+    nonzero (Golub & Van Loan, Matrix Computations, section 7.5.5).  The
+    reflector is symmetric, so one left product on rows k..k+2 of a, from
+    column max(lo, k-1) on, updates those rows of T and columns k..k+2 of Z
+    together; the right product touches columns k..k+2 of T down to row
+    min(k+3, hi).  The loop runs the 3x3 steps; the last step (w = 0) is a
+    2x2 reflector after it.  The entries each reflector zeroes below the
+    subdiagonal are never read again in the sweep, so two strided writes
+    set the second and third subdiagonals of [lo, hi] to 0 at its end.
     """
     pm = np.empty((3, 3))
     pm_flat = pm.reshape(-1)  # a view: filling it is cheaper than pm.flat
@@ -114,8 +131,8 @@ def _francis_step(a, lo, hi, r1, r2):
     x = ((t00 - r1) * (t00 - r2)).real + a.item(lo, lo + 1) * t10
     y = t10 * (t00 + a.item(lo + 1, lo + 1) - (r1 + r2).real)
     w = a.item(lo + 2, lo + 1) * t10
-    for k in range(lo, hi):
-        j = min(k + 3, hi + 1)  # w is 0.0 on the last, 2x2 step
+    c0, last = lo, hi - 2
+    for k in range(lo, hi - 1):
         alpha = math.hypot(x, y, w)
         if alpha != 0.0:
             u = x + alpha if x >= 0.0 else x - alpha
@@ -126,17 +143,26 @@ def _francis_step(a, lo, hi, r1, r2):
                 -2.0 * u * v, 1.0 - 2.0 * v * v, -2.0 * v * c,
                 -2.0 * u * c, -2.0 * v * c, 1.0 - 2.0 * c * c,
             )
-            p = pm if j - k == 3 else pm[:2, :2]
-            c0, r = max(lo, k - 1), min(k + 4, hi + 1)
-            a[k:j, c0:] = p @ a[k:j, c0:]
-            a[:r, k:j] = a[:r, k:j] @ p
-        if k < hi - 1:
-            x, y = a.item(k + 1, k), a.item(k + 2, k)
-            w = a.item(k + 3, k) if k < hi - 2 else 0.0
-    # the second and third subdiagonals of T within [lo, hi]
-    i = np.arange(lo + 2, hi + 1)
-    a[i, i - 2] = 0.0
-    a[i[1:], i[1:] - 3] = 0.0
+            rows = a[k:k + 3, c0:]
+            rows[...] = pm.dot(rows)
+            cols = a[:k + 4 if k < last else hi + 1, k:k + 3]
+            cols[...] = cols.dot(pm)
+        c0 = k
+        x, y = a.item(k + 1, k), a.item(k + 2, k)
+        w = a.item(k + 3, k) if k < last else 0.0
+    alpha = math.hypot(x, y)
+    if alpha != 0.0:
+        u = x + alpha if x >= 0.0 else x - alpha
+        nv = math.hypot(u, y)
+        u, v = u / nv, y / nv
+        pm = np.array(((1.0 - 2.0 * u * u, -2.0 * u * v), (-2.0 * u * v, 1.0 - 2.0 * v * v)))
+        rows = a[hi - 1:hi + 1, hi - 2:]
+        rows[...] = pm.dot(rows)
+        cols = a[:hi + 1, hi - 1:hi + 1]
+        cols[...] = cols.dot(pm)
+    flat, d = a.reshape(-1), a.shape[1] + 1  # a[i, i - s] is flat[i * d - s]
+    flat[(lo + 2) * d - 2:hi * d:d] = 0.0
+    flat[(lo + 3) * d - 3:hi * d:d] = 0.0
 
 
 def _triangularize_2x2(t, z, l, lam):
@@ -182,7 +208,8 @@ def _split_2x2(t, z, l):
 
 
 def real_schur(h, q):
-    """Francis double-shift QR with deflation.
+    """Francis double-shift QR with deflation of the upper Hessenberg h,
+    with q n x n; any other input raises ShapeError.
 
     Returns (T, Z, eigs) with T quasi-upper-triangular (every surviving 2x2
     diagonal block has complex eigenvalues), Z T Z^T = Q H Q^T and eigs the
@@ -192,15 +219,18 @@ def real_schur(h, q):
     rule of Golub & Van Loan, Matrix Computations, section 7.5, and zeroes
     it.  As in LAPACK dlahqr, each block's entry is recorded when the
     block deflates; no later sweep touches it.  T and Z live in one
-    C-ordered work array [T | Z^T] and are returned C-ordered.
+    C-ordered work array [T | Z^T] and are returned C-ordered.  T is
+    worked on divided by the power of two dc.pow2_scale(h), which is exact
+    and keeps squared entries from underflowing.
     """
-    h = dc.as_array(h, 2)
+    h, q = dc.as_array(h, 2), dc.as_array(q, 2)
     n = h.shape[0]
-    # an exact power-of-two scaling keeps squared entries from underflowing
+    if h.shape != (n, n) or q.shape != (n, n) or np.any(np.tril(h, -2)):
+        raise ShapeError(f"real_schur needs upper Hessenberg h and q n x n, got {h.shape}, {q.shape}")
     scale = dc.pow2_scale(h)
     a = np.empty((n, 2 * n))
     a[:, :n] = h / scale
-    a[:, n:] = dc.as_array(q, 2).T
+    a[:, n:] = q.T
     t, z = a[:, :n], a[:, n:].T
     # normwise, not local: a repeated eigenvalue stalls its subdiagonal
     # near eps ||H||, far above eps (|t_ll| + |t_l-1,l-1|)

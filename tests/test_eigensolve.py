@@ -71,6 +71,48 @@ def test_hessenberg_random_similarity():
         assert frobenius_norm(q @ q.T - np.eye(5)) <= 1e-13
 
 
+@pytest.mark.parametrize("e", [-1000, -600, 600, 1000])
+def test_hessenberg_extreme_scale_exact(e):
+    # M is worked on over an exact power of two, so H scales with it bit for
+    # bit; unscaled, the norms overflow at 2^600 and underflow at 2^-600
+    m = np.array([[1, 2, 3, 1], [4, 5, 6, 2], [7, 8, 10, 3], [1, 1, 2, 5]], dtype=float)
+    h, q = eg.hessenberg_reduce(m)
+    hs, qs = eg.hessenberg_reduce(m * 2.0**e)
+    np.testing.assert_array_equal(hs.view(np.int64), (h * 2.0**e).view(np.int64))
+    np.testing.assert_array_equal(qs.view(np.int64), q.view(np.int64))
+
+
+@pytest.mark.parametrize("e", [1e-160, 1e-165, 1e-170])
+def test_hessenberg_tiny_column_gets_orthogonal_reflector(e):
+    # after the first reflector, the second column to reduce holds only
+    # entries near e, whose squares underflow: unscaled, that column's
+    # reflector is far from orthogonal, or it is skipped and left nonzero
+    m = np.diag([1.0, 2.0, 3.0, 4.0])
+    m[0, 1:] = 0.5
+    m[1:, 0] = 0.7, e, e
+    h, q = eg.hessenberg_reduce(m)
+    assert np.all(np.tril(h, -2) == 0.0)
+    assert frobenius_norm(q @ q.T - np.eye(4)) <= 1e-14
+    assert frobenius_norm(q @ h @ q.T - m) <= 1e-14 * frobenius_norm(m)
+    eigs = np.sort(eg.eigensystem(m).eigenvalues.real)
+    np.testing.assert_allclose(eigs, np.sort(np.linalg.eigvals(m).real), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "h,q",
+    [
+        (np.random.default_rng(0).standard_normal((6, 6)), np.eye(6)),
+        (np.triu(np.ones((6, 6)), -1), np.eye(5)),
+        (np.triu(np.ones((6, 6)), -1), np.eye(6)[:, :5]),
+        (np.ones((6, 5)), np.eye(6)),
+    ],
+    ids=["not-hessenberg", "q-too-small", "q-not-square", "h-not-square"],
+)
+def test_real_schur_refuses_input_it_cannot_factor(h, q):
+    with pytest.raises(ShapeError):
+        eg.real_schur(h, q)
+
+
 def test_schur_diagonal_is_noop():
     d = np.diag([3.0, 1.0, 2.0])
     t, z, eigs = eg.real_schur(d, np.eye(3))
@@ -244,15 +286,35 @@ def _reference_sweep(t, z, lo, hi, r1, r2):
             w = t.item(k + 3, k) if k < hi - 2 else 0.0
 
 
-def test_francis_sweep_inside_the_matrix_matches_reference():
+@pytest.mark.parametrize(
+    "n,lo,hi,shifts",
+    [
+        (10, 2, 7, None),
+        # the column slab is clipped at hi + 1 = n
+        (10, 0, 9, None),
+        # one 3x3 step, then the 2x2 step
+        (6, 1, 3, None),
+        (8, 3, 5, None),
+        (12, 0, 11, (0.3, -0.7)),
+        # the first bulge column is exactly zero, so the first step is skipped
+        (10, 2, 7, "zero-column"),
+    ],
+    ids=["inside", "whole-matrix", "three-rows", "short-block", "real-shifts", "zero-column"],
+)
+def test_francis_sweep_inside_the_matrix_matches_reference(n, lo, hi, shifts):
     # the bulge entries are zeroed once at the end of the sweep, by strided
     # writes over the second and third subdiagonals of [lo, hi] only
-    n, lo, hi = 10, 2, 7
     h, q = _dense_hessenberg(n)
-    h[lo, lo - 1] = h[hi + 1, hi] = 0.0
+    if lo > 0:
+        h[lo, lo - 1] = 0.0
+    if hi < n - 1:
+        h[hi + 1, hi] = 0.0
+    if shifts == "zero-column":
+        h[lo + 1, lo] = 0.0
+        shifts = (h.item(lo, lo), h.item(lo, lo))
+    r1, r2 = shifts or eg._eig_2x2(h, hi - 1)
     a = np.empty((n, 2 * n))
     a[:, :n], a[:, n:] = h, q.T
-    r1, r2 = eg._eig_2x2(h, hi - 1)
     eg._francis_step(a, lo, hi, r1, r2)
     assert np.all(a[:, :n][np.tril_indices(n, -2)] == 0.0)
     _reference_sweep(h, q, lo, hi, r1, r2)

@@ -1,0 +1,32 @@
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _import_tool(name):
+    # the tool puts src and bench first on sys.path when imported
+    saved = list(sys.path)
+    try:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module
+
+
+def test_stage_times_runs_every_stage(tmp_path):
+    st = _import_tool("stage_times")
+    n = 12
+    m = st.verify.gen_test_matrix(st.grid_spectrum(np.random.default_rng([1, 5, n]), n, n // 4, 1e6))
+    inputs_path = tmp_path / "inputs.npz"
+    np.savez(inputs_path, n00=m)
+    [row] = st.run_tree(ROOT / "src", str(inputs_path), str(tmp_path / "out.json"))
+    assert row["n"] == n
+    assert all(np.isfinite(row[stage]) for stage in st.STAGES)
+    assert row["sweeps"] >= 1
+    assert row["steps"] >= 2 * row["sweeps"]

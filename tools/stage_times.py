@@ -14,7 +14,8 @@ arguments each stage is given there, and then times with
 once, and of as many more as fill one second per size:
 
 - ``hessenberg_reduce`` on M scaled as ``eigensystem`` scales it
-- ``real_schur`` on its output, with the number of Francis sweeps
+- ``real_schur`` on its output, with the number of Francis sweeps and
+  of bulge steps (a sweep on the block [lo, hi] makes hi - lo of them)
 - ``right_eigenvectors`` on the Schur form
 - ``densecore.inverse`` of the real eigenvector basis
 - ``realdecomp.decompose`` of M
@@ -23,10 +24,11 @@ once, and of as many more as fill one second per size:
 In each of ROUNDS rounds the trees run in turn, and each
 figure is the least over the rounds, so that slow spells of a shared
 machine fall on every tree alike.  The script prints one table per tree
-in milliseconds and, for two or more trees, each later tree's times
-divided by the first tree's.  Give the same tree twice to see the noise
-floor: on a shared 2-core machine such a run read ratios of 0.74 to
-1.44, 18 of its 24 within 0.9 to 1.1.
+in milliseconds, with Schur's microseconds per bulge step, and, for two
+or more trees, each later tree's times divided by the first tree's.
+Give the same tree twice to see the noise floor: on a shared 2-core
+machine such a run read ratios of 0.74 to 1.44, 18 of its 24 within 0.9
+to 1.1.
 """
 
 import argparse
@@ -48,6 +50,7 @@ from workloads import grid_spectrum  # noqa: E402
 SIZES = (16, 64, 128, 256)
 ROUNDS = 3
 STAGES = ("hessenberg", "schur", "right_vecs", "basis_inv", "decompose", "np_eig")
+COLUMNS = (*STAGES, "us/step")
 
 # run as ``python -c`` in each tree: argv[1] is the inputs, argv[2] the output
 _CHILD = """
@@ -66,14 +69,16 @@ CALLED = {
 
 def record(m):
     # run eigensystem(m) once with every stage wrapped; return each stage's
-    # first arguments and the number of calls of each
-    args, calls = {}, dict.fromkeys(CALLED, 0)
+    # first arguments, the number of calls of each and the bulge steps
+    args, calls = {}, dict.fromkeys([*CALLED, "steps"], 0)
     saved = {key: getattr(mod, name) for key, (mod, name) in CALLED.items()}
 
     def wrap(key, fn):
         def stage(*given):
             args.setdefault(key, given)
             calls[key] += 1
+            if key == "sweep":  # _francis_step(a, lo, hi, r1, r2)
+                calls["steps"] += given[2] - given[1]
             return fn(*given)
         return stage
 
@@ -108,7 +113,7 @@ with np.load(sys.argv[1]) as inputs:
                 start = time.perf_counter()
                 fn()
                 row[name] = min(row[name], (time.perf_counter() - start) * 1e3)
-        rows.append(dict(row, n=m.shape[0], sweeps=calls["sweep"]))
+        rows.append(dict(row, n=m.shape[0], sweeps=calls["sweep"], steps=calls["steps"]))
 with open(sys.argv[2], "w", encoding="utf-8") as fh:
     json.dump(rows, fh)
 """
@@ -138,10 +143,10 @@ def run_tree(src, inputs_path, out_path):
 
 def _table(title, rows, fmt):
     print(title)
-    print(f"{'n':>5}" + "".join(f"{s:>12}" for s in STAGES) + f"{'sweeps':>8}")
+    print(f"{'n':>5}" + "".join(f"{s:>12}" for s in COLUMNS) + f"{'sweeps':>8}{'steps':>8}")
     for row in rows:
-        cells = "".join(f"{fmt(row[s]):>12}" for s in STAGES)
-        print(f"{row['n']:>5}{cells}{row['sweeps']:>8}")
+        cells = "".join(f"{fmt(row[s]):>12}" for s in COLUMNS)
+        print(f"{row['n']:>5}{cells}{row['sweeps']:>8}{row['steps']:>8}")
 
 
 def main(argv):
@@ -160,11 +165,13 @@ def main(argv):
                     for row, prev in zip(rows, best[i]):
                         row.update({s: min(row[s], prev[s]) for s in STAGES})
                 best[i] = rows
+    for row in (row for rows in best for row in rows):
+        row["us/step"] = row["schur"] * 1e3 / row["steps"]
     for src, rows in zip(srcs, best):
         _table(f"{src}: ms, best of >= 5 passes x {ROUNDS} rounds", rows, "{:.2f}".format)
     for src, rows in zip(srcs[1:], best[1:]):
         ratios = [
-            dict(row, **{s: row[s] / first[s] for s in STAGES}) for row, first in zip(rows, best[0])
+            dict(row, **{s: row[s] / first[s] for s in COLUMNS}) for row, first in zip(rows, best[0])
         ]
         _table(f"{src} / {srcs[0]}", ratios, "{:.3f}".format)
     return 0
