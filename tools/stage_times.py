@@ -165,8 +165,9 @@ def main(argv):
                     for row, prev in zip(rows, best[i]):
                         row.update({s: min(row[s], prev[s]) for s in STAGES})
                 best[i] = rows
-    for row in (row for rows in best for row in rows):
-        row["us/step"] = row["schur"] * 1e3 / row["steps"]
+    for rows in best:
+        for row in rows:
+            row["us/step"] = row["schur"] * 1e3 / row["steps"]
     for src, rows in zip(srcs, best):
         _table(f"{src}: ms, best of >= 5 passes x {ROUNDS} rounds", rows, "{:.2f}".format)
     for src, rows in zip(srcs[1:], best[1:]):
