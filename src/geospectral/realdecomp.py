@@ -32,7 +32,6 @@ from .errors import (
     NotDiagonalizableError,
     ShapeError,
 )
-from .geoalg import wedge
 
 DEFAULT_TOL = 1e-9
 _NU_REL_FLOOR = 1e-24
@@ -142,17 +141,21 @@ def nu(b, d, q):
 
 def plane_term_left_form(t):
     """The plane term with the right-eigenvector wedge on the left, applied
-    by associativity as (b^p) X = b (p^T X) - p (b^T X)."""
-    bracket = t.omega * (np.outer(t.d, t.d) + np.outer(t.q, t.q)) - t.sigma * wedge(t.d, t.q)
-    return (np.outer(t.b, t.p @ bracket) - np.outer(t.p, t.b @ bracket)) / t.nu
+    by associativity as (b^p) X = b (p^T X) - p (b^T X).  Every outer
+    product, the wedge d^q = d q^T - q d^T among them, is one broadcast
+    product, so the form costs a few passes over n x n."""
+    d, q = t.d[:, None], t.q[:, None]
+    bracket = t.omega * (d * t.d + q * t.q) - t.sigma * (d * t.q - q * t.d)
+    return (t.b[:, None] * (t.p @ bracket) - t.p[:, None] * (t.b @ bracket)) / t.nu
 
 
 def plane_term_right_form(t):
     """Equivalent form with the left-eigenvector wedge on the right, applied
     as X (d^q) = (X d) q^T - (X q) d^T; equal to the left form whenever the
     biorthogonality conditions hold."""
-    bracket = t.omega * (np.outer(t.b, t.b) + np.outer(t.p, t.p)) - t.sigma * wedge(t.b, t.p)
-    return (np.outer(bracket @ t.d, t.q) - np.outer(bracket @ t.q, t.d)) / t.nu
+    b, p = t.b[:, None], t.p[:, None]
+    bracket = t.omega * (b * t.b + p * t.p) - t.sigma * (b * t.p - p * t.b)
+    return ((bracket @ t.d)[:, None] * t.q - (bracket @ t.q)[:, None] * t.d) / t.nu
 
 
 def plane_core(sigma, omega, g, nu_value):

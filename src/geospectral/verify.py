@@ -4,11 +4,17 @@ The production decomposition is real in its basis and every output
 (complex values exist only inside eigensolve, for its eigenvalue array and
 back-substitution).  The complex eigendecomposition here, LAPACK dgeev
 through numpy, is a different algorithm and exists purely to cross-check
-it.  The identity checks evaluate each plane term's factors U C V^T against
-its explicit wedge form, at O(n^2) per term, each against a fixed relative
-tolerance that one scale multiplies.  Random draws use numpy's
-PCG64 generator with explicit seeds so reports reproduce bit-for-bit
-across platforms.
+it.  The identity checks evaluate the plane terms' factors U C V^T, each
+against a fixed relative tolerance that one scale multiplies.  Every check
+runs once over all k pairs, on the factors stacked as (k, n, 2) arrays and
+the Grams and cores as (k, 2, 2): eigen-action, biorthogonality, the
+annihilation column norms and the k x 100 phase factors.  Only the
+comparisons with the explicit wedge forms need an n x n array per pair
+(form equality, the phase distance's U C V^T - left and transposition);
+they run one pair at a time in one reused (5, n, n) array, so the checks'
+extra memory stays O(n^2) whatever k is.  Random draws use numpy's PCG64
+generator with explicit seeds so reports reproduce bit-for-bit across
+platforms.
 """
 
 import time
@@ -156,22 +162,66 @@ def _rel(residual, scale):
     return residual / np.maximum(scale, _ABS_FLOOR)
 
 
-def _phase_distance(t, u, c, v, left, thetas):
-    """||rotated term - left||_F for each phase in thetas, in O(n^2) in all.
-    Rotating both splits maps U, V to U R, V R and the Gram U^T V to
-    R^T (U^T V) R; R commutes with J and with omega I - sigma J, so the
-    rotated term is (nu / nu_theta) A with A = U C V^T.  With
-    f = nu / nu_theta - 1 and E = A - left, its squared distance is
-    f^2 ||A||^2 + 2 f <A, E> + ||E||^2."""
-    g = u.T @ v
+def _phase_distance(nu, g, thetas, norm_a, inner, norm_e):
+    """||rotated term - left||_F for each pair and each of its phases
+    (thetas is k x S), from the pair's nu, its Gram g = U^T V and three
+    numbers of its n x n comparison.  Rotating both splits maps U, V to
+    U R, V R and the Gram to R^T (U^T V) R; R commutes with J and with
+    omega I - sigma J, so the rotated term is (nu / nu_theta) A with
+    A = U C V^T.  With f = nu / nu_theta - 1 and E = A - left, its squared
+    distance is f^2 ||A||^2 + 2 f <A, E> + ||E||^2."""
     # nu_theta is the squared norm of the rotated Gram's first row, and
     # R^T's first row is (cos, -sin)
-    row = np.outer(np.cos(thetas), g[0]) - np.outer(np.sin(thetas), g[1])
-    f = t.nu / np.sum(row**2, axis=1) - 1.0
-    a = u @ c @ v.T
-    e = a - left
-    square = f**2 * frobenius_norm(a) ** 2 + 2.0 * f * np.sum(a * e) + frobenius_norm(e) ** 2
+    row = np.cos(thetas)[..., None] * g[:, None, 0] - np.sin(thetas)[..., None] * g[:, None, 1]
+    f = nu[:, None] / np.sum(row**2, axis=2) - 1.0
+    square = f**2 * norm_a[:, None] ** 2 + 2.0 * f * inner[:, None] + norm_e[:, None] ** 2
     return np.sqrt(np.maximum(square, 0.0))
+
+
+def _frobenius_norms(a):
+    """frobenius_norm of each n x n slice of a (m, n, n) stack.  Where every
+    slice's largest absolute entry lies in (2^-400, 2^400), the plain sums of
+    squares can neither overflow nor lose more than rounding to underflow,
+    so they need no scaling pass; otherwise each slice goes through
+    frobenius_norm."""
+    big = np.maximum(a.max(axis=(1, 2)), -a.min(axis=(1, 2)))
+    if np.all((big > 2.0**-400) & (big < 2.0**400)):
+        return np.sqrt(np.einsum("ijk,ijk->i", a, a))
+    return np.array([frobenius_norm(x) for x in a])
+
+
+def _stacks(planes):
+    """(U, V, G, C, nu) for k plane terms: U = [b p] and V = [d q] as
+    (k, n, 2) stacks, the Grams G = U^T V and the cores C as (k, 2, 2)
+    stacks and nu as (k,)."""
+    u = np.array([(t.b, t.p) for t in planes]).transpose(0, 2, 1)
+    v = np.array([(t.d, t.q) for t in planes]).transpose(0, 2, 1)
+    sigma, omega, nu = np.array([(t.sigma, t.omega, t.nu) for t in planes]).T[..., None, None]
+    g = np.swapaxes(u, 1, 2) @ v
+    return u, v, g, rd.plane_core(sigma, omega, g, nu), nu[:, 0, 0]
+
+
+def _form_comparisons(planes, w, v, wt, vt):
+    """Each pair's n x n comparisons against its explicit wedge forms, one
+    pair at a time in one reused (5, n, n) array, so that the extra memory
+    stays O(n^2).  With W = U C, A = W V^T and E = A - left, returns the
+    k x 5 Frobenius norms of left, left - right, A, E and
+    W_t V_t^T - left^T (the transposed term's factors, from wt and vt),
+    and <A, E> for each pair."""
+    k, n = w.shape[:2]
+    work = np.empty((5, n, n))
+    left, diff, a, e, transposed = work
+    norms, inner = np.empty((k, 5)), np.empty(k)
+    for i, t in enumerate(planes):
+        left[...] = rd.plane_term_left_form(t)
+        np.subtract(left, rd.plane_term_right_form(t), out=diff)
+        np.matmul(w[i], v[i].T, out=a)
+        np.subtract(a, left, out=e)
+        np.matmul(wt[i], vt[i].T, out=transposed)
+        transposed -= left.T
+        inner[i] = np.vdot(a, e)
+        norms[i] = _frobenius_norms(work)
+    return norms, inner
 
 
 def _decomposition_checks(m, dec):
@@ -182,56 +232,55 @@ def _decomposition_checks(m, dec):
     oracle = brute_force_reconstruct(m)
     checks.append(("oracle_agreement", _rel(frobenius_norm(oracle - recon), norm_m)))
 
-    # every check evaluates the term's factors U C V^T, at O(n^2) per term; the
-    # explicit wedge form is built once per term, as the reference they must match
+    planes = dec.plane_terms
+    if not planes:
+        return checks
+    k, n, first = len(planes), dec.dim, len(dec.real_terms)
+    u, v, g, c, nu = _stacks(planes)
+    ut, vt, _, ct, _ = _stacks([rd.transpose_term(t) for t in planes])
+    norms, inner = _form_comparisons(planes, u @ c, v, ut @ ct, vt)
+    norm_t, form, norm_a, norm_e, transp = norms.T
+
+    # every other check runs on all k pairs at once, from the factors
+    norm_u, norm_v = np.linalg.norm(u, axis=1), np.linalg.norm(v, axis=1)
+    block = np.array([[[t.sigma, t.omega], [-t.omega, t.sigma]] for t in planes])
+    # M_t [b p] = [b p] block and M_t^T [d q] = [d q] block^T
+    act_r = u @ (c @ np.swapaxes(g, 1, 2)) - u @ block
+    act_l = v @ (np.swapaxes(c, 1, 2) @ g) - v @ np.swapaxes(block, 1, 2)
+    eigact = np.maximum(
+        _rel(np.linalg.norm(act_r, axis=1).max(axis=1), norm_t * norm_u.sum(axis=1)),
+        _rel(np.linalg.norm(act_l, axis=1).max(axis=1), norm_t * norm_v.sum(axis=1)),
+    )
+
+    # [d q]^T against every column of B_real, where each pair's own two
+    # columns are masked out
     basis, _ = rd.real_canonical_form(dec)
-    first = len(dec.real_terms)
+    vb = np.swapaxes(v, 1, 2) @ basis
+    others = np.ones((k, n), dtype=bool)
+    mine = first + 2 * np.arange(k)
+    others[np.arange(k), mine] = others[np.arange(k), mine + 1] = False
+    # the term U C V^T maps column x to U y, y = C V^T x, and with U = QR
+    # ||U y|| = ||R y||: no n x n term is formed
+    killed = np.linalg.norm(np.linalg.qr(u, mode="r") @ (c @ vb), axis=1)
+    annih = _rel(killed, norm_t[:, None] * np.linalg.norm(basis, axis=0))
+
+    # d_i^dag b_j = 0 = d_i^dag conj(b_j) for every other eigenvector, and
+    # the pair's own d.b - q.p and q.b + d.p vanish
+    cross = np.where(others, np.abs(vb).max(axis=1), 0.0).max(axis=1, initial=0.0)
+    own = np.maximum(np.abs(g[:, 0, 0] - g[:, 1, 1]), np.abs(g[:, 0, 1] + g[:, 1, 0]))
+    bio = _rel(np.maximum(own, cross), np.sum(norm_u * norm_v, axis=1))
+
+    # one (k, 100) draw gives each pair the 100 phases k draws of 100 would
     rng = np.random.default_rng(np.random.PCG64(0xC0FFEE))
-    form = eigact = annih = bio = phase = transp = 0.0
-    for i, t in enumerate(dec.plane_terms):
-        left = rd.plane_term_left_form(t)
-        right = rd.plane_term_right_form(t)
-        norm_t = frobenius_norm(left)
-        form = max(form, _rel(frobenius_norm(left - right), norm_t))
+    thetas = rng.uniform(0.0, 2.0 * np.pi, (k, _PHASE_SAMPLES))
+    phase = _rel(_phase_distance(nu, g, thetas, norm_a, inner, norm_e), norm_t[:, None])
 
-        u, c, v = rd.term_factors(t)
-        block = np.array([[t.sigma, t.omega], [-t.omega, t.sigma]])
-        # M_t [b p] = [b p] block and M_t^T [d q] = [d q] block^T
-        act_r = u @ (c @ (v.T @ u)) - u @ block
-        act_l = v @ (c.T @ (u.T @ v)) - v @ block.T
-        scale_r = norm_t * (np.linalg.norm(t.b) + np.linalg.norm(t.p))
-        scale_l = norm_t * (np.linalg.norm(t.d) + np.linalg.norm(t.q))
-        eigact = max(
-            eigact,
-            _rel(np.linalg.norm(act_r, axis=0).max(), scale_r),
-            _rel(np.linalg.norm(act_l, axis=0).max(), scale_l),
-        )
-
-        # all other right eigenvectors (columns of B_real) in one product
-        others = np.delete(basis, [first + 2 * i, first + 2 * i + 1], axis=1)
-        killed = np.linalg.norm(u @ (c @ (v.T @ others)), axis=0)
-        annih = max(annih, _rel(killed, norm_t * np.linalg.norm(others, axis=0)).max(initial=0.0))
-
-        r1, r2 = rd.biorthogonality_residual(t.b, t.p, t.d, t.q)
-        # d_i^dag b_j = 0 = d_i^dag conj(b_j) for every other eigenvector:
-        # each entry of [d q]^T against the other columns of B_real vanishes
-        cross = np.abs(v.T @ others).max(initial=0.0)
-        scale_b = np.linalg.norm(t.d) * np.linalg.norm(t.b) + np.linalg.norm(t.q) * np.linalg.norm(t.p)
-        bio = max(bio, _rel(max(abs(r1), abs(r2), cross), scale_b))
-
-        thetas = rng.uniform(0.0, 2.0 * np.pi, _PHASE_SAMPLES)
-        phase = max(phase, _rel(_phase_distance(t, u, c, v, left, thetas), norm_t).max())
-
-        ut, ct, vt = rd.term_factors(rd.transpose_term(t))
-        transp = max(transp, _rel(frobenius_norm(ut @ ct @ vt.T - left.T), norm_t))
-
-    if dec.plane_terms:
-        checks.append(("form_equality", form))
-        checks.append(("eigen_action", eigact))
-        checks.append(("annihilation", annih))
-        checks.append(("biorthogonality", bio))
-        checks.append(("phase_invariance", phase))
-        checks.append(("transposition", transp))
+    checks.append(("form_equality", _rel(form, norm_t).max()))
+    checks.append(("eigen_action", eigact.max()))
+    checks.append(("annihilation", annih[others].max(initial=0.0)))
+    checks.append(("biorthogonality", bio.max()))
+    checks.append(("phase_invariance", phase.max()))
+    checks.append(("transposition", _rel(transp, norm_t).max()))
     return checks
 
 

@@ -6,6 +6,7 @@ import pytest
 from geospectral import realdecomp as rd
 from geospectral.densecore import frobenius_norm
 from geospectral.errors import DegeneratePairError, NotDiagonalizableError, ShapeError
+from geospectral.geoalg import wedge
 from geospectral.verify import PlantedSpectrum, gen_test_matrix
 
 E1 = np.array([1.0, 0.0])
@@ -87,6 +88,27 @@ def test_form_equality_pipeline():
             left = rd.plane_term_left_form(t)
             right = rd.plane_term_right_form(t)
             assert frobenius_norm(left - right) <= 1e-10 * frobenius_norm(left)
+
+
+def test_plane_forms_match_outer_and_wedge():
+    # the forms written with np.outer and geoalg.wedge, as they were first
+    # defined: the broadcast products give the same values bit for bit
+    def outer_left(t):
+        bracket = t.omega * (np.outer(t.d, t.d) + np.outer(t.q, t.q)) - t.sigma * wedge(t.d, t.q)
+        return (np.outer(t.b, t.p @ bracket) - np.outer(t.p, t.b @ bracket)) / t.nu
+
+    def outer_right(t):
+        bracket = t.omega * (np.outer(t.b, t.b) + np.outer(t.p, t.p)) - t.sigma * wedge(t.b, t.p)
+        return (np.outer(bracket @ t.d, t.q) - np.outer(bracket @ t.q, t.d)) / t.nu
+
+    rng = np.random.default_rng(9)
+    terms = [t for _, dec in _pipeline_terms(range(3)) for t in dec.plane_terms]
+    for n in (2, 5, 48):
+        b, p, d, q = (rng.standard_normal(n) for _ in range(4))
+        terms.append(rd.ComplexPlaneTerm(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0), b, p, d, q))
+    for t in terms:
+        np.testing.assert_array_equal(rd.plane_term_left_form(t), outer_left(t))
+        np.testing.assert_array_equal(rd.plane_term_right_form(t), outer_right(t))
 
 
 def _dense(t):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,16 @@ def _dense_phase_distance(t, left, thetas):
     return np.array(out)
 
 
+def _fast_phase_distance(t, left, thetas):
+    # the suite's evaluation for one pair: A = U C V^T against left, then
+    # every rotation from the Gram alone
+    u, c, v = rd.term_factors(t)
+    a = u @ c @ v.T
+    e = a - left
+    norm_a, inner, norm_e = (np.array([x]) for x in (frobenius_norm(a), np.vdot(a, e), frobenius_norm(e)))
+    return vf._phase_distance(np.array([t.nu]), (u.T @ v)[None], thetas[None], norm_a, inner, norm_e)[0]
+
+
 def test_phase_distance_matches_dense_rotation():
     rng = np.random.default_rng(11)
     for n, cap in [(2, 1e1), (5, 1e3), (12, 1e5), (21, 1e7)]:
@@ -176,7 +188,7 @@ def test_phase_distance_matches_dense_rotation():
         for t in rd.decompose(vf.gen_test_matrix(spec)).plane_terms:
             left = rd.plane_term_left_form(t)
             thetas = rng.uniform(0.0, 2.0 * np.pi, 100)
-            fast = vf._phase_distance(t, *rd.term_factors(t), left, thetas)
+            fast = _fast_phase_distance(t, left, thetas)
             diff = np.abs(fast - _dense_phase_distance(t, left, thetas))
             assert diff.max() <= 1e-12 * frobenius_norm(left)
     # unrelated b, p, d, q: the rotated terms differ from the reference by
@@ -187,8 +199,141 @@ def test_phase_distance_matches_dense_rotation():
         left = rd.plane_term_left_form(t)
         thetas = rng.uniform(0.0, 2.0 * np.pi, 100)
         dense = _dense_phase_distance(t, left, thetas)
-        fast = vf._phase_distance(t, *rd.term_factors(t), left, thetas)
+        fast = _fast_phase_distance(t, left, thetas)
         np.testing.assert_allclose(fast, dense, rtol=1e-9, atol=0.0)
+
+
+# The identity checks as one loop over the plane terms, each check
+# evaluated term by term: the reference for the checks that run on all
+# pairs at once.
+def _loop_phase_distance(t, u, c, v, left, thetas):
+    g = u.T @ v
+    row = np.outer(np.cos(thetas), g[0]) - np.outer(np.sin(thetas), g[1])
+    f = t.nu / np.sum(row**2, axis=1) - 1.0
+    a = u @ c @ v.T
+    e = a - left
+    square = f**2 * frobenius_norm(a) ** 2 + 2.0 * f * np.sum(a * e) + frobenius_norm(e) ** 2
+    return np.sqrt(np.maximum(square, 0.0))
+
+
+def _loop_checks(m, dec):
+    _rel = vf._rel
+    norm_m = frobenius_norm(m)
+    recon = rd.reconstruct(dec)
+    checks = [("reconstruction", _rel(frobenius_norm(recon - m), norm_m))]
+
+    oracle = vf.brute_force_reconstruct(m)
+    checks.append(("oracle_agreement", _rel(frobenius_norm(oracle - recon), norm_m)))
+
+    basis, _ = rd.real_canonical_form(dec)
+    first = len(dec.real_terms)
+    rng = np.random.default_rng(np.random.PCG64(0xC0FFEE))
+    form = eigact = annih = bio = phase = transp = 0.0
+    for i, t in enumerate(dec.plane_terms):
+        left = rd.plane_term_left_form(t)
+        right = rd.plane_term_right_form(t)
+        norm_t = frobenius_norm(left)
+        form = max(form, _rel(frobenius_norm(left - right), norm_t))
+
+        u, c, v = rd.term_factors(t)
+        block = np.array([[t.sigma, t.omega], [-t.omega, t.sigma]])
+        act_r = u @ (c @ (v.T @ u)) - u @ block
+        act_l = v @ (c.T @ (u.T @ v)) - v @ block.T
+        scale_r = norm_t * (np.linalg.norm(t.b) + np.linalg.norm(t.p))
+        scale_l = norm_t * (np.linalg.norm(t.d) + np.linalg.norm(t.q))
+        eigact = max(
+            eigact,
+            _rel(np.linalg.norm(act_r, axis=0).max(), scale_r),
+            _rel(np.linalg.norm(act_l, axis=0).max(), scale_l),
+        )
+
+        others = np.delete(basis, [first + 2 * i, first + 2 * i + 1], axis=1)
+        killed = np.linalg.norm(u @ (c @ (v.T @ others)), axis=0)
+        annih = max(annih, _rel(killed, norm_t * np.linalg.norm(others, axis=0)).max(initial=0.0))
+
+        r1, r2 = rd.biorthogonality_residual(t.b, t.p, t.d, t.q)
+        cross = np.abs(v.T @ others).max(initial=0.0)
+        scale_b = np.linalg.norm(t.d) * np.linalg.norm(t.b) + np.linalg.norm(t.q) * np.linalg.norm(t.p)
+        bio = max(bio, _rel(max(abs(r1), abs(r2), cross), scale_b))
+
+        thetas = rng.uniform(0.0, 2.0 * np.pi, vf._PHASE_SAMPLES)
+        phase = max(phase, _rel(_loop_phase_distance(t, u, c, v, left, thetas), norm_t).max())
+
+        ut, ct, vt = rd.term_factors(rd.transpose_term(t))
+        transp = max(transp, _rel(frobenius_norm(ut @ ct @ vt.T - left.T), norm_t))
+
+    if dec.plane_terms:
+        checks.append(("form_equality", form))
+        checks.append(("eigen_action", eigact))
+        checks.append(("annihilation", annih))
+        checks.append(("biorthogonality", bio))
+        checks.append(("phase_invariance", phase))
+        checks.append(("transposition", transp))
+    return checks
+
+
+def _planted(n, k, cap, seed):
+    # n - 2k real eigenvalues and k pairs, real parts on jittered grids over
+    # [-2, 2] so that eigenvalues stay apart at any n
+    rng = np.random.default_rng(seed)
+
+    def grid(count):
+        return -2.0 + 4.0 * (np.arange(count) + 0.5 + rng.uniform(-0.3, 0.3, count)) / max(count, 1)
+
+    pairs = list(zip(grid(k), rng.uniform(0.3, 2.0, k)))
+    return vf.gen_test_matrix(vf.PlantedSpectrum(grid(n - 2 * k), pairs, basis_seed=seed, condition_cap=cap))
+
+
+@pytest.mark.parametrize("cap", [1e2, 1e4, 1e6])
+@pytest.mark.parametrize(
+    "n, k", [(2, 0), (2, 1), (7, 0), (7, 1), (7, 3), (16, 0), (16, 1), (16, 8), (64, 0), (64, 1), (64, 32)]
+)
+def test_checks_match_per_pair_loop(n, k, cap):
+    m = _planted(n, k, cap, seed=n + k)
+    dec = rd.decompose(m)
+    tolerances = dict(vf._TOLERANCES, reconstruction=rd.DEFAULT_TOL)
+    got, want = vf._decomposition_checks(m, dec), _loop_checks(m, dec)
+    assert [name for name, _ in got] == [name for name, _ in want]
+    for (name, residual), (_, reference) in zip(got, want):
+        tol = tolerances[name]
+        assert (residual <= tol) == (reference <= tol), name
+        assert abs(residual - reference) <= 0.1 * tol, name
+
+
+def test_phase_samples_are_one_draw_per_pair():
+    # one (k, 100) draw from the suite's seed is k draws of 100, bit for bit
+    k = 7
+    draws = np.random.default_rng(np.random.PCG64(0xC0FFEE)).uniform(0.0, 2.0 * np.pi, (k, vf._PHASE_SAMPLES))
+    rng = np.random.default_rng(np.random.PCG64(0xC0FFEE))
+    for row in draws:
+        np.testing.assert_array_equal(row, rng.uniform(0.0, 2.0 * np.pi, vf._PHASE_SAMPLES))
+
+
+def test_frobenius_norms_match_frobenius_norm():
+    # unscaled sums of squares in range; out of it, a zero, tiny or huge
+    # slice sends the stack through frobenius_norm
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((3, 6, 6))
+    for scale in (1.0, 0.0, 2.0**-900, 2.0**900):
+        stack = np.concatenate([a, scale * a[:1]])
+        want = [frobenius_norm(x) for x in stack]
+        np.testing.assert_allclose(vf._frobenius_norms(stack), want, rtol=1e-14, atol=0.0)
+
+
+def test_checks_memory_is_quadratic():
+    # a (k, n, n) stack of the terms would alone take 48 n^2 doubles here;
+    # the checks keep their peak below 40 n^2
+    n = 96
+    m = _planted(n, n // 2, 1e6, seed=5)
+    dec = rd.decompose(m)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        vf._decomposition_checks(m, dec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * n * n * 8
 
 
 @pytest.mark.parametrize("exponent", [-1000, 1000])

@@ -13,17 +13,21 @@ subprocess under ``-W error::RuntimeWarning`` and records the JSON report
 text, or the exception type and message, and the identity suite's verdict:
 the sorted names of the checks ``verify.run_identity_suite`` fails, or the
 type of the exception it raises.  It also records every check the suite
-reports as ``(name, tolerance)``, in order, whether the report, loaded
-by ``matio.doc_to_decomposition`` and dumped again, comes back byte for
-byte, and whether a C-ordered copy of the input (most inputs are built
-Fortran-ordered) gives the same report.  The script prints how many
-inputs differ, how many verdicts differ (one tree raised, or the two
-raised different exception types), how many inputs that both trees
-decompose have different eigenvalue entries, how many identity-suite
-verdicts differ, how many identity-suite tolerance lists differ, how
-many of NEW_SRC's reports change in that round trip and how many of
-NEW_SRC's reports depend on the input's memory order.  It exits 1 if any
-input's report differs.
+reports as ``(name, tolerance)``, in order, with its residual, whether
+the report, loaded by ``matio.doc_to_decomposition`` and dumped again,
+comes back byte for byte, and whether a C-ordered copy of the input
+(most inputs are built Fortran-ordered) gives the same report.  The
+script prints how many inputs differ, how many verdicts differ (one tree
+raised, or the two raised different exception types), how many inputs
+that both trees decompose have different eigenvalue entries, how many
+identity-suite verdicts differ, how many identity-suite tolerance lists
+differ, how many of NEW_SRC's reports change in that round trip and how
+many of NEW_SRC's reports depend on the input's memory order.  For each
+check name it then prints the largest factor by which a residual moved
+between the trees, counting only the inputs where the larger of the two
+residuals lies within three orders of magnitude of the tolerance: how
+close a rounding-level change came to flipping a verdict.  It exits 1 if
+any input's report differs.
 """
 
 import json
@@ -76,9 +80,10 @@ with np.load(sys.argv[1]) as inputs:
             checks = verify.run_identity_suite(inputs[key]).checks
             suite = sorted(c.name for c in checks if not c.passed)
             tolerances = [[c.name, c.tolerance] for c in checks]
+            residuals = [c.residual for c in checks]
         except Exception as exc:
-            suite = tolerances = type(exc).__name__
-        out.append([report, suite, tolerances, round_trip, same_in_c_order])
+            suite = tolerances = residuals = type(exc).__name__
+        out.append([report, suite, tolerances, residuals, round_trip, same_in_c_order])
 with open(sys.argv[2], "w", encoding="utf-8") as fh:
     json.dump(out, fh)
 """
@@ -139,6 +144,24 @@ def _verdict(report):
     return "ok" if report.startswith("{") else report.split(":", 1)[0]
 
 
+def _residual_moves(labels, old_tols, new_tols, old_res, new_res):
+    """{check name: (count, factor, label, old, new, tolerance)}: over the
+    count of inputs whose two suites list the same checks and where the
+    larger of the two finite residuals is within a factor 1000 of a nonzero
+    tolerance, the largest factor larger / smaller by which the check's
+    residual moved between the trees (inf when one of them is zero)."""
+    near = {}
+    for label, tols, other, a_res, b_res in zip(labels, new_tols, old_tols, old_res, new_res):
+        if isinstance(tols, str) or tols != other:
+            continue
+        for (name, tol), a, b in zip(tols, a_res, b_res):
+            big, small = max(a, b), min(a, b)
+            if tol > 0.0 and np.isfinite([a, b]).all() and tol / 1e3 <= big <= tol * 1e3:
+                factor = big / small if small > 0.0 else np.inf
+                near.setdefault(name, []).append((factor, label, a, b, tol))
+    return {name: (len(rows), *max(rows, key=lambda row: row[0])) for name, rows in near.items()}
+
+
 def run_tree(src, inputs_path, out_path):
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     return subprocess.Popen(
@@ -161,7 +184,7 @@ def main(argv):
         if any([p.wait() != 0 for p in procs]):
             print("a tree failed to run; see its traceback above", file=sys.stderr)
             return 1
-        (old, old_suite, old_tols, *_), (new, new_suite, new_tols, new_trips, new_layout) = (
+        (old, old_suite, old_tols, old_res, *_), (new, new_suite, new_tols, new_res, new_trips, new_layout) = (
             zip(*json.loads(Path(out).read_text(encoding="utf-8"))) for out in outs
         )
     differ = [label for (label, _), a, b in zip(inputs, old, new) if a != b]
@@ -180,6 +203,10 @@ def main(argv):
     trips = [t for t in new_trips if t is not None]
     print(f"{trips.count(False)} of {len(trips)} new reports change in a load-and-dump round trip")
     print(f"{new_layout.count(False)} of {len(inputs)} reports depend on the input's memory order")
+    moves = _residual_moves([label for label, _ in inputs], old_tols, new_tols, old_res, new_res)
+    for name, (count, factor, label, a, b, tol) in moves.items():
+        print(f"{name}: residuals moved by at most {factor:.3g}x over {count} near-tolerance "
+              f"inputs (worst: {label}, {a:.3e} -> {b:.3e}, tolerance {tol:.0e})")
     return 1 if differ else 0
 
 

@@ -1,4 +1,4 @@
-"""Time each eigensolver stage of one or more source trees on the bench's dense recipe.
+"""Time each eigensolver stage and the identity suite of source trees on the bench's dense recipe.
 
 Usage: python tools/stage_times.py SRC [SRC ...]
 
@@ -19,6 +19,7 @@ once, and of as many more as fill one second per size:
 - ``right_eigenvectors`` on the Schur form
 - ``densecore.inverse`` of the real eigenvector basis
 - ``realdecomp.decompose`` of M
+- ``verify.run_identity_suite`` of M: decompose and every identity check
 - ``np.linalg.eig`` of M (LAPACK, the reference speed)
 
 In each of ROUNDS rounds the trees run in turn, and each
@@ -49,14 +50,14 @@ from workloads import grid_spectrum  # noqa: E402
 
 SIZES = (16, 64, 128, 256)
 ROUNDS = 3
-STAGES = ("hessenberg", "schur", "right_vecs", "basis_inv", "decompose", "np_eig")
+STAGES = ("hessenberg", "schur", "right_vecs", "basis_inv", "decompose", "suite", "np_eig")
 COLUMNS = (*STAGES, "us/step")
 
 # run as ``python -c`` in each tree: argv[1] is the inputs, argv[2] the output
 _CHILD = """
 import json, sys, time
 import numpy as np
-from geospectral import densecore, eigensolve, realdecomp
+from geospectral import densecore, eigensolve, realdecomp, verify
 
 # the stages eigensystem calls, each timed on the arguments it is given there
 CALLED = {
@@ -102,6 +103,7 @@ with np.load(sys.argv[1]) as inputs:
             if key != "sweep"
         }
         stages["decompose"] = lambda: realdecomp.decompose(m)
+        stages["suite"] = lambda: verify.run_identity_suite(m)
         stages["np_eig"] = lambda: np.linalg.eig(m)
         row = dict.fromkeys(stages, float("inf"))
         # each pass times every stage once, so a slow spell hits them alike;
