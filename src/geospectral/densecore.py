@@ -6,7 +6,7 @@ function; nothing here mutates its arguments.
 
 import numpy as np
 
-from .errors import ShapeError, SingularMatrixError
+from .errors import ShapeError
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -58,44 +58,6 @@ def dot(u, v):
     # elementwise product commutes exactly in IEEE arithmetic, so summing
     # u*v and v*u in the same index order gives bit-identical results
     return float(np.sum(u * v))
-
-
-def lu_factor(a):
-    """Partial-pivoted LU. Returns (lu, swaps) with L/U packed in one array."""
-    lu = np.array(a, dtype=float)
-    n, m = lu.shape
-    if n != m:
-        raise ShapeError(f"LU of non-square matrix {lu.shape}")
-    threshold = n * EPS * (np.max(np.abs(lu)) if lu.size else 0.0)
-    swaps = np.arange(n)
-    for k in range(n):
-        r = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[r, k]) <= threshold:
-            raise SingularMatrixError(k, float(lu[r, k]))
-        if r != k:
-            lu[[k, r], :] = lu[[r, k], :]
-            swaps[[k, r]] = swaps[[r, k]]
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, swaps
-
-
-def inverse(a):
-    """Inverse by partial-pivoted elimination: one forward and one back
-    substitution on the row-permuted identity.
-
-    Raises SingularMatrixError (with the offending pivot index) when A is
-    numerically singular per the n*eps*max|A| threshold.
-    """
-    lu, swaps = lu_factor(a)
-    n = lu.shape[0]
-    x = np.eye(n)[swaps, :]
-    for k in range(1, n):  # forward substitution, unit lower triangle
-        x[k, :] -= lu[k, :k] @ x[:k, :]
-    for k in range(n - 1, -1, -1):  # back substitution
-        x[k, :] -= lu[k, k + 1:] @ x[k + 1:, :]
-        x[k, :] /= lu[k, k]
-    return x
 
 
 def rcond_1norm(a, a_inv):

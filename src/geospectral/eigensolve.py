@@ -5,8 +5,12 @@ double-shift QR to real Schur form Z T Z^T, deflating at every subdiagonal
 entry of at most n eps ||T||_F and recording each 1x1/2x2 diagonal block's
 eigenvalue as it deflates, right eigenvectors by back-substitution on the
 complex triangular form of T (MATLAB rsf2csf, LAPACK ztrevc), mapped back
-through Z, and the inverse of the resulting real eigenvector basis (which
-enforces biorthogonality of the left eigenvectors up to solve error).
+through Z, and the inverse of the resulting real eigenvector basis B, read
+off the Schur factors: in Schur coordinates the vectors form a real block
+upper triangular Y_r with B = Z Y_r up to column order, so B^-1 = Y_r^-1 Z^T
+with Y_r^-1 from one block back-substitution (as LAPACK dtrevc3 relates
+eigenvectors to Schur vectors).  Its rows are the left eigenvectors,
+biorthogonal to the basis up to rounding.
 
 Both reductions keep the matrix beside its orthogonal factor's transpose
 in one C-ordered n x 2n work array, [H | Q^T] and then [T | Z^T].  A
@@ -33,12 +37,7 @@ import numpy as np
 
 from . import densecore as dc
 from .densecore import EPS
-from .errors import (
-    ConvergenceError,
-    NotDiagonalizableError,
-    ShapeError,
-    SingularMatrixError,
-)
+from .errors import ConvergenceError, NotDiagonalizableError, ShapeError
 
 MAX_SWEEPS_PER_N = 30
 _RCOND_MIN = 1e-12
@@ -54,7 +53,8 @@ class EigenSystem:
     (b_i, p_i), the real and imaginary parts of the unit right
     eigenvector, for a pair.  The matching rows of basis_inv are c_i and
     (2 d_i, 2 q_i), where (d_i, q_i) is the left eigenvector scaled so
-    that d_i^dag b_j = delta_ij.
+    that d_i^dag b_j = delta_ij; basis_inv is Y_r^-1 Z^T (basis_inverse),
+    and basis_rcond its 1-norm reciprocal condition with basis.
     """
 
     eigenvalues: np.ndarray
@@ -169,8 +169,8 @@ def _triangularize_2x2(t, z, l, lam):
     """Rotate the 2x2 diagonal block of t at l to upper triangular with lam,
     one of its eigenvalues, at (l, l): t <- G^H t G and z <- z G for the
     unitary G whose first column is the block's unit eigenvector for lam
-    (MATLAB rsf2csf).  Real for a real lam; t and z must be complex
-    otherwise."""
+    (MATLAB rsf2csf); returns G.  Real for a real lam; t and z must be
+    complex otherwise."""
     (a, b), (c, d) = t[l:l + 2, l:l + 2]
     # eigenvector of the block for lam, from the better-scaled row
     v = np.array(max([b, lam - a], [lam - d, c], key=np.linalg.norm))
@@ -180,6 +180,7 @@ def _triangularize_2x2(t, z, l, lam):
     t[l:l + 2, :] = g.conj().T @ t[l:l + 2, :]
     z[:, l:l + 2] = z[:, l:l + 2] @ g
     t[l + 1, l] = 0.0
+    return g
 
 
 def _eig_2x2(t, l):
@@ -281,24 +282,27 @@ def right_eigenvectors(t, z, eigs):
 
     eigs is real_schur's eigenvalue array, lambda_j for block j.  Complex
     copies of T and Z are made triangular by rotating each pair block to put
-    lambda_j at its top left (MATLAB rsf2csf).  Y holds one column per
-    eigenvalue, with T y_j = lambda_j y_j and 1 atop block j.  One bottom-up
-    sweep solves row i for every eigenvalue whose block starts below it, a
-    division by t_ii - lambda_k raised to smin in magnitude, so a repeated
-    eigenvalue still gives a finite vector (Golub & Van Loan, Matrix
-    Computations, section 7.6; LAPACK ztrevc).  Complex vectors stay inside
-    this function: it returns the real n x n matrix X = Z Y, in T's block
-    order, with a column for each real eigenvalue, unit with its sign
-    canonicalized, and the (re, im) columns for each pair, unit together
-    with the phase canonicalized.
+    lambda_j at its top left: T_c = G^H T G and Z_c = Z G (MATLAB rsf2csf).
+    Y holds one column per eigenvalue, with T_c y_j = lambda_j y_j and 1 atop
+    block j.  One bottom-up sweep solves row i for every eigenvalue whose
+    block starts below it, a division by t_ii - lambda_k raised to smin in
+    magnitude, so a repeated eigenvalue still gives a finite vector (Golub &
+    Van Loan, Matrix Computations, section 7.6; LAPACK ztrevc).  Complex
+    vectors stay inside this function.  It returns (X, Y_r), both real
+    n x n in T's block order.  X = Z_c Y has a column for each real
+    eigenvalue, unit with its sign canonicalized, and the (re, im) columns
+    for each pair, unit together with the phase canonicalized.  Y_r holds
+    the (re, im) columns of G Y with each block's normalization and sign or
+    phase, so Z Y_r = X up to rounding; G Y_j is zero below block j, so Y_r
+    is block upper triangular with exact zeros below its diagonal blocks.
     """
     n = t.shape[0]
     starts = block_starts(eigs)
     smin = EPS * (np.max(np.abs(t)) if n else 0.0)
     t, z = t.astype(complex), z.astype(complex)
-    for lam, lo in zip(eigs, starts):
-        if lam.imag > 0:
-            _triangularize_2x2(t, z, lo, lam)
+    rotations = [
+        (lo, _triangularize_2x2(t, z, lo, lam)) for lam, lo in zip(eigs, starts) if lam.imag > 0
+    ]
     # the first eigenvalue whose block starts below each row
     later = np.repeat(np.arange(1, len(eigs) + 1), np.diff(starts))
     y = np.zeros((n, len(eigs)), dtype=complex)
@@ -308,21 +312,47 @@ def right_eigenvectors(t, z, eigs):
         d = t[i, i] - eigs[k:]
         d[np.abs(d) < smin] = smin
         y[i, k:] = -(t[i, i + 1:] @ y[i + 1:, k:]) / d
-    x = np.empty((n, n))
-    for lo, hi, v in zip(starts, starts[1:], (z @ y).T):
+    zy = z @ y
+    for lo, g in rotations:  # y becomes G Y, the eigenvectors of T itself
+        y[lo:lo + 2] = g @ y[lo:lo + 2]
+    x, y_r = np.empty((n, n)), np.zeros((n, n))
+    for lo, hi, v, w in zip(starts, starts[1:], zy.T, y.T):
         re, im = v.real, v.imag
         if hi - lo == 1:
-            x[:, lo] = _canonical_sign(re / np.linalg.norm(re))
+            norm = np.linalg.norm(re)
+            sign = _canonical_sign(re / norm)
+            x[:, lo], y_r[:, lo] = sign * (re / norm), sign * (w.real / norm)
         else:
             scale = np.sqrt(np.sum(re**2) + np.sum(im**2))
-            x[:, lo], x[:, lo + 1] = canonicalize_phase(re / scale, im / scale)
-    return x
+            x[:, lo], x[:, lo + 1], c, s = _canonical_phase(re / scale, im / scale)
+            # the same rotation by -phi, as the complex factor e^(-i phi)
+            w = w * (complex(c, -s) / scale)
+            y_r[:, lo], y_r[:, lo + 1] = w.real, w.imag
+    return x, y_r
 
 
 def _canonical_sign(v):
-    """Largest-magnitude entry made positive; ties break at the lowest index."""
-    j = int(np.argmax(np.abs(v)))
-    return -v if v[j] < 0.0 else v
+    """-1.0 if the largest-magnitude entry of v is negative, else 1.0; ties
+    break at the lowest index."""
+    return -1.0 if v[np.argmax(np.abs(v))] < 0.0 else 1.0
+
+
+def _canonical_phase(re, im):
+    """canonicalize_phase's result with the cosine and sine of the angle phi
+    it rotated by."""
+    mags = re**2 + im**2
+    if not np.any(mags > 0.0):
+        raise ShapeError("cannot canonicalize a zero vector")
+    j = int(np.argmax(mags))
+    bj, pj = re[j], im[j]
+    if pj == 0.0 and bj > 0.0:
+        return re, im, 1.0, 0.0
+    phi = np.arctan2(pj, bj)
+    c, s = np.cos(phi), np.sin(phi)
+    re, im = c * re + s * im, c * im - s * re
+    re[j] = np.hypot(bj, pj)
+    im[j] = 0.0
+    return re, im, c, s
 
 
 def canonicalize_phase(re, im):
@@ -332,19 +362,33 @@ def canonicalize_phase(re, im):
     Idempotent bit-for-bit: the pinned entry is stored with an exact zero
     imaginary part, so a second application returns its inputs unchanged.
     """
-    mags = re**2 + im**2
-    if not np.any(mags > 0.0):
-        raise ShapeError("cannot canonicalize a zero vector")
-    j = int(np.argmax(mags))
-    bj, pj = re[j], im[j]
-    if pj == 0.0 and bj > 0.0:
-        return re, im
-    phi = np.arctan2(pj, bj)
-    c, s = np.cos(phi), np.sin(phi)
-    re, im = c * re + s * im, c * im - s * re
-    re[j] = np.hypot(bj, pj)
-    im[j] = 0.0
-    return re, im
+    return _canonical_phase(re, im)[:2]
+
+
+def basis_inverse(z, y_r, eigs, cols):
+    """B^-1 = (Y_r^-1)[cols] Z^T for the basis B = (Z Y_r)[:, cols], with
+    Y_r from right_eigenvectors(t, z, eigs).
+
+    Y_r^-1 is block upper triangular like Y_r and comes from one bottom-up
+    block back-substitution, each 1x1 or 2x2 pivot block inverted in
+    closed form.  In exact arithmetic no pivot is singular: a 1x1 block is
+    1 over its vector's norm, and a 2x2 block is the (re, im) split of a
+    multiple of the pair block's eigenvector, whose determinant is omega
+    times a nonzero factor.  A numerically singular basis shows up as a
+    large Y_r^-1, which eigensystem's rcond gate refuses.
+    """
+    n = y_r.shape[0]
+    starts = block_starts(eigs)
+    inv = np.zeros((n, n))
+    for lo, hi in reversed(list(zip(starts[:-1], starts[1:]))):
+        if hi - lo == 1:
+            pivot = 1.0 / y_r[lo:hi, lo:hi]
+        else:
+            (a, b), (c, d) = y_r[lo:hi, lo:hi]
+            pivot = np.array([[d, -b], [-c, a]]) / (a * d - b * c)
+        inv[lo:hi, lo:hi] = pivot
+        inv[lo:hi, hi:] = -pivot @ (y_r[lo:hi, hi:] @ inv[hi:, hi:])
+    return inv[cols] @ z.T
 
 
 def eigensystem(m):
@@ -363,23 +407,18 @@ def eigensystem(m):
         return EigenSystem(np.zeros(n, dtype=complex), np.eye(n), np.eye(n), 1.0)
     h, q = hessenberg_reduce(m / s / norm_m)
     t, z, eigs = real_schur(h, q)
-    x = right_eigenvectors(t, z, eigs)
+    x, y_r = right_eigenvectors(t, z, eigs)
     # left to right: norm_m * s alone may overflow where an eigenvalue does not
     scaled = eigs * norm_m * s
     # a pair whose omega underflows to 0 becomes a real double, one entry per
     # column (b, p): at omega = 0 its plane term is sigma (b 2d^T + p 2q^T)
-    eigs = np.repeat(scaled, 1 + ((scaled.imag == 0) & (eigs.imag > 0)))
-    starts = block_starts(eigs)
-    order = np.lexsort((eigs.imag, eigs.real, eigs.imag > 0))
+    split = np.repeat(scaled, 1 + ((scaled.imag == 0) & (eigs.imag > 0)))
+    starts = block_starts(split)
+    order = np.lexsort((split.imag, split.real, split.imag > 0))
     cols = [c for i in order for c in range(starts[i], starts[i + 1])]
-    # C order: the LU's row dot products round differently on the
-    # F-ordered array that column indexing returns
-    basis = np.ascontiguousarray(x[:, cols])
-    try:
-        basis_inv = dc.inverse(basis)
-    except SingularMatrixError as exc:
-        raise NotDiagonalizableError(str(exc)) from exc
+    basis = x[:, cols]
+    basis_inv = basis_inverse(z, y_r, eigs, cols)
     rcond = dc.rcond_1norm(basis, basis_inv)
     if not rcond >= _RCOND_MIN:
         raise NotDiagonalizableError(f"eigenvector basis rcond {rcond:.3e}")
-    return EigenSystem(eigs[order], basis, basis_inv, rcond)
+    return EigenSystem(split[order], basis, basis_inv, rcond)

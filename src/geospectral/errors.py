@@ -9,18 +9,6 @@ class ShapeError(GeoSpectralError):
     """Operands have incompatible dimensions."""
 
 
-class SingularMatrixError(GeoSpectralError):
-    """Pivot fell below the singularity threshold during elimination."""
-
-    def __init__(self, pivot_index, pivot):
-        self.pivot_index = pivot_index
-        self.pivot = pivot
-        super().__init__(
-            f"singular matrix: pivot {pivot:.3e} at index {pivot_index} "
-            f"below threshold"
-        )
-
-
 class ConvergenceError(GeoSpectralError):
     """QR iteration did not converge within the sweep budget."""
 

@@ -130,9 +130,8 @@ def biorthogonality_residual(b, p, d, q):
 def nu(b, d, q):
     """Normalization (d.b)^2 + (q.b)^2 of a plane term."""
     value = dot(d, b) ** 2 + dot(q, b) ** 2
-    scale = (
-        np.linalg.norm(d) * np.linalg.norm(b) + np.linalg.norm(q) * np.linalg.norm(b)
-    ) ** 2
+    norm_b = np.linalg.norm(b)
+    scale = (np.linalg.norm(d) * norm_b + np.linalg.norm(q) * norm_b) ** 2
     # a NaN fails the comparison, so it is refused too
     if not value > _NU_REL_FLOOR * scale:
         raise DegeneratePairError(f"nu = {value:.3e} below degeneracy floor")

@@ -2,42 +2,7 @@ import numpy as np
 import pytest
 
 from geospectral import densecore as dc
-from geospectral.errors import ShapeError, SingularMatrixError
-
-
-def test_solve_identity():
-    b = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    np.testing.assert_array_equal(dc.inverse(np.eye(3)) @ b, b)
-
-
-def test_solve_diagonal_inverse():
-    x = dc.inverse(np.diag([2.0, 4.0]))
-    np.testing.assert_allclose(x, np.diag([0.5, 0.25]))
-
-
-def test_solve_permutation():
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    x = dc.inverse(a) @ np.array([[1.0], [2.0]])
-    np.testing.assert_allclose(x, [[2.0], [1.0]])
-
-
-def test_solve_singular_reports_pivot_index():
-    with pytest.raises(SingularMatrixError) as err:
-        dc.inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
-    assert err.value.pivot_index == 1
-
-
-def test_solve_round_trip_well_conditioned():
-    rng = np.random.default_rng(1)
-    for _ in range(30):
-        n = int(rng.integers(2, 10))
-        a = rng.standard_normal((n, n))
-        if np.linalg.cond(a) >= 1e6:
-            continue
-        b = rng.standard_normal((n, 3))
-        x = dc.inverse(a) @ b
-        bound = 1e-10 * dc.frobenius_norm(a) * dc.frobenius_norm(x)
-        assert dc.frobenius_norm(a @ x - b) <= bound
+from geospectral.errors import ShapeError
 
 
 def test_frobenius_norm():

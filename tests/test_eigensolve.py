@@ -228,11 +228,14 @@ def test_schur_planted_structure(n, k):
     # each column block X_j of the right vectors satisfies M X_j = X_j L_j,
     # and T and Z are left as they were
     t0, z0 = t.copy(), z.copy()
-    x = eg.right_eigenvectors(t, z, eigs)
+    x, y_r = eg.right_eigenvectors(t, z, eigs)
     np.testing.assert_array_equal(t, t0, strict=True)
     np.testing.assert_array_equal(z, z0, strict=True)
+    # Y_r is X in Schur coordinates, exactly 0 below its diagonal blocks
+    assert frobenius_norm(z @ y_r - x) <= n * eg.EPS
     starts, worst = eg.block_starts(eigs), 0.0
     for e, lo, hi in zip(eigs, starts, starts[1:]):
+        assert not np.any(y_r[hi:, lo:hi])
         if hi - lo == 1:
             lam = np.array([[e.real]])
         else:
@@ -242,10 +245,14 @@ def test_schur_planted_structure(n, k):
     assert worst <= 1e-12 * norm_m
 
 
-def _dense_hessenberg(n):
+def _dense_spectrum(n):
+    """The bench's dense recipe: n/4 pairs on jittered grids, cap 1e6."""
     reals, pairs = _draw_spectrum(np.random.default_rng(n), n - 2 * (n // 4), n // 4)
-    m = gen_test_matrix(PlantedSpectrum(reals, pairs, basis_seed=n, condition_cap=1e6))
-    return eg.hessenberg_reduce(m)
+    return PlantedSpectrum(reals, pairs, basis_seed=n, condition_cap=1e6)
+
+
+def _dense_hessenberg(n):
+    return eg.hessenberg_reduce(gen_test_matrix(_dense_spectrum(n)))
 
 
 def test_schur_same_bits_for_either_memory_order():
@@ -385,7 +392,8 @@ def test_schur_eigenvalue_cases():
 def _schur_right_vectors(m):
     h, q = eg.hessenberg_reduce(m)
     t, z, eigs = eg.real_schur(h, q)
-    return eigs, eg.right_eigenvectors(t, z, eigs)
+    x, _ = eg.right_eigenvectors(t, z, eigs)
+    return eigs, x
 
 
 def test_right_eigenvectors_diagonal():
@@ -443,10 +451,12 @@ def test_left_eigenvectors_triangular_hand_case():
 
 
 def test_biorthogonality_on_generated_matrices():
-    for seed in range(10):
-        spec = PlantedSpectrum(
-            (0.5 + seed, -1.0), ((0.3, 1.1), (1.7, 0.4)), basis_seed=seed
-        )
+    specs = [
+        PlantedSpectrum((0.5 + seed, -1.0), ((0.3, 1.1), (1.7, 0.4)), basis_seed=seed)
+        for seed in range(10)
+    ]
+    specs.append(_dense_spectrum(64))
+    for spec in specs:
         m = gen_test_matrix(spec)
         system = eg.eigensystem(m)
         prod = system.basis_inv @ system.basis
@@ -499,8 +509,20 @@ def test_canonicalize_phase_zero_vector_rejected():
 
 
 def test_defective_matrix_rejected():
-    with pytest.raises(NotDiagonalizableError):
-        eg.eigensystem(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    # exact Jordan structure deflates at once, so each computed eigenvalue
+    # repeats exactly and the basis is singular to rounding: the rcond gate
+    # refuses it at every scale, and no RuntimeWarning (an error under this
+    # suite's filterwarnings) is raised on the way
+    c = np.array([[0.5, 2.0], [-2.0, 0.5]])
+    jordans = [
+        np.array([[1.0, 1.0], [0.0, 1.0]]),
+        np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]]),
+        np.block([[c, np.eye(2)], [np.zeros((2, 2)), c]]),  # a Jordan-coupled pair
+    ]
+    for m in jordans:
+        for e in (-900, 0, 900):
+            with pytest.raises(NotDiagonalizableError, match="rcond"):
+                eg.eigensystem(m * 2.0**e)
 
 
 def test_repeated_eigenvalues_diagonalizable():

@@ -17,19 +17,21 @@ once, and of as many more as fill one second per size:
 - ``real_schur`` on its output, with the number of Francis sweeps and
   of bulge steps (a sweep on the block [lo, hi] makes hi - lo of them)
 - ``right_eigenvectors`` on the Schur form
-- ``densecore.inverse`` of the real eigenvector basis
+- the inverse of the real eigenvector basis: ``eigensolve.basis_inverse``,
+  or ``densecore.inverse`` in a tree that predates it
 - ``realdecomp.decompose`` of M
 - ``verify.run_identity_suite`` of M: decompose and every identity check
 - ``np.linalg.eig`` of M (LAPACK, the reference speed)
 
-In each of ROUNDS rounds the trees run in turn, and each
-figure is the least over the rounds, so that slow spells of a shared
-machine fall on every tree alike.  The script prints one table per tree
-in milliseconds, with Schur's microseconds per bulge step, and, for two
-or more trees, each later tree's times divided by the first tree's.
-Give the same tree twice to see the noise floor: on a shared 2-core
-machine such a run read ratios of 0.74 to 1.44, 18 of its 24 within 0.9
-to 1.1.
+Each size runs in its own subprocess.  In each of ROUNDS rounds, every
+size runs in every tree in turn, the first tree rotating from round to
+round, and each figure is the least over the rounds.  So the trees take
+turns within seconds of each other, and a slow spell of a shared machine
+falls on every tree alike.  The script prints one table per tree in
+milliseconds, with Schur's microseconds per bulge step, and, for two or
+more trees, each later tree's times divided by the first tree's.  Give
+the same tree twice to see the noise floor: on a shared 2-core machine
+such a run read ratios of 0.93 to 1.02 for all 28 figures.
 """
 
 import argparse
@@ -59,12 +61,16 @@ import json, sys, time
 import numpy as np
 from geospectral import densecore, eigensolve, realdecomp, verify
 
-# the stages eigensystem calls, each timed on the arguments it is given there
+# the stages eigensystem calls, each timed on the arguments it is given there;
+# a tree that predates basis_inverse inverts the basis with densecore's LU
 CALLED = {
     "hessenberg": (eigensolve, "hessenberg_reduce"),
     "schur": (eigensolve, "real_schur"),
     "right_vecs": (eigensolve, "right_eigenvectors"),
-    "basis_inv": (densecore, "inverse"),
+    "basis_inv": (
+        (eigensolve, "basis_inverse") if hasattr(eigensolve, "basis_inverse")
+        else (densecore, "inverse")
+    ),
     "sweep": (eigensolve, "_francis_step"),
 }
 
@@ -156,17 +162,20 @@ def main(argv):
     parser.add_argument("src", nargs="+")
     srcs = parser.parse_args(argv).src
     with tempfile.TemporaryDirectory() as tmp:
-        inputs_path = os.path.join(tmp, "inputs.npz")
-        np.savez(inputs_path, **build_inputs())
+        paths = []
+        for key, m in build_inputs().items():
+            paths.append(os.path.join(tmp, f"{key}.npz"))
+            np.savez(paths[-1], **{key: m})
         out_path = os.path.join(tmp, "out.json")
-        best = [None] * len(srcs)
-        for _ in range(ROUNDS):
-            for i, src in enumerate(srcs):
-                rows = run_tree(src, inputs_path, out_path)
-                if best[i] is not None:
-                    for row, prev in zip(rows, best[i]):
+        best = [[None] * len(paths) for _ in srcs]
+        for r in range(ROUNDS):
+            for j, inputs_path in enumerate(paths):
+                for i in np.roll(np.arange(len(srcs)), -r).tolist():
+                    [row] = run_tree(srcs[i], inputs_path, out_path)
+                    prev = best[i][j]
+                    if prev is not None:
                         row.update({s: min(row[s], prev[s]) for s in STAGES})
-                best[i] = rows
+                    best[i][j] = row
     for rows in best:
         for row in rows:
             row["us/step"] = row["schur"] * 1e3 / row["steps"]
