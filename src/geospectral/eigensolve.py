@@ -18,10 +18,13 @@ reflector is symmetric, so applying it takes two products: one on the
 contiguous rows of both halves that it mixes, one on the matrix's
 columns.  The QR sweep is Python-bound, not flop-bound: each bulge
 reflector is a 3x3 matrix built from Python floats, and its right product
-touches only the columns of T above the bulge.  A bulge step slices each
-slab once and tests nothing for the last, 2x2 step, which follows the
-loop; two strided writes per sweep clear the bulge entries, and the
-deflation test between sweeps is one numpy scan of the subdiagonal.
+touches only the columns of T above the bulge.  A 3x3 bulge step takes
+both slabs from a list of views of the work array that real_schur builds
+once per call, and packs its nine reflector entries into one
+preallocated array with a single struct call; the last, 2x2 step follows
+the loop and tests nothing; two strided writes per sweep clear the bulge
+entries, and the deflation test between sweeps is one numpy scan of the
+subdiagonal.
 
 As in LAPACK dgeev, the eigenvalues are one complex array, an entry per
 diagonal block: exactly real for a real eigenvalue, sigma + i omega with
@@ -31,6 +34,7 @@ block_starts counts them; its inverse and every term are real too.
 """
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +46,7 @@ from .errors import ConvergenceError, NotDiagonalizableError, ShapeError
 MAX_SWEEPS_PER_N = 30
 _RCOND_MIN = 1e-12
 _NORM_MIN = 2.0**-480  # above it, a sum of squares keeps full precision
+_pack_3x3 = struct.Struct("9d").pack_into  # nine floats into a 3x3 array, row by row
 
 
 @dataclass(frozen=True)
@@ -107,47 +112,61 @@ def hessenberg_reduce(m):
     return a[:, :n], a[:, n:].T
 
 
-def _francis_step(a, lo, hi, r1, r2):
+def _bulge_slabs(a):
+    """Views of the work array a = [T | Z^T] that the 3x3 bulge step at row
+    k transforms, one (rows, cols) pair for each k < n - 2: rows k..k+2 from
+    column k-1 on (from column 0 at k = 0), and columns k..k+2 of T down to
+    row k+3."""
+    return [(a[k:k + 3, max(k - 1, 0):], a[:k + 4, k:k + 3]) for k in range(a.shape[0] - 2)]
+
+
+def _francis_step(a, lo, hi, r1, r2, slabs):
     """One implicit double-shift sweep on the active block [lo, hi] of the
     work array a = [T | Z^T] (C-ordered, n x 2n).
 
     r1 and r2 are the shifts, two reals or a conjugate pair; the first
     column of (T - r1 I)(T - r2 I) subtracts each before multiplying, so a
     cluster far from 0 does not cancel it to rounding noise (LAPACK dlahqr).
-    Each bulge reflector is built from (x, y, w) in Python floats into one
-    3x3 Householder matrix and applied only where the Hessenberg bulge is
-    nonzero (Golub & Van Loan, Matrix Computations, section 7.5.5).  The
-    reflector is symmetric, so one left product on rows k..k+2 of a, from
-    column max(lo, k-1) on, updates those rows of T and columns k..k+2 of Z
-    together; the right product touches columns k..k+2 of T down to row
-    min(k+3, hi).  The loop runs the 3x3 steps; the last step (w = 0) is a
-    2x2 reflector after it.  The entries each reflector zeroes below the
+    Each bulge reflector is built from (x, y, w) in Python floats, packed
+    into one preallocated 3x3 Householder matrix and applied only where the
+    Hessenberg bulge is nonzero (Golub & Van Loan, Matrix Computations,
+    section 7.5.5).  The reflector is symmetric, so one left product on
+    rows k..k+2 of a, from column max(lo, k-1) on, updates those rows of T
+    and columns k..k+2 of Z together; the right product touches columns
+    k..k+2 of T down to row min(k+3, hi).  slabs is _bulge_slabs(a), the
+    views of both products for every k; only the first step's rows (from
+    column lo) and the last 3x3 step's columns (down to row hi) are sliced
+    here.  The loop runs the 3x3 steps; the last step (w = 0) is a 2x2
+    reflector after it.  The entries each reflector zeroes below the
     subdiagonal are never read again in the sweep, so two strided writes
     set the second and third subdiagonals of [lo, hi] to 0 at its end.
     """
     pm = np.empty((3, 3))
-    pm_flat = pm.reshape(-1)  # a view: filling it is cheaper than pm.flat
     t00, t10 = a.item(lo, lo), a.item(lo + 1, lo)
     x = ((t00 - r1) * (t00 - r2)).real + a.item(lo, lo + 1) * t10
     y = t10 * (t00 + a.item(lo + 1, lo + 1) - (r1 + r2).real)
     w = a.item(lo + 2, lo + 1) * t10
-    c0, last = lo, hi - 2
-    for k in range(lo, hi - 1):
+    last = hi - 2
+    steps = slabs[lo:last + 1]
+    # the first step's rows start at column lo and the last step's columns
+    # end at row hi, so no product takes in column lo - 1 or row hi + 1
+    steps[0] = a[lo:lo + 3, lo:], steps[0][1]
+    steps[-1] = steps[-1][0], a[:hi + 1, last:last + 3]
+    for k, (rows, cols) in enumerate(steps, lo):
         alpha = math.hypot(x, y, w)
         if alpha != 0.0:
             u = x + alpha if x >= 0.0 else x - alpha
             nv = math.hypot(u, y, w)
             u, v, c = u / nv, y / nv, w / nv
-            pm_flat[:] = (
-                1.0 - 2.0 * u * u, -2.0 * u * v, -2.0 * u * c,
-                -2.0 * u * v, 1.0 - 2.0 * v * v, -2.0 * v * c,
-                -2.0 * u * c, -2.0 * v * c, 1.0 - 2.0 * c * c,
+            uv, uc, vc = -2.0 * u * v, -2.0 * u * c, -2.0 * v * c
+            _pack_3x3(
+                pm, 0,
+                1.0 - 2.0 * u * u, uv, uc,
+                uv, 1.0 - 2.0 * v * v, vc,
+                uc, vc, 1.0 - 2.0 * c * c,
             )
-            rows = a[k:k + 3, c0:]
             rows[...] = pm.dot(rows)
-            cols = a[:k + 4 if k < last else hi + 1, k:k + 3]
             cols[...] = cols.dot(pm)
-        c0 = k
         x, y = a.item(k + 1, k), a.item(k + 2, k)
         w = a.item(k + 3, k) if k < last else 0.0
     alpha = math.hypot(x, y)
@@ -233,6 +252,7 @@ def real_schur(h, q):
     a[:, :n] = h / scale
     a[:, n:] = q.T
     t, z = a[:, :n], a[:, n:].T
+    slabs = _bulge_slabs(a)
     # normwise, not local: a repeated eigenvalue stalls its subdiagonal
     # near eps ||H||, far above eps (|t_ll| + |t_l-1,l-1|)
     tol = n * EPS * dc.frobenius_norm(t)
@@ -265,7 +285,7 @@ def real_schur(h, q):
                 r1 = r2 = t.item(hi, hi) + 0.75 * ex
             else:
                 r1, r2 = _eig_2x2(t, hi - 1)
-            _francis_step(a, l, hi, r1, r2)
+            _francis_step(a, l, hi, r1, r2, slabs)
             sweeps += 1
             block_iters += 1
     return t * scale, np.ascontiguousarray(z), np.array(eigs[::-1], dtype=complex) * scale

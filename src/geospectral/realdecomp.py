@@ -128,8 +128,9 @@ def biorthogonality_residual(b, p, d, q):
 
 
 def nu(b, d, q):
-    """Normalization (d.b)^2 + (q.b)^2 of a plane term."""
-    value = dot(d, b) ** 2 + dot(q, b) ** 2
+    """Normalization (d.b)^2 + (q.b)^2 of a plane term, for float vectors
+    of one shape (as _check_vectors passes them)."""
+    value = float(np.sum(d * b)) ** 2 + float(np.sum(q * b)) ** 2
     norm_b = np.linalg.norm(b)
     scale = (np.linalg.norm(d) * norm_b + np.linalg.norm(q) * norm_b) ** 2
     # a NaN fails the comparison, so it is refused too

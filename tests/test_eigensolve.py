@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geospectral import eigensolve as eg
 from geospectral.cli import _draw_spectrum
@@ -322,8 +324,50 @@ def test_francis_sweep_inside_the_matrix_matches_reference(n, lo, hi, shifts):
     r1, r2 = shifts or eg._eig_2x2(h, hi - 1)
     a = np.empty((n, 2 * n))
     a[:, :n], a[:, n:] = h, q.T
-    eg._francis_step(a, lo, hi, r1, r2)
+    eg._francis_step(a, lo, hi, r1, r2, eg._bulge_slabs(a))
     assert np.all(a[:, :n][np.tril_indices(n, -2)] == 0.0)
+    _reference_sweep(h, q, lo, hi, r1, r2)
+    np.testing.assert_array_equal(a[:, :n], h, strict=True)
+    np.testing.assert_array_equal(a[:, n:].T, q, strict=True)
+
+
+@st.composite
+def _active_blocks(draw):
+    """(n, lo, hi, zero_column): an active block [lo, hi] of at least three
+    rows inside an n x n Hessenberg matrix, and whether its first bulge
+    column is exactly zero."""
+    n = draw(st.integers(3, 20))
+    lo = draw(st.integers(0, n - 3))
+    return n, lo, draw(st.integers(lo + 2, n - 1)), draw(st.booleans())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_active_blocks())
+@example((3, 0, 2, False))
+@example((20, 0, 19, False))
+@example((20, 9, 11, False))
+@example((20, 17, 19, True))
+@example((12, 0, 11, True))
+def test_francis_sweep_on_cached_slabs_matches_reference(block):
+    # every step reads its slabs from the list real_schur builds once; none
+    # of them may be a copy, or the step would write to the copy alone
+    n, lo, hi, zero_column = block
+    h, q = _dense_hessenberg(n)
+    if lo > 0:
+        h[lo, lo - 1] = 0.0
+    if hi < n - 1:
+        h[hi + 1, hi] = 0.0
+    if zero_column:
+        h[lo + 1, lo] = 0.0
+        r1 = r2 = h.item(lo, lo)
+    else:
+        r1, r2 = eg._eig_2x2(h, hi - 1)
+    a = np.empty((n, 2 * n))
+    a[:, :n], a[:, n:] = h, q.T
+    slabs = eg._bulge_slabs(a)
+    assert len(slabs) == n - 2
+    assert all(np.shares_memory(s, a) for pair in slabs for s in pair)
+    eg._francis_step(a, lo, hi, r1, r2, slabs)
     _reference_sweep(h, q, lo, hi, r1, r2)
     np.testing.assert_array_equal(a[:, :n], h, strict=True)
     np.testing.assert_array_equal(a[:, n:].T, q, strict=True)
