@@ -1,7 +1,7 @@
 """Real, coordinate-free spectral decomposition of real diagonalizable
 matrices, including matrices with complex-conjugate eigenvalue pairs."""
 
-from .densecore import dot, frobenius_norm
+from .densecore import frobenius_norm
 from .eigensolve import (
     EigenSystem,
     canonicalize_phase,
@@ -15,7 +15,6 @@ from .realdecomp import (
     RealTerm,
     SpectralDecomposition,
     apply,
-    biorthogonality_residual,
     decompose,
     nu,
     plane_term_left_form,
@@ -42,11 +41,9 @@ __all__ = [
     "SpectralDecomposition",
     "VerificationReport",
     "apply",
-    "biorthogonality_residual",
     "brute_force_reconstruct",
     "canonicalize_phase",
     "decompose",
-    "dot",
     "eigensystem",
     "frobenius_norm",
     "gen_test_matrix",

@@ -49,17 +49,6 @@ def pow2_scale(a):
     return float(np.ldexp(1.0, int(np.frexp(np.max(np.abs(a), initial=0.0))[1]) - 1))
 
 
-def dot(u, v):
-    """Dot product; dot(u, v) == dot(v, u) exactly (same summation order)."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ShapeError(f"dot of {u.shape} against {v.shape}")
-    # elementwise product commutes exactly in IEEE arithmetic, so summing
-    # u*v and v*u in the same index order gives bit-identical results
-    return float(np.sum(u * v))
-
-
 def rcond_1norm(a, a_inv):
     """Reciprocal condition estimate from explicit inverse (1-norm)."""
     na = np.linalg.norm(a, 1)

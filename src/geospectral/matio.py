@@ -1,9 +1,10 @@
 """Matrix file parsing/writing and the JSON decomposition report.
 
 Supported inputs: Matrix Market "array real general" (column-major body)
-and plain CSV (one row per line, no header).  JSON reports carry floats as
-shortest round-trip decimals, with hex-float copies of the scalar fields
-so diffs stay bit-exact across platforms.
+and plain CSV (one row per line, no header).  A JSON report states each
+fact of a decomposition once: the terms, and the two diagnostics that
+cannot be derived from them.  Floats are shortest round-trip decimals,
+which re-parse bit for bit.
 """
 
 import csv
@@ -22,7 +23,7 @@ from .realdecomp import (
     SpectralDecomposition,
 )
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 FORMAT_MATRIX_MARKET = "matrixmarket"
 FORMAT_CSV = "csv"
@@ -159,25 +160,9 @@ def matrix_to_doc(m):
 
 def decomposition_to_doc(dec, input_digest=None):
     """Serialize a SpectralDecomposition to a JSON-ready dict."""
-    eigenvalues = []
-    for t in dec.real_terms:
-        eigenvalues.append(
-            {"kind": "real", "alpha": t.alpha, "alpha_hex": float(t.alpha).hex()}
-        )
-    for t in dec.plane_terms:
-        eigenvalues.append(
-            {
-                "kind": "complex_pair",
-                "sigma": t.sigma,
-                "omega": t.omega,
-                "sigma_hex": float(t.sigma).hex(),
-                "omega_hex": float(t.omega).hex(),
-            }
-        )
     doc = {
         "schema_version": SCHEMA_VERSION,
         "dim": dec.dim,
-        "eigenvalues": eigenvalues,
         "real_terms": [
             {"alpha": t.alpha, "a": _vec(t.a), "c": _vec(t.c)} for t in dec.real_terms
         ],
@@ -189,15 +174,12 @@ def decomposition_to_doc(dec, input_digest=None):
                 "p": _vec(t.p),
                 "d": _vec(t.d),
                 "q": _vec(t.q),
-                "nu": t.nu,
-                "nu_hex": float(t.nu).hex(),
             }
             for t in dec.plane_terms
         ],
         "diagnostics": {
             "reconstruction_residual": dec.diagnostics.reconstruction_residual,
             "basis_rcond": dec.diagnostics.basis_rcond,
-            "max_biorthogonality_residual": dec.max_biorthogonality_residual,
         },
     }
     if input_digest is not None:
@@ -206,10 +188,11 @@ def decomposition_to_doc(dec, input_digest=None):
 
 
 def doc_to_decomposition(doc):
-    """Rebuild a SpectralDecomposition from its JSON document; nu and the
-    biorthogonality residual are recomputed, not read.  A missing field or
-    a non-number raises ParseError; a dim other than j + 2k, or a term its
-    constructor refuses (non-finite value or vector, omega <= 0), ShapeError."""
+    """Rebuild a SpectralDecomposition from its JSON document; each plane
+    term's nu is computed from its vectors.  Another schema_version, a
+    missing field or a non-number raises ParseError; a dim other than
+    j + 2k, or a term its constructor refuses (non-finite value or vector,
+    omega <= 0), ShapeError."""
     try:
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise ParseError(f"unsupported schema_version {doc.get('schema_version')!r}")
@@ -224,12 +207,11 @@ def doc_to_decomposition(doc):
             )
             for t in doc["plane_terms"]
         )
-        diag = doc.get("diagnostics", {})
+        diag = doc["diagnostics"]
         diagnostics = Diagnostics(
-            float(diag.get("reconstruction_residual", float("nan"))),
-            float(diag.get("basis_rcond", float("nan"))),
+            float(diag["reconstruction_residual"]), float(diag["basis_rcond"])
         )
-    # AttributeError: a report or its diagnostics is not a JSON object
+    # AttributeError: a report is not a JSON object
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed report: {type(exc).__name__}: {exc}") from exc
     dec = SpectralDecomposition(real_terms, plane_terms, diagnostics)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import densecore as dc
 from . import eigensolve as eg
-from .densecore import dot, frobenius_norm
+from .densecore import frobenius_norm
 from .errors import (
     AccuracyError,
     DegeneratePairError,
@@ -60,7 +60,7 @@ class RealTerm:
         if not np.isfinite(self.alpha):
             raise ShapeError(f"real term needs a finite alpha, got {self.alpha}")
         _check_vectors(self.a, self.c)
-        ca = dot(self.c, self.a)
+        ca = float(np.sum(self.c * self.a))
         if abs(ca) <= 1e-12 * (np.linalg.norm(self.c) * np.linalg.norm(self.a)):
             raise DegeneratePairError(f"left/right product c.a = {ca:.3e} is degenerate")
 
@@ -114,18 +114,6 @@ class SpectralDecomposition:
     def dim(self):
         return len(self.real_terms) + 2 * len(self.plane_terms)
 
-    @property
-    def max_biorthogonality_residual(self):
-        """Largest |d.b - q.p| or |q.b + d.p| over the plane terms."""
-        pairs = [biorthogonality_residual(t.b, t.p, t.d, t.q) for t in self.plane_terms]
-        return max([0.0] + [abs(r) for pair in pairs for r in pair])
-
-
-def biorthogonality_residual(b, p, d, q):
-    """Residuals of the real-split orthogonality conditions d.b = q.p and
-    q.b = -d.p; both vanish for a valid same-pair (b,p)/(d,q) set."""
-    return dot(d, b) - dot(q, p), dot(q, b) + dot(d, p)
-
 
 def nu(b, d, q):
     """Normalization (d.b)^2 + (q.b)^2 of a plane term, for float vectors
@@ -169,7 +157,7 @@ def term_factors(t, s=1.0):
     factors and C = [[(alpha / s) / c.a]] for a real term, n x 2 and
     plane_core on (sigma / s, omega / s) for a pair."""
     if isinstance(t, RealTerm):
-        return t.a[:, None], np.array([[t.alpha / s / dot(t.c, t.a)]]), t.c[:, None]
+        return t.a[:, None], np.array([[t.alpha / s / float(np.sum(t.c * t.a))]]), t.c[:, None]
     u = np.column_stack([t.b, t.p])
     v = np.column_stack([t.d, t.q])
     return u, plane_core(t.sigma / s, t.omega / s, u.T @ v, t.nu), v

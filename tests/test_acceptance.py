@@ -150,7 +150,8 @@ def test_criterion_06_biorthogonality(corpus):
                 np.linalg.norm(t.d) * np.linalg.norm(t.b)
                 + np.linalg.norm(t.q) * np.linalg.norm(t.p)
             )
-            r1, r2 = rd.biorthogonality_residual(t.b, t.p, t.d, t.q)
+            r1 = np.dot(t.d, t.b) - np.dot(t.q, t.p)
+            r2 = np.dot(t.q, t.b) + np.dot(t.d, t.p)
             worst = max(worst, abs(r1) / scale, abs(r2) / scale)
             for other in dec.plane_terms:
                 if other is t:
@@ -265,10 +266,10 @@ def test_criterion_12_hand_verified_cli_round_trip(tmp_path, capsys):
     capsys.readouterr()
     assert rc == 0
     doc = json.loads(report.read_text())
-    (eig,) = doc["eigenvalues"]
-    assert eig["kind"] == "complex_pair"
-    assert eig["sigma"] == pytest.approx(1.0, abs=1e-12)
-    assert eig["omega"] == pytest.approx(2.0, abs=1e-12)
+    assert doc["real_terms"] == []
+    (pair,) = doc["plane_terms"]
+    assert pair["sigma"] == pytest.approx(1.0, abs=1e-12)
+    assert pair["omega"] == pytest.approx(2.0, abs=1e-12)
     dec = matio.doc_to_decomposition(doc)
     (t,) = dec.plane_terms
     m_lambda = rd.plane_term_left_form(t)

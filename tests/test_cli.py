@@ -7,7 +7,7 @@ import pytest
 from geospectral import eigensolve, matio
 from geospectral.cli import main
 from geospectral.errors import ParseError, ShapeError
-from geospectral.realdecomp import apply, decompose, real_canonical_form
+from geospectral.realdecomp import apply, decompose, nu, real_canonical_form
 from geospectral.verify import PlantedSpectrum, gen_test_matrix
 from test_properties import Case
 
@@ -74,7 +74,7 @@ def test_decompose_real_only(tmp_path, capsys):
     path.write_text("5,0\n0,6\n")
     assert main(["decompose", str(path)]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert all(e["kind"] == "real" for e in doc["eigenvalues"])
+    assert len(doc["real_terms"]) == doc["dim"] == 2
     assert doc["plane_terms"] == []
 
 
@@ -156,8 +156,8 @@ def test_unknown_format_and_schema_rejected(rotation_csv):
     with pytest.raises(ParseError, match="unknown format 'json'"):
         matio.parse_matrix(rotation_csv, "json")
     doc = matio.decomposition_to_doc(decompose(np.eye(2)))
-    doc["schema_version"] = "2"
-    with pytest.raises(ParseError, match="unsupported schema_version '2'"):
+    doc["schema_version"] = "1"
+    with pytest.raises(ParseError, match="unsupported schema_version '1'"):
         matio.doc_to_decomposition(doc)
     with pytest.raises(ParseError):
         matio.doc_to_decomposition([doc])
@@ -190,9 +190,7 @@ def _gen_decompose_round_trip(tmp_path, capsys, gen_args):
     assert main(["decompose", str(out), "-o", str(report)]) == 0
     doc = json.loads(report.read_text())
     planted = json.loads((tmp_path / "g.mtx.spectrum.json").read_text())
-    got_pairs = sorted(
-        (e["sigma"], e["omega"]) for e in doc["eigenvalues"] if e["kind"] == "complex_pair"
-    )
+    got_pairs = sorted((t["sigma"], t["omega"]) for t in doc["plane_terms"])
     want_pairs = sorted((s, w) for s, w in planted["complex_pairs"])
     assert len(got_pairs) == len(want_pairs)
     m = matio.parse_matrix(str(out))
@@ -200,7 +198,7 @@ def _gen_decompose_round_trip(tmp_path, capsys, gen_args):
     for (gs, gw), (ws, ww) in zip(got_pairs, want_pairs):
         assert gs == pytest.approx(ws, abs=tol)
         assert gw == pytest.approx(ww, abs=tol)
-    got_reals = sorted(e["alpha"] for e in doc["eigenvalues"] if e["kind"] == "real")
+    got_reals = sorted(t["alpha"] for t in doc["real_terms"])
     for g, w in zip(got_reals, sorted(planted["real_eigenvalues"])):
         assert g == pytest.approx(w, abs=tol)
 
@@ -344,14 +342,41 @@ def _report_doc(m):
     return json.loads(json.dumps(matio.decomposition_to_doc(decompose(m))))
 
 
+def test_report_keys_state_each_fact_once():
+    doc = matio.decomposition_to_doc(decompose(_M3), input_digest="sha256:0")
+    assert set(doc) == {
+        "schema_version", "dim", "real_terms", "plane_terms", "diagnostics", "input_digest"
+    }
+    assert doc["schema_version"] == "2"
+    assert [set(t) for t in doc["real_terms"]] == [{"alpha", "a", "c"}]
+    assert [set(t) for t in doc["plane_terms"]] == [{"sigma", "omega", "b", "p", "d", "q"}]
+    assert set(doc["diagnostics"]) == {"reconstruction_residual", "basis_rcond"}
+    assert "input_digest" not in matio.decomposition_to_doc(decompose(_M3))
+
+
 def test_report_nu_and_biorthogonality_are_recomputed():
-    doc = _report_doc(_M3)
-    doc["plane_terms"][0]["nu"] = 7.0
-    doc["diagnostics"]["max_biorthogonality_residual"] = 7.0
-    dec = matio.doc_to_decomposition(doc)
+    # a report carries no nu: the loaded term computes it from its vectors
+    dec = decompose(_M3)
+    loaded = matio.doc_to_decomposition(_report_doc(_M3))
+    (t,) = loaded.plane_terms
+    assert t.nu == dec.plane_terms[0].nu == nu(t.b, t.d, t.q)
     x = np.ones(3)
-    np.testing.assert_allclose(apply(dec, x), _M3 @ x, rtol=1e-12)
-    assert dec.max_biorthogonality_residual <= 1e-15
+    np.testing.assert_allclose(apply(loaded, x), _M3 @ x, rtol=1e-12)
+    assert abs(t.d @ t.b - t.q @ t.p) <= 1e-15
+    assert abs(t.q @ t.b + t.d @ t.p) <= 1e-15
+
+
+def test_contradicting_schema_1_report_rejected():
+    # schema "1" also wrote an eigenvalue list, nu and a biorthogonality
+    # residual that the loader never read; an edited copy could contradict
+    # its terms (alpha 3 against a stated 99) and still load
+    doc = _report_doc(_M3)
+    doc["schema_version"] = "1"
+    doc["eigenvalues"] = [{"kind": "real", "alpha": 99.0, "alpha_hex": (99.0).hex()}]
+    doc["plane_terms"][0].update(nu=-5.0, nu_hex=(-5.0).hex())
+    doc["diagnostics"]["max_biorthogonality_residual"] = 7.0
+    with pytest.raises(ParseError, match="unsupported schema_version '1'"):
+        matio.doc_to_decomposition(doc)
 
 
 def _cut(term, fields):
@@ -366,6 +391,8 @@ def _cut(term, fields):
         (lambda doc: doc.pop("real_terms"), ParseError),
         (lambda doc: doc.pop("dim"), ParseError),
         (lambda doc: doc.update(diagnostics=[]), ParseError),
+        (lambda doc: doc.pop("diagnostics"), ParseError),
+        (lambda doc: doc["diagnostics"].pop("basis_rcond"), ParseError),
         (lambda doc: doc["plane_terms"][0].update(sigma="x"), ParseError),
         (lambda doc: doc["real_terms"][0].update(alpha=None), ParseError),
         (lambda doc: doc["plane_terms"][0].update(omega=0.0), ShapeError),
@@ -379,7 +406,8 @@ def _cut(term, fields):
         (lambda doc: doc["real_terms"][0]["a"].__setitem__(2, float("inf")), ShapeError),
     ],
     ids=[
-        "missing-q", "missing-real-terms", "missing-dim", "list-diagnostics", "string-sigma",
+        "missing-q", "missing-real-terms", "missing-dim", "list-diagnostics",
+        "missing-diagnostics", "missing-rcond", "string-sigma",
         "null-alpha", "zero-omega", "infinite-alpha", "nan-sigma", "ragged-b", "short-b",
         "short-plane", "nan-p", "nan-b", "infinite-a",
     ],

@@ -21,18 +21,10 @@ def _pipeline_terms(seeds):
         yield m, dec
 
 
-def test_biorthogonality_residual_disjoint_supports():
-    b = np.array([1.0, 0.0, 0.0, 0.0])
-    p = np.array([0.0, 1.0, 0.0, 0.0])
-    d = np.array([0.0, 0.0, 1.0, 0.0])
-    q = np.array([0.0, 0.0, 0.0, 1.0])
-    assert rd.biorthogonality_residual(b, p, d, q) == (0.0, 0.0)
-
-
 def test_biorthogonality_residual_pipeline():
     for _, dec in _pipeline_terms(range(5)):
         for t in dec.plane_terms:
-            r1, r2 = rd.biorthogonality_residual(t.b, t.p, t.d, t.q)
+            r1, r2 = t.d @ t.b - t.q @ t.p, t.q @ t.b + t.d @ t.p
             assert abs(r1) <= 1e-10
             assert abs(r2) <= 1e-10
 
@@ -361,14 +353,10 @@ def test_apply_rejects_complex_and_ragged_input(x):
         rd.apply(dec, x)
 
 
-def test_decomposition_derives_dim_and_biorthogonality():
+def test_decomposition_derives_dim():
     m = np.array([[1.0, 2.0, 0.0], [-2.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
-    dec = rd.decompose(m)
-    assert dec.dim == 3
-    (t,) = dec.plane_terms
-    r1, r2 = rd.biorthogonality_residual(t.b, t.p, t.d, t.q)
-    assert dec.max_biorthogonality_residual == max(abs(r1), abs(r2))
-    assert rd.decompose(np.eye(2)).max_biorthogonality_residual == 0.0
+    assert rd.decompose(m).dim == 3
+    assert rd.decompose(np.eye(2)).dim == 2
 
 
 def test_real_canonical_form_hand_cases():

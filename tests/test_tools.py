@@ -30,3 +30,20 @@ def test_stage_times_runs_every_stage(tmp_path):
     assert all(np.isfinite(row[stage]) for stage in st.STAGES)
     assert row["sweeps"] >= 1
     assert row["steps"] >= 2 * row["sweeps"]
+
+
+def test_compare_docs_reads_shared_fields_only():
+    cr = _import_tool("compare_reports")
+    old = {"schema_version": "1", "dim": 1, "eigenvalues": [{"alpha": 3.0}],
+           "plane_terms": [{"sigma": 1.0, "nu": 0.25}], "diagnostics": {"basis_rcond": 0.5}}
+    new = {"schema_version": "2", "dim": 1, "plane_terms": [{"sigma": 1.0}],
+           "diagnostics": {"basis_rcond": 0.5, "kappa": [1.0]}}
+    only = set()
+    assert not cr.compare_docs(old, new, only)
+    assert only == {("old", "eigenvalues"), ("old", "plane_terms[].nu"),
+                    ("new", "diagnostics.kappa")}
+    # shared fields compare as JSON text: a type, a length or a sign of zero differs
+    for edit in ({"dim": 1.0}, {"plane_terms": [{"sigma": 1.0}] * 2},
+                 {"diagnostics": {"basis_rcond": 0.25}}):
+        assert cr.compare_docs(old, dict(new, **edit), set())
+    assert cr.compare_docs({"x": 0.0}, {"x": -0.0}, set())

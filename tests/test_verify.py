@@ -251,7 +251,7 @@ def _loop_checks(m, dec):
         killed = np.linalg.norm(u @ (c @ (v.T @ others)), axis=0)
         annih = max(annih, _rel(killed, norm_t * np.linalg.norm(others, axis=0)).max(initial=0.0))
 
-        r1, r2 = rd.biorthogonality_residual(t.b, t.p, t.d, t.q)
+        r1, r2 = t.d @ t.b - t.q @ t.p, t.q @ t.b + t.d @ t.p
         cross = np.abs(v.T @ others).max(initial=0.0)
         scale_b = np.linalg.norm(t.d) * np.linalg.norm(t.b) + np.linalg.norm(t.q) * np.linalg.norm(t.p)
         bio = max(bio, _rel(max(abs(r1), abs(r2), cross), scale_b))

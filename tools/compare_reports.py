@@ -1,4 +1,4 @@
-"""Check that two source trees give byte-identical decomposition reports.
+"""Check that two source trees give the same decomposition reports.
 
 Usage: python tools/compare_reports.py OLD_SRC NEW_SRC
 
@@ -16,18 +16,26 @@ type of the exception it raises.  It also records every check the suite
 reports as ``(name, tolerance)``, in order, with its residual, whether
 the report, loaded by ``matio.doc_to_decomposition`` and dumped again,
 comes back byte for byte, and whether a C-ordered copy of the input
-(most inputs are built Fortran-ordered) gives the same report.  The
-script prints how many inputs differ, how many verdicts differ (one tree
-raised, or the two raised different exception types), how many inputs
-that both trees decompose have different eigenvalue entries, how many
-identity-suite verdicts differ, how many identity-suite tolerance lists
-differ, how many of NEW_SRC's reports change in that round trip and how
-many of NEW_SRC's reports depend on the input's memory order.  For each
-check name it then prints the largest factor by which a residual moved
-between the trees, counting only the inputs where the larger of the two
-residuals lies within three orders of magnitude of the tolerance: how
-close a rounding-level change came to flipping a verdict.  It exits 1 if
-any input's report differs.
+(most inputs are built Fortran-ordered) gives the same report.
+
+Two JSON reports are compared on the fields both carry, recursively and
+value by value as JSON text, ignoring ``schema_version``; a field that
+only one of them carries counts apart, so trees with different report
+schemas can be compared.  The script prints how many inputs differ on
+shared fields (or in the error one tree raised), how many inputs that
+both trees decompose differ in their field sets, and the paths of the
+fields only one tree writes, how many verdicts differ (one tree raised,
+or the two raised different exception types), how many inputs that both
+trees decompose have different eigenvalues (each term's ``alpha``, or
+its ``sigma`` and ``omega``), how many identity-suite verdicts differ,
+how many identity-suite tolerance lists differ, how many of NEW_SRC's
+reports change in that round trip and how many of NEW_SRC's reports
+depend on the input's memory order.  For each check name it then prints
+the largest factor by which a residual moved between the trees, counting
+only the inputs where the larger of the two residuals lies within three
+orders of magnitude of the tolerance: how close a rounding-level change
+came to flipping a verdict.  It exits 1 if any input differs on shared
+fields.
 """
 
 import json
@@ -144,6 +152,29 @@ def _verdict(report):
     return "ok" if report.startswith("{") else report.split(":", 1)[0]
 
 
+def compare_docs(old, new, only, path=""):
+    """True if two JSON values differ on a field both carry, ignoring
+    schema_version.  Objects compare key by key and lists of one length
+    item by item; any other pair compares as JSON text, so -0.0 differs
+    from 0.0 and 1 from 1.0.  Each object key only one side carries is
+    added to the set `only` as ("old" or "new", path), with "a.b" for a
+    nested key and "a[].b" for a key of a list's items."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for side, x, y in (("old", old, new), ("new", new, old)):
+            only.update((side, f"{path}.{k}" if path else k) for k in x.keys() - y.keys())
+        keys = sorted(old.keys() & new.keys() - {"schema_version"})
+        return any([compare_docs(old[k], new[k], only, f"{path}.{k}" if path else k) for k in keys])
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return any([compare_docs(a, b, only, f"{path}[]") for a, b in zip(old, new)])
+    return json.dumps(old) != json.dumps(new)
+
+
+def _eigenvalues(doc):
+    """The eigenvalues a report's terms carry, as JSON text."""
+    return json.dumps([[t["alpha"] for t in doc["real_terms"]],
+                       [[t["sigma"], t["omega"]] for t in doc["plane_terms"]]])
+
+
 def _residual_moves(labels, old_tols, new_tols, old_res, new_res):
     """{check name: (count, factor, label, old, new, tolerance)}: over the
     count of inputs whose two suites list the same checks and where the
@@ -187,14 +218,28 @@ def main(argv):
         (old, old_suite, old_tols, old_res, *_), (new, new_suite, new_tols, new_res, new_trips, new_layout) = (
             zip(*json.loads(Path(out).read_text(encoding="utf-8"))) for out in outs
         )
-    differ = [label for (label, _), a, b in zip(inputs, old, new) if a != b]
+    verdicts = [(_verdict(a), _verdict(b)) for a, b in zip(old, new)]
+    both, differ, field_sets, only = [], [], 0, set()
+    for (label, _), a, b, v in zip(inputs, old, new, verdicts):
+        if v == ("ok", "ok"):
+            both.append((json.loads(a), json.loads(b)))
+            own = set()
+            changed = compare_docs(*both[-1], own)
+            field_sets += bool(own)
+            only |= own
+        else:
+            changed = a != b
+        if changed:
+            differ.append(label)
     for label in differ[:10]:
         print(f"differs: {label}")
-    print(f"{len(differ)} of {len(inputs)} inputs differ")
-    verdicts = [(_verdict(a), _verdict(b)) for a, b in zip(old, new)]
+    print(f"{len(differ)} of {len(inputs)} inputs differ on shared fields")
+    print(f"{field_sets} of {len(both)} inputs that both trees decompose differ in their field sets")
+    for side, tree in (("old", argv[1]), ("new", argv[2])):
+        paths = sorted(path for s, path in only if s == side)
+        print(f"fields only {tree} writes: {', '.join(paths) or 'none'}")
     print(f"{sum(va != vb for va, vb in verdicts)} of {len(inputs)} verdicts differ")
-    both = [(a, b) for a, b, v in zip(old, new, verdicts) if v == ("ok", "ok")]
-    eigs = sum(json.loads(a)["eigenvalues"] != json.loads(b)["eigenvalues"] for a, b in both)
+    eigs = sum(_eigenvalues(a) != _eigenvalues(b) for a, b in both)
     print(f"{eigs} of {len(both)} inputs that both trees decompose differ in eigenvalues")
     suites = sum(a != b for a, b in zip(old_suite, new_suite))
     print(f"{suites} of {len(inputs)} identity-suite verdicts differ")
