@@ -115,10 +115,13 @@ def cmd_canonical(args):
     m = matio.parse_matrix(args.input, args.format)
     dec = decompose(m, _resolve_tol(args.tol))
     b_real, l_real = real_canonical_form(dec)
+    # B_real^-1 in the same order: the left rows c_i, then 2 d_i and 2 q_i
+    b_inv = np.vstack([np.zeros((0, dec.dim))] + [t.c for t in dec.real_terms]
+                      + [2.0 * v for t in dec.plane_terms for v in (t.d, t.q)])
     # decompose's exact power-of-two scale keeps the norms finite at any |M|
     s = dc.pow2_scale(m)
     m_s = m / s
-    residual = dc.frobenius_norm(b_real @ (l_real / s) @ np.linalg.inv(b_real) - m_s)
+    residual = dc.frobenius_norm(b_real @ (l_real / s) @ b_inv - m_s)
     rel = residual / (dc.frobenius_norm(m_s) or 1.0)
     if args.output_dir:
         out = Path(args.output_dir)

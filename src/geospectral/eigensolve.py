@@ -13,10 +13,18 @@ eigenvectors to Schur vectors).  Its rows are the left eigenvectors,
 biorthogonal to the basis up to rounding.
 
 Both reductions keep the matrix beside its orthogonal factor's transpose
-in one C-ordered n x 2n work array, [H | Q^T] and then [T | Z^T].  A
-reflector is symmetric, so applying it takes two products: one on the
-contiguous rows of both halves that it mixes, one on the matrix's
-columns.  The QR sweep is Python-bound, not flop-bound: each bulge
+in one C-ordered n x 2n work array, [H | Q^T] and then [T | Z^T], so Q^T
+is carried along rather than formed afterwards.  A reflector is
+symmetric, so applying it takes two products: one on the contiguous rows
+of both halves that it mixes, one on the matrix's columns.  The
+Hessenberg reduction works that way on its last _HESS_NX columns only
+(LAPACK dgehd2).  Before them it reduces panels of _HESS_NB columns
+(LAPACK dgehrd and dlahr2; Quintana-Orti and van de Geijn, ACM TOMS
+32(2), 2006): a panel's reflectors are gathered in compact WY form
+I - V T V^T, each panel column takes the earlier reflectors' products
+as matrix-vector products when it is reached, and the rest of the work
+array takes the whole panel's as GEMMs, one left GEMM covering both
+halves.  The QR sweep is Python-bound, not flop-bound: each bulge
 reflector is a 3x3 matrix built from Python floats, and its right product
 touches only the columns of T above the bulge.  A 3x3 bulge step takes
 both slabs from a list of views of the work array that real_schur builds
@@ -25,6 +33,11 @@ preallocated array with a single struct call; the last, 2x2 step follows
 the loop and tests nothing; two strided writes per sweep clear the bulge
 entries, and the deflation test between sweeps is one numpy scan of the
 subdiagonal.
+
+The pair blocks of T are disjoint, so the rotations that make them
+triangular form one block diagonal G, and G^H T G, Z G and G Y are each
+one update of the gathered rows or columns of all blocks; one stacked
+call canonicalizes every eigenvector column's sign or phase.
 
 As in LAPACK dgeev, the eigenvalues are one complex array, an entry per
 diagonal block: exactly real for a real eigenvalue, sigma + i omega with
@@ -45,7 +58,12 @@ from .errors import ConvergenceError, NotDiagonalizableError, ShapeError
 
 MAX_SWEEPS_PER_N = 30
 _RCOND_MIN = 1e-12
+# Hessenberg reduces panels of _HESS_NB columns while more than _HESS_NX
+# remain (_HESS_NB <= _HESS_NX, so every panel is whole); both measured
+_HESS_NB = 32
+_HESS_NX = 32
 _NORM_MIN = 2.0**-480  # above it, a sum of squares keeps full precision
+_FLIP = np.array([[1.0, -1.0], [-1.0, 1.0]])
 _pack_3x3 = struct.Struct("9d").pack_into  # nine floats into a 3x3 array, row by row
 
 
@@ -72,24 +90,68 @@ def _house_vec(x):
     """Unit reflector direction v with (I - 2 v v^T) x = alpha e1, or None.
     An x with norm below _NORM_MIN is first divided exactly by the power of
     two dc.pow2_scale(x), so its squares do not underflow (LAPACK dlarfg)."""
-    normx = np.linalg.norm(x)
+    v = np.array(x, dtype=float)  # contiguous, so each norm is one dot
+    normx = math.sqrt(v.dot(v))
     if normx < _NORM_MIN:
-        x = x / dc.pow2_scale(x)
-        normx = np.linalg.norm(x)
+        v /= dc.pow2_scale(v)
+        normx = math.sqrt(v.dot(v))
     if normx == 0.0:
         return None
-    v = x.astype(float)
     v[0] += normx if v[0] >= 0.0 else -normx
-    return v / np.linalg.norm(v)
+    return v / math.sqrt(v.dot(v))
+
+
+def _hessenberg_panel(a, k, nb):
+    """Reduce columns k..k+nb-1 of H in the work array a = [H | Q^T], as
+    LAPACK dlahr2 and dgehrd do.
+
+    The panel's reflectors I - 2 v_j v_j^T multiply to I - V T V^T (compact
+    WY, Schreiber and Van Loan 1989), kept as V and W = V T, built a column
+    at a time, with Y = A W for A the matrix at the panel's start.  Each
+    panel column is brought up to date only when it is reached: the right
+    products of the reflectors before it (A - Y V^T), then their left
+    products (I - V W^T), both as matrix-vector products.  The loop needs
+    rows k+1.. of Y only; rows 0..k take their right products afterwards
+    with GEMMs, as do the trailing columns of H, and rows k+1.. of the
+    trailing columns and of Q^T take the left products as one more.
+    """
+    n = a.shape[0]
+    # rows k+1..n-1 of V, W and Y; v_j starts at row k+j+1, index j
+    v, w, y = np.zeros((3, n - k - 1, nb))
+    for j in range(nb):
+        col = a[k + 1:, k + j]
+        if j:
+            col -= y[:, :j] @ v[j - 1, :j]
+            col -= v[:, :j] @ (w[:, :j].T @ col)
+        u = _house_vec(col[j:])
+        if u is None:
+            continue
+        col[j] -= 2.0 * u[0] * (u @ col[j:])
+        col[j + 1:] = 0.0
+        v[j:, j] = u
+        vu = v[j:, :j].T @ u
+        w[:, j] = -2.0 * (w[:, :j] @ vu)
+        w[j:, j] += 2.0 * u
+        y[:, j] = 2.0 * (a[k + 1:, k + j + 1:n] @ u - y[:, :j] @ vu)
+    top = a[:k + 1, k + 1:n]
+    top -= (top @ w) @ v.T
+    a[k + 1:, k + nb:n] -= y @ v[nb - 1:].T
+    rows = a[k + 1:, k + nb:]
+    rows -= v @ (w.T @ rows)
 
 
 def hessenberg_reduce(m):
     """Householder similarity reduction on the work array [H | Q^T].
     Returns (H, Q) with Q H Q^T = M.
 
-    As in real_schur, M is divided by the power of two dc.pow2_scale(M)
-    and H multiplied back, both exactly, so that H scales with M bit for
-    bit and no product overflows for a finite M.
+    While more than _HESS_NX columns remain to reduce, a panel of _HESS_NB
+    of them is reduced at once (_hessenberg_panel); the last _HESS_NX
+    columns, and so every n <= _HESS_NX + 2, take one reflector at a time,
+    its left product on the rows it mixes of both halves of the work array
+    and its right product on H's columns (LAPACK dgehd2).  As in
+    real_schur, M is divided by the power of two dc.pow2_scale(M) and H
+    multiplied back, both exactly, so that H scales with M bit for bit and
+    no product overflows for a finite M.
     """
     m = dc.as_array(m, 2)
     n = m.shape[0]
@@ -98,7 +160,11 @@ def hessenberg_reduce(m):
     scale = dc.pow2_scale(m)
     a = np.hstack([m, np.eye(n)])
     a[:, :n] /= scale
-    for k in range(n - 2):
+    k = 0
+    while n - 2 - k > _HESS_NX:
+        _hessenberg_panel(a, k, _HESS_NB)
+        k += _HESS_NB
+    for k in range(k, n - 2):
         v = _house_vec(a[k + 1:, k])
         if v is None:
             continue
@@ -184,22 +250,34 @@ def _francis_step(a, lo, hi, r1, r2, slabs):
     flat[(lo + 3) * d - 3:hi * d:d] = 0.0
 
 
-def _triangularize_2x2(t, z, l, lam):
-    """Rotate the 2x2 diagonal block of t at l to upper triangular with lam,
-    one of its eigenvalues, at (l, l): t <- G^H t G and z <- z G for the
-    unitary G whose first column is the block's unit eigenvector for lam
-    (MATLAB rsf2csf); returns G.  Real for a real lam; t and z must be
-    complex otherwise."""
-    (a, b), (c, d) = t[l:l + 2, l:l + 2]
-    # eigenvector of the block for lam, from the better-scaled row
-    v = np.array(max([b, lam - a], [lam - d, c], key=np.linalg.norm))
-    v /= np.linalg.norm(v)
-    g = np.array([[v[0], -np.conj(v[1])], [v[1], np.conj(v[0])]])
-    t[:, l:l + 2] = t[:, l:l + 2] @ g
-    t[l:l + 2, :] = g.conj().T @ t[l:l + 2, :]
-    z[:, l:l + 2] = z[:, l:l + 2] @ g
-    t[l + 1, l] = 0.0
-    return g
+def _triangularize_blocks(t, z, los, lams):
+    """Rotate the disjoint 2x2 diagonal blocks of t at rows los to upper
+    triangular, each with its eigenvalue lams[i] at its top left: t <- G^H
+    t G and z <- z G for the block diagonal unitary G whose block at lo has
+    the block's unit eigenvector for lam as its first column (MATLAB
+    rsf2csf).  Each product is one update of the gathered row or column
+    pairs of all blocks.  Returns the (k, 2, 2) stack of G's blocks and the
+    (k, 2) row pairs; real for real lams, and t and z must be complex
+    otherwise."""
+    pairs = np.add.outer(los, (0, 1))
+    shifted = t[pairs[:, :, None], pairs[:, None, :]] - np.multiply.outer(lams, np.eye(2))
+    # eigenvectors (b, lam - a) and (lam - d, c) from the two rows of each
+    # block minus lam; the better-scaled one wins, the first on a tie
+    both = shifted[:, :, ::-1] * _FLIP
+    # each norm one dot, as np.linalg.norm takes it: a real split in
+    # real_schur keeps the bits it had when it rotated one block by itself
+    mags = abs(both)[:, :, None, :]
+    norms = np.sqrt(mags @ mags.transpose(0, 1, 3, 2))[:, :, 0, 0]
+    v = np.where(norms[:, 1:] > norms[:, :1], both[:, 1], both[:, 0]) / norms.max(axis=1, keepdims=True)
+    g = np.empty((len(los), 2, 2), dtype=v.dtype)
+    g[:, :, 0] = v
+    g[:, 0, 1], g[:, 1, 1] = -v[:, 1].conj(), v[:, 0].conj()
+    g_t = g.transpose(0, 2, 1)
+    t.T[pairs] = g_t @ t.T[pairs]
+    t[pairs] = g_t.conj() @ t[pairs]
+    z.T[pairs] = g_t @ z.T[pairs]
+    t[los + 1, los] = 0.0
+    return g, pairs
 
 
 def _eig_2x2(t, l):
@@ -223,7 +301,7 @@ def _split_2x2(t, z, l):
     lam, _ = _eig_2x2(t, l)
     if isinstance(lam, complex):
         return [lam]
-    _triangularize_2x2(t, z, l, lam)
+    _triangularize_blocks(t, z, np.array([l]), lam)
     return [complex(t[l, l]), complex(t[l + 1, l + 1])]
 
 
@@ -301,28 +379,34 @@ def right_eigenvectors(t, z, eigs):
     """Right eigenvectors of Z T Z^T by back-substitution on the Schur form.
 
     eigs is real_schur's eigenvalue array, lambda_j for block j.  Complex
-    copies of T and Z are made triangular by rotating each pair block to put
-    lambda_j at its top left: T_c = G^H T G and Z_c = Z G (MATLAB rsf2csf).
-    Y holds one column per eigenvalue, with T_c y_j = lambda_j y_j and 1 atop
-    block j.  One bottom-up sweep solves row i for every eigenvalue whose
-    block starts below it, a division by t_ii - lambda_k raised to smin in
-    magnitude, so a repeated eigenvalue still gives a finite vector (Golub &
-    Van Loan, Matrix Computations, section 7.6; LAPACK ztrevc).  Complex
-    vectors stay inside this function.  It returns (X, Y_r), both real
-    n x n in T's block order.  X = Z_c Y has a column for each real
-    eigenvalue, unit with its sign canonicalized, and the (re, im) columns
-    for each pair, unit together with the phase canonicalized.  Y_r holds
-    the (re, im) columns of G Y with each block's normalization and sign or
-    phase, so Z Y_r = X up to rounding; G Y_j is zero below block j, so Y_r
-    is block upper triangular with exact zeros below its diagonal blocks.
+    copies of T and Z are made triangular by rotating every pair block to
+    put lambda_j at its top left: T_c = G^H T G and Z_c = Z G (MATLAB
+    rsf2csf), with G block diagonal, so each product is one update of the
+    gathered rows or columns of all pair blocks.  Y holds one column per
+    eigenvalue, with T_c y_j = lambda_j y_j and 1 atop block j.  One
+    bottom-up sweep solves row i for every eigenvalue whose block starts
+    below it, a division by t_ii - lambda_k raised to smin in magnitude, so
+    a repeated eigenvalue still gives a finite vector (Golub & Van Loan,
+    Matrix Computations, section 7.6; LAPACK ztrevc).  Complex vectors stay
+    inside this function.  It returns (X, Y_r), both real n x n in T's
+    block order.  X = Z_c Y has a column for each real eigenvalue, unit
+    with its sign canonicalized, and the (re, im) columns for each pair,
+    unit together with the phase canonicalized; one _canonical_phase call
+    normalizes all of them, a real column as a complex one with zero
+    imaginary part.  Y_r holds the (re, im) columns of G Y with each
+    column's normalization and sign or phase, so Z Y_r = X up to rounding;
+    G Y_j is zero below block j, so Y_r is block upper triangular with
+    exact zeros below its diagonal blocks.
     """
     n = t.shape[0]
+    if not n:
+        return np.zeros((0, 0)), np.zeros((0, 0))
     starts = block_starts(eigs)
-    smin = EPS * (np.max(np.abs(t)) if n else 0.0)
+    pairs = eigs.imag > 0
+    los = starts[:-1][pairs]
+    smin = EPS * np.max(np.abs(t))
     t, z = t.astype(complex), z.astype(complex)
-    rotations = [
-        (lo, _triangularize_2x2(t, z, lo, lam)) for lam, lo in zip(eigs, starts) if lam.imag > 0
-    ]
+    g, rows = _triangularize_blocks(t, z, los, eigs[pairs])
     # the first eigenvalue whose block starts below each row
     later = np.repeat(np.arange(1, len(eigs) + 1), np.diff(starts))
     y = np.zeros((n, len(eigs)), dtype=complex)
@@ -333,45 +417,36 @@ def right_eigenvectors(t, z, eigs):
         d[np.abs(d) < smin] = smin
         y[i, k:] = -(t[i, i + 1:] @ y[i + 1:, k:]) / d
     zy = z @ y
-    for lo, g in rotations:  # y becomes G Y, the eigenvectors of T itself
-        y[lo:lo + 2] = g @ y[lo:lo + 2]
+    y[rows] = g @ y[rows]  # y becomes G Y, the eigenvectors of T itself
+    # a real eigenvalue's vector is real; its imaginary part is rounding
+    re, im = zy.real, np.where(pairs, zy.imag, 0.0)
+    scale = np.sqrt(np.sum(re**2, axis=0) + np.sum(im**2, axis=0))
+    re, im, c, s = _canonical_phase(re / scale, im / scale)
+    # the same rotation by -phi, as the complex factor e^(-i phi)
+    w = y * ((c - 1j * s) / scale)
     x, y_r = np.empty((n, n)), np.zeros((n, n))
-    for lo, hi, v, w in zip(starts, starts[1:], zy.T, y.T):
-        re, im = v.real, v.imag
-        if hi - lo == 1:
-            norm = np.linalg.norm(re)
-            sign = _canonical_sign(re / norm)
-            x[:, lo], y_r[:, lo] = sign * (re / norm), sign * (w.real / norm)
-        else:
-            scale = np.sqrt(np.sum(re**2) + np.sum(im**2))
-            x[:, lo], x[:, lo + 1], c, s = _canonical_phase(re / scale, im / scale)
-            # the same rotation by -phi, as the complex factor e^(-i phi)
-            w = w * (complex(c, -s) / scale)
-            y_r[:, lo], y_r[:, lo + 1] = w.real, w.imag
+    x[:, starts[:-1]], y_r[:, starts[:-1]] = re, w.real
+    x[:, los + 1], y_r[:, los + 1] = im[:, pairs], w.imag[:, pairs]
     return x, y_r
 
 
-def _canonical_sign(v):
-    """-1.0 if the largest-magnitude entry of v is negative, else 1.0; ties
-    break at the lowest index."""
-    return -1.0 if v[np.argmax(np.abs(v))] < 0.0 else 1.0
-
-
 def _canonical_phase(re, im):
-    """canonicalize_phase's result with the cosine and sine of the angle phi
-    it rotated by."""
+    """canonicalize_phase's result for each column of re + i im, one vector
+    or an (n, k) stack, with the cosine and sine of the angle phi each was
+    rotated by (cos phi = b_j / |v_j|, sin phi = p_j / |v_j| at the pinned
+    entry v_j = b_j + i p_j)."""
     mags = re**2 + im**2
-    if not np.any(mags > 0.0):
+    if not np.all(np.any(mags > 0.0, axis=0)):
         raise ShapeError("cannot canonicalize a zero vector")
-    j = int(np.argmax(mags))
-    bj, pj = re[j], im[j]
-    if pj == 0.0 and bj > 0.0:
-        return re, im, 1.0, 0.0
-    phi = np.arctan2(pj, bj)
-    c, s = np.cos(phi), np.sin(phi)
+    j = np.argmax(mags, axis=0, keepdims=True)
+    bj, pj = np.take_along_axis(re, j, 0), np.take_along_axis(im, j, 0)
+    r = np.hypot(bj, pj)
+    c, s = bj / r, pj / r
+    if not np.any(pj) and np.all(bj > 0.0):
+        return re, im, c, s
     re, im = c * re + s * im, c * im - s * re
-    re[j] = np.hypot(bj, pj)
-    im[j] = 0.0
+    np.put_along_axis(re, j, r, 0)
+    np.put_along_axis(im, j, 0.0, 0)
     return re, im, c, s
 
 

@@ -60,7 +60,7 @@ class RealTerm:
         if not np.isfinite(self.alpha):
             raise ShapeError(f"real term needs a finite alpha, got {self.alpha}")
         _check_vectors(self.a, self.c)
-        ca = float(np.sum(self.c * self.a))
+        ca = float(np.add.reduce(self.c * self.a))
         if abs(ca) <= 1e-12 * (np.linalg.norm(self.c) * np.linalg.norm(self.a)):
             raise DegeneratePairError(f"left/right product c.a = {ca:.3e} is degenerate")
 
@@ -118,7 +118,7 @@ class SpectralDecomposition:
 def nu(b, d, q):
     """Normalization (d.b)^2 + (q.b)^2 of a plane term, for float vectors
     of one shape (as _check_vectors passes them)."""
-    value = float(np.sum(d * b)) ** 2 + float(np.sum(q * b)) ** 2
+    value = float(np.add.reduce(d * b)) ** 2 + float(np.add.reduce(q * b)) ** 2
     norm_b = np.linalg.norm(b)
     scale = (np.linalg.norm(d) * norm_b + np.linalg.norm(q) * norm_b) ** 2
     # a NaN fails the comparison, so it is refused too
@@ -157,7 +157,7 @@ def term_factors(t, s=1.0):
     factors and C = [[(alpha / s) / c.a]] for a real term, n x 2 and
     plane_core on (sigma / s, omega / s) for a pair."""
     if isinstance(t, RealTerm):
-        return t.a[:, None], np.array([[t.alpha / s / float(np.sum(t.c * t.a))]]), t.c[:, None]
+        return t.a[:, None], np.array([[t.alpha / s / float(np.add.reduce(t.c * t.a))]]), t.c[:, None]
     u = np.column_stack([t.b, t.p])
     v = np.column_stack([t.d, t.q])
     return u, plane_core(t.sigma / s, t.omega / s, u.T @ v, t.nu), v

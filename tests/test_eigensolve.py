@@ -100,6 +100,62 @@ def test_hessenberg_tiny_column_gets_orthogonal_reflector(e):
     np.testing.assert_allclose(eigs, np.sort(np.linalg.eigvals(m).real), rtol=0.0, atol=1e-12)
 
 
+NB, NX = eg._HESS_NB, eg._HESS_NX
+
+
+def _assert_hessenberg_factors(m, h, q):
+    """Exact zeros below H's subdiagonal, Q H Q^T = M and Q orthogonal."""
+    n = m.shape[0]
+    assert np.all(np.tril(h, -2) == 0.0)
+    assert frobenius_norm(q @ h @ q.T - m) <= 1e-13 * frobenius_norm(m)
+    assert frobenius_norm(q.T @ q - np.eye(n)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "n,panels",
+    [(NX + 2, 0), (NX + 3, 1), (NB + NX + 3, 2), (2 * NB + NX + 5, 3)],
+    ids=["unblocked", "one-panel", "two-panels", "three-panels"],
+)
+def test_hessenberg_panels_similarity_and_exact_scaling(monkeypatch, n, panels):
+    # panels reduce columns while more than NX remain; the rest, and every
+    # n <= NX + 2, take the unblocked loop
+    starts = []
+    panel = eg._hessenberg_panel
+    monkeypatch.setattr(eg, "_hessenberg_panel", lambda a, k, nb: starts.append(k) or panel(a, k, nb))
+    m = np.random.default_rng(n).standard_normal((n, n))
+    h, q = eg.hessenberg_reduce(m)
+    assert starts == [NB * i for i in range(panels)]
+    _assert_hessenberg_factors(m, h, q)
+    for e in (-600, 600):
+        hs, qs = eg.hessenberg_reduce(m * 2.0**e)
+        np.testing.assert_array_equal(hs.view(np.int64), (h * 2.0**e).view(np.int64))
+        np.testing.assert_array_equal(qs.view(np.int64), q.view(np.int64))
+    # the unblocked loop alone reduces to the same H, up to rounding
+    monkeypatch.setattr(eg, "_HESS_NX", n)
+    h1, q1 = eg.hessenberg_reduce(m)
+    assert frobenius_norm(h1 - h) <= 1e-12 * frobenius_norm(m)
+    assert frobenius_norm(q1 - q) <= 1e-12
+
+
+def test_hessenberg_tiny_column_inside_a_panel():
+    # M = Q X Q^T, Q mixing rows 1..j only, and X Hessenberg but for column
+    # j, whose entries from row j+1 down are near 1e-165; so column j, in
+    # the middle of the first panel, still holds only such entries after
+    # the panel's lazy updates, and their squares underflow: unscaled, its
+    # reflector is far from orthogonal, or it is skipped and left nonzero
+    n, j = NB + NX + 3, NB // 3
+    rng = np.random.default_rng(11)
+    x = np.triu(rng.standard_normal((n, n)), -1)
+    x[j + 1:, j] = 1e-165 * rng.standard_normal(n - j - 1)
+    q = np.eye(n)
+    q[1:j + 1, 1:j + 1] = np.linalg.qr(rng.standard_normal((j, j)))[0]
+    m = q @ x @ q.T
+    h, qh = eg.hessenberg_reduce(m)
+    _assert_hessenberg_factors(m, h, qh)
+    # the column's norm moved to the subdiagonal entry
+    assert abs(h[j + 1, j]) == pytest.approx(np.linalg.norm(x[j + 1:, j]), rel=1e-10)
+
+
 @pytest.mark.parametrize(
     "h,q",
     [
@@ -462,6 +518,49 @@ def test_right_eigenvectors_pair_identities(m, sigma, omega):
     np.testing.assert_allclose(m @ p, omega * b + sigma * p, atol=1e-12)
 
 
+def test_right_eigenvectors_adjacent_pair_blocks():
+    # 24 pairs in 64: the Schur form has adjacent 2x2 pair blocks, which
+    # right_eigenvectors rotates all at once
+    n = 64
+    reals, pairs = _draw_spectrum(np.random.default_rng(3), n - 48, 24)
+    m = gen_test_matrix(PlantedSpectrum(reals, pairs, basis_seed=3, condition_cap=1e6))
+    t, z, eigs = eg.real_schur(*eg.hessenberg_reduce(m))
+    starts = eg.block_starts(eigs)
+    widths = np.diff(starts)
+    assert np.any((widths[:-1] == 2) & (widths[1:] == 2))
+    x, y_r = eg.right_eigenvectors(t, z, eigs)
+    assert frobenius_norm(z @ y_r - x) <= n * eg.EPS
+    for lo, hi in zip(starts, starts[1:]):
+        assert not np.any(y_r[hi:, lo:hi])
+        # unit, and its largest entry real and positive
+        re, im = x[:, lo], (x[:, lo + 1] if hi - lo == 2 else np.zeros(n))
+        assert abs(np.sqrt(np.sum(re**2 + im**2)) - 1.0) <= 1e-14
+        peak = np.argmax(re**2 + im**2)
+        assert re[peak] > 0.0 and im[peak] == 0.0
+    # the batched rotation is G^H T G and Z G for the block diagonal G, and
+    # rotating the pair blocks one at a time gives the same blocks of G and
+    # the same T and Z up to the order of rounding
+    pair = eigs.imag > 0
+    los, lams = starts[:-1][pair], eigs[pair]
+    tb, zb = t.astype(complex), z.astype(complex)
+    g, _ = eg._triangularize_blocks(tb, zb, los, lams)
+    g_full = np.eye(n, dtype=complex)
+    for lo, block in zip(los, g):
+        g_full[lo:lo + 2, lo:lo + 2] = block
+    want = g_full.conj().T @ t @ g_full
+    atol = 8 * eg.EPS * np.abs(t).max()
+    np.testing.assert_allclose(want[los + 1, los], 0.0, rtol=0.0, atol=atol)
+    np.testing.assert_allclose(np.diag(want)[los], lams, rtol=0.0, atol=atol)
+    want[los + 1, los] = 0.0
+    np.testing.assert_allclose(tb, want, rtol=0.0, atol=atol)
+    np.testing.assert_allclose(zb, z @ g_full, rtol=0.0, atol=8 * eg.EPS)
+    t1, z1 = t.astype(complex), z.astype(complex)
+    g1 = [eg._triangularize_blocks(t1, z1, np.array([lo]), lam)[0] for lo, lam in zip(los, lams)]
+    np.testing.assert_array_equal(g, np.concatenate(g1), strict=True)
+    np.testing.assert_allclose(tb, t1, rtol=0.0, atol=atol)
+    np.testing.assert_allclose(zb, z1, rtol=0.0, atol=8 * eg.EPS)
+
+
 def test_left_eigenvectors_symmetric_matrix_match_right():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((4, 4))
@@ -545,6 +644,18 @@ def test_canonicalize_phase_idempotent_bitwise():
         re2, im2 = eg.canonicalize_phase(re1, im1)
         np.testing.assert_array_equal(re1, re2)
         np.testing.assert_array_equal(im1, im2)
+
+
+def test_canonical_phase_of_a_stack_is_per_column():
+    rng = np.random.default_rng(6)
+    re, im = rng.standard_normal((7, 5)), rng.standard_normal((7, 5))
+    im[:, 2] = 0.0  # a real vector gets its sign canonicalized
+    s_re, s_im, c, s = eg._canonical_phase(re, im)
+    for i in range(5):
+        c_re, c_im = eg.canonicalize_phase(re[:, i], im[:, i])
+        np.testing.assert_array_equal(s_re[:, i], c_re, strict=True)
+        np.testing.assert_array_equal(s_im[:, i], c_im, strict=True)
+    assert abs(c[0, 2]) == 1.0 and s[0, 2] == 0.0
 
 
 def test_canonicalize_phase_zero_vector_rejected():

@@ -9,7 +9,10 @@ bench's cli-corpus recipe (seeds 1 and 2), the dense recipe at n = 16,
 32, 64 and 128 with 0, n/4 and n/2 pairs, 120 planted spectra drawn from
 small pools of repeated values at scales 2^-900, 1 and 2^900, and a list
 of edge cases.  Each tree then decomposes every input in its own
-subprocess under ``-W error::RuntimeWarning`` and records the JSON report
+subprocess with one BLAS thread, as ``tools/stage_times.py`` runs its
+trees, and under ``-W error::RuntimeWarning``: at n >= 128 the last bits
+of a report depend on the BLAS thread count, so a byte-identity claim
+holds for one thread count only.  Each child records the JSON report
 text, or the exception type and message, and the identity suite's verdict:
 the sorted names of the checks ``verify.run_identity_suite`` fails, or the
 type of the exception it raises.  It also records every check the suite
@@ -194,7 +197,8 @@ def _residual_moves(labels, old_tols, new_tols, old_res, new_res):
 
 
 def run_tree(src, inputs_path, out_path):
-    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    threads = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()), **threads)
     return subprocess.Popen(
         [sys.executable, "-W", "error::RuntimeWarning", "-c", _CHILD, inputs_path, out_path],
         env=env,
