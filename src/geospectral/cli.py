@@ -18,7 +18,7 @@ import numpy as np
 from . import densecore as dc
 from . import matio
 from .errors import ConvergenceError, GeoSpectralError, NotDiagonalizableError
-from .realdecomp import DEFAULT_TOL, decompose, real_canonical_form
+from .realdecomp import DEFAULT_TOL, decompose, real_canonical_form, term_columns, term_stacks
 from .verify import PlantedSpectrum, gen_test_matrix, run_identity_suite
 
 EXIT_OK = 0
@@ -116,8 +116,8 @@ def cmd_canonical(args):
     dec = decompose(m, _resolve_tol(args.tol))
     b_real, l_real = real_canonical_form(dec)
     # B_real^-1 in the same order: the left rows c_i, then 2 d_i and 2 q_i
-    b_inv = np.vstack([np.zeros((0, dec.dim))] + [t.c for t in dec.real_terms]
-                      + [2.0 * v for t in dec.plane_terms for v in (t.d, t.q)])
+    st = term_stacks(dec.real_terms, dec.plane_terms)
+    b_inv = term_columns(st.c, 2.0 * st.v).T
     # decompose's exact power-of-two scale keeps the norms finite at any |M|
     s = dc.pow2_scale(m)
     m_s = m / s

@@ -224,7 +224,6 @@ def doc_to_decomposition(doc):
 
 
 def dump_json(doc, fh):
-    """Write strict JSON: a NaN or infinity raises ValueError instead of
-    producing a non-standard literal."""
-    json.dump(doc, fh, indent=2, allow_nan=False)
-    fh.write("\n")
+    """Write strict JSON on one line, through the C encoder: a NaN or
+    infinity raises ValueError instead of producing a non-standard literal."""
+    fh.write(json.dumps(doc, allow_nan=False) + "\n")

@@ -13,10 +13,15 @@ Every term is also a factored product U C V^T: U = [b p], V = [d q] and
 the 2x2 core C = J (U^T V)(omega I - sigma J) / nu with
 J = [[0, 1], [-1, 0]], an exact identity since b^p = U J U^T and the
 bracket is V (omega I - sigma J) V^T; a real term has U = a, V = c and
-C = [[alpha / c.a]].  reconstruct, apply and decompose's residual all
-evaluate these factors, on eigenvalues divided by one exact power of two
-so no core overflows, and so do verify's identity checks; the explicit
-wedge forms, applied by associativity at O(n^2), stay as the reference.
+C = [[alpha / c.a]].  term_stacks builds every term's factors in one
+pass, from one gather of the term vectors: a and c as (j, n) stacks, U
+and V as C-ordered (k, n, 2) stacks, and all cores at once, on
+eigenvalues divided by one exact power of two so no core overflows.
+reconstruct, apply and decompose's residual flatten these stacks into
+W V^T (stacked_factors), real_canonical_form reads B_real off them,
+term_factors is their one-term case and verify's identity checks run on
+them; the explicit wedge forms, applied by associativity at O(n^2), stay
+as the reference.
 """
 
 from dataclasses import dataclass, field
@@ -152,34 +157,79 @@ def plane_core(sigma, omega, g, nu_value):
     return _J @ g @ (omega * np.eye(2) - sigma * _J) / nu_value
 
 
+@dataclass(frozen=True)
+class TermStacks:
+    """Every term's factors, stacked: the j real terms' a, c as (j, n) and
+    their 1x1 cores as (j,), the k pairs' U = [b p], V = [d q] as C-ordered
+    (k, n, 2) stacks and their Grams U^T V and cores as (k, 2, 2), with the
+    eigenvalues and nu as read off the terms; each core is on the
+    eigenvalues divided by s."""
+
+    s: float
+    alpha: np.ndarray
+    a: np.ndarray
+    c: np.ndarray
+    real_cores: np.ndarray
+    sigma: np.ndarray
+    omega: np.ndarray
+    nu: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    gram: np.ndarray
+    plane_cores: np.ndarray
+
+
+def term_stacks(real_terms, plane_terms, s=None):
+    """TermStacks of the terms from one gather of their vectors; s defaults
+    to the power of two with s <= the largest |alpha|, |sigma| or omega < 2s."""
+    j, k = len(real_terms), len(plane_terms)
+    vectors = [v for t in real_terms for v in (t.a, t.c)]
+    vectors += [v for t in plane_terms for v in (t.b, t.p, t.d, t.q)]
+    n = len(vectors[0]) if vectors else 0
+    vectors = np.array(vectors).reshape(len(vectors), n)
+    alpha = np.array([t.alpha for t in real_terms], dtype=float)
+    sigma, omega, nu_ = np.array([(t.sigma, t.omega, t.nu) for t in plane_terms]).reshape(k, 3).T
+    if s is None:
+        s = dc.pow2_scale(np.concatenate((alpha, sigma, omega)))
+    a, c = vectors[:2 * j:2], vectors[1:2 * j:2]
+    # (k, b p d q, n) -> U and V as (k, n, 2), each C-ordered like column_stack's
+    u, v = np.ascontiguousarray(vectors[2 * j:].reshape(k, 2, 2, n).transpose(1, 0, 3, 2))
+    gram = np.swapaxes(u, 1, 2) @ v
+    cores = plane_core((sigma / s)[:, None, None], (omega / s)[:, None, None], gram,
+                       nu_[:, None, None])
+    return TermStacks(s, alpha, a, c, alpha / s / np.add.reduce(c * a, axis=1),
+                      sigma, omega, nu_, u, v, gram, cores)
+
+
+def term_columns(real, planes):
+    """The (n, j + 2k) matrix whose columns are the j rows of real, then
+    each of the k (n, 2) slices of planes in turn."""
+    n, k = real.shape[1], len(planes)
+    return np.hstack((real.T, planes.transpose(1, 0, 2).reshape(n, 2 * k)))
+
+
 def term_factors(t, s=1.0):
     """(U, C, V) with the term's matrix divided by s equal to U C V^T: n x 1
     factors and C = [[(alpha / s) / c.a]] for a real term, n x 2 and
-    plane_core on (sigma / s, omega / s) for a pair."""
+    plane_core on (sigma / s, omega / s) for a pair; term_stacks of one term."""
     if isinstance(t, RealTerm):
-        return t.a[:, None], np.array([[t.alpha / s / float(np.add.reduce(t.c * t.a))]]), t.c[:, None]
-    u = np.column_stack([t.b, t.p])
-    v = np.column_stack([t.d, t.q])
-    return u, plane_core(t.sigma / s, t.omega / s, u.T @ v, t.nu), v
+        st = term_stacks((t,), (), s)
+        return st.a.T, st.real_cores[:, None], st.c.T
+    st = term_stacks((), (t,), s)
+    return st.u[0], st.plane_cores[0], st.v[0]
 
 
-def stacked_factors(n, terms, s):
-    """(W, V) with W = [U_1 C_1, U_2 C_2, ...] and V = [V_1, V_2, ...], so
-    the sum of the n x n terms divided by s is W V^T."""
-    ws, vs = [np.zeros((n, 0))], [np.zeros((n, 0))]
-    for t in terms:
-        u, c, v = term_factors(t, s)
-        ws.append(u @ c)
-        vs.append(v)
-    return np.hstack(ws), np.hstack(vs)
+def stacked_factors(st):
+    """(W, V) with W = [U_1 C_1, U_2 C_2, ...] and V = [V_1, V_2, ...] from
+    TermStacks st, so the sum of the n x n terms divided by st.s is W V^T."""
+    return (term_columns(st.a * st.real_cores[:, None], st.u @ st.plane_cores),
+            term_columns(st.c, st.v))
 
 
 def _scaled_factors(dec):
-    """(W, V, s) with the sum of dec's terms equal to (W V^T) s, s the power
-    of two with s <= the largest |alpha|, |sigma| or omega < 2s."""
-    s = dc.pow2_scale([t.alpha for t in dec.real_terms]
-                      + [v for t in dec.plane_terms for v in (t.sigma, t.omega)])
-    return (*stacked_factors(dec.dim, dec.real_terms + dec.plane_terms, s), s)
+    """(W, V, s) with the sum of dec's terms equal to (W V^T) s."""
+    st = term_stacks(dec.real_terms, dec.plane_terms)
+    return (*stacked_factors(st), st.s)
 
 
 def transpose_term(t):
@@ -232,7 +282,7 @@ def decompose(m, tol=DEFAULT_TOL):
     # W V^T against M / s, s a power of two with s <= max|m_ij| < 2s: the
     # cores take the eigenvalues over s and V the conditioning, so nothing overflows
     s = dc.pow2_scale(m)
-    w, v = stacked_factors(n, real_terms + plane_terms, s)
+    w, v = stacked_factors(term_stacks(real_terms, plane_terms, s))
     m_s = m / s
     resid = frobenius_norm(w @ v.T - m_s) / (frobenius_norm(m_s) or 1.0)
     if not np.isfinite(resid):
@@ -266,17 +316,9 @@ def real_canonical_form(dec):
     """Real similarity form: B_real columns are a_i then (b_i, p_i); L_real
     is block diagonal with alpha_i scalars and [[sigma, omega], [-omega,
     sigma]] blocks."""
-    n = dec.dim
-    cols = [np.zeros((n, 0))]
-    blocks = np.zeros((n, n))
-    i = 0
-    for t in dec.real_terms:
-        cols.append(t.a)
-        blocks[i, i] = t.alpha
-        i += 1
-    for t in dec.plane_terms:
-        cols.append(t.b)
-        cols.append(t.p)
-        blocks[i:i + 2, i:i + 2] = [[t.sigma, t.omega], [-t.omega, t.sigma]]
-        i += 2
-    return np.column_stack(cols), blocks
+    st = term_stacks(dec.real_terms, dec.plane_terms)
+    blocks = np.diag(np.concatenate((st.alpha, np.repeat(st.sigma, 2))))
+    i = len(st.alpha) + 2 * np.arange(len(st.sigma))
+    blocks[i, i + 1] = st.omega
+    blocks[i + 1, i] = -st.omega
+    return term_columns(st.a, st.u), blocks

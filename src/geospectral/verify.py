@@ -6,8 +6,9 @@ back-substitution).  The complex eigendecomposition here, LAPACK dgeev
 through numpy, is a different algorithm and exists purely to cross-check
 it.  The identity checks evaluate the plane terms' factors U C V^T, each
 against a fixed relative tolerance that one scale multiplies.  Every check
-runs once over all k pairs, on the factors stacked as (k, n, 2) arrays and
-the Grams and cores as (k, 2, 2): eigen-action, biorthogonality, the
+runs once over all k pairs, on realdecomp.term_stacks' factors, the stacks
+reconstruct and apply read (U and V as (k, n, 2), the Grams and cores as
+(k, 2, 2)): eigen-action, biorthogonality, the
 annihilation column norms and the k x 100 phase factors.  Only the
 comparisons with the explicit wedge forms need an n x n array per pair
 (form equality, the phase distance's U C V^T - left and transposition);
@@ -190,17 +191,6 @@ def _frobenius_norms(a):
     return np.array([frobenius_norm(x) for x in a])
 
 
-def _stacks(planes):
-    """(U, V, G, C, nu) for k plane terms: U = [b p] and V = [d q] as
-    (k, n, 2) stacks, the Grams G = U^T V and the cores C as (k, 2, 2)
-    stacks and nu as (k,)."""
-    u = np.array([(t.b, t.p) for t in planes]).transpose(0, 2, 1)
-    v = np.array([(t.d, t.q) for t in planes]).transpose(0, 2, 1)
-    sigma, omega, nu = np.array([(t.sigma, t.omega, t.nu) for t in planes]).T[..., None, None]
-    g = np.swapaxes(u, 1, 2) @ v
-    return u, v, g, rd.plane_core(sigma, omega, g, nu), nu[:, 0, 0]
-
-
 def _form_comparisons(planes, w, v, wt, vt):
     """Each pair's n x n comparisons against its explicit wedge forms, one
     pair at a time in one reused (5, n, n) array, so that the extra memory
@@ -236,9 +226,10 @@ def _decomposition_checks(m, dec):
     if not planes:
         return checks
     k, n, first = len(planes), dec.dim, len(dec.real_terms)
-    u, v, g, c, nu = _stacks(planes)
-    ut, vt, _, ct, _ = _stacks([rd.transpose_term(t) for t in planes])
-    norms, inner = _form_comparisons(planes, u @ c, v, ut @ ct, vt)
+    st = rd.term_stacks((), planes, 1.0)
+    u, v, g, c, nu = st.u, st.v, st.gram, st.plane_cores, st.nu
+    tt = rd.term_stacks((), [rd.transpose_term(t) for t in planes], 1.0)
+    norms, inner = _form_comparisons(planes, u @ c, v, tt.u @ tt.plane_cores, tt.v)
     norm_t, form, norm_a, norm_e, transp = norms.T
 
     # every other check runs on all k pairs at once, from the factors

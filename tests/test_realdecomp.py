@@ -1,10 +1,13 @@
+import json
 import warnings
 
 import numpy as np
 import pytest
 
+from geospectral import matio
 from geospectral import realdecomp as rd
-from geospectral.densecore import frobenius_norm
+from geospectral.cli import _draw_spectrum
+from geospectral.densecore import frobenius_norm, pow2_scale
 from geospectral.errors import DegeneratePairError, NotDiagonalizableError, ShapeError
 from geospectral.geoalg import wedge
 from geospectral.verify import PlantedSpectrum, gen_test_matrix
@@ -480,3 +483,112 @@ def test_term_ordering_is_canonical():
         assert alphas == sorted(alphas)
         keys = [(t.sigma, t.omega) for t in dec.plane_terms]
         assert keys == sorted(keys)
+
+
+def _loop_factors(dec, s):
+    """(W, V) built term by term, as one-term U C and V: the reference the
+    batched term_stacks must equal bit for bit."""
+    ws, vs = [np.zeros((dec.dim, 0))], [np.zeros((dec.dim, 0))]
+    for t in dec.real_terms:
+        ws.append(t.a[:, None] @ np.array([[t.alpha / s / float(np.add.reduce(t.c * t.a))]]))
+        vs.append(t.c[:, None])
+    for t in dec.plane_terms:
+        u, v = np.column_stack([t.b, t.p]), np.column_stack([t.d, t.q])
+        ws.append(u @ rd.plane_core(t.sigma / s, t.omega / s, u.T @ v, t.nu))
+        vs.append(v)
+    return np.hstack(ws), np.hstack(vs)
+
+
+def _assert_stacks_match_loop(dec):
+    s = pow2_scale([t.alpha for t in dec.real_terms]
+                   + [x for t in dec.plane_terms for x in (t.sigma, t.omega)])
+    st = rd.term_stacks(dec.real_terms, dec.plane_terms)
+    assert st.s == s
+    assert st.u.flags.c_contiguous and st.v.flags.c_contiguous
+    w, v = rd.stacked_factors(st)
+    w_ref, v_ref = _loop_factors(dec, s)
+    np.testing.assert_array_equal(w, w_ref)
+    np.testing.assert_array_equal(v, v_ref)
+    # term_factors is the one-term case of the same build
+    i = 0
+    for t in dec.real_terms + dec.plane_terms:
+        u1, c1, v1 = rd.term_factors(t, s)
+        width = u1.shape[1]
+        np.testing.assert_array_equal(u1 @ c1, w_ref[:, i:i + width])
+        np.testing.assert_array_equal(v1, v_ref[:, i:i + width])
+        i += width
+    x = np.random.default_rng(dec.dim).standard_normal(dec.dim)
+    np.testing.assert_array_equal(rd.apply(dec, x), (w_ref @ (v_ref.T @ x)) * s)
+    np.testing.assert_array_equal(rd.reconstruct(dec), (w_ref @ v_ref.T) * s)
+
+
+def _corpus_matrix(i):
+    """The acceptance-corpus recipe: n = 2..16, uniform eigenvalues at
+    least 0.05 apart, basis condition at most 1e4."""
+    rng = np.random.default_rng([23, i])
+    n = 2 + i % 15
+    while True:
+        k = int(rng.integers(0, n // 2 + 1))
+        pairs = list(zip(rng.uniform(-2.0, 2.0, k), rng.uniform(0.3, 2.0, k)))
+        spec = PlantedSpectrum(rng.uniform(-2.0, 2.0, n - 2 * k), pairs, basis_seed=i)
+        if spec.min_separation() >= 0.05:
+            return gen_test_matrix(spec)
+
+
+def _dense_matrix(n, k):
+    """The dense recipe: eigenvalues on jittered grids, basis condition at
+    most 1e6."""
+    reals, pairs = _draw_spectrum(np.random.default_rng([5, n, k]), n - 2 * k, k)
+    return gen_test_matrix(PlantedSpectrum(reals, pairs, basis_seed=n + k, condition_cap=1e6))
+
+
+def test_term_stacks_match_per_term_loop_corpus():
+    for i in range(30):
+        _assert_stacks_match_loop(rd.decompose(_corpus_matrix(i)))
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("share", [0, 4, 2])
+def test_term_stacks_match_per_term_loop_dense(n, share):
+    k = n // share if share else 0
+    dec = rd.decompose(_dense_matrix(n, k))
+    assert len(dec.plane_terms) == k
+    _assert_stacks_match_loop(dec)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [np.zeros((0, 0)), np.array([[-0.5]]), np.array([[1.0, 2.0], [-2.0, 1.0]]),
+     np.diag([3.0, -1.0, 2.0]), np.kron(np.eye(2), [[0.5, 1.5], [-1.5, 0.5]]) + np.diag([0, 0, 1, 1])],
+    ids=["n=0", "one-real", "one-pair", "only-real", "only-pairs"],
+)
+def test_term_stacks_edge_cases(m):
+    dec = rd.decompose(m)
+    j, k, n = len(dec.real_terms), len(dec.plane_terms), dec.dim
+    st = rd.term_stacks(dec.real_terms, dec.plane_terms)
+    assert st.a.shape == st.c.shape == (j, n) and st.real_cores.shape == (j,)
+    assert st.u.shape == st.v.shape == (k, n, 2)
+    assert st.gram.shape == st.plane_cores.shape == (k, 2, 2) and st.nu.shape == (k,)
+    _assert_stacks_match_loop(dec)
+    b_real, l_real = rd.real_canonical_form(dec)
+    assert b_real.shape == l_real.shape == (n, n)
+    np.testing.assert_allclose(b_real @ l_real @ np.linalg.inv(b_real), m, atol=1e-12)
+
+
+def test_loaded_decomposition_applies_the_same_bits():
+    for m in (_corpus_matrix(7), _corpus_matrix(12), _dense_matrix(64, 16)):
+        dec = rd.decompose(m)
+        text = json.dumps(matio.decomposition_to_doc(dec))
+        loaded = matio.doc_to_decomposition(json.loads(text))
+        for x in np.random.default_rng(1).standard_normal((5, dec.dim)):
+            np.testing.assert_array_equal(rd.apply(loaded, x), rd.apply(dec, x))
+        np.testing.assert_array_equal(rd.reconstruct(loaded), rd.reconstruct(dec))
+
+
+@pytest.mark.parametrize("e", [-1000, 1000])
+def test_apply_and_reconstruct_scale_exactly(e):
+    for m in (_corpus_matrix(9), _corpus_matrix(14), _dense_matrix(64, 16)):
+        dec, scaled = rd.decompose(m), rd.decompose(m * 2.0**e)
+        x = np.random.default_rng(2).standard_normal(dec.dim)
+        np.testing.assert_array_equal(rd.apply(scaled, x), rd.apply(dec, x) * 2.0**e)
+        np.testing.assert_array_equal(rd.reconstruct(scaled), rd.reconstruct(dec) * 2.0**e)

@@ -47,3 +47,19 @@ def test_compare_docs_reads_shared_fields_only():
                  {"diagnostics": {"basis_rcond": 0.25}}):
         assert cr.compare_docs(old, dict(new, **edit), set())
     assert cr.compare_docs({"x": 0.0}, {"x": -0.0}, set())
+
+
+def test_closest_to_tolerance_measures_against_the_tolerance():
+    cr = _import_tool("compare_reports")
+    checks = [["diagonalizable", 0.0], ["transposition", 1e-12]]
+    labels = ["rounding", "near", "raised"]
+    tols = [checks, checks, "ShapeError"]
+    # "rounding" moves 21x at rounding level and "near" only 1.2x, but
+    # "near" lies 200 times closer to the tolerance, so it is reported
+    old = [[0.0, 2.5e-15], [0.0, 5e-13], "ShapeError"]
+    new = [[0.0, 1.2e-16], [0.0, 6e-13], "ShapeError"]
+    assert cr.closest_to_tolerance(labels, tols, old) == {"transposition": (0.5, "near")}
+    assert cr.closest_to_tolerance(labels, tols, new) == {"transposition": (0.6, "near")}
+    # a check with no tolerance, or a residual that is not finite, is left out
+    assert cr.closest_to_tolerance(labels[:2], tols[:2], [[np.inf, 1e-13], [0.0, np.inf]]) == {
+        "transposition": (0.1, "rounding")}

@@ -34,11 +34,10 @@ its ``sigma`` and ``omega``), how many identity-suite verdicts differ,
 how many identity-suite tolerance lists differ, how many of NEW_SRC's
 reports change in that round trip and how many of NEW_SRC's reports
 depend on the input's memory order.  For each check name it then prints
-the largest factor by which a residual moved between the trees, counting
-only the inputs where the larger of the two residuals lies within three
-orders of magnitude of the tolerance: how close a rounding-level change
-came to flipping a verdict.  It exits 1 if any input differs on shared
-fields.
+the largest residual / tolerance on each tree, with the input it came
+from: how close that tree came to flipping the check's verdict, measured
+against the tolerance, so that a residual at rounding level cannot
+dominate.  It exits 1 if any input differs on shared fields.
 """
 
 import json
@@ -178,22 +177,19 @@ def _eigenvalues(doc):
                        [[t["sigma"], t["omega"]] for t in doc["plane_terms"]]])
 
 
-def _residual_moves(labels, old_tols, new_tols, old_res, new_res):
-    """{check name: (count, factor, label, old, new, tolerance)}: over the
-    count of inputs whose two suites list the same checks and where the
-    larger of the two finite residuals is within a factor 1000 of a nonzero
-    tolerance, the largest factor larger / smaller by which the check's
-    residual moved between the trees (inf when one of them is zero)."""
-    near = {}
-    for label, tols, other, a_res, b_res in zip(labels, new_tols, old_tols, old_res, new_res):
-        if isinstance(tols, str) or tols != other:
+def closest_to_tolerance(labels, tols, residuals):
+    """{check name: (ratio, label)}: the largest finite residual / tolerance
+    of each check with a nonzero tolerance over one tree's suites, and the
+    input it came from (a suite that raised, recorded as a string, has no
+    checks)."""
+    worst = {}
+    for label, checks, values in zip(labels, tols, residuals):
+        if isinstance(checks, str):
             continue
-        for (name, tol), a, b in zip(tols, a_res, b_res):
-            big, small = max(a, b), min(a, b)
-            if tol > 0.0 and np.isfinite([a, b]).all() and tol / 1e3 <= big <= tol * 1e3:
-                factor = big / small if small > 0.0 else np.inf
-                near.setdefault(name, []).append((factor, label, a, b, tol))
-    return {name: (len(rows), *max(rows, key=lambda row: row[0])) for name, rows in near.items()}
+        for (name, tol), residual in zip(checks, values):
+            if tol > 0.0 and np.isfinite(residual):
+                worst[name] = max(worst.get(name, (-1.0, "")), (residual / tol, label))
+    return worst
 
 
 def run_tree(src, inputs_path, out_path):
@@ -252,10 +248,13 @@ def main(argv):
     trips = [t for t in new_trips if t is not None]
     print(f"{trips.count(False)} of {len(trips)} new reports change in a load-and-dump round trip")
     print(f"{new_layout.count(False)} of {len(inputs)} reports depend on the input's memory order")
-    moves = _residual_moves([label for label, _ in inputs], old_tols, new_tols, old_res, new_res)
-    for name, (count, factor, label, a, b, tol) in moves.items():
-        print(f"{name}: residuals moved by at most {factor:.3g}x over {count} near-tolerance "
-              f"inputs (worst: {label}, {a:.3e} -> {b:.3e}, tolerance {tol:.0e})")
+    labels = [label for label, _ in inputs]
+    old_worst = closest_to_tolerance(labels, old_tols, old_res)
+    new_worst = closest_to_tolerance(labels, new_tols, new_res)
+    for name in sorted(old_worst.keys() | new_worst.keys()):
+        sides = [f"{w[name][0]:.3g} ({w[name][1]})" if name in w else "none"
+                 for w in (old_worst, new_worst)]
+        print(f"{name}: largest residual / tolerance {sides[0]} -> {sides[1]}")
     return 1 if differ else 0
 
 
