@@ -64,6 +64,7 @@ _HESS_NB = 32
 _HESS_NX = 32
 _NORM_MIN = 2.0**-480  # above it, a sum of squares keeps full precision
 _FLIP = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_EYE2 = np.eye(2)
 _pack_3x3 = struct.Struct("9d").pack_into  # nine floats into a 3x3 array, row by row
 
 
@@ -71,19 +72,25 @@ _pack_3x3 = struct.Struct("9d").pack_into  # nine floats into a 3x3 array, row b
 class EigenSystem:
     """Eigenvalues of a real matrix with its real eigenvector basis.
 
-    eigenvalues is the complex array of the module docstring.  Column
-    block i of basis (block_starts) is a_i for a real eigenvalue and
-    (b_i, p_i), the real and imaginary parts of the unit right
-    eigenvector, for a pair.  The matching rows of basis_inv are c_i and
-    (2 d_i, 2 q_i), where (d_i, q_i) is the left eigenvector scaled so
-    that d_i^dag b_j = delta_ij; basis_inv is Y_r^-1 Z^T (basis_inverse),
-    and basis_rcond its 1-norm reciprocal condition with basis.
+    eigenvalues is the complex array of the module docstring, its j
+    real entries first, then its k pairs.  The columns of basis follow
+    it: a_1 .. a_j for the real eigenvalues, then (b_i, p_i), the real
+    and imaginary parts of the unit right eigenvector, for each pair, in
+    columns j + 2i and j + 2i + 1.  The matching rows of basis_inv are
+    c_1 .. c_j, then (2 d_i, 2 q_i), where (d_i, q_i) is the left
+    eigenvector scaled so that d_i^dag b_j = delta_ij; basis_inv is
+    Y_r^-1 Z^T (basis_inverse), and basis_rcond its 1-norm reciprocal
+    condition with basis.  scale is the power of two s = pow2_scale(M)
+    and scaled_norm ||M / s||_F, the factors M was divided by before
+    the reduction.
     """
 
     eigenvalues: np.ndarray
     basis: np.ndarray
     basis_inv: np.ndarray
     basis_rcond: float
+    scale: float
+    scaled_norm: float
 
 
 def _house_vec(x):
@@ -158,8 +165,7 @@ def hessenberg_reduce(m):
     if n != m.shape[1]:
         raise ShapeError(f"hessenberg of non-square {m.shape}")
     scale = dc.pow2_scale(m)
-    a = np.hstack([m, np.eye(n)])
-    a[:, :n] /= scale
+    a = np.concatenate((m / scale, np.eye(n)), axis=1)
     k = 0
     while n - 2 - k > _HESS_NX:
         _hessenberg_panel(a, k, _HESS_NB)
@@ -259,8 +265,8 @@ def _triangularize_blocks(t, z, los, lams):
     pairs of all blocks.  Returns the (k, 2, 2) stack of G's blocks and the
     (k, 2) row pairs; real for real lams, and t and z must be complex
     otherwise."""
-    pairs = np.add.outer(los, (0, 1))
-    shifted = t[pairs[:, :, None], pairs[:, None, :]] - np.multiply.outer(lams, np.eye(2))
+    pairs = los[:, None] + np.arange(2)
+    shifted = t[pairs[:, :, None], pairs[:, None, :]] - np.multiply.outer(lams, _EYE2)
     # eigenvectors (b, lam - a) and (lam - d, c) from the two rows of each
     # block minus lam; the better-scaled one wins, the first on a tie
     both = shifted[:, :, ::-1] * _FLIP
@@ -323,7 +329,8 @@ def real_schur(h, q):
     """
     h, q = dc.as_array(h, 2), dc.as_array(q, 2)
     n = h.shape[0]
-    if h.shape != (n, n) or q.shape != (n, n) or np.any(np.tril(h, -2)):
+    i = np.arange(n)
+    if h.shape != (n, n) or q.shape != (n, n) or h[np.subtract.outer(i, i) > 1].any():
         raise ShapeError(f"real_schur needs upper Hessenberg h and q n x n, got {h.shape}, {q.shape}")
     scale = dc.pow2_scale(h)
     a = np.empty((n, 2 * n))
@@ -372,7 +379,9 @@ def real_schur(h, q):
 def block_starts(eigs):
     """First basis column of each eigenvalue's block, then the dimension:
     a real eigenvalue takes one column and a pair two."""
-    return np.concatenate(([0], np.cumsum(1 + (eigs.imag > 0))))
+    starts = np.zeros(len(eigs) + 1, dtype=int)
+    np.cumsum(1 + (eigs.imag > 0), out=starts[1:])
+    return starts
 
 
 def right_eigenvectors(t, z, eigs):
@@ -404,18 +413,19 @@ def right_eigenvectors(t, z, eigs):
     starts = block_starts(eigs)
     pairs = eigs.imag > 0
     los = starts[:-1][pairs]
-    smin = EPS * np.max(np.abs(t))
+    smin = EPS * np.abs(t).max()
     t, z = t.astype(complex), z.astype(complex)
     g, rows = _triangularize_blocks(t, z, los, eigs[pairs])
+    # every divisor t_ii - lambda_k, raised to smin in magnitude
+    d = np.subtract.outer(t.diagonal(), eigs)
+    d[np.abs(d) < smin] = smin
     # the first eigenvalue whose block starts below each row
-    later = np.repeat(np.arange(1, len(eigs) + 1), np.diff(starts))
+    later = np.searchsorted(starts, np.arange(n), side="right").tolist()
     y = np.zeros((n, len(eigs)), dtype=complex)
     y[starts[:-1], np.arange(len(eigs))] = 1.0
     for i in range(n - 1, -1, -1):
         k = later[i]
-        d = t[i, i] - eigs[k:]
-        d[np.abs(d) < smin] = smin
-        y[i, k:] = -(t[i, i + 1:] @ y[i + 1:, k:]) / d
+        y[i, k:] = -(t[i, i + 1:] @ y[i + 1:, k:]) / d[i, k:]
     zy = z @ y
     y[rows] = g @ y[rows]  # y becomes G Y, the eigenvectors of T itself
     # a real eigenvalue's vector is real; its imaginary part is rounding
@@ -436,17 +446,17 @@ def _canonical_phase(re, im):
     rotated by (cos phi = b_j / |v_j|, sin phi = p_j / |v_j| at the pinned
     entry v_j = b_j + i p_j)."""
     mags = re**2 + im**2
-    if not np.all(np.any(mags > 0.0, axis=0)):
+    if not (mags > 0.0).any(axis=0).all():
         raise ShapeError("cannot canonicalize a zero vector")
-    j = np.argmax(mags, axis=0, keepdims=True)
-    bj, pj = np.take_along_axis(re, j, 0), np.take_along_axis(im, j, 0)
+    # the pinned entry of each column: its row, and for a stack each column
+    at = (mags.argmax(axis=0, keepdims=True), *map(np.arange, re.shape[1:]))
+    bj, pj = re[at], im[at]
     r = np.hypot(bj, pj)
     c, s = bj / r, pj / r
-    if not np.any(pj) and np.all(bj > 0.0):
+    if not pj.any() and (bj > 0.0).all():
         return re, im, c, s
     re, im = c * re + s * im, c * im - s * re
-    np.put_along_axis(re, j, r, 0)
-    np.put_along_axis(im, j, 0.0, 0)
+    re[at], im[at] = r, 0.0
     return re, im, c, s
 
 
@@ -473,13 +483,13 @@ def basis_inverse(z, y_r, eigs, cols):
     large Y_r^-1, which eigensystem's rcond gate refuses.
     """
     n = y_r.shape[0]
-    starts = block_starts(eigs)
+    starts = block_starts(eigs).tolist()
     inv = np.zeros((n, n))
-    for lo, hi in reversed(list(zip(starts[:-1], starts[1:]))):
+    for lo, hi in zip(starts[-2::-1], starts[:0:-1]):
         if hi - lo == 1:
             pivot = 1.0 / y_r[lo:hi, lo:hi]
         else:
-            (a, b), (c, d) = y_r[lo:hi, lo:hi]
+            (a, b), (c, d) = y_r[lo:hi, lo:hi].tolist()
             pivot = np.array([[d, -b], [-c, a]]) / (a * d - b * c)
         inv[lo:hi, lo:hi] = pivot
         inv[lo:hi, hi:] = -pivot @ (y_r[lo:hi, hi:] @ inv[hi:, hi:])
@@ -497,23 +507,26 @@ def eigensystem(m):
     # fixed pre-scaling keeps the QR thresholds meaningful for extreme norms;
     # the exact power-of-two step first keeps ||M||_F itself from overflowing
     s = dc.pow2_scale(m)
-    norm_m = dc.frobenius_norm(m / s)
+    m_s = m / s
+    norm_m = dc.frobenius_norm(m_s)
     if norm_m == 0.0:
-        return EigenSystem(np.zeros(n, dtype=complex), np.eye(n), np.eye(n), 1.0)
-    h, q = hessenberg_reduce(m / s / norm_m)
+        return EigenSystem(np.zeros(n, dtype=complex), np.eye(n), np.eye(n), 1.0, s, 0.0)
+    h, q = hessenberg_reduce(m_s / norm_m)
     t, z, eigs = real_schur(h, q)
     x, y_r = right_eigenvectors(t, z, eigs)
     # left to right: norm_m * s alone may overflow where an eigenvalue does not
     scaled = eigs * norm_m * s
-    # a pair whose omega underflows to 0 becomes a real double, one entry per
-    # column (b, p): at omega = 0 its plane term is sigma (b 2d^T + p 2q^T)
-    split = np.repeat(scaled, 1 + ((scaled.imag == 0) & (eigs.imag > 0)))
-    starts = block_starts(split)
-    order = np.lexsort((split.imag, split.real, split.imag > 0))
-    cols = [c for i in order for c in range(starts[i], starts[i + 1])]
+    # one key per basis column: a pair's two columns share theirs, and a pair
+    # whose omega underflows to 0 becomes a real double, one entry per column
+    # (b, p): at omega = 0 its plane term is sigma (b 2d^T + p 2q^T)
+    keys = np.repeat(scaled, 1 + (eigs.imag > 0))
+    # lexsort is stable, so a pair's columns stay together and in order
+    cols = np.lexsort((keys.imag, keys.real, keys.imag > 0))
+    keys = keys[cols]
+    j = n - int(np.count_nonzero(keys.imag))  # the real columns, all first
     basis = x[:, cols]
     basis_inv = basis_inverse(z, y_r, eigs, cols)
     rcond = dc.rcond_1norm(basis, basis_inv)
     if not rcond >= _RCOND_MIN:
         raise NotDiagonalizableError(f"eigenvector basis rcond {rcond:.3e}")
-    return EigenSystem(split[order], basis, basis_inv, rcond)
+    return EigenSystem(np.concatenate((keys[:j], keys[j::2])), basis, basis_inv, rcond, s, norm_m)

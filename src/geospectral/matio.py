@@ -25,6 +25,15 @@ from .realdecomp import (
 
 SCHEMA_VERSION = "2"
 
+# the keys of each object in a report, each the name of the attribute it
+# states: the writer emits exactly these and the loader refuses any other
+# key, or a missing one; input_digest alone may be left out
+REPORT_KEYS = ("schema_version", "dim", "real_terms", "plane_terms", "diagnostics")
+OPTIONAL_REPORT_KEYS = ("input_digest",)
+REAL_TERM_KEYS = ("alpha", "a", "c")
+PLANE_TERM_KEYS = ("sigma", "omega", "b", "p", "d", "q")
+DIAGNOSTICS_KEYS = ("reconstruction_residual", "basis_rcond")
+
 FORMAT_MATRIX_MARKET = "matrixmarket"
 FORMAT_CSV = "csv"
 
@@ -150,52 +159,60 @@ def file_digest(path):
     return "sha256:" + h.hexdigest()
 
 
-def _vec(v):
-    return [float(x) for x in v]
-
-
 def matrix_to_doc(m):
-    return [_vec(row) for row in np.asarray(m, dtype=float)]
+    return np.asarray(m, dtype=float).tolist()
+
+
+def _fields(obj, keys):
+    """obj's attributes named by keys, each vector as one list of floats."""
+    doc = {}
+    for key in keys:
+        value = getattr(obj, key)
+        doc[key] = value.tolist() if isinstance(value, np.ndarray) else value
+    return doc
 
 
 def decomposition_to_doc(dec, input_digest=None):
     """Serialize a SpectralDecomposition to a JSON-ready dict."""
-    doc = {
+    values = {
         "schema_version": SCHEMA_VERSION,
         "dim": dec.dim,
-        "real_terms": [
-            {"alpha": t.alpha, "a": _vec(t.a), "c": _vec(t.c)} for t in dec.real_terms
-        ],
-        "plane_terms": [
-            {
-                "sigma": t.sigma,
-                "omega": t.omega,
-                "b": _vec(t.b),
-                "p": _vec(t.p),
-                "d": _vec(t.d),
-                "q": _vec(t.q),
-            }
-            for t in dec.plane_terms
-        ],
-        "diagnostics": {
-            "reconstruction_residual": dec.diagnostics.reconstruction_residual,
-            "basis_rcond": dec.diagnostics.basis_rcond,
-        },
+        "real_terms": [_fields(t, REAL_TERM_KEYS) for t in dec.real_terms],
+        "plane_terms": [_fields(t, PLANE_TERM_KEYS) for t in dec.plane_terms],
+        "diagnostics": _fields(dec.diagnostics, DIAGNOSTICS_KEYS),
     }
+    doc = {key: values[key] for key in REPORT_KEYS}
     if input_digest is not None:
         doc["input_digest"] = input_digest
     return doc
 
 
+def _check_keys(obj, keys, what, optional=()):
+    """Refuse a report object that is not a JSON object or whose keys are
+    not keys, with any of optional."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{what} is not a JSON object")
+    missing = [k for k in keys if k not in obj]
+    unknown = sorted(set(obj) - set(keys) - set(optional))
+    if missing or unknown:
+        raise ParseError(f"{what}: missing keys {missing}, unknown keys {unknown}")
+
+
 def doc_to_decomposition(doc):
     """Rebuild a SpectralDecomposition from its JSON document; each plane
     term's nu is computed from its vectors.  Another schema_version, a
-    missing field or a non-number raises ParseError; a dim other than
-    j + 2k, or a term its constructor refuses (non-finite value or vector,
-    omega <= 0), ShapeError."""
+    missing or unknown key or a non-number raises ParseError; a dim other
+    than j + 2k, or a term its constructor refuses (non-finite value or
+    vector, omega <= 0), ShapeError."""
     try:
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise ParseError(f"unsupported schema_version {doc.get('schema_version')!r}")
+        _check_keys(doc, REPORT_KEYS, "report", OPTIONAL_REPORT_KEYS)
+        for t in doc["real_terms"]:
+            _check_keys(t, REAL_TERM_KEYS, "real term")
+        for t in doc["plane_terms"]:
+            _check_keys(t, PLANE_TERM_KEYS, "plane term")
+        _check_keys(doc["diagnostics"], DIAGNOSTICS_KEYS, "diagnostics")
         dim = int(doc["dim"])
         real_terms = tuple(
             RealTerm(float(t["alpha"]), *(np.array(t[f], dtype=float) for f in "ac"))

@@ -24,6 +24,7 @@ them; the explicit wedge forms, applied by associativity at O(n^2), stay
 as the reference.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,16 +42,26 @@ from .errors import (
 DEFAULT_TOL = 1e-9
 _NU_REL_FLOOR = 1e-24
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_I = np.eye(2)
+
+
+def _norm(v):
+    """np.linalg.norm(v) as it computes it: one dot of v flattened."""
+    v = v.ravel("K")
+    return math.sqrt(v.dot(v))
 
 
 def _check_vectors(*vectors):
-    """Refuse term vectors of different shapes or with a non-finite entry,
-    before anything computes with them."""
-    shapes = [v.shape for v in vectors]
-    if len(set(shapes)) != 1:
-        raise ShapeError(f"term vectors differ: {shapes}")
-    if not np.all(np.isfinite(vectors)):
+    """The norms of term vectors; refuses vectors of different shapes or
+    with a non-finite entry, before anything else computes with them."""
+    shape = vectors[0].shape
+    if any(v.shape != shape for v in vectors):
+        raise ShapeError(f"term vectors differ: {[v.shape for v in vectors]}")
+    norms = [_norm(v) for v in vectors]
+    # a sum of squares is finite unless an entry is not, or it overflows
+    if not math.isfinite(sum(norms)) and not np.isfinite(vectors).all():
         raise ShapeError("term vectors must be finite")
+    return norms
 
 
 @dataclass(frozen=True)
@@ -62,11 +73,11 @@ class RealTerm:
     c: np.ndarray
 
     def __post_init__(self):
-        if not np.isfinite(self.alpha):
+        if not math.isfinite(self.alpha):
             raise ShapeError(f"real term needs a finite alpha, got {self.alpha}")
-        _check_vectors(self.a, self.c)
+        norm_a, norm_c = _check_vectors(self.a, self.c)
         ca = float(np.add.reduce(self.c * self.a))
-        if abs(ca) <= 1e-12 * (np.linalg.norm(self.c) * np.linalg.norm(self.a)):
+        if abs(ca) <= 1e-12 * (norm_c * norm_a):
             raise DegeneratePairError(f"left/right product c.a = {ca:.3e} is degenerate")
 
 
@@ -85,11 +96,11 @@ class ComplexPlaneTerm:
     nu: float = field(init=False)
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma) and 0.0 < self.omega < np.inf):
+        if not (math.isfinite(self.sigma) and 0.0 < self.omega < math.inf):
             raise ShapeError(f"plane term needs a finite sigma and finite omega > 0, "
                              f"got {self.sigma}, {self.omega}")
-        _check_vectors(self.b, self.p, self.d, self.q)
-        object.__setattr__(self, "nu", nu(self.b, self.d, self.q))
+        norm_b, _, norm_d, norm_q = _check_vectors(self.b, self.p, self.d, self.q)
+        object.__setattr__(self, "nu", _nu(self.b, self.d, self.q, norm_b, norm_d, norm_q))
 
 
 @dataclass(frozen=True)
@@ -123,9 +134,12 @@ class SpectralDecomposition:
 def nu(b, d, q):
     """Normalization (d.b)^2 + (q.b)^2 of a plane term, for float vectors
     of one shape (as _check_vectors passes them)."""
+    return _nu(b, d, q, _norm(b), _norm(d), _norm(q))
+
+
+def _nu(b, d, q, norm_b, norm_d, norm_q):
     value = float(np.add.reduce(d * b)) ** 2 + float(np.add.reduce(q * b)) ** 2
-    norm_b = np.linalg.norm(b)
-    scale = (np.linalg.norm(d) * norm_b + np.linalg.norm(q) * norm_b) ** 2
+    scale = (norm_d * norm_b + norm_q * norm_b) ** 2
     # a NaN fails the comparison, so it is refused too
     if not value > _NU_REL_FLOOR * scale:
         raise DegeneratePairError(f"nu = {value:.3e} below degeneracy floor")
@@ -154,7 +168,7 @@ def plane_term_right_form(t):
 def plane_core(sigma, omega, g, nu_value):
     """2x2 core C = J G (omega I - sigma J) / nu of the plane term U C V^T from
     the Gram G = U^T V, U = [b p], V = [d q]; exact for any b, p, d, q."""
-    return _J @ g @ (omega * np.eye(2) - sigma * _J) / nu_value
+    return _J @ g @ (omega * _I - sigma * _J) / nu_value
 
 
 @dataclass(frozen=True)
@@ -191,9 +205,13 @@ def term_stacks(real_terms, plane_terms, s=None):
     sigma, omega, nu_ = np.array([(t.sigma, t.omega, t.nu) for t in plane_terms]).reshape(k, 3).T
     if s is None:
         s = dc.pow2_scale(np.concatenate((alpha, sigma, omega)))
-    a, c = vectors[:2 * j:2], vectors[1:2 * j:2]
     # (k, b p d q, n) -> U and V as (k, n, 2), each C-ordered like column_stack's
     u, v = np.ascontiguousarray(vectors[2 * j:].reshape(k, 2, 2, n).transpose(1, 0, 3, 2))
+    return _stacks(s, alpha, vectors[:2 * j:2], vectors[1:2 * j:2], sigma, omega, nu_, u, v)
+
+
+def _stacks(s, alpha, a, c, sigma, omega, nu_, u, v):
+    """TermStacks from the gathered stacks: every Gram and core at once."""
     gram = np.swapaxes(u, 1, 2) @ v
     cores = plane_core((sigma / s)[:, None, None], (omega / s)[:, None, None], gram,
                        nu_[:, None, None])
@@ -205,7 +223,7 @@ def term_columns(real, planes):
     """The (n, j + 2k) matrix whose columns are the j rows of real, then
     each of the k (n, 2) slices of planes in turn."""
     n, k = real.shape[1], len(planes)
-    return np.hstack((real.T, planes.transpose(1, 0, 2).reshape(n, 2 * k)))
+    return np.concatenate((real.T, planes.transpose(1, 0, 2).reshape(n, 2 * k)), axis=1)
 
 
 def term_factors(t, s=1.0):
@@ -266,34 +284,32 @@ def decompose(m, tol=DEFAULT_TOL):
     if n != m.shape[1]:
         raise ShapeError(f"decompose of non-square {m.shape}")
     system = eg.eigensystem(m)
-    # row i is basis column i: a_i, or b_i and p_i in two rows for a pair
+    lam = system.eigenvalues
+    k = int(np.count_nonzero(lam.imag))
+    j = n - 2 * k
+    alpha, sigma, omega = lam.real[:j], lam.real[j:], lam.imag[j:]
+    # the real terms' rows, then the pairs': a_i, or b_i and p_i in two rows
     right = np.ascontiguousarray(system.basis.T)
     rows = system.basis_inv
-    real_terms = []
-    plane_terms = []
-    starts = eg.block_starts(system.eigenvalues)
-    for lam, i in zip(system.eigenvalues.tolist(), starts.tolist()):
-        if lam.imag == 0.0:
-            real_terms.append(RealTerm(lam.real, right[i], rows[i]))
-        else:
-            # basis_inv holds (2d, 2q) for the pair's columns (b, p): d^dag b = 1
-            b, p, d, q = right[i], right[i + 1], rows[i] / 2.0, rows[i + 1] / 2.0
-            plane_terms.append(ComplexPlaneTerm(lam.real, lam.imag, b, p, d, q))
+    # basis_inv holds (2d, 2q) for a pair's columns (b, p): d^dag b = 1
+    halves = rows[j:] / 2.0
+    real_terms = tuple(map(RealTerm, alpha.tolist(), right[:j], rows[:j]))
+    plane_terms = tuple(map(ComplexPlaneTerm, sigma.tolist(), omega.tolist(),
+                            right[j::2], right[j + 1::2], halves[::2], halves[1::2]))
     # W V^T against M / s, s a power of two with s <= max|m_ij| < 2s: the
     # cores take the eigenvalues over s and V the conditioning, so nothing overflows
-    s = dc.pow2_scale(m)
-    w, v = stacked_factors(term_stacks(real_terms, plane_terms, s))
-    m_s = m / s
-    resid = frobenius_norm(w @ v.T - m_s) / (frobenius_norm(m_s) or 1.0)
+    s = system.scale
+    u, v = (np.ascontiguousarray(x.reshape(k, 2, n).transpose(0, 2, 1)) for x in (right[j:], halves))
+    nu_ = np.array([t.nu for t in plane_terms])
+    w, v = stacked_factors(_stacks(s, alpha, right[:j], rows[:j], sigma, omega, nu_, u, v))
+    resid = frobenius_norm(w @ v.T - m / s) / (system.scaled_norm or 1.0)
     if not np.isfinite(resid):
         raise AccuracyError(resid, tol)
     if resid > tol:
         raise NotDiagonalizableError(
             f"reconstruction residual {resid:.3e} above tolerance {tol:.3e}"
         )
-    return SpectralDecomposition(
-        tuple(real_terms), tuple(plane_terms), Diagnostics(resid, system.basis_rcond)
-    )
+    return SpectralDecomposition(real_terms, plane_terms, Diagnostics(resid, system.basis_rcond))
 
 
 def reconstruct(dec):
