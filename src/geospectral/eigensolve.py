@@ -394,8 +394,9 @@ def right_eigenvectors(t, z, eigs):
     gathered rows or columns of all pair blocks.  Y holds one column per
     eigenvalue, with T_c y_j = lambda_j y_j and 1 atop block j.  One
     bottom-up sweep solves row i for every eigenvalue whose block starts
-    below it, a division by t_ii - lambda_k raised to smin in magnitude, so
-    a repeated eigenvalue still gives a finite vector (Golub & Van Loan,
+    below it, a division by t_ii - lambda_k raised to smin in magnitude
+    (all divisors are formed before the sweep), so a repeated eigenvalue
+    still gives a finite vector (Golub & Van Loan,
     Matrix Computations, section 7.6; LAPACK ztrevc).  Complex vectors stay
     inside this function.  It returns (X, Y_r), both real n x n in T's
     block order.  X = Z_c Y has a column for each real eigenvalue, unit
@@ -430,7 +431,7 @@ def right_eigenvectors(t, z, eigs):
     y[rows] = g @ y[rows]  # y becomes G Y, the eigenvectors of T itself
     # a real eigenvalue's vector is real; its imaginary part is rounding
     re, im = zy.real, np.where(pairs, zy.imag, 0.0)
-    scale = np.sqrt(np.sum(re**2, axis=0) + np.sum(im**2, axis=0))
+    scale = np.sqrt((re**2).sum(axis=0) + (im**2).sum(axis=0))
     re, im, c, s = _canonical_phase(re / scale, im / scale)
     # the same rotation by -phi, as the complex factor e^(-i phi)
     w = y * ((c - 1j * s) / scale)

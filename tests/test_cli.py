@@ -419,6 +419,61 @@ def test_malformed_report_rejected(edit, error):
         matio.doc_to_decomposition(doc)
 
 
+_M4 = np.array([[1.0, 2.0, 0.0, 0.0], [-2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 3.0, 0.0],
+                [0.0, 0.0, 0.0, -1.0]])
+
+
+def _report_levels(doc):
+    # each object of a report with its declared keys
+    return [(doc, matio.REPORT_KEYS), (doc["real_terms"][0], matio.REAL_TERM_KEYS),
+            (doc["real_terms"][1], matio.REAL_TERM_KEYS),
+            (doc["plane_terms"][0], matio.PLANE_TERM_KEYS),
+            (doc["diagnostics"], matio.DIAGNOSTICS_KEYS)]
+
+
+def test_report_writes_the_declared_keys():
+    doc = matio.decomposition_to_doc(decompose(_M4), input_digest="sha256:0")
+    levels = _report_levels(doc)
+    assert list(doc) == [*matio.REPORT_KEYS, *matio.OPTIONAL_REPORT_KEYS]
+    for obj, keys in levels[1:]:
+        assert list(obj) == list(keys)
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_report_with_unknown_key_rejected(level):
+    # a stale key, such as schema "1"'s nu or eigenvalues list, would state a
+    # fact the loader never reads, so a report carrying one is refused
+    doc = _report_doc(_M4)
+    obj, _ = _report_levels(doc)[level]
+    obj["nu"] = 1.0
+    with pytest.raises(ParseError, match="unknown keys \\['nu'\\]"):
+        matio.doc_to_decomposition(doc)
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_report_with_missing_key_rejected(level):
+    doc = _report_doc(_M4)
+    obj, keys = _report_levels(doc)[level]
+    for key in keys:
+        edited = json.loads(json.dumps(doc))
+        del _report_levels(edited)[level][0][key]
+        match = "unsupported schema_version" if key == "schema_version" else f"missing keys \\['{key}'\\]"
+        with pytest.raises(ParseError, match=match):
+            matio.doc_to_decomposition(edited)
+
+
+def test_schema_2_report_with_stale_fields_rejected():
+    # the contradicting schema "1" report above, relabelled "2", does not load
+    doc = _report_doc(_M3)
+    doc["eigenvalues"] = [{"kind": "real", "alpha": 99.0}]
+    with pytest.raises(ParseError, match="unknown keys \\['eigenvalues'\\]"):
+        matio.doc_to_decomposition(doc)
+    doc = _report_doc(_M3)
+    doc["plane_terms"][0]["nu"] = -5.0
+    with pytest.raises(ParseError, match="plane term: .*unknown keys \\['nu'\\]"):
+        matio.doc_to_decomposition(doc)
+
+
 def test_tol_env_override(tmp_path, capsys, monkeypatch, rotation_csv):
     monkeypatch.setenv("GEOSPECTRAL_TOL", "1e-6")
     assert main(["decompose", rotation_csv]) == 0

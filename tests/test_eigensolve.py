@@ -658,6 +658,39 @@ def test_canonical_phase_of_a_stack_is_per_column():
     assert abs(c[0, 2]) == 1.0 and s[0, 2] == 0.0
 
 
+def _canonical_phase_by_along_axis(re, im):
+    # _canonical_phase as first written, with take_along_axis and
+    # put_along_axis: the reference its direct indexing must equal
+    mags = re**2 + im**2
+    j = np.argmax(mags, axis=0, keepdims=True)
+    bj, pj = np.take_along_axis(re, j, 0), np.take_along_axis(im, j, 0)
+    r = np.hypot(bj, pj)
+    c, s = bj / r, pj / r
+    if not np.any(pj) and np.all(bj > 0.0):
+        return re, im, c, s
+    re, im = c * re + s * im, c * im - s * re
+    np.put_along_axis(re, j, r, 0)
+    np.put_along_axis(im, j, 0.0, 0)
+    return re, im, c, s
+
+
+def test_canonical_phase_matches_along_axis_reference_bitwise():
+    rng = np.random.default_rng(8)
+    re, im = rng.standard_normal((6, 9)), rng.standard_normal((6, 9))
+    im[:, 2] = 0.0  # a real column
+    re[:, 3], im[:, 3] = eg.canonicalize_phase(re[:, 3], im[:, 3])  # already canonical
+    re[4, 5], im[4, 5] = re[1, 5], im[1, 5]  # a tie for the largest entry
+    # a stack, each of its columns as a vector, and a stack and a vector
+    # that are canonical already, so take the early return
+    cases = [(re, im), *zip(re.T, im.T), (abs(re[:, :4]), np.zeros((6, 4))), (re[:, 3], im[:, 3])]
+    for x_re, x_im in cases:
+        got = eg._canonical_phase(x_re.copy(), x_im.copy())
+        want = _canonical_phase_by_along_axis(x_re.copy(), x_im.copy())
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+
 def test_canonicalize_phase_zero_vector_rejected():
     with pytest.raises(ShapeError):
         eg.canonicalize_phase(np.zeros(2), np.zeros(2))

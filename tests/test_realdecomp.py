@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from geospectral import eigensolve as eg
 from geospectral import matio
 from geospectral import realdecomp as rd
 from geospectral.cli import _draw_spectrum
@@ -11,6 +12,7 @@ from geospectral.densecore import frobenius_norm, pow2_scale
 from geospectral.errors import DegeneratePairError, NotDiagonalizableError, ShapeError
 from geospectral.geoalg import wedge
 from geospectral.verify import PlantedSpectrum, gen_test_matrix
+from test_properties import UNDERFLOWING_PAIR
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -592,3 +594,113 @@ def test_apply_and_reconstruct_scale_exactly(e):
         x = np.random.default_rng(2).standard_normal(dec.dim)
         np.testing.assert_array_equal(rd.apply(scaled, x), rd.apply(dec, x) * 2.0**e)
         np.testing.assert_array_equal(rd.reconstruct(scaled), rd.reconstruct(dec) * 2.0**e)
+
+
+def _reference_decompose(m):
+    """decompose as it cut its terms one at a time: each term from its
+    columns of basis and rows of basis_inv, then the residual on the
+    term_stacks of those terms; decompose must equal it bit for bit."""
+    m = np.ascontiguousarray(m, dtype=float)  # decompose's layout, which the norms' sums follow
+    system = eg.eigensystem(m)
+    right, rows = np.ascontiguousarray(system.basis.T), system.basis_inv
+    real_terms, plane_terms = [], []
+    starts = eg.block_starts(system.eigenvalues)
+    for lam, i in zip(system.eigenvalues.tolist(), starts.tolist()):
+        if lam.imag == 0.0:
+            real_terms.append(rd.RealTerm(lam.real, right[i], rows[i]))
+        else:
+            b, p, d, q = right[i], right[i + 1], rows[i] / 2.0, rows[i + 1] / 2.0
+            plane_terms.append(rd.ComplexPlaneTerm(lam.real, lam.imag, b, p, d, q))
+    s = pow2_scale(m)
+    w, v = rd.stacked_factors(rd.term_stacks(real_terms, plane_terms, s))
+    m_s = m / s
+    resid = frobenius_norm(w @ v.T - m_s) / (frobenius_norm(m_s) or 1.0)
+    return system, real_terms, plane_terms, w, v, resid
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.shape, x.dtype, x.tobytes()
+
+
+def _assert_decompose_matches_reference(m, monkeypatch):
+    factors = []
+    stacked = rd.stacked_factors
+    with monkeypatch.context() as mp:
+        mp.setattr(rd, "stacked_factors", lambda st: factors.append(stacked(st)) or factors[-1])
+        dec = rd.decompose(m)
+    system, real_terms, plane_terms, w, v, resid = _reference_decompose(m)
+    assert len(dec.real_terms) == len(real_terms) and len(dec.plane_terms) == len(plane_terms)
+    for t, ref in zip(dec.real_terms + dec.plane_terms, real_terms + plane_terms):
+        assert type(t) is type(ref)
+        for name, value in vars(ref).items():
+            got = getattr(t, name)
+            assert type(got) is type(value)
+            assert _bits(got) == _bits(value), name
+            if isinstance(value, np.ndarray):
+                assert got.flags.c_contiguous
+    [(w_dec, v_dec)] = factors
+    assert _bits(w_dec) == _bits(w) and _bits(v_dec) == _bits(v)
+    assert _bits(dec.diagnostics.reconstruction_residual) == _bits(resid)
+    assert _bits(dec.diagnostics.basis_rcond) == _bits(system.basis_rcond)
+    return dec
+
+
+def test_decompose_matches_per_term_reference_corpus(monkeypatch):
+    for i in range(30):
+        _assert_decompose_matches_reference(_corpus_matrix(i), monkeypatch)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("share", [0, 4, 2])
+def test_decompose_matches_per_term_reference_dense(n, share, monkeypatch):
+    k = n // share if share else 0
+    dec = _assert_decompose_matches_reference(_dense_matrix(n, k), monkeypatch)
+    assert len(dec.plane_terms) == k
+
+
+@pytest.mark.parametrize(
+    ("m", "j", "k"),
+    [
+        (np.zeros((0, 0)), 0, 0),
+        (np.array([[-0.5]]), 1, 0),
+        (np.diag([3.0, -1.0, 2.0]), 3, 0),
+        (np.kron(np.eye(2), [[0.5, 1.5], [-1.5, 0.5]]) + np.diag([0, 0, 1, 1]), 0, 2),
+        # the zero cluster's computed pair has omega near 7e-12 ||M||, which
+        # underflows as the eigenvalues are scaled back: a real double
+        (UNDERFLOWING_PAIR.matrix(), 7, 0),
+    ],
+    ids=["n=0", "n=1", "only-real", "only-pairs", "underflowing-pair"],
+)
+def test_decompose_matches_per_term_reference_edge_cases(m, j, k, monkeypatch):
+    dec = _assert_decompose_matches_reference(m, monkeypatch)
+    assert (len(dec.real_terms), len(dec.plane_terms)) == (j, k)
+
+
+def test_underflowing_pair_is_a_pair_before_scaling():
+    # the edge case above exercises the split: unscaled, the solver sees a pair
+    m = UNDERFLOWING_PAIR.matrix()
+    s = pow2_scale(m)
+    h, q = eg.hessenberg_reduce(m / s / frobenius_norm(m / s))
+    assert np.any(eg.real_schur(h, q)[2].imag > 0)
+
+
+@pytest.mark.parametrize(
+    ("eigenvalues", "basis_inv"),
+    [
+        # c_1 = e_2 against a_1 = e_1: c.a = 0
+        ([1.0, 2.0], [[0.0, 1.0], [1.0, 0.0]]),
+        # (2d, 2q) both along e_2 against b = e_1: nu = 0
+        ([1.0 + 2.0j], [[0.0, 1.0], [0.0, 1.0]]),
+    ],
+    ids=["real-term", "plane-term"],
+)
+def test_decompose_refuses_a_degenerate_term_from_the_eigensystem(eigenvalues, basis_inv,
+                                                                   monkeypatch):
+    # decompose builds its terms with the checking constructors, so a term
+    # the eigensolver got wrong is refused, not returned
+    system = eg.EigenSystem(np.array(eigenvalues, dtype=complex), np.eye(2),
+                            np.array(basis_inv), 1.0, 1.0, 1.0)
+    monkeypatch.setattr(eg, "eigensystem", lambda m: system)
+    with pytest.raises(DegeneratePairError):
+        rd.decompose(np.eye(2))

@@ -63,3 +63,18 @@ def test_closest_to_tolerance_measures_against_the_tolerance():
     # a check with no tolerance, or a residual that is not finite, is left out
     assert cr.closest_to_tolerance(labels[:2], tols[:2], [[np.inf, 1e-13], [0.0, np.inf]]) == {
         "transposition": (0.1, "rounding")}
+
+
+def test_stage_times_covers_a_size_without_bulge_steps(tmp_path):
+    # n = 2 deflates before any sweep: every stage is timed, eigensystem
+    # among them, and Schur's time per bulge step is nan, not a division by 0
+    st = _import_tool("stage_times")
+    assert 2 in st.SIZES and "eigensystem" in st.STAGES
+    inputs_path = tmp_path / "inputs.npz"
+    m = st.verify.gen_test_matrix(st.grid_spectrum(np.random.default_rng([1, 5, 2]), 2, 0, 1e6))
+    np.savez(inputs_path, n00=m)
+    [row] = st.run_tree(ROOT / "src", str(inputs_path), str(tmp_path / "out.json"))
+    assert row["n"] == 2 and row["sweeps"] == row["steps"] == 0
+    assert all(np.isfinite(row[stage]) for stage in st.STAGES)
+    assert np.isnan(st.us_per_step(row))
+    assert st.us_per_step(dict(row, schur=0.5, steps=4)) == 125.0

@@ -19,7 +19,9 @@ once, and of as many more as fill one second per size:
 - ``right_eigenvectors`` on the Schur form
 - the inverse of the real eigenvector basis: ``eigensolve.basis_inverse``,
   or ``densecore.inverse`` in a tree that predates it
-- ``realdecomp.decompose`` of M
+- ``eigensolve.eigensystem`` of M: every stage above and what joins them
+- ``realdecomp.decompose`` of M, so ``decompose - eigensystem`` is the
+  term assembly and the residual check
 - ``verify.run_identity_suite`` of M: decompose and every identity check
 - ``np.linalg.eig`` of M (LAPACK, the reference speed)
 
@@ -28,8 +30,11 @@ size runs in every tree in turn, the first tree rotating from round to
 round, and each figure is the least over the rounds.  So the trees take
 turns within seconds of each other, and a slow spell of a shared machine
 falls on every tree alike.  The script prints one table per tree in
-milliseconds, with Schur's microseconds per bulge step, and, for two or
-more trees, each later tree's times divided by the first tree's.  Give
+milliseconds, with Schur's microseconds per bulge step (nan at a size
+whose Schur form needs no sweep, such as n = 2), and, for two or more
+trees, each later tree's times divided by the first tree's.  SIZES
+starts with n = 2 and 8, sizes of the acceptance corpus (n = 2..16),
+where a call's fixed cost outweighs its arithmetic.  Give
 the same tree twice to see the noise floor: on a shared 2-core machine
 such a run read ratios of 0.93 to 1.02 for all 28 figures.
 """
@@ -50,9 +55,10 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 from geospectral import verify  # noqa: E402
 from workloads import grid_spectrum  # noqa: E402
 
-SIZES = (16, 64, 128, 256)
+SIZES = (2, 8, 16, 64, 128, 256)
 ROUNDS = 3
-STAGES = ("hessenberg", "schur", "right_vecs", "basis_inv", "decompose", "suite", "np_eig")
+STAGES = ("hessenberg", "schur", "right_vecs", "basis_inv", "eigensystem", "decompose", "suite",
+          "np_eig")
 COLUMNS = (*STAGES, "us/step")
 
 # run as ``python -c`` in each tree: argv[1] is the inputs, argv[2] the output
@@ -108,6 +114,7 @@ with np.load(sys.argv[1]) as inputs:
             for key, (mod, name) in CALLED.items()
             if key != "sweep"
         }
+        stages["eigensystem"] = lambda: eigensolve.eigensystem(m)
         stages["decompose"] = lambda: realdecomp.decompose(m)
         stages["suite"] = lambda: verify.run_identity_suite(m)
         stages["np_eig"] = lambda: np.linalg.eig(m)
@@ -149,6 +156,12 @@ def run_tree(src, inputs_path, out_path):
     return json.loads(Path(out_path).read_text(encoding="utf-8"))
 
 
+def us_per_step(row):
+    """Schur's microseconds per bulge step in a result row; nan for a size
+    whose Schur form took no bulge step."""
+    return row["schur"] * 1e3 / row["steps"] if row["steps"] else float("nan")
+
+
 def _table(title, rows, fmt):
     print(title)
     print(f"{'n':>5}" + "".join(f"{s:>12}" for s in COLUMNS) + f"{'sweeps':>8}{'steps':>8}")
@@ -178,7 +191,7 @@ def main(argv):
                     best[i][j] = row
     for rows in best:
         for row in rows:
-            row["us/step"] = row["schur"] * 1e3 / row["steps"]
+            row["us/step"] = us_per_step(row)
     for src, rows in zip(srcs, best):
         _table(f"{src}: ms, best of >= 5 passes x {ROUNDS} rounds", rows, "{:.2f}".format)
     for src, rows in zip(srcs[1:], best[1:]):
