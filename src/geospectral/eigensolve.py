@@ -64,7 +64,6 @@ _HESS_NB = 32
 _HESS_NX = 32
 _NORM_MIN = 2.0**-480  # above it, a sum of squares keeps full precision
 _FLIP = np.array([[1.0, -1.0], [-1.0, 1.0]])
-_EYE2 = np.eye(2)
 _pack_3x3 = struct.Struct("9d").pack_into  # nine floats into a 3x3 array, row by row
 
 
@@ -265,8 +264,8 @@ def _triangularize_blocks(t, z, los, lams):
     pairs of all blocks.  Returns the (k, 2, 2) stack of G's blocks and the
     (k, 2) row pairs; real for real lams, and t and z must be complex
     otherwise."""
-    pairs = los[:, None] + np.arange(2)
-    shifted = t[pairs[:, :, None], pairs[:, None, :]] - np.multiply.outer(lams, _EYE2)
+    pairs = np.add.outer(los, (0, 1))
+    shifted = t[pairs[:, :, None], pairs[:, None, :]] - np.multiply.outer(lams, np.eye(2))
     # eigenvectors (b, lam - a) and (lam - d, c) from the two rows of each
     # block minus lam; the better-scaled one wins, the first on a tie
     both = shifted[:, :, ::-1] * _FLIP
@@ -329,8 +328,7 @@ def real_schur(h, q):
     """
     h, q = dc.as_array(h, 2), dc.as_array(q, 2)
     n = h.shape[0]
-    i = np.arange(n)
-    if h.shape != (n, n) or q.shape != (n, n) or h[np.subtract.outer(i, i) > 1].any():
+    if h.shape != (n, n) or q.shape != (n, n) or np.any(np.tril(h, -2)):
         raise ShapeError(f"real_schur needs upper Hessenberg h and q n x n, got {h.shape}, {q.shape}")
     scale = dc.pow2_scale(h)
     a = np.empty((n, 2 * n))
@@ -379,9 +377,7 @@ def real_schur(h, q):
 def block_starts(eigs):
     """First basis column of each eigenvalue's block, then the dimension:
     a real eigenvalue takes one column and a pair two."""
-    starts = np.zeros(len(eigs) + 1, dtype=int)
-    np.cumsum(1 + (eigs.imag > 0), out=starts[1:])
-    return starts
+    return np.concatenate(([0], np.cumsum(1 + (eigs.imag > 0))))
 
 
 def right_eigenvectors(t, z, eigs):
@@ -395,9 +391,9 @@ def right_eigenvectors(t, z, eigs):
     eigenvalue, with T_c y_j = lambda_j y_j and 1 atop block j.  One
     bottom-up sweep solves row i for every eigenvalue whose block starts
     below it, a division by t_ii - lambda_k raised to smin in magnitude
-    (all divisors are formed before the sweep), so a repeated eigenvalue
-    still gives a finite vector (Golub & Van Loan,
-    Matrix Computations, section 7.6; LAPACK ztrevc).  Complex vectors stay
+    (every divisor is formed once, before the sweep), so a repeated
+    eigenvalue still gives a finite vector (Golub & Van Loan, Matrix
+    Computations, section 7.6; LAPACK ztrevc).  Complex vectors stay
     inside this function.  It returns (X, Y_r), both real n x n in T's
     block order.  X = Z_c Y has a column for each real eigenvalue, unit
     with its sign canonicalized, and the (re, im) columns for each pair,
@@ -523,11 +519,11 @@ def eigensystem(m):
     keys = np.repeat(scaled, 1 + (eigs.imag > 0))
     # lexsort is stable, so a pair's columns stay together and in order
     cols = np.lexsort((keys.imag, keys.real, keys.imag > 0))
-    keys = keys[cols]
-    j = n - int(np.count_nonzero(keys.imag))  # the real columns, all first
+    lam = keys[cols]
+    j = n - int(np.count_nonzero(lam.imag))  # the real columns, all first
     basis = x[:, cols]
     basis_inv = basis_inverse(z, y_r, eigs, cols)
     rcond = dc.rcond_1norm(basis, basis_inv)
     if not rcond >= _RCOND_MIN:
         raise NotDiagonalizableError(f"eigenvector basis rcond {rcond:.3e}")
-    return EigenSystem(np.concatenate((keys[:j], keys[j::2])), basis, basis_inv, rcond, s, norm_m)
+    return EigenSystem(np.concatenate((lam[:j], lam[j::2])), basis, basis_inv, rcond, s, norm_m)

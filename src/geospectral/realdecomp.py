@@ -22,6 +22,11 @@ W V^T (stacked_factors), real_canonical_form reads B_real off them,
 term_factors is their one-term case and verify's identity checks run on
 them; the explicit wedge forms, applied by associativity at O(n^2), stay
 as the reference.
+
+decompose needs no gather: the eigensystem's basis and inverse are
+B_real and B_real^-1 in term order, the real columns first, so its
+stacks are their rows reshaped, and its terms are views of the same
+rows, each checked by its constructor.
 """
 
 import math
@@ -42,7 +47,6 @@ from .errors import (
 DEFAULT_TOL = 1e-9
 _NU_REL_FLOOR = 1e-24
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-_I = np.eye(2)
 
 
 def _norm(v):
@@ -168,7 +172,7 @@ def plane_term_right_form(t):
 def plane_core(sigma, omega, g, nu_value):
     """2x2 core C = J G (omega I - sigma J) / nu of the plane term U C V^T from
     the Gram G = U^T V, U = [b p], V = [d q]; exact for any b, p, d, q."""
-    return _J @ g @ (omega * _I - sigma * _J) / nu_value
+    return _J @ g @ (omega * np.eye(2) - sigma * _J) / nu_value
 
 
 @dataclass(frozen=True)
@@ -223,7 +227,7 @@ def term_columns(real, planes):
     """The (n, j + 2k) matrix whose columns are the j rows of real, then
     each of the k (n, 2) slices of planes in turn."""
     n, k = real.shape[1], len(planes)
-    return np.concatenate((real.T, planes.transpose(1, 0, 2).reshape(n, 2 * k)), axis=1)
+    return np.hstack((real.T, planes.transpose(1, 0, 2).reshape(n, 2 * k)))
 
 
 def term_factors(t, s=1.0):
@@ -288,22 +292,23 @@ def decompose(m, tol=DEFAULT_TOL):
     k = int(np.count_nonzero(lam.imag))
     j = n - 2 * k
     alpha, sigma, omega = lam.real[:j], lam.real[j:], lam.imag[j:]
-    # the real terms' rows, then the pairs': a_i, or b_i and p_i in two rows
+    # row i is basis column i: the real terms' a_i, then each pair's b_i, p_i
     right = np.ascontiguousarray(system.basis.T)
-    rows = system.basis_inv
-    # basis_inv holds (2d, 2q) for a pair's columns (b, p): d^dag b = 1
-    halves = rows[j:] / 2.0
-    real_terms = tuple(map(RealTerm, alpha.tolist(), right[:j], rows[:j]))
+    # basis_inv's rows are the c_i, then each pair's (2d, 2q): d^dag b = 1
+    left = system.basis_inv
+    halves = left[j:] / 2.0
+    real_terms = tuple(map(RealTerm, alpha.tolist(), right[:j], left[:j]))
     plane_terms = tuple(map(ComplexPlaneTerm, sigma.tolist(), omega.tolist(),
                             right[j::2], right[j + 1::2], halves[::2], halves[1::2]))
+    # each pair's two rows as the columns of U = [b p] and V = [d q]
+    uv = [np.ascontiguousarray(x.reshape(k, 2, n).transpose(0, 2, 1)) for x in (right[j:], halves)]
+    nu_ = np.array([t.nu for t in plane_terms])
     # W V^T against M / s, s a power of two with s <= max|m_ij| < 2s: the
     # cores take the eigenvalues over s and V the conditioning, so nothing overflows
     s = system.scale
-    u, v = (np.ascontiguousarray(x.reshape(k, 2, n).transpose(0, 2, 1)) for x in (right[j:], halves))
-    nu_ = np.array([t.nu for t in plane_terms])
-    w, v = stacked_factors(_stacks(s, alpha, right[:j], rows[:j], sigma, omega, nu_, u, v))
+    w, v = stacked_factors(_stacks(s, alpha, right[:j], left[:j], sigma, omega, nu_, *uv))
     resid = frobenius_norm(w @ v.T - m / s) / (system.scaled_norm or 1.0)
-    if not np.isfinite(resid):
+    if not math.isfinite(resid):
         raise AccuracyError(resid, tol)
     if resid > tol:
         raise NotDiagonalizableError(
