@@ -612,10 +612,11 @@ def _reference_decompose(m):
             b, p, d, q = right[i], right[i + 1], rows[i] / 2.0, rows[i + 1] / 2.0
             plane_terms.append(rd.ComplexPlaneTerm(lam.real, lam.imag, b, p, d, q))
     s = pow2_scale(m)
-    w, v = rd.stacked_factors(rd.term_stacks(real_terms, plane_terms, s))
+    st = rd.term_stacks(real_terms, plane_terms, s)
+    w, v = rd.stacked_factors(st)
     m_s = m / s
     resid = frobenius_norm(w @ v.T - m_s) / (frobenius_norm(m_s) or 1.0)
-    return system, real_terms, plane_terms, w, v, resid
+    return system, real_terms, plane_terms, st, (w, v), resid
 
 
 def _bits(x):
@@ -624,12 +625,12 @@ def _bits(x):
 
 
 def _assert_decompose_matches_reference(m, monkeypatch):
-    factors = []
+    stacks = []
     stacked = rd.stacked_factors
     with monkeypatch.context() as mp:
-        mp.setattr(rd, "stacked_factors", lambda st: factors.append(stacked(st)) or factors[-1])
+        mp.setattr(rd, "stacked_factors", lambda st: stacks.append(st) or stacked(st))
         dec = rd.decompose(m)
-    system, real_terms, plane_terms, w, v, resid = _reference_decompose(m)
+    system, real_terms, plane_terms, st, factors, resid = _reference_decompose(m)
     assert len(dec.real_terms) == len(real_terms) and len(dec.plane_terms) == len(plane_terms)
     for t, ref in zip(dec.real_terms + dec.plane_terms, real_terms + plane_terms):
         assert type(t) is type(ref)
@@ -639,8 +640,16 @@ def _assert_decompose_matches_reference(m, monkeypatch):
             assert _bits(got) == _bits(value), name
             if isinstance(value, np.ndarray):
                 assert got.flags.c_contiguous
-    [(w_dec, v_dec)] = factors
-    assert _bits(w_dec) == _bits(w) and _bits(v_dec) == _bits(v)
+    # every stack, the pairs' (k, n, 2) and (k, 2, 2) stacks C-ordered as
+    # term_stacks lays them out, and so W and V
+    [st_dec] = stacks
+    for name, value in vars(st).items():
+        got = getattr(st_dec, name)
+        assert _bits(got) == _bits(value), name
+        if np.ndim(value) == 3 and value.size:
+            assert got.flags.c_contiguous and got.strides == value.strides, name
+    for got, want in zip(stacked(st_dec), factors):
+        assert _bits(got) == _bits(want)
     assert _bits(dec.diagnostics.reconstruction_residual) == _bits(resid)
     assert _bits(dec.diagnostics.basis_rcond) == _bits(system.basis_rcond)
     return dec
