@@ -34,9 +34,9 @@ milliseconds, with Schur's microseconds per bulge step (nan at a size
 whose Schur form needs no sweep, such as n = 2), and, for two or more
 trees, each later tree's times divided by the first tree's.  SIZES
 starts with n = 2 and 8, sizes of the acceptance corpus (n = 2..16),
-where a call's fixed cost outweighs its arithmetic.  Give
-the same tree twice to see the noise floor: on a shared 2-core machine
-such a run read ratios of 0.93 to 1.02 for all 28 figures.
+where a call's fixed cost outweighs its arithmetic.  Give the same tree
+twice to see the noise floor: on a shared 2-core machine such a run read
+ratios of 0.92 to 1.11 for all 48 timings, the widest at n = 2 and 16.
 """
 
 import argparse
