@@ -188,8 +188,8 @@ def decomposition_to_doc(dec, input_digest=None):
 
 
 def _check_keys(obj, keys, what, optional=()):
-    """Refuse a report object that is not a JSON object or whose keys are
-    not keys, with any of optional."""
+    """Refuse a report object that is not a JSON object, lacks one of keys
+    or has a key that is neither in keys nor in optional."""
     if not isinstance(obj, dict):
         raise ParseError(f"{what} is not a JSON object")
     missing = [k for k in keys if k not in obj]

@@ -142,6 +142,7 @@ def nu(b, d, q):
 
 
 def _nu(b, d, q, norm_b, norm_d, norm_q):
+    """nu(b, d, q), given the norms of b, d and q."""
     value = float(np.add.reduce(d * b)) ** 2 + float(np.add.reduce(q * b)) ** 2
     scale = (norm_d * norm_b + norm_q * norm_b) ** 2
     # a NaN fails the comparison, so it is refused too
@@ -301,7 +302,8 @@ def decompose(m, tol=DEFAULT_TOL):
     plane_terms = tuple(map(ComplexPlaneTerm, sigma.tolist(), omega.tolist(),
                             right[j::2], right[j + 1::2], halves[::2], halves[1::2]))
     # each pair's two rows as the columns of U = [b p] and V = [d q]
-    uv = [np.ascontiguousarray(x.reshape(k, 2, n).transpose(0, 2, 1)) for x in (right[j:], halves)]
+    uv = [np.ascontiguousarray(x.reshape(k, 2, n).transpose(0, 2, 1))
+          for x in (right[j:], halves)]
     nu_ = np.array([t.nu for t in plane_terms])
     # W V^T against M / s, s a power of two with s <= max|m_ij| < 2s: the
     # cores take the eigenvalues over s and V the conditioning, so nothing overflows
