@@ -71,17 +71,14 @@ _pack_3x3 = struct.Struct("9d").pack_into  # nine floats into a 3x3 array, row b
 class EigenSystem:
     """Eigenvalues of a real matrix with its real eigenvector basis.
 
-    eigenvalues is the complex array of the module docstring, its j
-    real entries first, then its k pairs.  The columns of basis follow
-    it: a_1 .. a_j for the real eigenvalues, then (b_i, p_i), the real
-    and imaginary parts of the unit right eigenvector, for each pair, in
-    columns j + 2i and j + 2i + 1.  The matching rows of basis_inv are
-    c_1 .. c_j, then (2 d_i, 2 q_i), where (d_i, q_i) is the left
-    eigenvector scaled so that d_i^dag b_j = delta_ij; basis_inv is
-    Y_r^-1 Z^T (basis_inverse), and basis_rcond its 1-norm reciprocal
-    condition with basis.  scale is the power of two s = pow2_scale(M)
-    and scaled_norm ||M / s||_F, the factors M was divided by before
-    the reduction.
+    eigenvalues is the complex array of the module docstring, real
+    entries first.  Columns of basis follow it: a_i for each real
+    eigenvalue, then (b_i, p_i), the real and imaginary parts of the unit
+    right eigenvector, for each pair.  The matching rows of basis_inv are
+    c_i and (2 d_i, 2 q_i), where (d_i, q_i) is the left eigenvector scaled
+    so that d_i^dag b_j = delta_ij; basis_inv is Y_r^-1 Z^T (basis_inverse),
+    and basis_rcond its 1-norm reciprocal condition with basis.  M was
+    reduced divided by scale = pow2_scale(M), then by scaled_norm.
     """
 
     eigenvalues: np.ndarray
@@ -390,10 +387,9 @@ def right_eigenvectors(t, z, eigs):
     gathered rows or columns of all pair blocks.  Y holds one column per
     eigenvalue, with T_c y_j = lambda_j y_j and 1 atop block j.  One
     bottom-up sweep solves row i for every eigenvalue whose block starts
-    below it, a division by t_ii - lambda_k raised to smin in magnitude
-    (every divisor is formed once, before the sweep), so a repeated
-    eigenvalue still gives a finite vector (Golub & Van Loan, Matrix
-    Computations, section 7.6; LAPACK ztrevc).  Complex vectors stay
+    below it, a division by t_ii - lambda_k raised to smin in magnitude, so
+    a repeated eigenvalue still gives a finite vector (Golub & Van Loan,
+    Matrix Computations, section 7.6; LAPACK ztrevc).  Complex vectors stay
     inside this function.  It returns (X, Y_r), both real n x n in T's
     block order.  X = Z_c Y has a column for each real eigenvalue, unit
     with its sign canonicalized, and the (re, im) columns for each pair,
@@ -513,11 +509,10 @@ def eigensystem(m):
     x, y_r = right_eigenvectors(t, z, eigs)
     # left to right: norm_m * s alone may overflow where an eigenvalue does not
     scaled = eigs * norm_m * s
-    # one key per basis column: a pair's two columns share theirs, and a pair
-    # whose omega underflows to 0 becomes a real double, one entry per column
-    # (b, p): at omega = 0 its plane term is sigma (b 2d^T + p 2q^T)
+    # a key per column, a pair's two sharing one (lexsort is stable, so they
+    # stay in order); a pair whose omega underflows to 0 becomes a real double,
+    # one entry per column (b, p): at omega = 0 its term is sigma (b 2d^T + p 2q^T)
     keys = np.repeat(scaled, 1 + (eigs.imag > 0))
-    # lexsort is stable, so a pair's columns stay together and in order
     cols = np.lexsort((keys.imag, keys.real, keys.imag > 0))
     lam = keys[cols]
     j = n - int(np.count_nonzero(lam.imag))  # the real columns, all first

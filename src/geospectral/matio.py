@@ -165,11 +165,8 @@ def matrix_to_doc(m):
 
 def _fields(obj, keys):
     """obj's attributes named by keys, each vector as one list of floats."""
-    doc = {}
-    for key in keys:
-        value = getattr(obj, key)
-        doc[key] = value.tolist() if isinstance(value, np.ndarray) else value
-    return doc
+    values = (getattr(obj, key) for key in keys)
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in zip(keys, values)}
 
 
 def decomposition_to_doc(dec, input_digest=None):

@@ -13,20 +13,16 @@ Every term is also a factored product U C V^T: U = [b p], V = [d q] and
 the 2x2 core C = J (U^T V)(omega I - sigma J) / nu with
 J = [[0, 1], [-1, 0]], an exact identity since b^p = U J U^T and the
 bracket is V (omega I - sigma J) V^T; a real term has U = a, V = c and
-C = [[alpha / c.a]].  term_stacks builds every term's factors in one
-pass, from one gather of the term vectors: a and c as (j, n) stacks, U
-and V as C-ordered (k, n, 2) stacks, and all cores at once, on
+C = [[alpha / c.a]].  Every term's factors are built in one pass from
+the rows of B_real and B_real^-1 in term order, which decompose has from
+the eigensystem and term_stacks gathers from the terms: a and c as (j, n)
+stacks, U and V as C-ordered (k, n, 2) stacks, and all cores at once, on
 eigenvalues divided by one exact power of two so no core overflows.
 reconstruct, apply and decompose's residual flatten these stacks into
 W V^T (stacked_factors), real_canonical_form reads B_real off them,
 term_factors is their one-term case and verify's identity checks run on
 them; the explicit wedge forms, applied by associativity at O(n^2), stay
 as the reference.
-
-decompose needs no gather: the eigensystem's basis and inverse are
-B_real and B_real^-1 in term order, the real columns first, so its
-stacks are their rows reshaped, and its terms are views of the same
-rows, each checked by its constructor.
 """
 
 import math
@@ -56,11 +52,11 @@ def _norm(v):
 
 
 def _check_vectors(*vectors):
-    """The norms of term vectors; refuses vectors of different shapes or
-    with a non-finite entry, before anything else computes with them."""
-    shape = vectors[0].shape
-    if any(v.shape != shape for v in vectors):
-        raise ShapeError(f"term vectors differ: {[v.shape for v in vectors]}")
+    """Refuse term vectors of different shapes or with a non-finite entry,
+    before anything computes with them; returns their norms."""
+    shapes = [v.shape for v in vectors]
+    if len(set(shapes)) != 1:
+        raise ShapeError(f"term vectors differ: {shapes}")
     norms = [_norm(v) for v in vectors]
     # a sum of squares is finite unless an entry is not, or it overflows
     if not math.isfinite(sum(norms)) and not np.isfinite(vectors).all():
@@ -103,8 +99,8 @@ class ComplexPlaneTerm:
         if not (math.isfinite(self.sigma) and 0.0 < self.omega < math.inf):
             raise ShapeError(f"plane term needs a finite sigma and finite omega > 0, "
                              f"got {self.sigma}, {self.omega}")
-        norm_b, _, norm_d, norm_q = _check_vectors(self.b, self.p, self.d, self.q)
-        object.__setattr__(self, "nu", _nu(self.b, self.d, self.q, norm_b, norm_d, norm_q))
+        _check_vectors(self.b, self.p, self.d, self.q)
+        object.__setattr__(self, "nu", nu(self.b, self.d, self.q))
 
 
 @dataclass(frozen=True)
@@ -138,13 +134,9 @@ class SpectralDecomposition:
 def nu(b, d, q):
     """Normalization (d.b)^2 + (q.b)^2 of a plane term, for float vectors
     of one shape (as _check_vectors passes them)."""
-    return _nu(b, d, q, _norm(b), _norm(d), _norm(q))
-
-
-def _nu(b, d, q, norm_b, norm_d, norm_q):
-    """nu(b, d, q), given the norms of b, d and q."""
     value = float(np.add.reduce(d * b)) ** 2 + float(np.add.reduce(q * b)) ** 2
-    scale = (norm_d * norm_b + norm_q * norm_b) ** 2
+    norm_b = _norm(b)
+    scale = (_norm(d) * norm_b + _norm(q) * norm_b) ** 2
     # a NaN fails the comparison, so it is refused too
     if not value > _NU_REL_FLOOR * scale:
         raise DegeneratePairError(f"nu = {value:.3e} below degeneracy floor")
@@ -201,22 +193,25 @@ class TermStacks:
 def term_stacks(real_terms, plane_terms, s=None):
     """TermStacks of the terms from one gather of their vectors; s defaults
     to the power of two with s <= the largest |alpha|, |sigma| or omega < 2s."""
-    j, k = len(real_terms), len(plane_terms)
-    vectors = [v for t in real_terms for v in (t.a, t.c)]
-    vectors += [v for t in plane_terms for v in (t.b, t.p, t.d, t.q)]
-    n = len(vectors[0]) if vectors else 0
-    vectors = np.array(vectors).reshape(len(vectors), n)
+    k = len(plane_terms)
+    right = [t.a for t in real_terms] + [v for t in plane_terms for v in (t.b, t.p)]
+    left = [t.c for t in real_terms] + [v for t in plane_terms for v in (t.d, t.q)]
+    n = len(right[0]) if right else 0
     alpha = np.array([t.alpha for t in real_terms], dtype=float)
     sigma, omega, nu_ = np.array([(t.sigma, t.omega, t.nu) for t in plane_terms]).reshape(k, 3).T
     if s is None:
         s = dc.pow2_scale(np.concatenate((alpha, sigma, omega)))
-    # (k, b p d q, n) -> U and V as (k, n, 2), each C-ordered like column_stack's
-    u, v = np.ascontiguousarray(vectors[2 * j:].reshape(k, 2, 2, n).transpose(1, 0, 3, 2))
-    return _stacks(s, alpha, vectors[:2 * j:2], vectors[1:2 * j:2], sigma, omega, nu_, u, v)
+    return _stacks(s, alpha, sigma, omega, nu_,
+                   *(np.array(rows).reshape(len(rows), n) for rows in (right, left)))
 
 
-def _stacks(s, alpha, a, c, sigma, omega, nu_, u, v):
-    """TermStacks from the gathered stacks: every Gram and core at once."""
+def _stacks(s, alpha, sigma, omega, nu_, right, left):
+    """TermStacks from the rows of B_real and of B_real^-1, (2d, 2q) halved,
+    in term order: the j real terms' a or c, then U's or V's two per pair."""
+    j, k, n = len(alpha), len(sigma), right.shape[1]
+    a, c = right[:j], left[:j]
+    # (k, b p, n) -> U as (k, n, 2), C-ordered like column_stack's; V alike
+    u, v = (np.ascontiguousarray(x[j:].reshape(k, 2, n).transpose(0, 2, 1)) for x in (right, left))
     gram = np.swapaxes(u, 1, 2) @ v
     cores = plane_core((sigma / s)[:, None, None], (omega / s)[:, None, None], gram,
                        nu_[:, None, None])
@@ -293,22 +288,18 @@ def decompose(m, tol=DEFAULT_TOL):
     k = int(np.count_nonzero(lam.imag))
     j = n - 2 * k
     alpha, sigma, omega = lam.real[:j], lam.real[j:], lam.imag[j:]
-    # row i is basis column i: the real terms' a_i, then each pair's b_i, p_i
-    right = np.ascontiguousarray(system.basis.T)
+    # row i is basis column i: the real terms' a_i, then each pair's b_i, p_i;
     # basis_inv's rows are the c_i, then each pair's (2d, 2q): d^dag b = 1
-    left = system.basis_inv
-    halves = left[j:] / 2.0
+    right = np.ascontiguousarray(system.basis.T)
+    left = system.basis_inv / np.repeat([1.0, 2.0], [j, 2 * k])[:, None]
     real_terms = tuple(map(RealTerm, alpha.tolist(), right[:j], left[:j]))
     plane_terms = tuple(map(ComplexPlaneTerm, sigma.tolist(), omega.tolist(),
-                            right[j::2], right[j + 1::2], halves[::2], halves[1::2]))
-    # each pair's two rows as the columns of U = [b p] and V = [d q]
-    uv = [np.ascontiguousarray(x.reshape(k, 2, n).transpose(0, 2, 1))
-          for x in (right[j:], halves)]
+                            right[j::2], right[j + 1::2], left[j::2], left[j + 1::2]))
     nu_ = np.array([t.nu for t in plane_terms])
     # W V^T against M / s, s a power of two with s <= max|m_ij| < 2s: the
     # cores take the eigenvalues over s and V the conditioning, so nothing overflows
     s = system.scale
-    w, v = stacked_factors(_stacks(s, alpha, right[:j], left[:j], sigma, omega, nu_, *uv))
+    w, v = stacked_factors(_stacks(s, alpha, sigma, omega, nu_, right, left))
     resid = frobenius_norm(w @ v.T - m / s) / (system.scaled_norm or 1.0)
     if not math.isfinite(resid):
         raise AccuracyError(resid, tol)
