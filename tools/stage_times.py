@@ -193,7 +193,7 @@ def main(argv):
         for row in rows:
             row["us/step"] = us_per_step(row)
     for src, rows in zip(srcs, best):
-        _table(f"{src}: ms, best of >= 5 passes x {ROUNDS} rounds", rows, "{:.2f}".format)
+        _table(f"{src}: ms, best of >= 5 passes x {ROUNDS} rounds", rows, "{:.3f}".format)
     for src, rows in zip(srcs[1:], best[1:]):
         ratios = [
             dict(row, **{s: row[s] / first[s] for s in COLUMNS}) for row, first in zip(rows, best[0])
