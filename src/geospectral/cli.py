@@ -18,7 +18,7 @@ import numpy as np
 from . import densecore as dc
 from . import matio
 from .errors import ConvergenceError, GeoSpectralError, NotDiagonalizableError
-from .realdecomp import DEFAULT_TOL, decompose, real_canonical_form, term_columns, term_stacks
+from .realdecomp import DEFAULT_TOL, decompose, real_basis_inverse, real_canonical_form, term_stacks
 from .verify import PlantedSpectrum, gen_test_matrix, run_identity_suite
 
 EXIT_OK = 0
@@ -115,9 +115,7 @@ def cmd_canonical(args):
     m = matio.parse_matrix(args.input, args.format)
     dec = decompose(m, _resolve_tol(args.tol))
     b_real, l_real = real_canonical_form(dec)
-    # B_real^-1 in the same order: the left rows c_i, then 2 d_i and 2 q_i
-    st = term_stacks(dec.real_terms, dec.plane_terms)
-    b_inv = term_columns(st.c, 2.0 * st.v).T
+    b_inv = real_basis_inverse(term_stacks(dec.real_terms, dec.plane_terms))
     # decompose's exact power-of-two scale keeps the norms finite at any |M|
     s = dc.pow2_scale(m)
     m_s = m / s

@@ -14,12 +14,12 @@ the 2x2 core C = J (U^T V)(omega I - sigma J) / nu with
 J = [[0, 1], [-1, 0]], an exact identity since b^p = U J U^T and the
 bracket is V (omega I - sigma J) V^T; a real term has U = a, V = c and
 C = [[alpha / c.a]].  Every term's factors are built in one pass from
-the rows of B_real and B_real^-1 in term order, which decompose has from
-the eigensystem and term_stacks gathers from the terms: a and c as (j, n)
-stacks, U and V as C-ordered (k, n, 2) stacks, and all cores at once, on
-eigenvalues divided by one exact power of two so no core overflows.
-reconstruct, apply and decompose's residual flatten these stacks into
-W V^T (stacked_factors), real_canonical_form reads B_real off them,
+the rows of B_real^T and B_real^-1 in term order, which decompose has
+from the eigensystem and term_stacks gathers from the terms, and stay
+rows: TermStacks holds every U^T, V^T and (U C)^T as (j + 2k, n) arrays
+and all cores, on eigenvalues divided by one exact power of two so no
+core overflows.  reconstruct, apply and decompose's residual are one
+product of these rows, real_canonical_form's B_real is their transpose,
 term_factors is their one-term case and verify's identity checks run on
 them; the explicit wedge forms, applied by associativity at O(n^2), stay
 as the reference.
@@ -170,22 +170,22 @@ def plane_core(sigma, omega, g, nu_value):
 
 @dataclass(frozen=True)
 class TermStacks:
-    """Every term's factors, stacked: the j real terms' a, c as (j, n) and
-    their 1x1 cores as (j,), the k pairs' U = [b p], V = [d q] as C-ordered
-    (k, n, 2) stacks and their Grams U^T V and cores as (k, 2, 2), with the
-    eigenvalues and nu as read off the terms; each core is on the
-    eigenvalues divided by s."""
+    """Every term's factors as (j + 2k, n) rows in term order: right is
+    B_real^T (each a, then each pair's b, p), left the left factors (each c,
+    then each pair's d, q) and w = (U C)^T's rows (a times its core, C^T [b; p]
+    for a pair), so the terms' sum over s is w^T left; the real cores as (j,),
+    the pairs' Grams U^T V and cores as (k, 2, 2), and the eigenvalues and nu
+    as read off the terms.  Each core is on the eigenvalues divided by s."""
 
     s: float
     alpha: np.ndarray
-    a: np.ndarray
-    c: np.ndarray
-    real_cores: np.ndarray
     sigma: np.ndarray
     omega: np.ndarray
     nu: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
+    right: np.ndarray
+    left: np.ndarray
+    w: np.ndarray
+    real_cores: np.ndarray
     gram: np.ndarray
     plane_cores: np.ndarray
 
@@ -206,24 +206,24 @@ def term_stacks(real_terms, plane_terms, s=None):
 
 
 def _stacks(s, alpha, sigma, omega, nu_, right, left):
-    """TermStacks from the rows of B_real and of B_real^-1, (2d, 2q) halved,
-    in term order: the j real terms' a or c, then U's or V's two per pair."""
+    """TermStacks from the rows of B_real^T and the left factors in term
+    order: the j real terms' a or c, then each pair's (b, p) or (d, q)."""
     j, k, n = len(alpha), len(sigma), right.shape[1]
-    a, c = right[:j], left[:j]
-    # (k, b p, n) -> U as (k, n, 2), C-ordered like column_stack's; V alike
-    u, v = (np.ascontiguousarray(x[j:].reshape(k, 2, n).transpose(0, 2, 1)) for x in (right, left))
-    gram = np.swapaxes(u, 1, 2) @ v
+    real_cores = alpha / s / np.add.reduce(left[:j] * right[:j], axis=1)
+    # (k, b p, n) and (k, d q, n): the pairs' U^T and V^T
+    ut, vt = right[j:].reshape(k, 2, n), left[j:].reshape(k, 2, n)
+    gram = ut @ np.swapaxes(vt, 1, 2)
     cores = plane_core((sigma / s)[:, None, None], (omega / s)[:, None, None], gram,
                        nu_[:, None, None])
-    return TermStacks(s, alpha, a, c, alpha / s / np.add.reduce(c * a, axis=1),
-                      sigma, omega, nu_, u, v, gram, cores)
+    w = np.concatenate((right[:j] * real_cores[:, None],
+                        (np.swapaxes(cores, 1, 2) @ ut).reshape(2 * k, n)))
+    return TermStacks(s, alpha, sigma, omega, nu_, right, left, w, real_cores, gram, cores)
 
 
-def term_columns(real, planes):
-    """The (n, j + 2k) matrix whose columns are the j rows of real, then
-    each of the k (n, 2) slices of planes in turn."""
-    n, k = real.shape[1], len(planes)
-    return np.hstack((real.T, planes.transpose(1, 0, 2).reshape(n, 2 * k)))
+def real_basis_inverse(st):
+    """B_real^-1 from TermStacks st: the left factors as rows, each pair's
+    doubled, so its rows are c_i, 2 d_i and 2 q_i as eigensystem's basis_inv."""
+    return st.left * np.repeat([1.0, 2.0], [len(st.alpha), 2 * len(st.sigma)])[:, None]
 
 
 def term_factors(t, s=1.0):
@@ -232,22 +232,9 @@ def term_factors(t, s=1.0):
     plane_core on (sigma / s, omega / s) for a pair; term_stacks of one term."""
     if isinstance(t, RealTerm):
         st = term_stacks((t,), (), s)
-        return st.a.T, st.real_cores[:, None], st.c.T
+        return st.right.T, st.real_cores[:, None], st.left.T
     st = term_stacks((), (t,), s)
-    return st.u[0], st.plane_cores[0], st.v[0]
-
-
-def stacked_factors(st):
-    """(W, V) with W = [U_1 C_1, U_2 C_2, ...] and V = [V_1, V_2, ...] from
-    TermStacks st, so the sum of the n x n terms divided by st.s is W V^T."""
-    return (term_columns(st.a * st.real_cores[:, None], st.u @ st.plane_cores),
-            term_columns(st.c, st.v))
-
-
-def _scaled_factors(dec):
-    """(W, V, s) with the sum of dec's terms equal to (W V^T) s."""
-    st = term_stacks(dec.real_terms, dec.plane_terms)
-    return (*stacked_factors(st), st.s)
+    return st.right.T, st.plane_cores[0], st.left.T
 
 
 def transpose_term(t):
@@ -296,11 +283,11 @@ def decompose(m, tol=DEFAULT_TOL):
     plane_terms = tuple(map(ComplexPlaneTerm, sigma.tolist(), omega.tolist(),
                             right[j::2], right[j + 1::2], left[j::2], left[j + 1::2]))
     nu_ = np.array([t.nu for t in plane_terms])
-    # W V^T against M / s, s a power of two with s <= max|m_ij| < 2s: the
-    # cores take the eigenvalues over s and V the conditioning, so nothing overflows
+    # w^T left against M / s, s a power of two with s <= max|m_ij| < 2s: the
+    # cores take the eigenvalues over s and left the conditioning, so nothing overflows
     s = system.scale
-    w, v = stacked_factors(_stacks(s, alpha, sigma, omega, nu_, right, left))
-    resid = frobenius_norm(w @ v.T - m / s) / (system.scaled_norm or 1.0)
+    st = _stacks(s, alpha, sigma, omega, nu_, right, left)
+    resid = frobenius_norm(st.w.T @ st.left - m / s) / (system.scaled_norm or 1.0)
     if not math.isfinite(resid):
         raise AccuracyError(resid, tol)
     if resid > tol:
@@ -311,19 +298,20 @@ def decompose(m, tol=DEFAULT_TOL):
 
 
 def reconstruct(dec):
-    """Sum of all rank-one and plane terms, as the one product (W V^T) s."""
-    w, v, s = _scaled_factors(dec)
-    return (w @ v.T) * s
+    """Sum of all rank-one and plane terms, as the one product (w^T left) s
+    of their TermStacks."""
+    st = term_stacks(dec.real_terms, dec.plane_terms)
+    return (st.w.T @ st.left) * st.s
 
 
 def apply(dec, x):
-    """Action of the decomposition on a vector, (W (V^T x)) s, without
-    forming any n x n matrix."""
+    """Action of the decomposition on a vector, (w^T (left x)) s from its
+    TermStacks, without forming any n x n matrix."""
     x = dc.as_array(x, 1)
     if x.shape[0] != dec.dim:
         raise ShapeError(f"vector dim {x.shape[0]} against decomposition dim {dec.dim}")
-    w, v, s = _scaled_factors(dec)
-    return (w @ (v.T @ x)) * s
+    st = term_stacks(dec.real_terms, dec.plane_terms)
+    return (st.w.T @ (st.left @ x)) * st.s
 
 
 def real_canonical_form(dec):
@@ -335,4 +323,4 @@ def real_canonical_form(dec):
     i = len(st.alpha) + 2 * np.arange(len(st.sigma))
     blocks[i, i + 1] = st.omega
     blocks[i + 1, i] = -st.omega
-    return term_columns(st.a, st.u), blocks
+    return st.right.T, blocks

@@ -6,9 +6,9 @@ back-substitution).  The complex eigendecomposition here, LAPACK dgeev
 through numpy, is a different algorithm and exists purely to cross-check
 it.  The identity checks evaluate the plane terms' factors U C V^T, each
 against a fixed relative tolerance that one scale multiplies.  Every check
-runs once over all k pairs, on realdecomp.term_stacks' factors, the stacks
-reconstruct and apply read (U and V as (k, n, 2), the Grams and cores as
-(k, 2, 2)): eigen-action, biorthogonality, the
+runs once over all k pairs, on realdecomp.term_stacks' factors, the rows
+reconstruct and apply read (U, V and U C taken as (k, n, 2) views of
+them, the Grams and cores as (k, 2, 2)): eigen-action, biorthogonality, the
 annihilation column norms and the k x 100 phase factors.  Only the
 comparisons with the explicit wedge forms need an n x n array per pair
 (form equality, the phase distance's U C V^T - left and transposition);
@@ -227,9 +227,12 @@ def _decomposition_checks(m, dec):
         return checks
     k, n, first = len(planes), dec.dim, len(dec.real_terms)
     st = rd.term_stacks((), planes, 1.0)
-    u, v, g, c, nu = st.u, st.v, st.gram, st.plane_cores, st.nu
     tt = rd.term_stacks((), [rd.transpose_term(t) for t in planes], 1.0)
-    norms, inner = _form_comparisons(planes, u @ c, v, tt.u @ tt.plane_cores, tt.v)
+    # each pair's U, V, U C and the transposed term's U C and V as (k, n, 2) views
+    u, v, w, wt, vt = (np.swapaxes(x.reshape(k, 2, n), 1, 2)
+                       for x in (st.right, st.left, st.w, tt.w, tt.left))
+    g, c, nu = st.gram, st.plane_cores, st.nu
+    norms, inner = _form_comparisons(planes, w, v, wt, vt)
     norm_t, form, norm_a, norm_e, transp = norms.T
 
     # every other check runs on all k pairs at once, from the factors

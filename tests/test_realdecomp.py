@@ -487,18 +487,19 @@ def test_term_ordering_is_canonical():
         assert keys == sorted(keys)
 
 
-def _loop_factors(dec, s):
-    """(W, V) built term by term, as one-term U C and V: the reference the
-    batched term_stacks must equal bit for bit."""
-    ws, vs = [np.zeros((dec.dim, 0))], [np.zeros((dec.dim, 0))]
+def _loop_rows(dec, s):
+    """(right, left, w) built term by term: the rows a, c and a times its
+    core for a real term, and [b; p], [d; q] and C^T [b; p] for a pair; the
+    reference the batched term_stacks must equal bit for bit."""
+    rows = [np.zeros((0, dec.dim))] * 3
     for t in dec.real_terms:
-        ws.append(t.a[:, None] @ np.array([[t.alpha / s / float(np.add.reduce(t.c * t.a))]]))
-        vs.append(t.c[:, None])
+        core = t.alpha / s / float(np.add.reduce(t.c * t.a))
+        rows += [t.a[None], t.c[None], t.a[None] * core]
     for t in dec.plane_terms:
-        u, v = np.column_stack([t.b, t.p]), np.column_stack([t.d, t.q])
-        ws.append(u @ rd.plane_core(t.sigma / s, t.omega / s, u.T @ v, t.nu))
-        vs.append(v)
-    return np.hstack(ws), np.hstack(vs)
+        ut, vt = np.array([t.b, t.p]), np.array([t.d, t.q])
+        core = rd.plane_core(t.sigma / s, t.omega / s, ut @ vt.T, t.nu)
+        rows += [ut, vt, core.T @ ut]
+    return tuple(np.concatenate(rows[i::3]) for i in range(3))
 
 
 def _assert_stacks_match_loop(dec):
@@ -506,22 +507,23 @@ def _assert_stacks_match_loop(dec):
                    + [x for t in dec.plane_terms for x in (t.sigma, t.omega)])
     st = rd.term_stacks(dec.real_terms, dec.plane_terms)
     assert st.s == s
-    assert st.u.flags.c_contiguous and st.v.flags.c_contiguous
-    w, v = rd.stacked_factors(st)
-    w_ref, v_ref = _loop_factors(dec, s)
-    np.testing.assert_array_equal(w, w_ref)
-    np.testing.assert_array_equal(v, v_ref)
+    refs = _loop_rows(dec, s)
+    for got, want in zip((st.right, st.left, st.w), refs):
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
+    right, left, w = refs
     # term_factors is the one-term case of the same build
     i = 0
     for t in dec.real_terms + dec.plane_terms:
         u1, c1, v1 = rd.term_factors(t, s)
-        width = u1.shape[1]
-        np.testing.assert_array_equal(u1 @ c1, w_ref[:, i:i + width])
-        np.testing.assert_array_equal(v1, v_ref[:, i:i + width])
-        i += width
+        rows = slice(i, i + u1.shape[1])
+        np.testing.assert_array_equal(u1.T, right[rows])
+        np.testing.assert_array_equal(v1.T, left[rows])
+        np.testing.assert_array_equal(c1.T @ u1.T, w[rows])
+        i = rows.stop
     x = np.random.default_rng(dec.dim).standard_normal(dec.dim)
-    np.testing.assert_array_equal(rd.apply(dec, x), (w_ref @ (v_ref.T @ x)) * s)
-    np.testing.assert_array_equal(rd.reconstruct(dec), (w_ref @ v_ref.T) * s)
+    np.testing.assert_array_equal(rd.apply(dec, x), (w.T @ (left @ x)) * s)
+    np.testing.assert_array_equal(rd.reconstruct(dec), (w.T @ left) * s)
 
 
 def _corpus_matrix(i):
@@ -568,8 +570,8 @@ def test_term_stacks_edge_cases(m):
     dec = rd.decompose(m)
     j, k, n = len(dec.real_terms), len(dec.plane_terms), dec.dim
     st = rd.term_stacks(dec.real_terms, dec.plane_terms)
-    assert st.a.shape == st.c.shape == (j, n) and st.real_cores.shape == (j,)
-    assert st.u.shape == st.v.shape == (k, n, 2)
+    assert st.right.shape == st.left.shape == st.w.shape == (n, n)
+    assert st.alpha.shape == st.real_cores.shape == (j,)
     assert st.gram.shape == st.plane_cores.shape == (k, 2, 2) and st.nu.shape == (k,)
     _assert_stacks_match_loop(dec)
     b_real, l_real = rd.real_canonical_form(dec)
@@ -613,10 +615,9 @@ def _reference_decompose(m):
             plane_terms.append(rd.ComplexPlaneTerm(lam.real, lam.imag, b, p, d, q))
     s = pow2_scale(m)
     st = rd.term_stacks(real_terms, plane_terms, s)
-    w, v = rd.stacked_factors(st)
     m_s = m / s
-    resid = frobenius_norm(w @ v.T - m_s) / (frobenius_norm(m_s) or 1.0)
-    return system, real_terms, plane_terms, st, (w, v), resid
+    resid = frobenius_norm(st.w.T @ st.left - m_s) / (frobenius_norm(m_s) or 1.0)
+    return system, real_terms, plane_terms, st, resid
 
 
 def _bits(x):
@@ -626,11 +627,11 @@ def _bits(x):
 
 def _assert_decompose_matches_reference(m, monkeypatch):
     stacks = []
-    stacked = rd.stacked_factors
+    build = rd._stacks
     with monkeypatch.context() as mp:
-        mp.setattr(rd, "stacked_factors", lambda st: stacks.append(st) or stacked(st))
+        mp.setattr(rd, "_stacks", lambda *args: stacks.append(build(*args)) or stacks[-1])
         dec = rd.decompose(m)
-    system, real_terms, plane_terms, st, factors, resid = _reference_decompose(m)
+    system, real_terms, plane_terms, st, resid = _reference_decompose(m)
     assert len(dec.real_terms) == len(real_terms) and len(dec.plane_terms) == len(plane_terms)
     for t, ref in zip(dec.real_terms + dec.plane_terms, real_terms + plane_terms):
         assert type(t) is type(ref)
@@ -640,16 +641,14 @@ def _assert_decompose_matches_reference(m, monkeypatch):
             assert _bits(got) == _bits(value), name
             if isinstance(value, np.ndarray):
                 assert got.flags.c_contiguous
-    # every stack, the pairs' (k, n, 2) and (k, 2, 2) stacks C-ordered as
-    # term_stacks lays them out, and so W and V
+    # every stack, its rows and (k, 2, 2) stacks C-ordered as term_stacks
+    # lays them out
     [st_dec] = stacks
     for name, value in vars(st).items():
         got = getattr(st_dec, name)
         assert _bits(got) == _bits(value), name
-        if np.ndim(value) == 3 and value.size:
+        if np.ndim(value) >= 2 and value.size:
             assert got.flags.c_contiguous and got.strides == value.strides, name
-    for got, want in zip(stacked(st_dec), factors):
-        assert _bits(got) == _bits(want)
     assert _bits(dec.diagnostics.reconstruction_residual) == _bits(resid)
     assert _bits(dec.diagnostics.basis_rcond) == _bits(system.basis_rcond)
     return dec
