@@ -52,7 +52,10 @@ def pow2_scale(a):
 
 
 def rcond_1norm(a, a_inv):
-    """Reciprocal condition estimate from explicit inverse (1-norm)."""
+    """Reciprocal condition estimate from explicit inverse (1-norm); 1.0 for
+    0 x 0, whose inverse is itself, as for any identity."""
+    if a.size == 0:
+        return 1.0
     # the largest column sum of magnitudes, as np.linalg.norm(a, 1) computes it
     na = np.abs(a).sum(axis=0).max(initial=0.0)
     ni = np.abs(a_inv).sum(axis=0).max(initial=0.0)

@@ -2,8 +2,9 @@
 
 Supported inputs: Matrix Market "array real general" (column-major body)
 and plain CSV (one row per line, no header).  A JSON report states each
-fact of a decomposition once: the terms, and the two diagnostics that
-cannot be derived from them.  Floats are shortest round-trip decimals,
+fact of a decomposition once: the terms, the reconstruction residual,
+which cannot be derived from them, and the basis rcond, which the
+loader derives from them and checks.  Floats are shortest round-trip decimals,
 which re-parse bit for bit.
 """
 
@@ -14,13 +15,15 @@ import math
 
 import numpy as np
 
-from .densecore import as_array
+from .densecore import EPS, as_array, rcond_1norm
 from .errors import ParseError, ShapeError
 from .realdecomp import (
     ComplexPlaneTerm,
     Diagnostics,
     RealTerm,
     SpectralDecomposition,
+    real_basis_inverse,
+    term_stacks,
 )
 
 SCHEMA_VERSION = "2"
@@ -164,9 +167,11 @@ def matrix_to_doc(m):
 
 
 def _fields(obj, keys):
-    """obj's attributes named by keys, each vector as one list of floats."""
+    """obj's attributes named by keys, each vector as one list of floats and
+    each numpy scalar as a Python number."""
     values = (getattr(obj, key) for key in keys)
-    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in zip(keys, values)}
+    return {k: v.tolist() if isinstance(v, (np.ndarray, np.generic)) else v
+            for k, v in zip(keys, values)}
 
 
 def decomposition_to_doc(dec, input_digest=None):
@@ -195,12 +200,28 @@ def _check_keys(obj, keys, what, optional=()):
         raise ParseError(f"{what}: missing keys {missing}, unknown keys {unknown}")
 
 
+def _number(x):
+    """x as a float if it is a JSON number (a bool is not one)."""
+    if type(x) not in (int, float):
+        raise ParseError(f"expected a JSON number, got {x!r}")
+    return float(x)
+
+
+def _vector(x):
+    """x as a float array if it is a list of JSON numbers."""
+    if type(x) is not list or not set(map(type, x)) <= {int, float}:
+        raise ParseError(f"expected a list of JSON numbers, got {str(x)[:40]}")
+    return np.array(x, dtype=float)
+
+
 def doc_to_decomposition(doc):
     """Rebuild a SpectralDecomposition from its JSON document; each plane
     term's nu is computed from its vectors.  Another schema_version, a
-    missing or unknown key or a non-number raises ParseError; a dim other
-    than j + 2k, or a term its constructor refuses (non-finite value or
-    vector, omega <= 0), ShapeError."""
+    missing or unknown key, a dim that is not a JSON integer, a scalar or
+    vector entry that is not a JSON number, an input_digest that is not a
+    string or a basis_rcond that is not the terms' own raises ParseError; a
+    dim other than j + 2k, or a term its constructor refuses (non-finite
+    value or vector, omega <= 0), ShapeError."""
     try:
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise ParseError(f"unsupported schema_version {doc.get('schema_version')!r}")
@@ -210,23 +231,23 @@ def doc_to_decomposition(doc):
         for t in doc["plane_terms"]:
             _check_keys(t, PLANE_TERM_KEYS, "plane term")
         _check_keys(doc["diagnostics"], DIAGNOSTICS_KEYS, "diagnostics")
-        dim = int(doc["dim"])
+        dim = doc["dim"]
+        if type(dim) is not int:
+            raise ParseError(f"dim is not a JSON integer: {dim!r}")
+        if type(doc.get("input_digest", "")) is not str:
+            raise ParseError(f"input_digest is not a string: {doc['input_digest']!r}")
         real_terms = tuple(
-            RealTerm(float(t["alpha"]), *(np.array(t[f], dtype=float) for f in "ac"))
+            RealTerm(_number(t["alpha"]), *(_vector(t[f]) for f in "ac"))
             for t in doc["real_terms"]
         )
         plane_terms = tuple(
-            ComplexPlaneTerm(
-                float(t["sigma"]), float(t["omega"]), *(np.array(t[f], dtype=float) for f in "bpdq")
-            )
+            ComplexPlaneTerm(_number(t["sigma"]), _number(t["omega"]), *(_vector(t[f]) for f in "bpdq"))
             for t in doc["plane_terms"]
         )
-        diag = doc["diagnostics"]
-        diagnostics = Diagnostics(
-            float(diag["reconstruction_residual"]), float(diag["basis_rcond"])
-        )
-    # AttributeError: a report is not a JSON object
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        diagnostics = Diagnostics(*(_number(doc["diagnostics"][key]) for key in DIAGNOSTICS_KEYS))
+    # AttributeError: a report is not a JSON object; OverflowError: an
+    # integer too large for a float
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed report: {type(exc).__name__}: {exc}") from exc
     dec = SpectralDecomposition(real_terms, plane_terms, diagnostics)
     if dec.dim != dim:
@@ -234,7 +255,21 @@ def doc_to_decomposition(doc):
             f"term counts j={len(real_terms)}, k={len(plane_terms)} "
             f"do not satisfy j + 2k = {dim}"
         )
+    _check_rcond(dec)
     return dec
+
+
+def _check_rcond(dec):
+    """Refuse a stated basis_rcond that is not rcond_1norm of the terms'
+    B_real and B_real^-1.  Each 1-norm is a sum of at most n nonnegative
+    terms, which two summation orders give to within 2 (n - 1) u of each
+    other (u = EPS / 2), and the product and reciprocal round twice more:
+    two rcond computations agree to about 2 n EPS, and twice that is allowed."""
+    st = term_stacks(dec.real_terms, dec.plane_terms)
+    rcond = rcond_1norm(st.right.T, real_basis_inverse(st))
+    stated = dec.diagnostics.basis_rcond
+    if not abs(stated - rcond) <= 4 * dec.dim * EPS * rcond:
+        raise ParseError(f"basis_rcond {stated!r} is not the terms' {rcond!r}")
 
 
 def dump_json(doc, fh):

@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 
@@ -429,6 +430,48 @@ def _report_levels(doc):
             (doc["real_terms"][1], matio.REAL_TERM_KEYS),
             (doc["plane_terms"][0], matio.PLANE_TERM_KEYS),
             (doc["diagnostics"], matio.DIAGNOSTICS_KEYS)]
+
+
+_ROTATION = np.array([[1.0, 2.0], [-2.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.update(dim=2.7),
+        lambda doc: doc.update(dim="2"),
+        lambda doc: doc.update(dim=True),
+        lambda doc: doc["plane_terms"][0].update(sigma="1.0"),
+        lambda doc: doc["plane_terms"][0].update(omega=True),
+        lambda doc: doc["plane_terms"][0].update(b=["0.5", "0"]),
+        lambda doc: doc["plane_terms"][0].update(q=[0.0, False]),
+        lambda doc: doc["plane_terms"][0].update(d=0.5),
+        lambda doc: doc["diagnostics"].update(basis_rcond="0.5"),
+        lambda doc: doc["diagnostics"].update(reconstruction_residual=None),
+        lambda doc: doc.update(input_digest=5),
+    ],
+    ids=["float-dim", "string-dim", "bool-dim", "string-sigma", "bool-omega",
+         "string-vector", "bool-entry", "scalar-vector", "string-rcond", "null-residual",
+         "number-digest"],
+)
+def test_report_values_must_be_json_numbers(edit):
+    doc = _report_doc(_ROTATION)
+    doc["input_digest"] = "sha256:0"
+    matio.doc_to_decomposition(copy.deepcopy(doc))
+    edit(doc)
+    with pytest.raises(ParseError):
+        matio.doc_to_decomposition(doc)
+
+
+@pytest.mark.parametrize("m", [np.zeros((0, 0)), np.zeros((3, 3)), _ROTATION, _M3])
+def test_report_basis_rcond_must_be_the_terms(m):
+    doc = _report_doc(m)
+    rcond = doc["diagnostics"]["basis_rcond"]
+    assert matio.doc_to_decomposition(doc).diagnostics.basis_rcond == rcond
+    for edited in (7.0, 0.0, rcond * (1.0 + 1e-12), -rcond, float("nan")):
+        doc["diagnostics"]["basis_rcond"] = edited
+        with pytest.raises(ParseError, match="basis_rcond"):
+            matio.doc_to_decomposition(doc)
 
 
 def test_report_writes_the_declared_keys():

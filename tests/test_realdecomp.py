@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
+from geospectral import cli, matio
 from geospectral import eigensolve as eg
-from geospectral import matio
 from geospectral import realdecomp as rd
 from geospectral.cli import _draw_spectrum
 from geospectral.densecore import frobenius_norm, pow2_scale
@@ -683,6 +683,34 @@ def test_decompose_matches_per_term_reference_dense(n, share, monkeypatch):
 def test_decompose_matches_per_term_reference_edge_cases(m, j, k, monkeypatch):
     dec = _assert_decompose_matches_reference(m, monkeypatch)
     assert (len(dec.real_terms), len(dec.plane_terms)) == (j, k)
+
+
+def _assert_canonical_reads_the_eigensystem(m, path, monkeypatch):
+    """real_canonical_form's B_real is the eigensystem's basis and
+    cmd_canonical's B_real^-1 its basis_inv, bit for bit."""
+    system = eg.eigensystem(m)
+    b_real, _ = rd.real_canonical_form(rd.decompose(m))
+    assert _bits(b_real) == _bits(system.basis)
+    matio.write_matrix_market(path / "m.mtx", m)
+    inverses = []
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "real_basis_inverse",
+                   lambda st: inverses.append(rd.real_basis_inverse(st)) or inverses[-1])
+        assert cli.main(["canonical", str(path / "m.mtx"), "--output-dir", str(path)]) == 0
+    [b_inv] = inverses
+    assert _bits(b_inv) == _bits(system.basis_inv)
+
+
+def test_canonical_reads_the_eigensystem_corpus(tmp_path, monkeypatch, capsys):
+    for i in range(30):
+        _assert_canonical_reads_the_eigensystem(_corpus_matrix(i), tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("share", [0, 4, 2])
+def test_canonical_reads_the_eigensystem_dense(n, share, tmp_path, monkeypatch, capsys):
+    _assert_canonical_reads_the_eigensystem(_dense_matrix(n, n // share if share else 0),
+                                            tmp_path, monkeypatch)
 
 
 def test_underflowing_pair_is_a_pair_before_scaling():

@@ -78,3 +78,16 @@ def test_stage_times_covers_a_size_without_bulge_steps(tmp_path):
     assert all(np.isfinite(row[stage]) for stage in st.STAGES)
     assert np.isnan(st.us_per_step(row))
     assert st.us_per_step(dict(row, schur=0.5, steps=4)) == 125.0
+
+
+def test_apply_changes_counts_outputs_both_trees_give():
+    cr = _import_tool("compare_reports")
+    labels = ["same", "moved", "zero sign", "old raised", "new failed"]
+    old = [[1.0, 2.0], [1.0, 2.0], [0.0], [1.0], "AccuracyError"]
+    new = [[1.0, 2.0], [1.0, 2.0 + 3e-13], [-0.0], None, [1.0]]
+    scales = [1.0, 2.0, 1.0, 1.0, 1.0]
+    count, (ratio, label) = cr.apply_changes(labels, old, new, scales)
+    # only inputs both trees applied count; -0.0 differs from 0.0 as JSON text
+    assert count == 2
+    assert (ratio, label) == (((2.0 + 3e-13) - 2.0) / 2.0, "moved")
+    assert cr.apply_changes(labels[:1], old[:1], new[:1], scales[:1]) == (0, (0.0, "none"))

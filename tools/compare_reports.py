@@ -18,8 +18,10 @@ the sorted names of the checks ``verify.run_identity_suite`` fails, or the
 type of the exception it raises.  It also records every check the suite
 reports as ``(name, tolerance)``, in order, with its residual, whether
 the report, loaded by ``matio.doc_to_decomposition`` and dumped again,
-comes back byte for byte, and whether a C-ordered copy of the input
-(most inputs are built Fortran-ordered) gives the same report.
+comes back byte for byte, whether a C-ordered copy of the input (most
+inputs are built Fortran-ordered) gives the same report, and the read
+side: ``realdecomp.apply(dec, x)`` for one seeded standard-normal x per
+input, the same x for both trees.
 
 Two JSON reports are compared on the fields both carry, recursively and
 value by value as JSON text, ignoring ``schema_version``; a field that
@@ -33,7 +35,9 @@ trees decompose have different eigenvalues (each term's ``alpha``, or
 its ``sigma`` and ``omega``), how many identity-suite verdicts differ,
 how many identity-suite tolerance lists differ, how many of NEW_SRC's
 reports change in that round trip and how many of NEW_SRC's reports
-depend on the input's memory order.  For each check name it then prints
+depend on the input's memory order, and how many inputs that both trees
+apply give different ``apply`` outputs, with the largest
+``||delta|| / (||M||_F ||x||)`` and its input.  For each check name it then prints
 the largest residual / tolerance on each tree, with the input it came
 from: how close that tree came to flipping the check's verdict, measured
 against the tolerance, so that a residual at rounding level cannot
@@ -53,6 +57,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from geospectral import verify  # noqa: E402
+from geospectral.densecore import frobenius_norm  # noqa: E402
 from workloads import corpus_spectrum, grid_spectrum  # noqa: E402
 
 _POOL_REAL = (0.0, 1.0, -0.5)
@@ -71,15 +76,23 @@ def dump(dec):
 
 def report_of(m):
     try:
-        return dump(realdecomp.decompose(m))
+        dec = realdecomp.decompose(m)
     except Exception as exc:
-        return f"{type(exc).__name__}: {exc}"
+        return f"{type(exc).__name__}: {exc}", None
+    return dump(dec), dec
+
+def applied(dec, x):
+    try:
+        return realdecomp.apply(dec, x).tolist()
+    except Exception as exc:
+        return type(exc).__name__
 
 out = []
 with np.load(sys.argv[1]) as inputs:
-    for key in sorted(inputs.files):
-        report = report_of(inputs[key])
-        same_in_c_order = report_of(np.ascontiguousarray(inputs[key])) == report
+    for key in sorted(k for k in inputs.files if k.startswith("m")):
+        report, dec = report_of(inputs[key])
+        same_in_c_order = report_of(np.ascontiguousarray(inputs[key]))[0] == report
+        action = None if dec is None else applied(dec, inputs["x" + key[1:]])
         round_trip = None
         if report.startswith("{"):
             try:
@@ -93,7 +106,7 @@ with np.load(sys.argv[1]) as inputs:
             residuals = [c.residual for c in checks]
         except Exception as exc:
             suite = tolerances = residuals = type(exc).__name__
-        out.append([report, suite, tolerances, residuals, round_trip, same_in_c_order])
+        out.append([report, suite, tolerances, residuals, round_trip, same_in_c_order, action])
 with open(sys.argv[2], "w", encoding="utf-8") as fh:
     json.dump(out, fh)
 """
@@ -192,6 +205,20 @@ def closest_to_tolerance(labels, tols, residuals):
     return worst
 
 
+def apply_changes(labels, old, new, scales):
+    """(count, (ratio, label)): how many inputs have apply outputs on both
+    trees (lists of floats; None where a tree did not decompose, an
+    exception's name where apply raised) that differ as JSON text, and the
+    largest ||new - old|| / scale among them with its input, where scale
+    is ||M||_F ||x||."""
+    count, worst = 0, (0.0, "none")
+    for label, a, b, scale in zip(labels, old, new, scales):
+        if isinstance(a, list) and isinstance(b, list) and json.dumps(a) != json.dumps(b):
+            count += 1
+            worst = max(worst, (frobenius_norm(np.subtract(b, a)) / scale, label))
+    return count, worst
+
+
 def run_tree(src, inputs_path, out_path):
     threads = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()), **threads)
@@ -207,15 +234,19 @@ def main(argv):
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 64
     inputs = build_inputs()
+    rng = np.random.default_rng(4)
+    xs = [rng.standard_normal(len(m)) for _, m in inputs]
     with tempfile.TemporaryDirectory() as tmp:
         inputs_path = os.path.join(tmp, "inputs.npz")
-        np.savez(inputs_path, **{f"m{i:04d}": m for i, (_, m) in enumerate(inputs)})
+        np.savez(inputs_path, **{f"m{i:04d}": m for i, (_, m) in enumerate(inputs)},
+                 **{f"x{i:04d}": x for i, x in enumerate(xs)})
         outs = [os.path.join(tmp, f"{side}.json") for side in ("old", "new")]
         procs = [run_tree(src, inputs_path, out) for src, out in zip(argv[1:], outs)]
         if any([p.wait() != 0 for p in procs]):
             print("a tree failed to run; see its traceback above", file=sys.stderr)
             return 1
-        (old, old_suite, old_tols, old_res, *_), (new, new_suite, new_tols, new_res, new_trips, new_layout) = (
+        (old, old_suite, old_tols, old_res, _, _, old_apply), (
+            new, new_suite, new_tols, new_res, new_trips, new_layout, new_apply) = (
             zip(*json.loads(Path(out).read_text(encoding="utf-8"))) for out in outs
         )
     verdicts = [(_verdict(a), _verdict(b)) for a, b in zip(old, new)]
@@ -249,6 +280,10 @@ def main(argv):
     print(f"{trips.count(False)} of {len(trips)} new reports change in a load-and-dump round trip")
     print(f"{new_layout.count(False)} of {len(inputs)} reports depend on the input's memory order")
     labels = [label for label, _ in inputs]
+    scales = [frobenius_norm(m) * np.linalg.norm(x) for (_, m), x in zip(inputs, xs)]
+    changed, (ratio, where) = apply_changes(labels, old_apply, new_apply, scales)
+    print(f"{changed} of {len(both)} inputs that both trees decompose differ in apply(dec, x); "
+          f"largest |delta| / (||M||_F ||x||) {ratio:.3g} ({where})")
     old_worst = closest_to_tolerance(labels, old_tols, old_res)
     new_worst = closest_to_tolerance(labels, new_tols, new_res)
     for name in sorted(old_worst.keys() | new_worst.keys()):
