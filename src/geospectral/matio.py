@@ -3,8 +3,8 @@
 Supported inputs: Matrix Market "array real general" (column-major body)
 and plain CSV (one row per line, no header).  A JSON report states each
 fact of a decomposition once: the terms, the reconstruction residual,
-which cannot be derived from them, and the basis rcond, which the
-loader derives from them and checks.  Floats are shortest round-trip decimals,
+which cannot be derived from them, and the basis rcond, which the loader
+derives from them and checks.  Floats are shortest round-trip decimals,
 which re-parse bit for bit.
 """
 
@@ -241,7 +241,9 @@ def doc_to_decomposition(doc):
             for t in doc["real_terms"]
         )
         plane_terms = tuple(
-            ComplexPlaneTerm(_number(t["sigma"]), _number(t["omega"]), *(_vector(t[f]) for f in "bpdq"))
+            ComplexPlaneTerm(
+                _number(t["sigma"]), _number(t["omega"]), *(_vector(t[f]) for f in "bpdq")
+            )
             for t in doc["plane_terms"]
         )
         diagnostics = Diagnostics(*(_number(doc["diagnostics"][key]) for key in DIAGNOSTICS_KEYS))

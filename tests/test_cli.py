@@ -1,4 +1,3 @@
-import copy
 import io
 import json
 
@@ -405,12 +404,27 @@ def _cut(term, fields):
         (lambda doc: doc["plane_terms"][0]["p"].__setitem__(0, float("nan")), ShapeError),
         (lambda doc: doc["plane_terms"][0]["b"].__setitem__(0, float("nan")), ShapeError),
         (lambda doc: doc["real_terms"][0]["a"].__setitem__(2, float("inf")), ShapeError),
+        # every value must be of its JSON type: an integer dim, numbers (a
+        # bool is not one) and a string digest
+        (lambda doc: doc.update(dim=3.0), ParseError),
+        (lambda doc: doc.update(dim="3"), ParseError),
+        (lambda doc: doc.update(dim=True), ParseError),
+        (lambda doc: doc["plane_terms"][0].update(sigma="1.0"), ParseError),
+        (lambda doc: doc["plane_terms"][0].update(omega=True), ParseError),
+        (lambda doc: doc["plane_terms"][0].update(b=["0.5", "0", "0"]), ParseError),
+        (lambda doc: doc["plane_terms"][0]["q"].__setitem__(0, False), ParseError),
+        (lambda doc: doc["plane_terms"][0].update(d=0.5), ParseError),
+        (lambda doc: doc["diagnostics"].update(basis_rcond="0.5"), ParseError),
+        (lambda doc: doc["diagnostics"].update(reconstruction_residual=None), ParseError),
+        (lambda doc: doc.update(input_digest=5), ParseError),
     ],
     ids=[
         "missing-q", "missing-real-terms", "missing-dim", "list-diagnostics",
         "missing-diagnostics", "missing-rcond", "string-sigma",
         "null-alpha", "zero-omega", "infinite-alpha", "nan-sigma", "ragged-b", "short-b",
-        "short-plane", "nan-p", "nan-b", "infinite-a",
+        "short-plane", "nan-p", "nan-b", "infinite-a", "float-dim", "string-dim", "bool-dim",
+        "string-sigma-number", "bool-omega", "string-vector", "bool-entry", "scalar-vector",
+        "string-rcond", "null-residual", "number-digest",
     ],
 )
 def test_malformed_report_rejected(edit, error):
@@ -432,38 +446,9 @@ def _report_levels(doc):
             (doc["diagnostics"], matio.DIAGNOSTICS_KEYS)]
 
 
-_ROTATION = np.array([[1.0, 2.0], [-2.0, 1.0]])
-
-
 @pytest.mark.parametrize(
-    "edit",
-    [
-        lambda doc: doc.update(dim=2.7),
-        lambda doc: doc.update(dim="2"),
-        lambda doc: doc.update(dim=True),
-        lambda doc: doc["plane_terms"][0].update(sigma="1.0"),
-        lambda doc: doc["plane_terms"][0].update(omega=True),
-        lambda doc: doc["plane_terms"][0].update(b=["0.5", "0"]),
-        lambda doc: doc["plane_terms"][0].update(q=[0.0, False]),
-        lambda doc: doc["plane_terms"][0].update(d=0.5),
-        lambda doc: doc["diagnostics"].update(basis_rcond="0.5"),
-        lambda doc: doc["diagnostics"].update(reconstruction_residual=None),
-        lambda doc: doc.update(input_digest=5),
-    ],
-    ids=["float-dim", "string-dim", "bool-dim", "string-sigma", "bool-omega",
-         "string-vector", "bool-entry", "scalar-vector", "string-rcond", "null-residual",
-         "number-digest"],
+    "m", [np.zeros((0, 0)), np.zeros((3, 3)), np.array([[1.0, 2.0], [-2.0, 1.0]]), _M3]
 )
-def test_report_values_must_be_json_numbers(edit):
-    doc = _report_doc(_ROTATION)
-    doc["input_digest"] = "sha256:0"
-    matio.doc_to_decomposition(copy.deepcopy(doc))
-    edit(doc)
-    with pytest.raises(ParseError):
-        matio.doc_to_decomposition(doc)
-
-
-@pytest.mark.parametrize("m", [np.zeros((0, 0)), np.zeros((3, 3)), _ROTATION, _M3])
 def test_report_basis_rcond_must_be_the_terms(m):
     doc = _report_doc(m)
     rcond = doc["diagnostics"]["basis_rcond"]
