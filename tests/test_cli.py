@@ -459,6 +459,14 @@ def test_report_basis_rcond_must_be_the_terms(m):
             matio.doc_to_decomposition(doc)
 
 
+def test_report_without_a_finite_basis_rcond_rejected():
+    # c.a = 9e-324 passes RealTerm's relative check, but 1 / (|a| |c|) overflows
+    doc = _report_doc(np.array([[1.0]]))
+    doc["real_terms"][0].update(a=[3e-162], c=[3e-162])
+    with pytest.raises(ParseError, match="is not the terms' inf"):
+        matio.doc_to_decomposition(doc)
+
+
 def test_report_writes_the_declared_keys():
     doc = matio.decomposition_to_doc(decompose(_M4), input_digest="sha256:0")
     levels = _report_levels(doc)
