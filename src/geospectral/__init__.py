@@ -2,13 +2,7 @@
 matrices, including matrices with complex-conjugate eigenvalue pairs."""
 
 from .densecore import frobenius_norm
-from .eigensolve import (
-    EigenSystem,
-    canonicalize_phase,
-    eigensystem,
-    hessenberg_reduce,
-    real_schur,
-)
+from .eigensolve import EigenSystem, canonicalize_phase, eigensystem
 from .geoalg import wedge
 from .realdecomp import (
     ComplexPlaneTerm,
@@ -47,12 +41,10 @@ __all__ = [
     "eigensystem",
     "frobenius_norm",
     "gen_test_matrix",
-    "hessenberg_reduce",
     "nu",
     "plane_term_left_form",
     "plane_term_right_form",
     "real_canonical_form",
-    "real_schur",
     "reconstruct",
     "run_identity_suite",
     "transpose_term",

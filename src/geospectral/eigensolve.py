@@ -12,9 +12,12 @@ with Y_r^-1 from one block back-substitution (as LAPACK dtrevc3 relates
 eigenvectors to Schur vectors).  Its rows are the left eigenvectors,
 biorthogonal to the basis up to rounding.
 
-Both reductions keep the matrix beside its orthogonal factor's transpose
-in one C-ordered n x 2n work array, [H | Q^T] and then [T | Z^T], so Q^T
-is carried along rather than formed afterwards.  A reflector is
+Both reductions work on one C-ordered n x 2n array, as LAPACK dgeev's
+dgehrd and dhseqr overwrite one H and Q: eigensystem checks its input,
+scales it to ||M||_F = 1 and lays out [M | I] once; hessenberg_reduce
+reduces that array in place to [H | Q^T], and real_schur carries on in
+place to [T | Z^T], so Q^T is carried along rather than formed
+afterwards, and neither stage copies, checks or rescales.  A reflector is
 symmetric, so applying it takes two products: one on the contiguous rows
 of both halves that it mixes, one on the matrix's columns.  The
 Hessenberg reduction works that way on its last _HESS_NX columns only
@@ -143,25 +146,18 @@ def _hessenberg_panel(a, k, nb):
     rows -= v @ (w.T @ rows)
 
 
-def hessenberg_reduce(m):
-    """Householder similarity reduction on the work array [H | Q^T].
-    Returns (H, Q) with Q H Q^T = M.
+def hessenberg_reduce(a):
+    """Householder similarity reduction, in place, of the C-ordered n x 2n
+    work array a = [M | I] to [H | Q^T], with Q H Q^T = M.
 
     While more than _HESS_NX columns remain to reduce, a panel of _HESS_NB
     of them is reduced at once (_hessenberg_panel); the last _HESS_NX
     columns, and so every n <= _HESS_NX + 2, take one reflector at a time,
     its left product on the rows it mixes of both halves of the work array
-    and its right product on H's columns (LAPACK dgehd2).  As in
-    real_schur, M is divided by the power of two dc.pow2_scale(M) and H
-    multiplied back, both exactly, so that H scales with M bit for bit and
-    no product overflows for a finite M.
+    and its right product on H's columns (LAPACK dgehd2).  eigensystem
+    hands it M with ||M||_F = 1, so no product overflows.
     """
-    m = dc.as_array(m, 2)
-    n = m.shape[0]
-    if n != m.shape[1]:
-        raise ShapeError(f"hessenberg of non-square {m.shape}")
-    scale = dc.pow2_scale(m)
-    a = np.concatenate((m / scale, np.eye(n)), axis=1)
+    n = a.shape[0]
     k = 0
     while n - 2 - k > _HESS_NX:
         _hessenberg_panel(a, k, _HESS_NB)
@@ -176,8 +172,6 @@ def hessenberg_reduce(m):
         cols = a[:, k + 1:n]
         cols -= np.outer(cols @ v, v2)
         a[k + 2:, k] = 0.0
-    a[:, :n] *= scale
-    return a[:, :n], a[:, n:].T
 
 
 def _bulge_slabs(a):
@@ -307,30 +301,22 @@ def _split_2x2(t, z, l):
     return [complex(t[l, l]), complex(t[l + 1, l + 1])]
 
 
-def real_schur(h, q):
-    """Francis double-shift QR with deflation of the upper Hessenberg h,
-    with q n x n; any other input raises ShapeError.
+def real_schur(a):
+    """Francis double-shift QR with deflation, in place, of the C-ordered
+    n x 2n work array a = [H | Q^T], H upper Hessenberg, to [T | Z^T].
 
-    Returns (T, Z, eigs) with T quasi-upper-triangular (every surviving 2x2
-    diagonal block has complex eigenvalues), Z T Z^T = Q H Q^T and eigs the
-    complex eigenvalue array of the module docstring, one entry per
-    diagonal block in block order.  Before each sweep one scan finds the
-    lowest subdiagonal with |t[l, l-1]| <= n eps ||T||_F, the normwise
-    rule of Golub & Van Loan, Matrix Computations, section 7.5, and zeroes
-    it.  As in LAPACK dlahqr, each block's entry is recorded when the
-    block deflates; no later sweep touches it.  T and Z live in one
-    C-ordered work array [T | Z^T] and are returned C-ordered.  T is
-    worked on divided by the power of two dc.pow2_scale(h), which is exact
-    and keeps squared entries from underflowing.
+    T is quasi-upper-triangular (every surviving 2x2 diagonal block has
+    complex eigenvalues) and Z T Z^T = Q H Q^T.  Returns the complex
+    eigenvalue array of the module docstring, one entry per diagonal block
+    in block order.  Before each sweep one scan finds the lowest
+    subdiagonal with |t[l, l-1]| <= n eps ||T||_F, the normwise rule of
+    Golub & Van Loan, Matrix Computations, section 7.5, and zeroes it.  As
+    in LAPACK dlahqr, each block's entry is recorded when the block
+    deflates; no later sweep touches it.  eigensystem hands it the
+    Hessenberg form of M with ||M||_F = 1, so squared entries of T's scale
+    do not underflow.
     """
-    h, q = dc.as_array(h, 2), dc.as_array(q, 2)
-    n = h.shape[0]
-    if h.shape != (n, n) or q.shape != (n, n) or np.any(np.tril(h, -2)):
-        raise ShapeError(f"real_schur needs upper Hessenberg h and q n x n, got {h.shape}, {q.shape}")
-    scale = dc.pow2_scale(h)
-    a = np.empty((n, 2 * n))
-    a[:, :n] = h / scale
-    a[:, n:] = q.T
+    n = a.shape[0]
     t, z = a[:, :n], a[:, n:].T
     slabs = _bulge_slabs(a)
     # normwise, not local: a repeated eigenvalue stalls its subdiagonal
@@ -368,7 +354,7 @@ def real_schur(h, q):
             _francis_step(a, l, hi, r1, r2, slabs)
             sweeps += 1
             block_iters += 1
-    return t * scale, np.ascontiguousarray(z), np.array(eigs[::-1], dtype=complex) * scale
+    return np.array(eigs[::-1], dtype=complex)
 
 
 def block_starts(eigs):
@@ -504,8 +490,12 @@ def eigensystem(m):
     norm_m = dc.frobenius_norm(m_s)
     if norm_m == 0.0:
         return EigenSystem(np.zeros(n, dtype=complex), np.eye(n), np.eye(n), 1.0, s, 0.0)
-    h, q = hessenberg_reduce(m_s / norm_m)
-    t, z, eigs = real_schur(h, q)
+    # the one work array of both reductions: [M / (s norm_m) | I] becomes
+    # [H | Q^T], then [T | Z^T]
+    a = np.concatenate((m_s / norm_m, np.eye(n)), axis=1)
+    hessenberg_reduce(a)
+    eigs = real_schur(a)
+    t, z = a[:, :n], np.ascontiguousarray(a[:, n:].T)
     x, y_r = right_eigenvectors(t, z, eigs)
     # left to right: norm_m * s alone may overflow where an eigenvalue does not
     scaled = eigs * norm_m * s

@@ -42,6 +42,9 @@ from .errors import (
 
 DEFAULT_TOL = 1e-9
 _NU_REL_FLOOR = 1e-24
+# a c.a or nu below the normal range is refused: above it, the core
+# (alpha / s) / c.a of an alpha / s < 2 is finite, and nu keeps full precision
+_TINY = float(np.finfo(float).tiny)
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
@@ -66,7 +69,9 @@ def _check_vectors(*vectors):
 
 @dataclass(frozen=True)
 class RealTerm:
-    """One real eigenvalue alpha with right/left eigenvectors a, c."""
+    """One real eigenvalue alpha with right/left eigenvectors a, c; a c.a
+    at most 1e-12 |c| |a|, or below the normal range, raises
+    DegeneratePairError."""
 
     alpha: float
     a: np.ndarray
@@ -77,7 +82,7 @@ class RealTerm:
             raise ShapeError(f"real term needs a finite alpha, got {self.alpha}")
         norm_a, norm_c = _check_vectors(self.a, self.c)
         ca = float(np.add.reduce(self.c * self.a))
-        if abs(ca) <= 1e-12 * (norm_c * norm_a):
+        if abs(ca) <= 1e-12 * (norm_c * norm_a) or abs(ca) < _TINY:
             raise DegeneratePairError(f"left/right product c.a = {ca:.3e} is degenerate")
 
 
@@ -133,12 +138,14 @@ class SpectralDecomposition:
 
 def nu(b, d, q):
     """Normalization (d.b)^2 + (q.b)^2 of a plane term, for float vectors
-    of one shape (as _check_vectors passes them)."""
+    of one shape (as _check_vectors passes them); a value at most
+    _NU_REL_FLOOR (|d| |b| + |q| |b|)^2, or below the normal range, raises
+    DegeneratePairError."""
     value = float(np.add.reduce(d * b)) ** 2 + float(np.add.reduce(q * b)) ** 2
     norm_b = _norm(b)
     scale = (_norm(d) * norm_b + _norm(q) * norm_b) ** 2
-    # a NaN fails the comparison, so it is refused too
-    if not value > _NU_REL_FLOOR * scale:
+    # a NaN fails the comparisons, so it is refused too
+    if not (value > _NU_REL_FLOOR * scale and value >= _TINY):
         raise DegeneratePairError(f"nu = {value:.3e} below degeneracy floor")
     return value
 

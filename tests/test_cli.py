@@ -6,7 +6,8 @@ import pytest
 
 from geospectral import eigensolve, matio
 from geospectral.cli import main
-from geospectral.errors import ParseError, ShapeError
+from geospectral.densecore import rcond_1norm
+from geospectral.errors import DegeneratePairError, ParseError, ShapeError
 from geospectral.realdecomp import apply, decompose, nu, real_canonical_form
 from geospectral.verify import PlantedSpectrum, gen_test_matrix
 from test_properties import Case
@@ -460,10 +461,25 @@ def test_report_basis_rcond_must_be_the_terms(m):
 
 
 def test_report_without_a_finite_basis_rcond_rejected():
-    # c.a = 9e-324 passes RealTerm's relative check, but 1 / (|a| |c|) overflows
+    # c.a = 9e-324 passes RealTerm's relative check, but 1 / (|a| |c|)
+    # overflows: RealTerm refuses the subnormal c.a before the rcond check
     doc = _report_doc(np.array([[1.0]]))
     doc["real_terms"][0].update(a=[3e-162], c=[3e-162])
-    with pytest.raises(ParseError, match="is not the terms' inf"):
+    with pytest.raises(DegeneratePairError, match="c.a"):
+        matio.doc_to_decomposition(doc)
+
+
+def test_report_with_a_subnormal_nu_rejected():
+    # b, p, d, q times 1e-80 give nu = 2.5e-321, and a basis_rcond near 1e160
+    # that is the terms' own, so only the plane term's nu gate refuses it
+    doc = _report_doc(np.array([[1.0, 2.0], [-2.0, 1.0]]))
+    (t,) = doc["plane_terms"]
+    t.update({f: (1e-80 * np.array(t[f])).tolist() for f in "bpdq"})
+    b, p, d, q = (np.array(t[f]) for f in "bpdq")
+    rcond = float(rcond_1norm(np.array([b, p]).T, 2.0 * np.array([d, q])))
+    assert rcond > 1e159
+    doc["diagnostics"]["basis_rcond"] = rcond
+    with pytest.raises(DegeneratePairError, match="nu"):
         matio.doc_to_decomposition(doc)
 
 

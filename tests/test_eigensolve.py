@@ -49,16 +49,41 @@ def _real_eigs(eigs):
     return np.sort(eigs.real)
 
 
+def _work(h, q):
+    """The C-ordered work array [h | q^T] both stages reduce in place."""
+    n = h.shape[0]
+    a = np.empty((n, 2 * n))
+    a[:, :n], a[:, n:] = h, q.T
+    return a
+
+
+def _hessenberg(m):
+    """(H, Q) as views of the [H | Q^T] that hessenberg_reduce leaves of [m | I]."""
+    n = m.shape[0]
+    a = _work(m, np.eye(n))
+    eg.hessenberg_reduce(a)
+    return a[:, :n], a[:, n:].T
+
+
+def _schur(h, q):
+    """(T, Z, eigs): views of the [T | Z^T] that real_schur leaves of
+    [h | q^T], and the eigenvalues it returns."""
+    n = h.shape[0]
+    a = _work(h, q)
+    eigs = eg.real_schur(a)
+    return a[:, :n], a[:, n:].T, eigs
+
+
 def test_hessenberg_2x2_is_noop():
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    h, q = eg.hessenberg_reduce(m)
+    h, q = _hessenberg(m)
     np.testing.assert_array_equal(h, m)
     np.testing.assert_array_equal(q, np.eye(2))
 
 
 def test_hessenberg_triangular_is_noop():
     m = np.triu(np.arange(1.0, 17.0).reshape(4, 4))
-    h, q = eg.hessenberg_reduce(m)
+    h, q = _hessenberg(m)
     np.testing.assert_array_equal(h, m)
     np.testing.assert_array_equal(q, np.eye(4))
 
@@ -67,37 +92,10 @@ def test_hessenberg_random_similarity():
     rng = np.random.default_rng(0)
     for _ in range(20):
         m = rng.standard_normal((5, 5))
-        h, q = eg.hessenberg_reduce(m)
+        h, q = _hessenberg(m)
         assert np.all(h[np.tril_indices(5, -2)] == 0.0)
         assert frobenius_norm(q @ h @ q.T - m) <= 1e-12 * frobenius_norm(m)
         assert frobenius_norm(q @ q.T - np.eye(5)) <= 1e-13
-
-
-@pytest.mark.parametrize("e", [-1000, -600, 600, 1000])
-def test_hessenberg_extreme_scale_exact(e):
-    # M is worked on over an exact power of two, so H scales with it bit for
-    # bit; unscaled, the norms overflow at 2^600 and underflow at 2^-600
-    m = np.array([[1, 2, 3, 1], [4, 5, 6, 2], [7, 8, 10, 3], [1, 1, 2, 5]], dtype=float)
-    h, q = eg.hessenberg_reduce(m)
-    hs, qs = eg.hessenberg_reduce(m * 2.0**e)
-    np.testing.assert_array_equal(hs.view(np.int64), (h * 2.0**e).view(np.int64))
-    np.testing.assert_array_equal(qs.view(np.int64), q.view(np.int64))
-
-
-@pytest.mark.parametrize("e", [1e-160, 1e-165, 1e-170])
-def test_hessenberg_tiny_column_gets_orthogonal_reflector(e):
-    # after the first reflector, the second column to reduce holds only
-    # entries near e, whose squares underflow: unscaled, that column's
-    # reflector is far from orthogonal, or it is skipped and left nonzero
-    m = np.diag([1.0, 2.0, 3.0, 4.0])
-    m[0, 1:] = 0.5
-    m[1:, 0] = 0.7, e, e
-    h, q = eg.hessenberg_reduce(m)
-    assert np.all(np.tril(h, -2) == 0.0)
-    assert frobenius_norm(q @ q.T - np.eye(4)) <= 1e-14
-    assert frobenius_norm(q @ h @ q.T - m) <= 1e-14 * frobenius_norm(m)
-    eigs = np.sort(eg.eigensystem(m).eigenvalues.real)
-    np.testing.assert_allclose(eigs, np.sort(np.linalg.eigvals(m).real), rtol=0.0, atol=1e-12)
 
 
 NB, NX = eg._HESS_NB, eg._HESS_NX
@@ -109,6 +107,43 @@ def _assert_hessenberg_factors(m, h, q):
     assert np.all(np.tril(h, -2) == 0.0)
     assert frobenius_norm(q @ h @ q.T - m) <= 1e-13 * frobenius_norm(m)
     assert frobenius_norm(q.T @ q - np.eye(n)) <= 1e-13
+
+
+def _reduced_in_eigensystem(monkeypatch, m):
+    """A copy of the [H | Q^T] that hessenberg_reduce leaves in eigensystem(m)."""
+    seen = []
+    reduce = eg.hessenberg_reduce
+    monkeypatch.setattr(eg, "hessenberg_reduce", lambda a: seen.append(a) or reduce(a))
+    eg.eigensystem(m)
+    monkeypatch.setattr(eg, "hessenberg_reduce", reduce)
+    return seen[0].copy()
+
+
+@pytest.mark.parametrize("e", [-1000, -600, 600, 1000])
+def test_hessenberg_extreme_scale_exact(monkeypatch, e):
+    # eigensystem divides M by an exact power of two before its Frobenius
+    # norm, so the Hessenberg stage reduces the same bits at every scale;
+    # unscaled, the norms overflow at 2^600 and underflow at 2^-600
+    m = np.array([[1, 2, 3, 1], [4, 5, 6, 2], [7, 8, 10, 3], [1, 1, 2, 5]], dtype=float)
+    a = _reduced_in_eigensystem(monkeypatch, m)
+    np.testing.assert_array_equal(_reduced_in_eigensystem(monkeypatch, m * 2.0**e), a, strict=True)
+    _assert_hessenberg_factors(m / frobenius_norm(m), a[:, :4], a[:, 4:].T)
+
+
+@pytest.mark.parametrize("e", [1e-160, 1e-165, 1e-170])
+def test_hessenberg_tiny_column_gets_orthogonal_reflector(e):
+    # after the first reflector, the second column to reduce holds only
+    # entries near e, whose squares underflow: unscaled, that column's
+    # reflector is far from orthogonal, or it is skipped and left nonzero
+    m = np.diag([1.0, 2.0, 3.0, 4.0])
+    m[0, 1:] = 0.5
+    m[1:, 0] = 0.7, e, e
+    h, q = _hessenberg(m)
+    assert np.all(np.tril(h, -2) == 0.0)
+    assert frobenius_norm(q @ q.T - np.eye(4)) <= 1e-14
+    assert frobenius_norm(q @ h @ q.T - m) <= 1e-14 * frobenius_norm(m)
+    eigs = np.sort(eg.eigensystem(m).eigenvalues.real)
+    np.testing.assert_allclose(eigs, np.sort(np.linalg.eigvals(m).real), rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -123,16 +158,12 @@ def test_hessenberg_panels_similarity_and_exact_scaling(monkeypatch, n, panels):
     panel = eg._hessenberg_panel
     monkeypatch.setattr(eg, "_hessenberg_panel", lambda a, k, nb: starts.append(k) or panel(a, k, nb))
     m = np.random.default_rng(n).standard_normal((n, n))
-    h, q = eg.hessenberg_reduce(m)
+    h, q = _hessenberg(m)
     assert starts == [NB * i for i in range(panels)]
     _assert_hessenberg_factors(m, h, q)
-    for e in (-600, 600):
-        hs, qs = eg.hessenberg_reduce(m * 2.0**e)
-        np.testing.assert_array_equal(hs.view(np.int64), (h * 2.0**e).view(np.int64))
-        np.testing.assert_array_equal(qs.view(np.int64), q.view(np.int64))
     # the unblocked loop alone reduces to the same H, up to rounding
     monkeypatch.setattr(eg, "_HESS_NX", n)
-    h1, q1 = eg.hessenberg_reduce(m)
+    h1, q1 = _hessenberg(m)
     assert frobenius_norm(h1 - h) <= 1e-12 * frobenius_norm(m)
     assert frobenius_norm(q1 - q) <= 1e-12
 
@@ -150,30 +181,22 @@ def test_hessenberg_tiny_column_inside_a_panel():
     q = np.eye(n)
     q[1:j + 1, 1:j + 1] = np.linalg.qr(rng.standard_normal((j, j)))[0]
     m = q @ x @ q.T
-    h, qh = eg.hessenberg_reduce(m)
+    h, qh = _hessenberg(m)
     _assert_hessenberg_factors(m, h, qh)
     # the column's norm moved to the subdiagonal entry
     assert abs(h[j + 1, j]) == pytest.approx(np.linalg.norm(x[j + 1:, j]), rel=1e-10)
 
 
-@pytest.mark.parametrize(
-    "h,q",
-    [
-        (np.random.default_rng(0).standard_normal((6, 6)), np.eye(6)),
-        (np.triu(np.ones((6, 6)), -1), np.eye(5)),
-        (np.triu(np.ones((6, 6)), -1), np.eye(6)[:, :5]),
-        (np.ones((6, 5)), np.eye(6)),
-    ],
-    ids=["not-hessenberg", "q-too-small", "q-not-square", "h-not-square"],
-)
-def test_real_schur_refuses_input_it_cannot_factor(h, q):
-    with pytest.raises(ShapeError):
-        eg.real_schur(h, q)
+@pytest.mark.parametrize("entry", [eg.eigensystem, decompose], ids=["eigensystem", "decompose"])
+def test_entry_points_refuse_a_non_square_matrix(entry):
+    # the stages take eigensystem's work array unchecked, so the entry points check its shape
+    with pytest.raises(ShapeError, match="non-square"):
+        entry(np.ones((2, 3)))
 
 
 def test_schur_diagonal_is_noop():
     d = np.diag([3.0, 1.0, 2.0])
-    t, z, eigs = eg.real_schur(d, np.eye(3))
+    t, z, eigs = _schur(d, np.eye(3))
     np.testing.assert_array_equal(t, d)
     np.testing.assert_array_equal(z, np.eye(3))
     _assert_eigs_equal(eigs, [3.0, 1.0, 2.0])
@@ -181,7 +204,7 @@ def test_schur_diagonal_is_noop():
 
 def test_schur_rotation_block_kept():
     j = np.array([[0.0, -1.0], [1.0, 0.0]])
-    t, z, eigs = eg.real_schur(j, np.eye(2))
+    t, z, eigs = _schur(j, np.eye(2))
     # lambda^2 + 1 = 0: one 2x2 block with eigenvalues +-i
     _assert_eigs_equal(eigs, [1j])
     assert frobenius_norm(z @ t @ z.T - j) <= 1e-13
@@ -190,8 +213,7 @@ def test_schur_rotation_block_kept():
 def test_schur_companion_known_roots():
     # (x-1)(x-2)(x-3) = x^3 - 6x^2 + 11x - 6
     c = _companion([-6.0, 11.0, -6.0])
-    h, q = eg.hessenberg_reduce(c)
-    t, z, eigs = eg.real_schur(h, q)
+    t, z, eigs = _schur(*_hessenberg(c))
     np.testing.assert_allclose(_real_eigs(eigs), [1.0, 2.0, 3.0], atol=1e-10)
     assert frobenius_norm(z @ t @ z.T - c) <= 1e-12 * frobenius_norm(c)
 
@@ -201,8 +223,7 @@ def test_schur_semisimple_triple_eigenvalue_converges():
     # eps*(|t_ll| + |t_l-1,l-1|) deflation threshold
     b = np.random.default_rng(5).standard_normal((6, 6))
     m = b @ np.diag([1.0, 1.0, 1.0, -0.5, 2.0, 0.3]) @ np.linalg.inv(b)
-    h, q = eg.hessenberg_reduce(m)
-    t, z, eigs = eg.real_schur(h, q)
+    t, z, eigs = _schur(*_hessenberg(m))
     assert frobenius_norm(z @ t @ z.T - m) <= 1e-12 * frobenius_norm(m)
     np.testing.assert_allclose(_real_eigs(eigs), [-0.5, 0.3, 1.0, 1.0, 1.0, 2.0], atol=1e-8)
     assert decompose(m).diagnostics.reconstruction_residual <= 1e-9
@@ -235,8 +256,7 @@ def test_schur_random_residual():
     for _ in range(20):
         n = int(rng.integers(2, 17))
         m = rng.standard_normal((n, n))
-        h, q = eg.hessenberg_reduce(m)
-        t, z, _ = eg.real_schur(h, q)
+        t, z, _ = _schur(*_hessenberg(m))
         assert frobenius_norm(z @ t @ z.T - m) <= 1e-12 * frobenius_norm(m)
         _assert_quasi_triangular(t)
 
@@ -275,8 +295,7 @@ def test_schur_planted_structure(n, k):
     spec = PlantedSpectrum(reals, pairs, basis_seed=n, condition_cap=1e6)
     m = gen_test_matrix(spec)
     norm_m = frobenius_norm(m)
-    h, q = eg.hessenberg_reduce(m)
-    t, z, eigs = eg.real_schur(h, q)
+    t, z, eigs = _schur(*_hessenberg(m))
     assert frobenius_norm(z @ t @ z.T - m) <= 1e-12 * norm_m
     assert frobenius_norm(z.T @ z - np.eye(n)) <= 1e-12
     _assert_quasi_triangular(t)
@@ -310,20 +329,7 @@ def _dense_spectrum(n):
 
 
 def _dense_hessenberg(n):
-    return eg.hessenberg_reduce(gen_test_matrix(_dense_spectrum(n)))
-
-
-def test_schur_same_bits_for_either_memory_order():
-    # T and Z are worked on in one C-ordered array whatever h's order, and
-    # both come back C-ordered
-    h, q = _dense_hessenberg(32)
-    tc, zc, eigs_c = eg.real_schur(np.ascontiguousarray(h), q)
-    tf, zf, eigs_f = eg.real_schur(np.asfortranarray(h), q)
-    assert tc.flags.c_contiguous and tf.flags.c_contiguous
-    assert zc.flags.c_contiguous and zf.flags.c_contiguous
-    np.testing.assert_array_equal(tc, tf, strict=True)
-    np.testing.assert_array_equal(zc, zf, strict=True)
-    np.testing.assert_array_equal(eigs_c, eigs_f, strict=True)
+    return _hessenberg(gen_test_matrix(_dense_spectrum(n)))
 
 
 def _reference_sweep(t, z, lo, hi, r1, r2):
@@ -430,12 +436,15 @@ def test_francis_sweep_on_cached_slabs_matches_reference(block):
 
 
 def test_schur_tiny_entries_scaled_exactly():
-    # unscaled, the split's eigenvector norm underflows to 0 and divides
+    # eigensystem scales M to ||M||_F = 1 before the Schur stage; unscaled,
+    # the split's eigenvector norm underflows to 0 and divides
     m = np.full((2, 2), 1e-200)
-    t, z, eigs = eg.real_schur(m, np.eye(2))
+    system = eg.eigensystem(m)
+    eigs = system.eigenvalues
     np.testing.assert_allclose(np.sort(eigs.real), [0.0, 2e-200], rtol=0.0, atol=1e-215)
     assert not np.any(eigs.imag)
-    assert frobenius_norm(z @ t @ z.T - m) <= 1e-15 * frobenius_norm(m)
+    b = system.basis
+    assert frobenius_norm(b @ np.diag(eigs.real) @ system.basis_inv - m) <= 1e-15 * frobenius_norm(m)
 
 
 def test_sweep_budget_exhausted_raises_convergence_error(monkeypatch):
@@ -457,7 +466,7 @@ def _deflation_case(factor):
 
 def test_subdiagonal_below_normwise_tol_deflates_without_a_sweep(monkeypatch):
     monkeypatch.setattr(eg, "MAX_SWEEPS_PER_N", 0)
-    t, _, eigs = eg.real_schur(_deflation_case(0.5), np.eye(3))
+    t, _, eigs = _schur(_deflation_case(0.5), np.eye(3))
     assert not np.any(np.diag(t, -1))
     _assert_eigs_equal(eigs, [1e-3, -2e-3, 3e-3])
 
@@ -465,13 +474,13 @@ def test_subdiagonal_below_normwise_tol_deflates_without_a_sweep(monkeypatch):
 def test_subdiagonal_above_normwise_tol_needs_a_sweep(monkeypatch):
     monkeypatch.setattr(eg, "MAX_SWEEPS_PER_N", 0)
     with pytest.raises(ConvergenceError) as err:
-        eg.real_schur(_deflation_case(2.0), np.eye(3))
+        _schur(_deflation_case(2.0), np.eye(3))
     assert err.value.subdiagonal_index == 2
     assert err.value.sweeps == 0
 
 
 def _schur_eigs(m):
-    return eg.real_schur(m, np.eye(m.shape[0]))[2]
+    return _schur(m, np.eye(m.shape[0]))[2]
 
 
 def test_schur_eigenvalue_cases():
@@ -483,15 +492,14 @@ def test_schur_eigenvalue_cases():
     _assert_eigs_equal(_schur_eigs(np.array([[-2.5]])), [-2.5])
     # discriminant 1: the block is triangularized, and its two entries are
     # T's diagonal after the split
-    t, _, eigs = eg.real_schur(np.array([[2.0, 1.0], [1.0, 2.0]]), np.eye(2))
+    t, _, eigs = _schur(np.array([[2.0, 1.0], [1.0, 2.0]]), np.eye(2))
     assert t[1, 0] == 0.0
     _assert_eigs_equal(eigs, np.diag(t))
     np.testing.assert_allclose(eigs.real, [3.0, 1.0], rtol=0.0, atol=1e-15)
 
 
 def _schur_right_vectors(m):
-    h, q = eg.hessenberg_reduce(m)
-    t, z, eigs = eg.real_schur(h, q)
+    t, z, eigs = _schur(*_hessenberg(m))
     x, _ = eg.right_eigenvectors(t, z, eigs)
     return eigs, x
 
@@ -524,7 +532,7 @@ def test_right_eigenvectors_adjacent_pair_blocks():
     n = 64
     reals, pairs = _draw_spectrum(np.random.default_rng(3), n - 48, 24)
     m = gen_test_matrix(PlantedSpectrum(reals, pairs, basis_seed=3, condition_cap=1e6))
-    t, z, eigs = eg.real_schur(*eg.hessenberg_reduce(m))
+    t, z, eigs = _schur(*_hessenberg(m))
     starts = eg.block_starts(eigs)
     widths = np.diff(starts)
     assert np.any((widths[:-1] == 2) & (widths[1:] == 2))

@@ -142,6 +142,23 @@ def test_real_term_degenerate_pairing_rejected():
         rd.RealTerm(1.0, E1, E2)
 
 
+def test_term_with_subnormal_c_a_or_nu_rejected():
+    # RealTerm(1, [3e-162], [3e-162]) is the 1x1 matrix [[1]], but its
+    # c.a = 9e-324 is subnormal and its core 1 / c.a overflows; the pair of
+    # [[1, 2], [-2, 1]] with b, p, d, q times 1e-80 has a subnormal
+    # nu = 2.5e-321, which has lost most of its digits
+    with pytest.raises(DegeneratePairError, match="c.a"):
+        rd.RealTerm(1.0, np.array([3e-162]), np.array([3e-162]))
+    t = rd.decompose(np.array([[1.0, 2.0], [-2.0, 1.0]])).plane_terms[0]
+    with pytest.raises(DegeneratePairError, match="nu"):
+        rd.ComplexPlaneTerm(t.sigma, t.omega, *(1e-80 * v for v in (t.b, t.p, t.d, t.q)))
+    # at the bottom of the normal range the real core is finite, and here exact
+    tiny = np.finfo(float).tiny
+    dec = rd.SpectralDecomposition((rd.RealTerm(1.0, np.array([tiny]), np.array([1.0])),), (), None)
+    assert rd.reconstruct(dec).tolist() == [[1.0]]
+    assert rd.apply(dec, [2.0]).tolist() == [2.0]
+
+
 def test_plane_term_computes_nu():
     rng = np.random.default_rng(6)
     b, p, d, q = (rng.standard_normal(5) for _ in range(4))
@@ -717,8 +734,9 @@ def test_underflowing_pair_is_a_pair_before_scaling():
     # the edge case above exercises the split: unscaled, the solver sees a pair
     m = UNDERFLOWING_PAIR.matrix()
     s = pow2_scale(m)
-    h, q = eg.hessenberg_reduce(m / s / frobenius_norm(m / s))
-    assert np.any(eg.real_schur(h, q)[2].imag > 0)
+    a = np.concatenate((m / s / frobenius_norm(m / s), np.eye(len(m))), axis=1)
+    eg.hessenberg_reduce(a)
+    assert np.any(eg.real_schur(a).imag > 0)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import importlib.util
+import shutil
 import sys
 from pathlib import Path
 
@@ -39,14 +40,20 @@ def test_compare_docs_reads_shared_fields_only():
     new = {"schema_version": "2", "dim": 1, "plane_terms": [{"sigma": 1.0}],
            "diagnostics": {"basis_rcond": 0.5, "kappa": [1.0]}}
     only = set()
-    assert not cr.compare_docs(old, new, only)
+    assert cr.compare_docs(old, new, only) == set()
     assert only == {("old", "eigenvalues"), ("old", "plane_terms[].nu"),
                     ("new", "diagnostics.kappa")}
-    # shared fields compare as JSON text: a type, a length or a sign of zero differs
-    for edit in ({"dim": 1.0}, {"plane_terms": [{"sigma": 1.0}] * 2},
-                 {"diagnostics": {"basis_rcond": 0.25}}):
-        assert cr.compare_docs(old, dict(new, **edit), set())
-    assert cr.compare_docs({"x": 0.0}, {"x": -0.0}, set())
+    # shared fields compare as JSON text: a type, a length or a sign of zero
+    # differs, and the path of the field that differs is returned
+    for edit, path in (({"dim": 1.0}, "dim"), ({"plane_terms": [{"sigma": 1.0}] * 2}, "plane_terms"),
+                       ({"plane_terms": [{"sigma": 2.0}]}, "plane_terms[].sigma"),
+                       ({"diagnostics": {"basis_rcond": 0.25}}, "diagnostics.basis_rcond")):
+        assert cr.compare_docs(old, dict(new, **edit), set()) == {path}
+    assert cr.compare_docs({"x": 0.0}, {"x": -0.0}, set()) == {"x"}
+    # each differing path once, however many list items differ in it
+    two = [{"a": 1, "b": 2}] * 2
+    assert cr.compare_docs({"t": two, "d": 1}, {"t": [{"a": 0, "b": 2}, {"a": 0, "b": 3}], "d": 2},
+                           set()) == {"t[].a", "t[].b", "d"}
 
 
 def test_closest_to_tolerance_measures_against_the_tolerance():
@@ -91,3 +98,45 @@ def test_apply_changes_counts_outputs_both_trees_give():
     assert count == 2
     assert (ratio, label) == (((2.0 + 3e-13) - 2.0) / 2.0, "moved")
     assert cr.apply_changes(labels[:1], old[:1], new[:1], scales[:1]) == (0, (0.0, "none"))
+
+
+# appended to a copy of eigensolve.py: each stage refuses arguments that
+# differ from those of its first call in the process
+_SAME_ARGUMENTS_GUARD = '''
+
+def _same_arguments_each_call(fn):
+    first = []
+
+    def stage(*args):
+        given = [np.asarray(x).tobytes() for x in args]
+        first[:] = first or given
+        if given != first:
+            raise AssertionError(f"{fn.__name__} given arguments an earlier call changed")
+        return fn(*args)
+
+    return stage
+
+
+hessenberg_reduce = _same_arguments_each_call(hessenberg_reduce)
+real_schur = _same_arguments_each_call(real_schur)
+right_eigenvectors = _same_arguments_each_call(right_eigenvectors)
+basis_inverse = _same_arguments_each_call(basis_inverse)
+'''
+
+
+def test_stage_times_gives_each_call_the_arguments_eigensystem_gave(tmp_path):
+    # hessenberg_reduce and real_schur reduce their work array in place, so
+    # a stage timed again on its recorded arguments would reduce an array an
+    # earlier call already reduced; in this tree every stage raises then
+    st = _import_tool("stage_times")
+    tree = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "geospectral", tree / "geospectral",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tree / "geospectral" / "eigensolve.py", "a", encoding="utf-8") as fh:
+        fh.write(_SAME_ARGUMENTS_GUARD)
+    n = 12
+    m = st.verify.gen_test_matrix(st.grid_spectrum(np.random.default_rng([1, 5, n]), n, n // 4, 1e6))
+    inputs_path = tmp_path / "inputs.npz"
+    np.savez(inputs_path, n00=m)
+    [row] = st.run_tree(tree, str(inputs_path), str(tmp_path / "out.json"))
+    assert all(np.isfinite(row[stage]) for stage in st.STAGES)

@@ -27,8 +27,9 @@ Two JSON reports are compared on the fields both carry, recursively and
 value by value as JSON text, ignoring ``schema_version``; a field that
 only one of them carries counts apart, so trees with different report
 schemas can be compared.  The script prints how many inputs differ on
-shared fields (or in the error one tree raised), how many inputs that
-both trees decompose differ in their field sets, and the paths of the
+shared fields (or in the error one tree raised), how many of them differ
+in each shared field's path ("(error)" for the error), how many inputs
+that both trees decompose differ in their field sets, and the paths of the
 fields only one tree writes, how many verdicts differ (one tree raised,
 or the two raised different exception types), how many inputs that both
 trees decompose have different eigenvalues (each term's ``alpha``, or
@@ -49,6 +50,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -168,20 +170,22 @@ def _verdict(report):
 
 
 def compare_docs(old, new, only, path=""):
-    """True if two JSON values differ on a field both carry, ignoring
-    schema_version.  Objects compare key by key and lists of one length
-    item by item; any other pair compares as JSON text, so -0.0 differs
-    from 0.0 and 1 from 1.0.  Each object key only one side carries is
-    added to the set `only` as ("old" or "new", path), with "a.b" for a
-    nested key and "a[].b" for a key of a list's items."""
+    """The set of paths of the fields both JSON values carry that differ,
+    ignoring schema_version; empty if none does.  Objects compare key by
+    key and lists of one length item by item; any other pair compares as
+    JSON text, so -0.0 differs from 0.0 and 1 from 1.0.  A path is "a.b"
+    for a nested key and "a[].b" for a key of a list's items.  Each object
+    key only one side carries is added to the set `only` as ("old" or
+    "new", path)."""
     if isinstance(old, dict) and isinstance(new, dict):
         for side, x, y in (("old", old, new), ("new", new, old)):
             only.update((side, f"{path}.{k}" if path else k) for k in x.keys() - y.keys())
         keys = sorted(old.keys() & new.keys() - {"schema_version"})
-        return any([compare_docs(old[k], new[k], only, f"{path}.{k}" if path else k) for k in keys])
+        return set().union(*[compare_docs(old[k], new[k], only, f"{path}.{k}" if path else k)
+                             for k in keys])
     if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
-        return any([compare_docs(a, b, only, f"{path}[]") for a, b in zip(old, new)])
-    return json.dumps(old) != json.dumps(new)
+        return set().union(*[compare_docs(a, b, only, f"{path}[]") for a, b in zip(old, new)])
+    return {path} if json.dumps(old) != json.dumps(new) else set()
 
 
 def _eigenvalues(doc):
@@ -250,7 +254,7 @@ def main(argv):
             zip(*json.loads(Path(out).read_text(encoding="utf-8"))) for out in outs
         )
     verdicts = [(_verdict(a), _verdict(b)) for a, b in zip(old, new)]
-    both, differ, field_sets, only = [], [], 0, set()
+    both, differ, field_sets, only, by_field = [], [], 0, set(), Counter()
     for (label, _), a, b, v in zip(inputs, old, new, verdicts):
         if v == ("ok", "ok"):
             both.append((json.loads(a), json.loads(b)))
@@ -259,12 +263,15 @@ def main(argv):
             field_sets += bool(own)
             only |= own
         else:
-            changed = a != b
+            changed = {"(error)"} if a != b else set()
+        by_field.update(changed)
         if changed:
             differ.append(label)
     for label in differ[:10]:
         print(f"differs: {label}")
     print(f"{len(differ)} of {len(inputs)} inputs differ on shared fields")
+    print("inputs that differ in each shared field: "
+          + (", ".join(f"{path}: {count}" for path, count in sorted(by_field.items())) or "none"))
     print(f"{field_sets} of {len(both)} inputs that both trees decompose differ in their field sets")
     for side, tree in (("old", argv[1]), ("new", argv[2])):
         paths = sorted(path for s, path in only if s == side)

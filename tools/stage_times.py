@@ -8,17 +8,20 @@ built once, from this checkout: one matrix of the bench's dense recipe
 (``bench/workloads.grid_spectrum`` with n/4 pairs, basis condition cap
 1e6, rng ``[1, 5, n]``) for each n in SIZES.  Each tree then runs in
 its own subprocess with one BLAS thread.  There it first runs
-``eigensystem`` on M once with its stages wrapped, to take the
-arguments each stage is given there, and then times with
+``eigensystem`` on M once with its stages wrapped, to keep a copy of
+the arguments each stage is given there, and then times with
 ``perf_counter``, best of at least 5 passes that each call every stage
-once, and of as many more as fill one second per size:
+once, and of as many more as fill one second per size.  Every call gets
+a fresh copy of its recorded arguments, made before the clock starts,
+because a stage may work on them in place (``hessenberg_reduce`` and
+``real_schur`` reduce one work array), and a stage replayed on an array
+an earlier call already reduced does other work:
 
-- ``hessenberg_reduce`` on M scaled as ``eigensystem`` scales it
+- ``hessenberg_reduce`` on the work array ``eigensystem`` builds from M
 - ``real_schur`` on its output, with the number of Francis sweeps and
   of bulge steps (a sweep on the block [lo, hi] makes hi - lo of them)
 - ``right_eigenvectors`` on the Schur form
-- the inverse of the real eigenvector basis: ``eigensolve.basis_inverse``,
-  or ``densecore.inverse`` in a tree that predates it
+- ``basis_inverse``: the inverse of the real eigenvector basis
 - ``eigensolve.eigensystem`` of M: every stage above and what joins them
 - ``realdecomp.decompose`` of M
 - ``assembly``: ``realdecomp.decompose`` of M with ``eigensystem``
@@ -66,32 +69,31 @@ COLUMNS = (*STAGES, "us/step")
 
 # run as ``python -c`` in each tree: argv[1] is the inputs, argv[2] the output
 _CHILD = """
-import json, sys, time
+import copy, json, sys, time
+from functools import partial
 import numpy as np
-from geospectral import densecore, eigensolve, realdecomp, verify
+from geospectral import eigensolve, realdecomp, verify
 
-# the stages eigensystem calls, each timed on the arguments it is given there;
-# a tree that predates basis_inverse inverts the basis with densecore's LU
+# the stages eigensystem calls, each timed on copies of the arguments it is given there
 CALLED = {
     "hessenberg": (eigensolve, "hessenberg_reduce"),
     "schur": (eigensolve, "real_schur"),
     "right_vecs": (eigensolve, "right_eigenvectors"),
-    "basis_inv": (
-        (eigensolve, "basis_inverse") if hasattr(eigensolve, "basis_inverse")
-        else (densecore, "inverse")
-    ),
+    "basis_inv": (eigensolve, "basis_inverse"),
     "sweep": (eigensolve, "_francis_step"),
 }
 
 def record(m):
-    # run eigensystem(m) once with every stage wrapped; return each stage's
-    # first arguments, the number of calls of each and the bulge steps
+    # run eigensystem(m) once with every stage wrapped; return a copy of each
+    # stage's first arguments, as the stage got them, the number of calls of
+    # each and the bulge steps
     args, calls = {}, dict.fromkeys([*CALLED, "steps"], 0)
     saved = {key: getattr(mod, name) for key, (mod, name) in CALLED.items()}
 
     def wrap(key, fn):
         def stage(*given):
-            args.setdefault(key, given)
+            if key != "sweep" and key not in args:
+                args[key] = copy.deepcopy(given)
             calls[key] += 1
             if key == "sweep":  # _francis_step(a, lo, hi, r1, r2)
                 calls["steps"] += given[2] - given[1]
@@ -122,24 +124,25 @@ with np.load(sys.argv[1]) as inputs:
         m = inputs[key]
         args, calls = record(m)
         stages = {
-            key: (lambda fn=getattr(mod, name), given=args[key]: fn(*given))
+            key: (getattr(mod, name), args[key])
             for key, (mod, name) in CALLED.items()
             if key != "sweep"
         }
-        stages["eigensystem"] = lambda: eigensolve.eigensystem(m)
-        stages["decompose"] = lambda: realdecomp.decompose(m)
-        stages["assembly"] = lambda system=eigensolve.eigensystem(m): assembly(m, system)
-        stages["suite"] = lambda: verify.run_identity_suite(m)
-        stages["np_eig"] = lambda: np.linalg.eig(m)
+        stages["eigensystem"] = eigensolve.eigensystem, (m,)
+        stages["decompose"] = realdecomp.decompose, (m,)
+        stages["assembly"] = partial(assembly, system=eigensolve.eigensystem(m)), (m,)
+        stages["suite"] = verify.run_identity_suite, (m,)
+        stages["np_eig"] = np.linalg.eig, (m,)
         row = dict.fromkeys(stages, float("inf"))
         # each pass times every stage once, so a slow spell hits them alike;
         # small sizes get more passes, so that one spell cannot cover them all
         passes, until = 0, time.perf_counter() + 1.0
         while passes < 5 or time.perf_counter() < until:
             passes += 1
-            for name, fn in stages.items():
+            for name, (fn, recorded) in stages.items():
+                given = copy.deepcopy(recorded)  # fresh, outside the timed region
                 start = time.perf_counter()
-                fn()
+                fn(*given)
                 row[name] = min(row[name], (time.perf_counter() - start) * 1e3)
         rows.append(dict(row, n=m.shape[0], sweeps=calls["sweep"], steps=calls["steps"]))
 with open(sys.argv[2], "w", encoding="utf-8") as fh:
