@@ -266,14 +266,12 @@ def _check_rcond(dec):
     B_real and B_real^-1.  Each 1-norm is a sum of at most n nonnegative
     terms, which two summation orders give to within 2 (n - 1) u of each
     other (u = EPS / 2), and the product and reciprocal round twice more:
-    two rcond computations agree to about 2 n EPS, and twice that is allowed.
-    Terms whose 1-norms multiply to below 1 / DBL_MAX have no finite rcond,
-    and no stated value matches them."""
+    two rcond computations agree to about 2 n EPS, and twice that is allowed."""
     with np.errstate(over="ignore"):  # in rcond, and in cores the check does not read
         st = term_stacks(dec.real_terms, dec.plane_terms)
         rcond = rcond_1norm(st.right.T, real_basis_inverse(st))
     stated = dec.diagnostics.basis_rcond
-    if not (math.isfinite(rcond) and abs(stated - rcond) <= 4 * dec.dim * EPS * rcond):
+    if not abs(stated - rcond) <= 4 * dec.dim * EPS * rcond:
         raise ParseError(f"basis_rcond {stated!r} is not the terms' {float(rcond)!r}")
 
 

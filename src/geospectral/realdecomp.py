@@ -1,18 +1,14 @@
 """Real, coordinate-free spectral decomposition.
 
-Each complex-conjugate eigenvalue pair contributes one real "plane term"
+Each complex-conjugate eigenvalue pair sigma +- i omega contributes one
+real "plane term", built from the real/imaginary splits (b, p) and (d, q)
+of the right and left eigenvectors, with nu = (d.b)^2 + (q.b)^2.  Each
+real eigenvalue contributes the usual rank-one term alpha a c^T / (c.a).
+Their sum reconstructs the matrix.
 
-    (1/nu) (b^p) [ omega (d d^T + q q^T) - sigma (d^q) ]
-
-built from the real/imaginary splits (b, p) and (d, q) of the right and
-left eigenvectors, with nu = (d.b)^2 + (q.b)^2.  Each real eigenvalue
-contributes the usual rank-one term alpha a c^T / (c.a).  Their sum
-reconstructs the matrix.
-
-Every term is also a factored product U C V^T: U = [b p], V = [d q] and
-the 2x2 core C = J (U^T V)(omega I - sigma J) / nu with
-J = [[0, 1], [-1, 0]], an exact identity since b^p = U J U^T and the
-bracket is V (omega I - sigma J) V^T; a real term has U = a, V = c and
+Every term is computed as a factored product U C V^T: U = [b p],
+V = [d q] and the 2x2 core C = J (U^T V)(omega I - sigma J) / nu with
+J = [[0, 1], [-1, 0]]; a real term has U = a, V = c and
 C = [[alpha / c.a]].  Every term's factors are built in one pass from
 the rows of B_real^T and B_real^-1 in term order, which decompose has
 from the eigensystem and term_stacks gathers from the terms, and stay
@@ -21,8 +17,7 @@ and all cores, on eigenvalues divided by one exact power of two so no
 core overflows.  reconstruct, apply and decompose's residual are one
 product of these rows, real_canonical_form's B_real is their transpose,
 term_factors is their one-term case and verify's identity checks run on
-them; the explicit wedge forms, applied by associativity at O(n^2), stay
-as the reference.
+them.
 """
 
 import math
@@ -45,13 +40,21 @@ _NU_REL_FLOOR = 1e-24
 # a c.a or nu below the normal range is refused: above it, the core
 # (alpha / s) / c.a of an alpha / s < 2 is finite, and nu keeps full precision
 _TINY = float(np.finfo(float).tiny)
+# a sum of n squares at least this is exact to rounding: each square that
+# underflowed is off by at most 2^-1074
+_SQUARE_FLOOR = 2.0**-900
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def _norm(v):
-    """np.linalg.norm(v) as it computes it: one dot of v flattened."""
-    v = v.ravel("K")
-    return math.sqrt(v.dot(v))
+    """||v||_2 of v flattened, safe from overflow and underflow: one dot
+    (np.vdot, which raises no overflow warning) where the sum of squares is
+    finite and at least _SQUARE_FLOOR, else math.hypot, which scales its
+    arguments."""
+    square = float(np.vdot(v, v))
+    if _SQUARE_FLOOR <= square < math.inf:
+        return math.sqrt(square)
+    return math.hypot(*v.ravel().tolist())
 
 
 def _check_vectors(*vectors):
@@ -150,25 +153,6 @@ def nu(b, d, q):
     return value
 
 
-def plane_term_left_form(t):
-    """The plane term with the right-eigenvector wedge on the left, applied
-    by associativity as (b^p) X = b (p^T X) - p (b^T X).  Every outer
-    product, the wedge d^q = d q^T - q d^T among them, is one broadcast
-    product, so the form costs a few passes over n x n."""
-    d, q = t.d[:, None], t.q[:, None]
-    bracket = t.omega * (d * t.d + q * t.q) - t.sigma * (d * t.q - q * t.d)
-    return (t.b[:, None] * (t.p @ bracket) - t.p[:, None] * (t.b @ bracket)) / t.nu
-
-
-def plane_term_right_form(t):
-    """Equivalent form with the left-eigenvector wedge on the right, applied
-    as X (d^q) = (X d) q^T - (X q) d^T; equal to the left form whenever the
-    biorthogonality conditions hold."""
-    b, p = t.b[:, None], t.p[:, None]
-    bracket = t.omega * (b * t.b + p * t.p) - t.sigma * (b * t.p - p * t.b)
-    return ((bracket @ t.d)[:, None] * t.q - (bracket @ t.q)[:, None] * t.d) / t.nu
-
-
 def plane_core(sigma, omega, g, nu_value):
     """2x2 core C = J G (omega I - sigma J) / nu of the plane term U C V^T from
     the Gram G = U^T V, U = [b p], V = [d q]; exact for any b, p, d, q."""
@@ -244,24 +228,6 @@ def term_factors(t, s=1.0):
     return st.right.T, st.plane_cores[0], st.left.T
 
 
-def transpose_term(t):
-    """Swap the right and left planes; the resulting term's matrix is the
-    transpose of the original's.
-
-    The raw swap also flips the sign of omega; composing with the
-    conjugate-pair symmetry (negating both imaginary parts) restores the
-    omega > 0 representative.
-    """
-    return ComplexPlaneTerm(
-        sigma=t.sigma,
-        omega=t.omega,
-        b=t.d,
-        p=-t.q,
-        d=t.b,
-        q=-t.p,
-    )
-
-
 def decompose(m, tol=DEFAULT_TOL):
     """Decompose a real diagonalizable matrix into real rank-one terms and
     complex-pair plane terms.
@@ -321,13 +287,18 @@ def apply(dec, x):
     return (st.w.T @ (st.left @ x)) * st.s
 
 
+def real_block_form(alpha, sigma, omega):
+    """L_real: block diagonal with the alpha_i as scalars, then one
+    [[sigma_i, omega_i], [-omega_i, sigma_i]] block per pair."""
+    blocks = np.diag(np.concatenate((alpha, np.repeat(sigma, 2))))
+    i = len(alpha) + 2 * np.arange(len(sigma))
+    blocks[i, i + 1] = omega
+    blocks[i + 1, i] = -omega
+    return blocks
+
+
 def real_canonical_form(dec):
-    """Real similarity form: B_real columns are a_i then (b_i, p_i); L_real
-    is block diagonal with alpha_i scalars and [[sigma, omega], [-omega,
-    sigma]] blocks."""
+    """Real similarity form (B_real, L_real): B_real columns are a_i then
+    (b_i, p_i), and L_real is real_block_form of the terms' eigenvalues."""
     st = term_stacks(dec.real_terms, dec.plane_terms)
-    blocks = np.diag(np.concatenate((st.alpha, np.repeat(st.sigma, 2))))
-    i = len(st.alpha) + 2 * np.arange(len(st.sigma))
-    blocks[i, i + 1] = st.omega
-    blocks[i + 1, i] = -st.omega
-    return st.right.T, blocks
+    return st.right.T, real_block_form(st.alpha, st.sigma, st.omega)

@@ -10,7 +10,8 @@ runs once over all k pairs, on realdecomp.term_stacks' factors, the rows
 reconstruct and apply read (U, V and U C taken as (k, n, 2) views of
 them, the Grams and cores as (k, 2, 2)): eigen-action, biorthogonality, the
 annihilation column norms and the k x 100 phase factors.  Only the
-comparisons with the explicit wedge forms need an n x n array per pair
+comparisons with geoalg's explicit wedge forms, the reference code the
+production modules never call, need an n x n array per pair
 (form equality, the phase distance's U C V^T - left and transposition);
 they run one pair at a time in one reused (5, n, n) array, so the checks'
 extra memory stays O(n^2) whatever k is.  Random draws use numpy's PCG64
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import geoalg as ga
 from . import realdecomp as rd
 from .densecore import as_array, frobenius_norm, pow2_scale
 from .errors import GenerationError, GeoSpectralError, OracleInconsistencyError
@@ -102,19 +104,6 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
 
-def _canonical_blocks(spec):
-    n = spec.dim
-    l = np.zeros((n, n))
-    i = 0
-    for a in spec.real_eigs:
-        l[i, i] = a
-        i += 1
-    for s, w in spec.complex_pairs:
-        l[i:i + 2, i:i + 2] = [[s, w], [-w, s]]
-        i += 2
-    return l
-
-
 def gen_test_matrix(spec, orthogonal_basis=False):
     """M = B_real L_real B_real^{-1} for a seeded random basis.
 
@@ -124,7 +113,7 @@ def gen_test_matrix(spec, orthogonal_basis=False):
     """
     n = spec.dim
     rng = np.random.default_rng(np.random.PCG64(spec.basis_seed))
-    l = _canonical_blocks(spec)
+    l = rd.real_block_form(spec.real_eigs, *np.reshape(spec.complex_pairs, (-1, 2)).T)
     for _ in range(_RESAMPLE_CAP):
         b = rng.standard_normal((n, n))
         if orthogonal_basis:
@@ -203,8 +192,8 @@ def _form_comparisons(planes, w, v, wt, vt):
     left, diff, a, e, transposed = work
     norms, inner = np.empty((k, 5)), np.empty(k)
     for i, t in enumerate(planes):
-        left[...] = rd.plane_term_left_form(t)
-        np.subtract(left, rd.plane_term_right_form(t), out=diff)
+        left[...] = ga.plane_term_left_form(t)
+        np.subtract(left, ga.plane_term_right_form(t), out=diff)
         np.matmul(w[i], v[i].T, out=a)
         np.subtract(a, left, out=e)
         np.matmul(wt[i], vt[i].T, out=transposed)
@@ -227,7 +216,7 @@ def _decomposition_checks(m, dec):
         return checks
     k, n, first = len(planes), dec.dim, len(dec.real_terms)
     st = rd.term_stacks((), planes, 1.0)
-    tt = rd.term_stacks((), [rd.transpose_term(t) for t in planes], 1.0)
+    tt = rd.term_stacks((), [ga.transpose_term(t) for t in planes], 1.0)
     # each pair's U, V, U C and the transposed term's U C and V as (k, n, 2) views
     u, v, w, wt, vt = (np.swapaxes(x.reshape(k, 2, n), 1, 2)
                        for x in (st.right, st.left, st.w, tt.w, tt.left))

@@ -365,6 +365,16 @@ def test_report_nu_and_biorthogonality_are_recomputed():
     np.testing.assert_allclose(apply(loaded, x), _M3 @ x, rtol=1e-12)
     assert abs(t.d @ t.b - t.q @ t.p) <= 1e-15
     assert abs(t.q @ t.b + t.d @ t.p) <= 1e-15
+    # every right vector times 2^e and every left one times 2^-e state the
+    # same terms, nu and basis_rcond, and load as they do
+    for e in (-600, -515, 515, 600):
+        doc = _report_doc(_M3)
+        for term in doc["real_terms"] + doc["plane_terms"]:
+            for f in term.keys() & set("abpcdq"):
+                term[f] = (np.array(term[f]) * 2.0 ** (e if f in "abp" else -e)).tolist()
+        scaled = matio.doc_to_decomposition(doc)
+        assert scaled.plane_terms[0].nu == t.nu
+        np.testing.assert_array_equal(apply(scaled, x), apply(loaded, x))
 
 
 def test_contradicting_schema_1_report_rejected():

@@ -70,6 +70,16 @@ def test_closest_to_tolerance_measures_against_the_tolerance():
     # a check with no tolerance, or a residual that is not finite, is left out
     assert cr.closest_to_tolerance(labels[:2], tols[:2], [[np.inf, 1e-13], [0.0, np.inf]]) == {
         "transposition": (0.1, "rounding")}
+    # residuals compare bit for bit per check name, over the inputs whose
+    # suites on both trees report it: NaN matches NaN, -0.0 differs from 0.0
+    assert cr.residual_changes(tols, tols, old, new) == {"diagonalizable": (0, 2),
+                                                          "transposition": (2, 2)}
+    assert cr.residual_changes(tols, tols, old, old) == {"diagonalizable": (0, 2),
+                                                          "transposition": (0, 2)}
+    fewer = [checks[:1], checks, "ShapeError"]
+    assert cr.residual_changes(tols, fewer, [[np.nan, 1e-13], [0.0, 1e-13], "ShapeError"],
+                               [[np.nan], [-0.0, 1e-13], "ShapeError"]) == {
+        "diagonalizable": (1, 2), "transposition": (0, 1)}
 
 
 def test_stage_times_covers_a_size_without_bulge_steps(tmp_path):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from geospectral import geoalg as ga
 from geospectral import realdecomp as rd
 from geospectral import verify as vf
 from geospectral.densecore import frobenius_norm
@@ -10,15 +11,24 @@ from geospectral.errors import GenerationError, ShapeError
 
 
 def test_gen_identity_basis_cases():
-    # with condition_cap generous and seed fixed, spectrum survives exactly
-    # for spectra realized in an (effectively) diagonal way we check the
-    # canonical block builder directly
+    # the canonical block builder gen_test_matrix and real_canonical_form
+    # share, on a spectrum's eigenvalues as gen_test_matrix passes them
+    def blocks(spec):
+        return rd.real_block_form(spec.real_eigs, *np.reshape(spec.complex_pairs, (-1, 2)).T)
+
     spec = vf.PlantedSpectrum((1.0, 2.0, 3.0), (), basis_seed=0)
-    l = vf._canonical_blocks(spec)
-    np.testing.assert_array_equal(l, np.diag([1.0, 2.0, 3.0]))
+    np.testing.assert_array_equal(blocks(spec), np.diag([1.0, 2.0, 3.0]))
 
     spec = vf.PlantedSpectrum((), ((1.0, 2.0),), basis_seed=0)
-    np.testing.assert_array_equal(vf._canonical_blocks(spec), [[1.0, 2.0], [-2.0, 1.0]])
+    np.testing.assert_array_equal(blocks(spec), [[1.0, 2.0], [-2.0, 1.0]])
+
+    spec = vf.PlantedSpectrum((4.0,), ((1.0, 2.0), (-0.5, 0.25)), basis_seed=0)
+    expected = np.zeros((5, 5))
+    expected[0, 0] = 4.0
+    expected[1:3, 1:3] = [[1.0, 2.0], [-2.0, 1.0]]
+    expected[3:, 3:] = [[-0.5, 0.25], [-0.25, -0.5]]
+    np.testing.assert_array_equal(blocks(spec), expected)
+    assert blocks(vf.PlantedSpectrum((), (), basis_seed=0)).shape == (0, 0)
 
 
 def test_gen_round_trip_spectrum():
@@ -186,7 +196,7 @@ def test_phase_distance_matches_dense_rotation():
         pairs = [(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0)) for _ in range(n // 2)]
         spec = vf.PlantedSpectrum(rng.uniform(-2.0, 2.0, n % 2), pairs, basis_seed=n, condition_cap=cap)
         for t in rd.decompose(vf.gen_test_matrix(spec)).plane_terms:
-            left = rd.plane_term_left_form(t)
+            left = ga.plane_term_left_form(t)
             thetas = rng.uniform(0.0, 2.0 * np.pi, 100)
             fast = _fast_phase_distance(t, left, thetas)
             diff = np.abs(fast - _dense_phase_distance(t, left, thetas))
@@ -196,7 +206,7 @@ def test_phase_distance_matches_dense_rotation():
     for n in (2, 3, 7, 12):
         b, p, d, q = (rng.standard_normal(n) for _ in range(4))
         t = rd.ComplexPlaneTerm(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0), b, p, d, q)
-        left = rd.plane_term_left_form(t)
+        left = ga.plane_term_left_form(t)
         thetas = rng.uniform(0.0, 2.0 * np.pi, 100)
         dense = _dense_phase_distance(t, left, thetas)
         fast = _fast_phase_distance(t, left, thetas)
@@ -230,8 +240,8 @@ def _loop_checks(m, dec):
     rng = np.random.default_rng(np.random.PCG64(0xC0FFEE))
     form = eigact = annih = bio = phase = transp = 0.0
     for i, t in enumerate(dec.plane_terms):
-        left = rd.plane_term_left_form(t)
-        right = rd.plane_term_right_form(t)
+        left = ga.plane_term_left_form(t)
+        right = ga.plane_term_right_form(t)
         norm_t = frobenius_norm(left)
         form = max(form, _rel(frobenius_norm(left - right), norm_t))
 
@@ -259,7 +269,7 @@ def _loop_checks(m, dec):
         thetas = rng.uniform(0.0, 2.0 * np.pi, vf._PHASE_SAMPLES)
         phase = max(phase, _rel(_loop_phase_distance(t, u, c, v, left, thetas), norm_t).max())
 
-        ut, ct, vt = rd.term_factors(rd.transpose_term(t))
+        ut, ct, vt = rd.term_factors(ga.transpose_term(t))
         transp = max(transp, _rel(frobenius_norm(ut @ ct @ vt.T - left.T), norm_t))
 
     if dec.plane_terms:

@@ -38,7 +38,9 @@ how many identity-suite tolerance lists differ, how many of NEW_SRC's
 reports change in that round trip and how many of NEW_SRC's reports
 depend on the input's memory order, and how many inputs that both trees
 apply give different ``apply`` outputs, with the largest
-``||delta|| / (||M||_F ||x||)`` and its input.  For each check name it then prints
+``||delta|| / (||M||_F ||x||)`` and its input, and, for each check name,
+of the inputs whose suites on both trees report it, how many give
+residuals that differ bit for bit.  For each check name it then prints
 the largest residual / tolerance on each tree, with the input it came
 from: how close that tree came to flipping the check's verdict, measured
 against the tolerance, so that a residual at rounding level cannot
@@ -209,6 +211,23 @@ def closest_to_tolerance(labels, tols, residuals):
     return worst
 
 
+def residual_changes(old_tols, new_tols, old_res, new_res):
+    """{check name: (differ, both)}: of the inputs whose suites on both trees
+    report the check (a suite that raised, recorded as a string, reports
+    none), how many give residuals that differ bit for bit, compared as
+    JSON text, and how many there are."""
+    counts = {}
+    for tols_a, tols_b, a, b in zip(old_tols, new_tols, old_res, new_res):
+        if isinstance(a, str) or isinstance(b, str):
+            continue
+        theirs = {name: residual for (name, _), residual in zip(tols_b, b)}
+        for (name, _), residual in zip(tols_a, a):
+            if name in theirs:
+                differ, both = counts.get(name, (0, 0))
+                counts[name] = (differ + (json.dumps(residual) != json.dumps(theirs[name])), both + 1)
+    return counts
+
+
 def apply_changes(labels, old, new, scales):
     """(count, (ratio, label)): how many inputs have apply outputs on both
     trees (lists of floats; None where a tree did not decompose, an
@@ -291,6 +310,9 @@ def main(argv):
     changed, (ratio, where) = apply_changes(labels, old_apply, new_apply, scales)
     print(f"{changed} of {len(both)} inputs that both trees decompose differ in apply(dec, x); "
           f"largest |delta| / (||M||_F ||x||) {ratio:.3g} ({where})")
+    residuals = residual_changes(old_tols, new_tols, old_res, new_res)
+    print("identity-suite residuals that differ bit for bit: "
+          + (", ".join(f"{name}: {d} of {b}" for name, (d, b) in sorted(residuals.items())) or "none"))
     old_worst = closest_to_tolerance(labels, old_tols, old_res)
     new_worst = closest_to_tolerance(labels, new_tols, new_res)
     for name in sorted(old_worst.keys() | new_worst.keys()):
