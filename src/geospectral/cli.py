@@ -18,7 +18,7 @@ import numpy as np
 from . import densecore as dc
 from . import matio
 from .errors import ConvergenceError, GeoSpectralError, NotDiagonalizableError
-from .realdecomp import DEFAULT_TOL, decompose, real_basis_inverse, real_canonical_form, term_stacks
+from .realdecomp import DEFAULT_TOL, decompose, real_canonical_form
 from .verify import PlantedSpectrum, gen_test_matrix, run_identity_suite
 
 EXIT_OK = 0
@@ -114,8 +114,7 @@ def cmd_verify(args):
 def cmd_canonical(args):
     m = matio.parse_matrix(args.input, args.format)
     dec = decompose(m, _resolve_tol(args.tol))
-    b_real, l_real = real_canonical_form(dec)
-    b_inv = real_basis_inverse(term_stacks(dec.real_terms, dec.plane_terms))
+    b_real, l_real, b_inv = real_canonical_form(dec)
     # decompose's exact power-of-two scale keeps the norms finite at any |M|
     s = dc.pow2_scale(m)
     m_s = m / s
@@ -193,26 +192,25 @@ def build_parser():
         description="Real, coordinate-free spectral decomposition of real matrices",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # argument groups shared by subcommands, declared once
+    matrix = _Parser(add_help=False)
+    matrix.add_argument("input", help="matrix file (.mtx Matrix Market array or .csv)")
+    matrix.add_argument("--format", choices=[matio.FORMAT_MATRIX_MARKET, matio.FORMAT_CSV])
+    decomposition = _Parser(add_help=False)
+    decomposition.add_argument("--tol", type=_POSITIVE_FLOAT, default=None)
+    decomposition.add_argument("--output", "-o", default=None, help="JSON output path (default stdout)")
 
-    p = sub.add_parser("decompose", help="decompose a matrix into real and plane terms")
-    p.add_argument("input", help="matrix file (.mtx Matrix Market array or .csv)")
-    p.add_argument("--format", choices=[matio.FORMAT_MATRIX_MARKET, matio.FORMAT_CSV])
-    p.add_argument("--tol", type=_POSITIVE_FLOAT, default=None)
-    p.add_argument("--output", "-o", default=None, help="JSON report path (default stdout)")
+    p = sub.add_parser("decompose", parents=[matrix, decomposition],
+                       help="decompose a matrix into real and plane terms")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("verify", help="run the identity-check suite on a matrix")
-    p.add_argument("input")
-    p.add_argument("--format", choices=[matio.FORMAT_MATRIX_MARKET, matio.FORMAT_CSV])
+    p = sub.add_parser("verify", parents=[matrix], help="run the identity-check suite on a matrix")
     p.add_argument("--tol-scale", type=_POSITIVE_FLOAT, default=1.0,
                    help="multiply every check tolerance by this factor")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("canonical", help="emit the real canonical form B_real, L_real")
-    p.add_argument("input")
-    p.add_argument("--format", choices=[matio.FORMAT_MATRIX_MARKET, matio.FORMAT_CSV])
-    p.add_argument("--tol", type=_POSITIVE_FLOAT, default=None)
-    p.add_argument("--output", "-o", default=None, help="JSON output path (default stdout)")
+    p = sub.add_parser("canonical", parents=[matrix, decomposition],
+                       help="emit the real canonical form B_real, L_real")
     p.add_argument("--output-dir", default=None,
                    help="write B_real.mtx / L_real.mtx here instead of JSON")
     p.set_defaults(func=cmd_canonical)

@@ -22,8 +22,7 @@ from .realdecomp import (
     Diagnostics,
     RealTerm,
     SpectralDecomposition,
-    real_basis_inverse,
-    term_stacks,
+    real_canonical_form,
 )
 
 SCHEMA_VERSION = "2"
@@ -262,14 +261,15 @@ def doc_to_decomposition(doc):
 
 
 def _check_rcond(dec):
-    """Refuse a stated basis_rcond that is not rcond_1norm of the terms'
-    B_real and B_real^-1.  Each 1-norm is a sum of at most n nonnegative
-    terms, which two summation orders give to within 2 (n - 1) u of each
-    other (u = EPS / 2), and the product and reciprocal round twice more:
-    two rcond computations agree to about 2 n EPS, and twice that is allowed."""
+    """Refuse a stated basis_rcond that is not rcond_1norm of the first and
+    third factors real_canonical_form gives, B_real and B_real^-1.  Each
+    1-norm is a sum of at most n nonnegative terms, which two summation
+    orders give to within 2 (n - 1) u of each other (u = EPS / 2), and the
+    product and reciprocal round twice more: two rcond computations agree
+    to about 2 n EPS, and twice that is allowed."""
     with np.errstate(over="ignore"):  # in rcond, and in cores the check does not read
-        st = term_stacks(dec.real_terms, dec.plane_terms)
-        rcond = rcond_1norm(st.right.T, real_basis_inverse(st))
+        b_real, _, b_inv = real_canonical_form(dec)
+        rcond = rcond_1norm(b_real, b_inv)
     stated = dec.diagnostics.basis_rcond
     if not abs(stated - rcond) <= 4 * dec.dim * EPS * rcond:
         raise ParseError(f"basis_rcond {stated!r} is not the terms' {float(rcond)!r}")

@@ -15,9 +15,8 @@ from the eigensystem and term_stacks gathers from the terms, and stay
 rows: TermStacks holds every U^T, V^T and (U C)^T as (j + 2k, n) arrays
 and all cores, on eigenvalues divided by one exact power of two so no
 core overflows.  reconstruct, apply and decompose's residual are one
-product of these rows, real_canonical_form's B_real is their transpose,
-term_factors is their one-term case and verify's identity checks run on
-them.
+product of these rows, real_canonical_form reads B_real, L_real and
+B_real^-1 off them and verify's identity checks run on them.
 """
 
 import math
@@ -92,8 +91,10 @@ class RealTerm:
 @dataclass(frozen=True)
 class ComplexPlaneTerm:
     """One conjugate pair's plane data: eigenvalue sigma + i omega, right
-    split (b, p) and left split (d, q); the normalization nu is computed
-    from b, d and q once, on construction."""
+    split (b, p) and left split (d, q), and the normalization
+    nu = (d.b)^2 + (q.b)^2, computed once, on construction.  A nu that is
+    not finite, below the normal range or at most
+    _NU_REL_FLOOR (|d| |b| + |q| |b|)^2 raises DegeneratePairError."""
 
     sigma: float
     omega: float
@@ -107,8 +108,18 @@ class ComplexPlaneTerm:
         if not (math.isfinite(self.sigma) and 0.0 < self.omega < math.inf):
             raise ShapeError(f"plane term needs a finite sigma and finite omega > 0, "
                              f"got {self.sigma}, {self.omega}")
-        _check_vectors(self.b, self.p, self.d, self.q)
-        object.__setattr__(self, "nu", nu(self.b, self.d, self.q))
+        norm_b, _, norm_d, norm_q = _check_vectors(self.b, self.p, self.d, self.q)
+        db, qb = float(np.add.reduce(self.d * self.b)), float(np.add.reduce(self.q * self.b))
+        try:
+            value = db ** 2 + qb ** 2
+        except OverflowError:  # a square above the float range
+            value = math.inf
+        root = norm_d * norm_b + norm_q * norm_b
+        # the floor as (floor root) root overflows only where it exceeds every
+        # finite nu; a NaN fails the comparisons, so it is refused too
+        if not (_NU_REL_FLOOR * root * root < value < math.inf and value >= _TINY):
+            raise DegeneratePairError(f"nu = {value:.3e} below degeneracy floor or not finite")
+        object.__setattr__(self, "nu", value)
 
 
 @dataclass(frozen=True)
@@ -139,20 +150,6 @@ class SpectralDecomposition:
         return len(self.real_terms) + 2 * len(self.plane_terms)
 
 
-def nu(b, d, q):
-    """Normalization (d.b)^2 + (q.b)^2 of a plane term, for float vectors
-    of one shape (as _check_vectors passes them); a value at most
-    _NU_REL_FLOOR (|d| |b| + |q| |b|)^2, or below the normal range, raises
-    DegeneratePairError."""
-    value = float(np.add.reduce(d * b)) ** 2 + float(np.add.reduce(q * b)) ** 2
-    norm_b = _norm(b)
-    scale = (_norm(d) * norm_b + _norm(q) * norm_b) ** 2
-    # a NaN fails the comparisons, so it is refused too
-    if not (value > _NU_REL_FLOOR * scale and value >= _TINY):
-        raise DegeneratePairError(f"nu = {value:.3e} below degeneracy floor")
-    return value
-
-
 def plane_core(sigma, omega, g, nu_value):
     """2x2 core C = J G (omega I - sigma J) / nu of the plane term U C V^T from
     the Gram G = U^T V, U = [b p], V = [d q]; exact for any b, p, d, q."""
@@ -164,9 +161,9 @@ class TermStacks:
     """Every term's factors as (j + 2k, n) rows in term order: right is
     B_real^T (each a, then each pair's b, p), left the left factors (each c,
     then each pair's d, q) and w = (U C)^T's rows (a times its core, C^T [b; p]
-    for a pair), so the terms' sum over s is w^T left; the real cores as (j,),
-    the pairs' Grams U^T V and cores as (k, 2, 2), and the eigenvalues and nu
-    as read off the terms.  Each core is on the eigenvalues divided by s."""
+    for a pair), so the terms' sum over s is w^T left; the pairs' Grams U^T V
+    and cores as (k, 2, 2), and the eigenvalues and nu as read off the
+    terms.  Each core is on the eigenvalues divided by s."""
 
     s: float
     alpha: np.ndarray
@@ -176,7 +173,6 @@ class TermStacks:
     right: np.ndarray
     left: np.ndarray
     w: np.ndarray
-    real_cores: np.ndarray
     gram: np.ndarray
     plane_cores: np.ndarray
 
@@ -208,24 +204,7 @@ def _stacks(s, alpha, sigma, omega, nu_, right, left):
                        nu_[:, None, None])
     w = np.concatenate((right[:j] * real_cores[:, None],
                         (np.swapaxes(cores, 1, 2) @ ut).reshape(2 * k, n)))
-    return TermStacks(s, alpha, sigma, omega, nu_, right, left, w, real_cores, gram, cores)
-
-
-def real_basis_inverse(st):
-    """B_real^-1 from TermStacks st: the left factors as rows, each pair's
-    doubled, so its rows are c_i, 2 d_i and 2 q_i as eigensystem's basis_inv."""
-    return st.left * np.repeat([1.0, 2.0], [len(st.alpha), 2 * len(st.sigma)])[:, None]
-
-
-def term_factors(t, s=1.0):
-    """(U, C, V) with the term's matrix divided by s equal to U C V^T: n x 1
-    factors and C = [[(alpha / s) / c.a]] for a real term, n x 2 and
-    plane_core on (sigma / s, omega / s) for a pair; term_stacks of one term."""
-    if isinstance(t, RealTerm):
-        st = term_stacks((t,), (), s)
-        return st.right.T, st.real_cores[:, None], st.left.T
-    st = term_stacks((), (t,), s)
-    return st.right.T, st.plane_cores[0], st.left.T
+    return TermStacks(s, alpha, sigma, omega, nu_, right, left, w, gram, cores)
 
 
 def decompose(m, tol=DEFAULT_TOL):
@@ -298,7 +277,10 @@ def real_block_form(alpha, sigma, omega):
 
 
 def real_canonical_form(dec):
-    """Real similarity form (B_real, L_real): B_real columns are a_i then
-    (b_i, p_i), and L_real is real_block_form of the terms' eigenvalues."""
+    """Real similarity form (B_real, L_real, B_real^-1) from one TermStacks:
+    B_real's columns are a_i then (b_i, p_i), L_real is real_block_form of
+    the terms' eigenvalues, and B_real^-1 is the left factors as rows, each
+    pair's doubled (c_i, 2 d_i, 2 q_i, as eigensystem's basis_inv)."""
     st = term_stacks(dec.real_terms, dec.plane_terms)
-    return st.right.T, real_block_form(st.alpha, st.sigma, st.omega)
+    doubled = np.repeat([1.0, 2.0], [len(st.alpha), 2 * len(st.sigma)])[:, None]
+    return st.right.T, real_block_form(st.alpha, st.sigma, st.omega), st.left * doubled

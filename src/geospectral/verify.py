@@ -6,9 +6,10 @@ back-substitution).  The complex eigendecomposition here, LAPACK dgeev
 through numpy, is a different algorithm and exists purely to cross-check
 it.  The identity checks evaluate the plane terms' factors U C V^T, each
 against a fixed relative tolerance that one scale multiplies.  Every check
-runs once over all k pairs, on realdecomp.term_stacks' factors, the rows
-reconstruct and apply read (U, V and U C taken as (k, n, 2) views of
-them, the Grams and cores as (k, 2, 2)): eigen-action, biorthogonality, the
+runs once over all k pairs, on one realdecomp.term_stacks of the
+decomposition's terms, the rows reconstruct and apply read (B_real as
+their transpose, each pair's U, V and U C as (k, n, 2) views of its rows,
+the Grams and cores as (k, 2, 2)): eigen-action, biorthogonality, the
 annihilation column norms and the k x 100 phase factors.  Only the
 comparisons with geoalg's explicit wedge forms, the reference code the
 production modules never call, need an n x n array per pair
@@ -215,10 +216,11 @@ def _decomposition_checks(m, dec):
     if not planes:
         return checks
     k, n, first = len(planes), dec.dim, len(dec.real_terms)
-    st = rd.term_stacks((), planes, 1.0)
+    st = rd.term_stacks(dec.real_terms, planes, 1.0)
     tt = rd.term_stacks((), [ga.transpose_term(t) for t in planes], 1.0)
-    # each pair's U, V, U C and the transposed term's U C and V as (k, n, 2) views
-    u, v, w, wt, vt = (np.swapaxes(x.reshape(k, 2, n), 1, 2)
+    # each pair's U, V, U C and the transposed term's U C and V as (k, n, 2)
+    # views of the pairs' rows, the last 2k
+    u, v, w, wt, vt = (np.swapaxes(x[-2 * k:].reshape(k, 2, n), 1, 2)
                        for x in (st.right, st.left, st.w, tt.w, tt.left))
     g, c, nu = st.gram, st.plane_cores, st.nu
     norms, inner = _form_comparisons(planes, w, v, wt, vt)
@@ -237,7 +239,7 @@ def _decomposition_checks(m, dec):
 
     # [d q]^T against every column of B_real, where each pair's own two
     # columns are masked out
-    basis, _ = rd.real_canonical_form(dec)
+    basis = st.right.T
     vb = np.swapaxes(v, 1, 2) @ basis
     others = np.ones((k, n), dtype=bool)
     mine = first + 2 * np.arange(k)

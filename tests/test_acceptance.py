@@ -237,7 +237,7 @@ def test_criterion_10_real_canonical_form(corpus):
     items, _ = corpus
     worst = 0.0
     for m, dec in items:
-        b_real, l_real = rd.real_canonical_form(dec)
+        b_real, l_real, _ = rd.real_canonical_form(dec)
         resid = frobenius_norm(b_real @ l_real @ np.linalg.inv(b_real) - m)
         worst = max(worst, resid / frobenius_norm(m))
     _report(10, "B_real L_real B_real^-1 similarity over the corpus", worst, 1e-9)

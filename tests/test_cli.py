@@ -8,7 +8,7 @@ from geospectral import eigensolve, matio
 from geospectral.cli import main
 from geospectral.densecore import rcond_1norm
 from geospectral.errors import DegeneratePairError, ParseError, ShapeError
-from geospectral.realdecomp import apply, decompose, nu, real_canonical_form
+from geospectral.realdecomp import ComplexPlaneTerm, apply, decompose, real_canonical_form
 from geospectral.verify import PlantedSpectrum, gen_test_matrix
 from test_properties import Case
 
@@ -173,7 +173,7 @@ def test_canonical_output_dir(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["canonical", str(path), "--output-dir", str(out)]) == 0
     printed = capsys.readouterr().out.splitlines()
-    b_real, l_real = real_canonical_form(decompose(m))
+    b_real, l_real, _ = real_canonical_form(decompose(m))
     np.testing.assert_array_equal(matio.parse_matrix(str(out / "B_real.mtx")), b_real)
     np.testing.assert_array_equal(matio.parse_matrix(str(out / "L_real.mtx")), l_real)
     assert printed == [
@@ -360,7 +360,7 @@ def test_report_nu_and_biorthogonality_are_recomputed():
     dec = decompose(_M3)
     loaded = matio.doc_to_decomposition(_report_doc(_M3))
     (t,) = loaded.plane_terms
-    assert t.nu == dec.plane_terms[0].nu == nu(t.b, t.d, t.q)
+    assert t.nu == dec.plane_terms[0].nu == ComplexPlaneTerm(t.sigma, t.omega, t.b, t.p, t.d, t.q).nu
     x = np.ones(3)
     np.testing.assert_allclose(apply(loaded, x), _M3 @ x, rtol=1e-12)
     assert abs(t.d @ t.b - t.q @ t.p) <= 1e-15
@@ -479,18 +479,32 @@ def test_report_without_a_finite_basis_rcond_rejected():
         matio.doc_to_decomposition(doc)
 
 
+def _scaled_pair_doc(scales):
+    """The [[1, 2], [-2, 1]] report with b, p, d, q times scales and the
+    terms' own basis_rcond."""
+    doc = _report_doc(np.array([[1.0, 2.0], [-2.0, 1.0]]))
+    (t,) = doc["plane_terms"]
+    t.update({f: (scale * np.array(t[f])).tolist() for f, scale in zip("bpdq", scales)})
+    b, p, d, q = (np.array(t[f]) for f in "bpdq")
+    doc["diagnostics"]["basis_rcond"] = float(rcond_1norm(np.array([b, p]).T, 2.0 * np.array([d, q])))
+    return doc
+
+
 def test_report_with_a_subnormal_nu_rejected():
     # b, p, d, q times 1e-80 give nu = 2.5e-321, and a basis_rcond near 1e160
     # that is the terms' own, so only the plane term's nu gate refuses it
-    doc = _report_doc(np.array([[1.0, 2.0], [-2.0, 1.0]]))
-    (t,) = doc["plane_terms"]
-    t.update({f: (1e-80 * np.array(t[f])).tolist() for f in "bpdq"})
-    b, p, d, q = (np.array(t[f]) for f in "bpdq")
-    rcond = float(rcond_1norm(np.array([b, p]).T, 2.0 * np.array([d, q])))
-    assert rcond > 1e159
-    doc["diagnostics"]["basis_rcond"] = rcond
+    doc = _scaled_pair_doc([1e-80] * 4)
+    assert doc["diagnostics"]["basis_rcond"] > 1e159
     with pytest.raises(DegeneratePairError, match="nu"):
         matio.doc_to_decomposition(doc)
+    # (b, p) times 2^e alone states the same term with nu = 2^(2e - 2):
+    # loaded up to e = 512, refused as not finite from 513 on
+    for e in (511, 512):
+        (t,) = matio.doc_to_decomposition(_scaled_pair_doc([2.0**e] * 2 + [1.0] * 2)).plane_terms
+        assert t.nu == 2.0 ** (2 * e - 2)
+    for e in (513, 600):
+        with pytest.raises(DegeneratePairError, match="nu = inf"):
+            matio.doc_to_decomposition(_scaled_pair_doc([2.0**e] * 2 + [1.0] * 2))
 
 
 def test_report_writes_the_declared_keys():

@@ -35,7 +35,7 @@ def test_biorthogonality_residual_pipeline():
 
 
 def test_nu_hand_example():
-    assert rd.nu(E1, E1, E2) == 1.0
+    assert rd.ComplexPlaneTerm(1.0, 2.0, E1, E2, E1, E2).nu == 1.0
 
 
 def test_nu_degenerate():
@@ -43,13 +43,14 @@ def test_nu_degenerate():
     d = np.array([1.0, 0.0, 0.0])
     q = np.array([0.0, 1.0, 0.0])
     with pytest.raises(DegeneratePairError):
-        rd.nu(b, d, q)
+        rd.ComplexPlaneTerm(1.0, 2.0, b, d, d, q)
 
 
 def test_nu_homogeneity():
     rng = np.random.default_rng(0)
-    b, d, q = (rng.standard_normal(4) for _ in range(3))
-    assert rd.nu(3.0 * b, 2.0 * d, 2.0 * q) == pytest.approx(36.0 * rd.nu(b, d, q))
+    b, p, d, q = (rng.standard_normal(4) for _ in range(4))
+    scaled = rd.ComplexPlaneTerm(1.0, 2.0, 3.0 * b, p, 2.0 * d, 2.0 * q)
+    assert scaled.nu == pytest.approx(36.0 * rd.ComplexPlaneTerm(1.0, 2.0, b, p, d, q).nu)
 
 
 def _unit_term(sigma, omega):
@@ -108,20 +109,13 @@ def test_plane_forms_match_outer_and_wedge():
         np.testing.assert_array_equal(ga.plane_term_right_form(t), outer_right(t))
 
 
-def _dense(t):
-    u, c, v = rd.term_factors(t)
-    return u @ c @ v.T
-
-
 def test_real_rank_one_term():
-    t = rd.RealTerm(2.0, np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-    np.testing.assert_array_equal(_dense(t), [[2.0, 2.0], [0.0, 0.0]])
-
-    t = rd.RealTerm(0.0, np.array([1.0, 2.0]), np.array([3.0, 1.0]))
-    np.testing.assert_array_equal(_dense(t), np.zeros((2, 2)))
-
-    t = rd.RealTerm(5.0, E1, E1)
-    np.testing.assert_array_equal(_dense(t), np.diag([5.0, 0.0]))
+    # the term's matrix is its one-term stacks' w^T left
+    for alpha, a, c, want in ((2.0, E1, [1.0, 1.0], [[2.0, 2.0], [0.0, 0.0]]),
+                              (0.0, [1.0, 2.0], [3.0, 1.0], np.zeros((2, 2))),
+                              (5.0, E1, E1, np.diag([5.0, 0.0]))):
+        st = rd.term_stacks((rd.RealTerm(alpha, np.array(a), np.array(c)),), (), 1.0)
+        np.testing.assert_array_equal(st.w.T @ st.left, want)
 
 
 def test_plane_term_factors_match_left_form():
@@ -133,8 +127,9 @@ def test_plane_term_factors_match_left_form():
             b, p, d, q = (rng.standard_normal(n) for _ in range(4))
             sigma, omega = rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0)
             t = rd.ComplexPlaneTerm(sigma, omega, b, p, d, q)
+            st = rd.term_stacks((), (t,), 1.0)
             left = ga.plane_term_left_form(t)
-            assert frobenius_norm(_dense(t) - left) <= 1e-13 * frobenius_norm(left)
+            assert frobenius_norm(st.w.T @ st.left - left) <= 1e-13 * frobenius_norm(left)
 
 
 def test_real_term_degenerate_pairing_rejected():
@@ -167,12 +162,23 @@ def test_term_with_subnormal_c_a_or_nu_rejected():
         with pytest.raises(DegeneratePairError, match="c.a"):
             rd.RealTerm(1.0, np.array([r, 0.0]), np.array([1e-13, 1.0]) / r)
         assert rd.ComplexPlaneTerm(t.sigma, t.omega, r * t.b, r * t.p, t.d / r, t.q / r).nu == t.nu
+    # (b, p) -> 2^e (b, p) alone leaves the term's matrix as it is and scales
+    # nu = 1/4 by 2^2e: finite up to e = 512, where only the degeneracy
+    # floor's (|d| |b| + |q| |b|)^2 would overflow, and refused from 513 on
+    for e in (511, 512):
+        r = 2.0**e
+        assert rd.ComplexPlaneTerm(t.sigma, t.omega, r * t.b, r * t.p, t.d, t.q).nu == t.nu * r * r
+    for e in (513, 600):
+        r = 2.0**e
+        with pytest.raises(DegeneratePairError, match="nu = inf"):
+            rd.ComplexPlaneTerm(t.sigma, t.omega, r * t.b, r * t.p, t.d, t.q)
 
 
 def test_plane_term_computes_nu():
     rng = np.random.default_rng(6)
     b, p, d, q = (rng.standard_normal(5) for _ in range(4))
-    assert rd.ComplexPlaneTerm(0.5, 1.5, b, p, d, q).nu == rd.nu(b, d, q)
+    nu = float(np.add.reduce(d * b)) ** 2 + float(np.add.reduce(q * b)) ** 2
+    assert rd.ComplexPlaneTerm(0.5, 1.5, b, p, d, q).nu == nu
 
 
 def test_plane_term_vectors_must_share_shape():
@@ -181,8 +187,11 @@ def test_plane_term_vectors_must_share_shape():
 
 
 def test_nu_rejects_nan():
-    with pytest.raises(DegeneratePairError):
-        rd.nu(np.array([np.nan, 1.0]), E1, E2)
+    # finite vectors whose products d_i b_i overflow to +inf and -inf: d.b
+    # and so nu are NaN
+    b, d, q = np.array([2.0**600, 2.0**600]), np.array([2.0**600, -(2.0**600)]), np.array([1.0, -1.0])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DegeneratePairError, match="nu = nan"):
+        rd.ComplexPlaneTerm(1.0, 2.0, b, E2, d, q)
 
 
 @pytest.mark.parametrize(
@@ -393,26 +402,27 @@ def test_decomposition_derives_dim():
 
 def test_real_canonical_form_hand_cases():
     m = np.array([[1.0, 2.0], [-2.0, 1.0]])
-    b_real, l_real = rd.real_canonical_form(rd.decompose(m))
+    b_real, l_real, _ = rd.real_canonical_form(rd.decompose(m))
     np.testing.assert_allclose(l_real, m, atol=1e-12)
     # b is a unit complex phase of (e1 + i e2); columns stay orthonormal
     np.testing.assert_allclose(b_real @ b_real.T, np.eye(2) / 2.0, atol=1e-12)
 
-    b_real, l_real = rd.real_canonical_form(rd.decompose(np.diag([5.0, 6.0])))
+    b_real, l_real, _ = rd.real_canonical_form(rd.decompose(np.diag([5.0, 6.0])))
     np.testing.assert_allclose(l_real, np.diag([5.0, 6.0]), atol=1e-12)
 
     m = np.zeros((3, 3))
     m[0, 0] = 4.0
     m[1:, 1:] = [[0.0, 1.0], [-1.0, 0.0]]
-    _, l_real = rd.real_canonical_form(rd.decompose(m))
+    _, l_real, _ = rd.real_canonical_form(rd.decompose(m))
     np.testing.assert_allclose(l_real, m, atol=1e-12)
 
 
 def test_real_canonical_form_similarity():
     for m, dec in _pipeline_terms(range(5)):
-        b_real, l_real = rd.real_canonical_form(dec)
-        resid = frobenius_norm(b_real @ l_real @ np.linalg.inv(b_real) - m)
-        assert resid <= 1e-9 * frobenius_norm(m)
+        b_real, l_real, b_inv = rd.real_canonical_form(dec)
+        for inverse in (np.linalg.inv(b_real), b_inv):
+            resid = frobenius_norm(b_real @ l_real @ inverse - m)
+            assert resid <= 1e-9 * frobenius_norm(m)
 
 
 def test_transpose_term():
@@ -479,8 +489,8 @@ def test_conjugate_pair_symmetry():
     for _, dec in _pipeline_terms(range(3)):
         for t in dec.plane_terms:
             base = ga.plane_term_left_form(t)
-            u, _, v = rd.term_factors(t)
-            u, v = u * flip, v * flip
+            st = rd.term_stacks((), (t,), 1.0)
+            u, v = st.right.T * flip, st.left.T * flip
             conj = u @ rd.plane_core(t.sigma, -t.omega, u.T @ v, t.nu) @ v.T
             assert frobenius_norm(conj - base) <= 1e-12 * frobenius_norm(base)
 
@@ -539,15 +549,6 @@ def _assert_stacks_match_loop(dec):
         assert got.flags.c_contiguous
         np.testing.assert_array_equal(got, want)
     right, left, w = refs
-    # term_factors is the one-term case of the same build
-    i = 0
-    for t in dec.real_terms + dec.plane_terms:
-        u1, c1, v1 = rd.term_factors(t, s)
-        rows = slice(i, i + u1.shape[1])
-        np.testing.assert_array_equal(u1.T, right[rows])
-        np.testing.assert_array_equal(v1.T, left[rows])
-        np.testing.assert_array_equal(c1.T @ u1.T, w[rows])
-        i = rows.stop
     x = np.random.default_rng(dec.dim).standard_normal(dec.dim)
     np.testing.assert_array_equal(rd.apply(dec, x), (w.T @ (left @ x)) * s)
     np.testing.assert_array_equal(rd.reconstruct(dec), (w.T @ left) * s)
@@ -598,12 +599,14 @@ def test_term_stacks_edge_cases(m):
     j, k, n = len(dec.real_terms), len(dec.plane_terms), dec.dim
     st = rd.term_stacks(dec.real_terms, dec.plane_terms)
     assert st.right.shape == st.left.shape == st.w.shape == (n, n)
-    assert st.alpha.shape == st.real_cores.shape == (j,)
+    assert st.alpha.shape == (j,)
     assert st.gram.shape == st.plane_cores.shape == (k, 2, 2) and st.nu.shape == (k,)
     _assert_stacks_match_loop(dec)
-    b_real, l_real = rd.real_canonical_form(dec)
-    assert b_real.shape == l_real.shape == (n, n)
+    b_real, l_real, b_inv = rd.real_canonical_form(dec)
+    assert b_real.shape == l_real.shape == b_inv.shape == (n, n)
     np.testing.assert_allclose(b_real @ l_real @ np.linalg.inv(b_real), m, atol=1e-12)
+    np.testing.assert_allclose(b_real @ l_real @ b_inv, m, atol=1e-12)
+    np.testing.assert_allclose(b_inv @ b_real, np.eye(n), atol=1e-12)
 
 
 def test_loaded_decomposition_applies_the_same_bits():
@@ -614,6 +617,8 @@ def test_loaded_decomposition_applies_the_same_bits():
         for x in np.random.default_rng(1).standard_normal((5, dec.dim)):
             np.testing.assert_array_equal(rd.apply(loaded, x), rd.apply(dec, x))
         np.testing.assert_array_equal(rd.reconstruct(loaded), rd.reconstruct(dec))
+        for got, want in zip(rd.real_canonical_form(loaded), rd.real_canonical_form(dec)):
+            assert _bits(got) == _bits(want)
 
 
 @pytest.mark.parametrize("e", [-1000, 1000])
@@ -713,19 +718,23 @@ def test_decompose_matches_per_term_reference_edge_cases(m, j, k, monkeypatch):
 
 
 def _assert_canonical_reads_the_eigensystem(m, path, monkeypatch):
-    """real_canonical_form's B_real is the eigensystem's basis and
-    cmd_canonical's B_real^-1 its basis_inv, bit for bit."""
+    """real_canonical_form's B_real, L_real and B_real^-1 are the
+    eigensystem's basis, real_block_form of its eigenvalues and its
+    basis_inv, bit for bit, and cmd_canonical reads these factors."""
     system = eg.eigensystem(m)
-    b_real, _ = rd.real_canonical_form(rd.decompose(m))
-    assert _bits(b_real) == _bits(system.basis)
+    lam = system.eigenvalues
+    j = len(lam) - np.count_nonzero(lam.imag)
+    want = (system.basis, rd.real_block_form(lam.real[:j], lam.real[j:], lam.imag[j:]),
+            system.basis_inv)
+    assert list(map(_bits, rd.real_canonical_form(rd.decompose(m)))) == list(map(_bits, want))
     matio.write_matrix_market(path / "m.mtx", m)
-    inverses = []
+    forms = []
     with monkeypatch.context() as mp:
-        mp.setattr(cli, "real_basis_inverse",
-                   lambda st: inverses.append(rd.real_basis_inverse(st)) or inverses[-1])
+        mp.setattr(cli, "real_canonical_form",
+                   lambda dec: forms.append(rd.real_canonical_form(dec)) or forms[-1])
         assert cli.main(["canonical", str(path / "m.mtx"), "--output-dir", str(path)]) == 0
-    [b_inv] = inverses
-    assert _bits(b_inv) == _bits(system.basis_inv)
+    [form] = forms
+    assert list(map(_bits, form)) == list(map(_bits, want))
 
 
 def test_canonical_reads_the_eigensystem_corpus(tmp_path, monkeypatch, capsys):

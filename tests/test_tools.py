@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import shutil
 import sys
 from pathlib import Path
@@ -150,3 +151,21 @@ def test_stage_times_gives_each_call_the_arguments_eigensystem_gave(tmp_path):
     np.savez(inputs_path, n00=m)
     [row] = st.run_tree(tree, str(inputs_path), str(tmp_path / "out.json"))
     assert all(np.isfinite(row[stage]) for stage in st.STAGES)
+
+
+def test_compare_reports_child_records_canonical_output(tmp_path):
+    # the child writes each input to a .mtx file and records what
+    # ``geospectral canonical`` gives: the exit code and the JSON text, or
+    # the error line (a 0 x 0 Matrix Market file does not parse)
+    cr = _import_tool("compare_reports")
+    pair = np.array([[1.0, 2.0], [-2.0, 1.0]])
+    inputs_path = tmp_path / "inputs.npz"
+    np.savez(inputs_path, m0000=pair, x0000=np.ones(2), m0001=np.zeros((0, 0)), x0001=np.ones(0))
+    out = tmp_path / "out.json"
+    assert cr.run_tree(ROOT / "src", str(inputs_path), str(out)).wait() == 0
+    [*_, (code, text)], [*_, (empty_code, line)] = json.loads(out.read_text(encoding="utf-8"))
+    doc = json.loads(text)
+    assert code == 0 and set(doc) == {"schema_version", "B_real", "L_real", "similarity_residual"}
+    assert doc["L_real"] == pair.tolist() and doc["similarity_residual"] <= 1e-15
+    assert empty_code == 1 and line.startswith("error: ") and "0x0" in line
+    assert not list(tmp_path.glob("*.mtx"))

@@ -122,8 +122,8 @@ def test_suite_identity_matrix():
 
 def test_empty_matrix_canonical_form_and_suite():
     empty = np.zeros((0, 0))
-    b_real, l_real = rd.real_canonical_form(rd.decompose(empty))
-    assert b_real.shape == l_real.shape == (0, 0)
+    b_real, l_real, b_inv = rd.real_canonical_form(rd.decompose(empty))
+    assert b_real.shape == l_real.shape == b_inv.shape == (0, 0)
     assert vf.run_identity_suite(empty).overall
 
 
@@ -175,15 +175,16 @@ def _dense_phase_distance(t, left, thetas):
         c, s = np.cos(theta), np.sin(theta)
         b, p = c * t.b - s * t.p, s * t.b + c * t.p
         d, q = c * t.d - s * t.q, s * t.d + c * t.q
-        u, core, v = rd.term_factors(rd.ComplexPlaneTerm(t.sigma, t.omega, b, p, d, q))
-        out.append(frobenius_norm(u @ core @ v.T - left))
+        st = rd.term_stacks((), (rd.ComplexPlaneTerm(t.sigma, t.omega, b, p, d, q),), 1.0)
+        out.append(frobenius_norm(st.right.T @ st.plane_cores[0] @ st.left - left))
     return np.array(out)
 
 
 def _fast_phase_distance(t, left, thetas):
     # the suite's evaluation for one pair: A = U C V^T against left, then
     # every rotation from the Gram alone
-    u, c, v = rd.term_factors(t)
+    st = rd.term_stacks((), (t,), 1.0)
+    u, c, v = st.right.T, st.plane_cores[0], st.left.T
     a = u @ c @ v.T
     e = a - left
     norm_a, inner, norm_e = (np.array([x]) for x in (frobenius_norm(a), np.vdot(a, e), frobenius_norm(e)))
@@ -235,7 +236,7 @@ def _loop_checks(m, dec):
     oracle = vf.brute_force_reconstruct(m)
     checks.append(("oracle_agreement", _rel(frobenius_norm(oracle - recon), norm_m)))
 
-    basis, _ = rd.real_canonical_form(dec)
+    basis, _, _ = rd.real_canonical_form(dec)
     first = len(dec.real_terms)
     rng = np.random.default_rng(np.random.PCG64(0xC0FFEE))
     form = eigact = annih = bio = phase = transp = 0.0
@@ -245,7 +246,8 @@ def _loop_checks(m, dec):
         norm_t = frobenius_norm(left)
         form = max(form, _rel(frobenius_norm(left - right), norm_t))
 
-        u, c, v = rd.term_factors(t)
+        st = rd.term_stacks((), (t,), 1.0)
+        u, c, v = st.right.T, st.plane_cores[0], st.left.T
         block = np.array([[t.sigma, t.omega], [-t.omega, t.sigma]])
         act_r = u @ (c @ (v.T @ u)) - u @ block
         act_l = v @ (c.T @ (u.T @ v)) - v @ block.T
@@ -269,8 +271,9 @@ def _loop_checks(m, dec):
         thetas = rng.uniform(0.0, 2.0 * np.pi, vf._PHASE_SAMPLES)
         phase = max(phase, _rel(_loop_phase_distance(t, u, c, v, left, thetas), norm_t).max())
 
-        ut, ct, vt = rd.term_factors(ga.transpose_term(t))
-        transp = max(transp, _rel(frobenius_norm(ut @ ct @ vt.T - left.T), norm_t))
+        tt = rd.term_stacks((), (ga.transpose_term(t),), 1.0)
+        transposed = tt.right.T @ tt.plane_cores[0] @ tt.left
+        transp = max(transp, _rel(frobenius_norm(transposed - left.T), norm_t))
 
     if dec.plane_terms:
         checks.append(("form_equality", form))

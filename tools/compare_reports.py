@@ -21,7 +21,12 @@ the report, loaded by ``matio.doc_to_decomposition`` and dumped again,
 comes back byte for byte, whether a C-ordered copy of the input (most
 inputs are built Fortran-ordered) gives the same report, and the read
 side: ``realdecomp.apply(dec, x)`` for one seeded standard-normal x per
-input, the same x for both trees.
+input, the same x for both trees.  Last, it writes the input to a
+Matrix Market file in a temporary directory of its own and records what
+``cli.main(["canonical", path, "-o", out])`` gives: the exit code and the
+JSON text, or the error line.  The child calls only names that every
+tree has (``cli.main`` and ``matio.write_matrix_market``), so trees whose
+``real_canonical_form`` return different tuples compare alike.
 
 Two JSON reports are compared on the fields both carry, recursively and
 value by value as JSON text, ignoring ``schema_version``; a field that
@@ -40,11 +45,13 @@ depend on the input's memory order, and how many inputs that both trees
 apply give different ``apply`` outputs, with the largest
 ``||delta|| / (||M||_F ||x||)`` and its input, and, for each check name,
 of the inputs whose suites on both trees report it, how many give
-residuals that differ bit for bit.  For each check name it then prints
+residuals that differ bit for bit, and how many inputs' ``canonical``
+outputs differ.  For each check name it then prints
 the largest residual / tolerance on each tree, with the input it came
 from: how close that tree came to flipping the check's verdict, measured
 against the tolerance, so that a residual at rounding level cannot
-dominate.  It exits 1 if any input differs on shared fields.
+dominate.  It exits 1 if any input differs on shared fields or in its
+``canonical`` output.
 """
 
 import json
@@ -69,9 +76,9 @@ _POOL_PAIR = ((0.0, 1.0), (1.0, 2.0))
 
 # run as ``python -c`` in each tree: argv[1] is the inputs, argv[2] the output
 _CHILD = """
-import io, json, sys
+import contextlib, io, json, os, sys, tempfile
 import numpy as np
-from geospectral import matio, realdecomp, verify
+from geospectral import cli, matio, realdecomp, verify
 
 def dump(dec):
     text = io.StringIO()
@@ -91,8 +98,23 @@ def applied(dec, x):
     except Exception as exc:
         return type(exc).__name__
 
+def canonical(m, key):
+    matio.write_matrix_market(key + ".mtx", m)
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["canonical", key + ".mtx", "-o", key + ".json"])
+    except Exception as exc:
+        return [None, f"{type(exc).__name__}: {exc}"]
+    if code != 0:
+        return [code, err.getvalue().strip()]
+    with open(key + ".json", encoding="utf-8") as fh:
+        return [code, fh.read()]
+
+inputs_path, out_path = map(os.path.abspath, sys.argv[1:3])
 out = []
-with np.load(sys.argv[1]) as inputs:
+with np.load(inputs_path) as inputs, tempfile.TemporaryDirectory() as work:
+    os.chdir(work)  # canonical's files, under the same relative names in every tree
     for key in sorted(k for k in inputs.files if k.startswith("m")):
         report, dec = report_of(inputs[key])
         same_in_c_order = report_of(np.ascontiguousarray(inputs[key]))[0] == report
@@ -110,8 +132,9 @@ with np.load(sys.argv[1]) as inputs:
             residuals = [c.residual for c in checks]
         except Exception as exc:
             suite = tolerances = residuals = type(exc).__name__
-        out.append([report, suite, tolerances, residuals, round_trip, same_in_c_order, action])
-with open(sys.argv[2], "w", encoding="utf-8") as fh:
+        out.append([report, suite, tolerances, residuals, round_trip, same_in_c_order, action,
+                    canonical(inputs[key], key)])
+with open(out_path, "w", encoding="utf-8") as fh:
     json.dump(out, fh)
 """
 
@@ -268,8 +291,8 @@ def main(argv):
         if any([p.wait() != 0 for p in procs]):
             print("a tree failed to run; see its traceback above", file=sys.stderr)
             return 1
-        (old, old_suite, old_tols, old_res, _, _, old_apply), (
-            new, new_suite, new_tols, new_res, new_trips, new_layout, new_apply) = (
+        (old, old_suite, old_tols, old_res, _, _, old_apply, old_canon), (
+            new, new_suite, new_tols, new_res, new_trips, new_layout, new_apply, new_canon) = (
             zip(*json.loads(Path(out).read_text(encoding="utf-8"))) for out in outs
         )
     verdicts = [(_verdict(a), _verdict(b)) for a, b in zip(old, new)]
@@ -313,13 +336,15 @@ def main(argv):
     residuals = residual_changes(old_tols, new_tols, old_res, new_res)
     print("identity-suite residuals that differ bit for bit: "
           + (", ".join(f"{name}: {d} of {b}" for name, (d, b) in sorted(residuals.items())) or "none"))
+    canon = sum(a != b for a, b in zip(old_canon, new_canon))
+    print(f"{canon} of {len(inputs)} inputs differ in their canonical output")
     old_worst = closest_to_tolerance(labels, old_tols, old_res)
     new_worst = closest_to_tolerance(labels, new_tols, new_res)
     for name in sorted(old_worst.keys() | new_worst.keys()):
         sides = [f"{w[name][0]:.3g} ({w[name][1]})" if name in w else "none"
                  for w in (old_worst, new_worst)]
         print(f"{name}: largest residual / tolerance {sides[0]} -> {sides[1]}")
-    return 1 if differ else 0
+    return 1 if differ or canon else 0
 
 
 if __name__ == "__main__":
