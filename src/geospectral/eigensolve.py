@@ -80,16 +80,13 @@ class EigenSystem:
     right eigenvector, for each pair.  The matching rows of basis_inv are
     c_i and (2 d_i, 2 q_i), where (d_i, q_i) is the left eigenvector scaled
     so that d_i^dag b_j = delta_ij; basis_inv is Y_r^-1 Z^T (basis_inverse),
-    and basis_rcond its 1-norm reciprocal condition with basis.  M was
-    reduced divided by scale = pow2_scale(M), then by scaled_norm.
+    and basis_rcond its 1-norm reciprocal condition with basis.
     """
 
     eigenvalues: np.ndarray
     basis: np.ndarray
     basis_inv: np.ndarray
     basis_rcond: float
-    scale: float
-    scaled_norm: float
 
 
 def _house_vec(x):
@@ -489,7 +486,7 @@ def eigensystem(m):
     m_s = m / s
     norm_m = dc.frobenius_norm(m_s)
     if norm_m == 0.0:
-        return EigenSystem(np.zeros(n, dtype=complex), np.eye(n), np.eye(n), 1.0, s, 0.0)
+        return EigenSystem(np.zeros(n, dtype=complex), np.eye(n), np.eye(n), 1.0)
     # the one work array of both reductions: [M / (s norm_m) | I] becomes
     # [H | Q^T], then [T | Z^T]
     a = np.concatenate((m_s / norm_m, np.eye(n)), axis=1)
@@ -511,4 +508,4 @@ def eigensystem(m):
     rcond = dc.rcond_1norm(basis, basis_inv)
     if not rcond >= _RCOND_MIN:
         raise NotDiagonalizableError(f"eigenvector basis rcond {rcond:.3e}")
-    return EigenSystem(np.concatenate((lam[:j], lam[j::2])), basis, basis_inv, rcond, s, norm_m)
+    return EigenSystem(np.concatenate((lam[:j], lam[j::2])), basis, basis_inv, rcond)

@@ -10,6 +10,7 @@ which re-parse bit for bit.
 
 import csv
 import hashlib
+import io
 import json
 import math
 
@@ -50,7 +51,8 @@ def detect_format(path):
 
 
 def parse_matrix(path, fmt=None):
-    """Parse a dense real square matrix from a file."""
+    """Parse a dense real square matrix from a UTF-8 file whose entries are
+    decimal floats in ASCII, without Python's '_' digit separators."""
     fmt = fmt or detect_format(path)
     if fmt is None:
         raise ParseError(f"cannot infer format of '{path}'; pass it explicitly")
@@ -65,8 +67,28 @@ def parse_matrix(path, fmt=None):
     return as_array(m, 2)
 
 
+def _read_text(path):
+    """The file's text; a byte that is not UTF-8 raises ParseError naming the
+    file and the line of the first such byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"'{path}' is not UTF-8 text", line=line) from None
+
+
+def _plain(text):
+    """Whether text has no '_' and no non-ASCII character, which int() and
+    float() also read (digit separators, other scripts' digits)."""
+    return text.isascii() and "_" not in text
+
+
 def _parse_float(text, lineno):
     try:
+        if not _plain(text):
+            raise ValueError(text)
         x = float(text)
     except ValueError as exc:
         raise ParseError(f"bad number '{text}'", line=lineno) from exc
@@ -76,8 +98,7 @@ def _parse_float(text, lineno):
 
 
 def _parse_matrix_market(path):
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise ParseError("empty file", line=1)
     header = lines[0].strip().lower().split()
@@ -97,6 +118,8 @@ def _parse_matrix_market(path):
     if len(parts) != 2:
         raise ParseError(f"bad size line '{size_line}'", line=lineno)
     try:
+        if not _plain(size_line):
+            raise ValueError(size_line)
         rows, cols = int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise ParseError(f"bad size line '{size_line}'", line=lineno) from exc
@@ -118,7 +141,7 @@ def _parse_matrix_market(path):
 def _parse_csv(path):
     rows = []
     width = None
-    with open(path, newline="", encoding="utf-8") as fh:
+    with io.StringIO(_read_text(path), newline="") as fh:  # as csv wants a file
         for lineno, record in enumerate(csv.reader(fh), start=1):
             if not record or (len(record) == 1 and not record[0].strip()):
                 continue

@@ -9,14 +9,15 @@ Their sum reconstructs the matrix.
 Every term is computed as a factored product U C V^T: U = [b p],
 V = [d q] and the 2x2 core C = J (U^T V)(omega I - sigma J) / nu with
 J = [[0, 1], [-1, 0]]; a real term has U = a, V = c and
-C = [[alpha / c.a]].  Every term's factors are built in one pass from
-the rows of B_real^T and B_real^-1 in term order, which decompose has
-from the eigensystem and term_stacks gathers from the terms, and stay
-rows: TermStacks holds every U^T, V^T and (U C)^T as (j + 2k, n) arrays
-and all cores, on eigenvalues divided by one exact power of two so no
-core overflows.  reconstruct, apply and decompose's residual are one
-product of these rows, real_canonical_form reads B_real, L_real and
-B_real^-1 off them and verify's identity checks run on them.
+C = [[alpha / c.a]].  term_stacks builds every term's factors in one
+pass from one gather of the terms' vectors, and they stay rows in term
+order: TermStacks holds every U^T, V^T and (U C)^T as (j + 2k, n) arrays
+and all cores, on the terms' eigenvalues divided by their own exact
+power of two s, so no core overflows and the stacks are one function of
+the terms.  reconstruct, apply and decompose's residual (on the terms it
+returns) are one product of these rows, real_canonical_form reads
+B_real, L_real and B_real^-1 off them and verify's identity checks run
+on them.
 """
 
 import math
@@ -161,9 +162,11 @@ class TermStacks:
     """Every term's factors as (j + 2k, n) rows in term order: right is
     B_real^T (each a, then each pair's b, p), left the left factors (each c,
     then each pair's d, q) and w = (U C)^T's rows (a times its core, C^T [b; p]
-    for a pair), so the terms' sum over s is w^T left; the pairs' Grams U^T V
+    for a pair), so the terms' sum is (w^T left) s; the pairs' Grams U^T V
     and cores as (k, 2, 2), and the eigenvalues and nu as read off the
-    terms.  Each core is on the eigenvalues divided by s."""
+    terms.  Each core is on the eigenvalues divided by s, the power of two
+    with s <= the largest |alpha|, |sigma| or omega < 2s (0.5 if none is
+    nonzero)."""
 
     s: float
     alpha: np.ndarray
@@ -177,25 +180,17 @@ class TermStacks:
     plane_cores: np.ndarray
 
 
-def term_stacks(real_terms, plane_terms, s=None):
-    """TermStacks of the terms from one gather of their vectors; s defaults
-    to the power of two with s <= the largest |alpha|, |sigma| or omega < 2s."""
-    k = len(plane_terms)
+def term_stacks(real_terms, plane_terms):
+    """TermStacks of the terms from one gather of their vectors: the j real
+    terms' a or c, then each pair's (b, p) or (d, q)."""
+    j, k = len(real_terms), len(plane_terms)
     right = [t.a for t in real_terms] + [v for t in plane_terms for v in (t.b, t.p)]
     left = [t.c for t in real_terms] + [v for t in plane_terms for v in (t.d, t.q)]
     n = len(right[0]) if right else 0
+    right, left = (np.array(rows).reshape(len(rows), n) for rows in (right, left))
     alpha = np.array([t.alpha for t in real_terms], dtype=float)
     sigma, omega, nu_ = np.array([(t.sigma, t.omega, t.nu) for t in plane_terms]).reshape(k, 3).T
-    if s is None:
-        s = dc.pow2_scale(np.concatenate((alpha, sigma, omega)))
-    return _stacks(s, alpha, sigma, omega, nu_,
-                   *(np.array(rows).reshape(len(rows), n) for rows in (right, left)))
-
-
-def _stacks(s, alpha, sigma, omega, nu_, right, left):
-    """TermStacks from the rows of B_real^T and the left factors in term
-    order: the j real terms' a or c, then each pair's (b, p) or (d, q)."""
-    j, k, n = len(alpha), len(sigma), right.shape[1]
+    s = dc.pow2_scale(np.concatenate((alpha, sigma, omega)))
     real_cores = alpha / s / np.add.reduce(left[:j] * right[:j], axis=1)
     # (k, b p, n) and (k, d q, n): the pairs' U^T and V^T
     ut, vt = right[j:].reshape(k, 2, n), left[j:].reshape(k, 2, n)
@@ -234,12 +229,12 @@ def decompose(m, tol=DEFAULT_TOL):
     real_terms = tuple(map(RealTerm, alpha.tolist(), right[:j], left[:j]))
     plane_terms = tuple(map(ComplexPlaneTerm, sigma.tolist(), omega.tolist(),
                             right[j::2], right[j + 1::2], left[j::2], left[j + 1::2]))
-    nu_ = np.array([t.nu for t in plane_terms])
-    # w^T left against M / s, s a power of two with s <= max|m_ij| < 2s: the
-    # cores take the eigenvalues over s and left the conditioning, so nothing overflows
-    s = system.scale
-    st = _stacks(s, alpha, sigma, omega, nu_, right, left)
-    resid = frobenius_norm(st.w.T @ st.left - m / s) / (system.scaled_norm or 1.0)
+    # w^T left against M / s, on the stacks of the terms returned: the cores
+    # take the eigenvalues over s and left the conditioning, and the rcond gate
+    # keeps ||M||_1 within 1e12 ||L_real||_1, so nothing overflows
+    st = term_stacks(real_terms, plane_terms)
+    m_s = m / st.s
+    resid = frobenius_norm(st.w.T @ st.left - m_s) / (frobenius_norm(m_s) or 1.0)
     if not math.isfinite(resid):
         raise AccuracyError(resid, tol)
     if resid > tol:

@@ -9,15 +9,16 @@ against a fixed relative tolerance that one scale multiplies.  Every check
 runs once over all k pairs, on one realdecomp.term_stacks of the
 decomposition's terms, the rows reconstruct and apply read (B_real as
 their transpose, each pair's U, V and U C as (k, n, 2) views of its rows,
-the Grams and cores as (k, 2, 2)): eigen-action, biorthogonality, the
-annihilation column norms and the k x 100 phase factors.  Only the
-comparisons with geoalg's explicit wedge forms, the reference code the
-production modules never call, need an n x n array per pair
-(form equality, the phase distance's U C V^T - left and transposition);
-they run one pair at a time in one reused (5, n, n) array, so the checks'
-extra memory stays O(n^2) whatever k is.  Random draws use numpy's PCG64
-generator with explicit seeds so reports reproduce bit-for-bit across
-platforms.
+the Grams and cores as (k, 2, 2), U C and the cores multiplied back by
+the stacks' power of two s, which is exact): eigen-action,
+biorthogonality, the annihilation column norms and the k x 100 phase
+factors.  Only the comparisons with geoalg's explicit wedge forms, the
+reference code the production modules never call, need an n x n array
+per pair (form equality, the phase distance's U C V^T - left and
+transposition); they run one pair at a time in one reused (5, n, n)
+array, so the checks' extra memory stays O(n^2) whatever k is.  Random
+draws use numpy's PCG64 generator with explicit seeds so reports
+reproduce bit-for-bit across platforms.
 """
 
 import time
@@ -110,11 +111,14 @@ def gen_test_matrix(spec, orthogonal_basis=False):
 
     The basis is resampled (up to 100 times) until its condition number
     fits under the cap; with orthogonal_basis=True the basis is the Q
-    factor of a seeded Gaussian draw, producing a normal matrix.
+    factor of a seeded Gaussian draw, producing a normal matrix.  An empty
+    spectrum gives the 0 x 0 matrix on either path.
     """
     n = spec.dim
     rng = np.random.default_rng(np.random.PCG64(spec.basis_seed))
     l = rd.real_block_form(spec.real_eigs, *np.reshape(spec.complex_pairs, (-1, 2)).T)
+    if n == 0:  # np.linalg.cond is not defined on an empty basis
+        return l
     for _ in range(_RESAMPLE_CAP):
         b = rng.standard_normal((n, n))
         if orthogonal_basis:
@@ -216,13 +220,14 @@ def _decomposition_checks(m, dec):
     if not planes:
         return checks
     k, n, first = len(planes), dec.dim, len(dec.real_terms)
-    st = rd.term_stacks(dec.real_terms, planes, 1.0)
-    tt = rd.term_stacks((), [ga.transpose_term(t) for t in planes], 1.0)
+    st = rd.term_stacks(dec.real_terms, planes)
+    tt = rd.term_stacks((), [ga.transpose_term(t) for t in planes])
     # each pair's U, V, U C and the transposed term's U C and V as (k, n, 2)
-    # views of the pairs' rows, the last 2k
+    # views of the pairs' rows, the last 2k; the cores and U C times s, which
+    # is exact, s being a power of two
     u, v, w, wt, vt = (np.swapaxes(x[-2 * k:].reshape(k, 2, n), 1, 2)
-                       for x in (st.right, st.left, st.w, tt.w, tt.left))
-    g, c, nu = st.gram, st.plane_cores, st.nu
+                       for x in (st.right, st.left, st.w * st.s, tt.w * tt.s, tt.left))
+    g, c, nu = st.gram, st.plane_cores * st.s, st.nu
     norms, inner = _form_comparisons(planes, w, v, wt, vt)
     norm_t, form, norm_a, norm_e, transp = norms.T
 

@@ -141,16 +141,39 @@ _MM = "%%MatrixMarket matrix array real general\n"
         ("word.mtx", _MM + "1 1\nabc\n", "bad number", 3),
         ("blank.csv", "\n\n", "no data rows", 1),
         ("m.txt", "1\n", "cannot infer format", None),
+        # bytes that are not UTF-8: a UTF-16 byte-order mark, a Latin-1 degree sign
+        ("utf16.mtx", b"\xff\xfe%\x00%\x00", "is not UTF-8 text", 1),
+        ("utf16.csv", b"\xff\xfe1\x00,\x002\x00", "is not UTF-8 text", 1),
+        ("latin1.csv", b"1,2\n3,\xb04\n", "is not UTF-8 text", 2),
+        # tokens only Python's int() and float() read: digit separators and
+        # other scripts' digits
+        ("separator.csv", "1_0,2\n3,4\n", "bad number '1_0'", 1),
+        ("arabic.csv", "1,2\n\u0661,4\n".encode(), "bad number", 2),
+        ("fullwidth.mtx", (_MM + "1 1\n\uff14\n").encode(), "bad number", 3),
+        ("sizesep.mtx", _MM + "1_0 1\n1\n", "bad size line", 2),
     ],
 )
 def test_parse_errors_name_their_line(tmp_path, capsys, name, text, message, line):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(ParseError, match=message) as err:
         matio.parse_matrix(str(path))
     assert err.value.line == line
     assert main(["decompose", str(path)]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_parse_reads_plain_numbers_and_non_ascii_comments(tmp_path):
+    tokens = ["+2", ".5", "5.", "1e-3", "-0.0", "1E+300", repr(0.1), repr(-2.5e-310), repr(1e16)]
+    want = np.array([float(t) for t in tokens]).reshape(3, 3)
+    mtx = tmp_path / "m.mtx"
+    column_major = [tokens[3 * r + c] for c in range(3) for r in range(3)]
+    mtx.write_bytes((_MM + "% \u00e9t\u00e9, \u0661\n3 3\n" + "\n".join(column_major) + "\n").encode())
+    csv = tmp_path / "m.csv"
+    csv.write_text("\n".join(",".join(tokens[i:i + 3]) for i in (0, 3, 6)) + "\n")
+    for path in (mtx, csv):
+        got = matio.parse_matrix(str(path))
+        assert got.tobytes() == want.tobytes()
 
 
 def test_unknown_format_and_schema_rejected(rotation_csv):

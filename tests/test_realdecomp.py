@@ -114,8 +114,8 @@ def test_real_rank_one_term():
     for alpha, a, c, want in ((2.0, E1, [1.0, 1.0], [[2.0, 2.0], [0.0, 0.0]]),
                               (0.0, [1.0, 2.0], [3.0, 1.0], np.zeros((2, 2))),
                               (5.0, E1, E1, np.diag([5.0, 0.0]))):
-        st = rd.term_stacks((rd.RealTerm(alpha, np.array(a), np.array(c)),), (), 1.0)
-        np.testing.assert_array_equal(st.w.T @ st.left, want)
+        st = rd.term_stacks((rd.RealTerm(alpha, np.array(a), np.array(c)),), ())
+        np.testing.assert_array_equal((st.w.T @ st.left) * st.s, want)
 
 
 def test_plane_term_factors_match_left_form():
@@ -127,9 +127,9 @@ def test_plane_term_factors_match_left_form():
             b, p, d, q = (rng.standard_normal(n) for _ in range(4))
             sigma, omega = rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0)
             t = rd.ComplexPlaneTerm(sigma, omega, b, p, d, q)
-            st = rd.term_stacks((), (t,), 1.0)
+            st = rd.term_stacks((), (t,))
             left = ga.plane_term_left_form(t)
-            assert frobenius_norm(st.w.T @ st.left - left) <= 1e-13 * frobenius_norm(left)
+            assert frobenius_norm((st.w.T @ st.left) * st.s - left) <= 1e-13 * frobenius_norm(left)
 
 
 def test_real_term_degenerate_pairing_rejected():
@@ -489,7 +489,7 @@ def test_conjugate_pair_symmetry():
     for _, dec in _pipeline_terms(range(3)):
         for t in dec.plane_terms:
             base = ga.plane_term_left_form(t)
-            st = rd.term_stacks((), (t,), 1.0)
+            st = rd.term_stacks((), (t,))
             u, v = st.right.T * flip, st.left.T * flip
             conj = u @ rd.plane_core(t.sigma, -t.omega, u.T @ v, t.nu) @ v.T
             assert frobenius_norm(conj - base) <= 1e-12 * frobenius_norm(base)
@@ -628,6 +628,13 @@ def test_apply_and_reconstruct_scale_exactly(e):
         x = np.random.default_rng(2).standard_normal(dec.dim)
         np.testing.assert_array_equal(rd.apply(scaled, x), rd.apply(dec, x) * 2.0**e)
         np.testing.assert_array_equal(rd.reconstruct(scaled), rd.reconstruct(dec) * 2.0**e)
+        # the stacks are on the eigenvalues' own power of two, so only s moves
+        st, st_scaled = (rd.term_stacks(d.real_terms, d.plane_terms) for d in (dec, scaled))
+        assert st_scaled.s == st.s * 2.0**e
+        for name in ("right", "left", "w", "gram", "plane_cores"):
+            assert _bits(getattr(st_scaled, name)) == _bits(getattr(st, name)), name
+        assert (_bits(scaled.diagnostics.reconstruction_residual)
+                == _bits(dec.diagnostics.reconstruction_residual))
 
 
 def _reference_decompose(m):
@@ -645,9 +652,8 @@ def _reference_decompose(m):
         else:
             b, p, d, q = right[i], right[i + 1], rows[i] / 2.0, rows[i + 1] / 2.0
             plane_terms.append(rd.ComplexPlaneTerm(lam.real, lam.imag, b, p, d, q))
-    s = pow2_scale(m)
-    st = rd.term_stacks(real_terms, plane_terms, s)
-    m_s = m / s
+    st = rd.term_stacks(real_terms, plane_terms)
+    m_s = m / st.s
     resid = frobenius_norm(st.w.T @ st.left - m_s) / (frobenius_norm(m_s) or 1.0)
     return system, real_terms, plane_terms, st, resid
 
@@ -659,9 +665,9 @@ def _bits(x):
 
 def _assert_decompose_matches_reference(m, monkeypatch):
     stacks = []
-    build = rd._stacks
+    build = rd.term_stacks
     with monkeypatch.context() as mp:
-        mp.setattr(rd, "_stacks", lambda *args: stacks.append(build(*args)) or stacks[-1])
+        mp.setattr(rd, "term_stacks", lambda *args: stacks.append(build(*args)) or stacks[-1])
         dec = rd.decompose(m)
     system, real_terms, plane_terms, st, resid = _reference_decompose(m)
     assert len(dec.real_terms) == len(real_terms) and len(dec.plane_terms) == len(plane_terms)
@@ -681,6 +687,11 @@ def _assert_decompose_matches_reference(m, monkeypatch):
         assert _bits(got) == _bits(value), name
         if np.ndim(value) >= 2 and value.size:
             assert got.flags.c_contiguous and got.strides == value.strides, name
+    # the stacks the residual was checked on are those every reader rebuilds
+    # from the returned terms, scale included
+    again = rd.term_stacks(dec.real_terms, dec.plane_terms)
+    for name, value in vars(again).items():
+        assert _bits(getattr(st_dec, name)) == _bits(value), name
     assert _bits(dec.diagnostics.reconstruction_residual) == _bits(resid)
     assert _bits(dec.diagnostics.basis_rcond) == _bits(system.basis_rcond)
     return dec
@@ -773,7 +784,7 @@ def test_decompose_refuses_a_degenerate_term_from_the_eigensystem(eigenvalues, b
     # decompose builds its terms with the checking constructors, so a term
     # the eigensolver got wrong is refused, not returned
     system = eg.EigenSystem(np.array(eigenvalues, dtype=complex), np.eye(2),
-                            np.array(basis_inv), 1.0, 1.0, 1.0)
+                            np.array(basis_inv), 1.0)
     monkeypatch.setattr(eg, "eigensystem", lambda m: system)
     with pytest.raises(DegeneratePairError):
         rd.decompose(np.eye(2))

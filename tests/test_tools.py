@@ -163,7 +163,12 @@ def test_compare_reports_child_records_canonical_output(tmp_path):
     np.savez(inputs_path, m0000=pair, x0000=np.ones(2), m0001=np.zeros((0, 0)), x0001=np.ones(0))
     out = tmp_path / "out.json"
     assert cr.run_tree(ROOT / "src", str(inputs_path), str(out)).wait() == 0
-    [*_, (code, text)], [*_, (empty_code, line)] = json.loads(out.read_text(encoding="utf-8"))
+    [*_, recon, (code, text)], [*_, empty_recon, (empty_code, line)] = json.loads(
+        out.read_text(encoding="utf-8"))
+    # reconstruct(dec) beside the apply record: the pair back to rounding,
+    # and the 0 x 0 matrix as an empty list
+    assert np.linalg.norm(np.subtract(recon, pair)) <= 1e-15 * np.linalg.norm(pair)
+    assert empty_recon == []
     doc = json.loads(text)
     assert code == 0 and set(doc) == {"schema_version", "B_real", "L_real", "similarity_residual"}
     assert doc["L_real"] == pair.tolist() and doc["similarity_residual"] <= 1e-15

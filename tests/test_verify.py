@@ -29,6 +29,12 @@ def test_gen_identity_basis_cases():
     expected[3:, 3:] = [[-0.5, 0.25], [-0.25, -0.5]]
     np.testing.assert_array_equal(blocks(spec), expected)
     assert blocks(vf.PlantedSpectrum((), (), basis_seed=0)).shape == (0, 0)
+    # both basis paths give the empty matrix, which decomposes into no terms
+    for orthogonal in (False, True):
+        m = vf.gen_test_matrix(vf.PlantedSpectrum((), (), basis_seed=0), orthogonal_basis=orthogonal)
+        assert m.shape == (0, 0)
+        dec = rd.decompose(m)
+        assert dec.real_terms == () and dec.plane_terms == ()
 
 
 def test_gen_round_trip_spectrum():
@@ -175,16 +181,16 @@ def _dense_phase_distance(t, left, thetas):
         c, s = np.cos(theta), np.sin(theta)
         b, p = c * t.b - s * t.p, s * t.b + c * t.p
         d, q = c * t.d - s * t.q, s * t.d + c * t.q
-        st = rd.term_stacks((), (rd.ComplexPlaneTerm(t.sigma, t.omega, b, p, d, q),), 1.0)
-        out.append(frobenius_norm(st.right.T @ st.plane_cores[0] @ st.left - left))
+        st = rd.term_stacks((), (rd.ComplexPlaneTerm(t.sigma, t.omega, b, p, d, q),))
+        out.append(frobenius_norm(st.right.T @ (st.plane_cores[0] * st.s) @ st.left - left))
     return np.array(out)
 
 
 def _fast_phase_distance(t, left, thetas):
     # the suite's evaluation for one pair: A = U C V^T against left, then
     # every rotation from the Gram alone
-    st = rd.term_stacks((), (t,), 1.0)
-    u, c, v = st.right.T, st.plane_cores[0], st.left.T
+    st = rd.term_stacks((), (t,))
+    u, c, v = st.right.T, st.plane_cores[0] * st.s, st.left.T
     a = u @ c @ v.T
     e = a - left
     norm_a, inner, norm_e = (np.array([x]) for x in (frobenius_norm(a), np.vdot(a, e), frobenius_norm(e)))
@@ -246,8 +252,8 @@ def _loop_checks(m, dec):
         norm_t = frobenius_norm(left)
         form = max(form, _rel(frobenius_norm(left - right), norm_t))
 
-        st = rd.term_stacks((), (t,), 1.0)
-        u, c, v = st.right.T, st.plane_cores[0], st.left.T
+        st = rd.term_stacks((), (t,))
+        u, c, v = st.right.T, st.plane_cores[0] * st.s, st.left.T
         block = np.array([[t.sigma, t.omega], [-t.omega, t.sigma]])
         act_r = u @ (c @ (v.T @ u)) - u @ block
         act_l = v @ (c.T @ (u.T @ v)) - v @ block.T
@@ -271,8 +277,8 @@ def _loop_checks(m, dec):
         thetas = rng.uniform(0.0, 2.0 * np.pi, vf._PHASE_SAMPLES)
         phase = max(phase, _rel(_loop_phase_distance(t, u, c, v, left, thetas), norm_t).max())
 
-        tt = rd.term_stacks((), (ga.transpose_term(t),), 1.0)
-        transposed = tt.right.T @ tt.plane_cores[0] @ tt.left
+        tt = rd.term_stacks((), (ga.transpose_term(t),))
+        transposed = tt.right.T @ (tt.plane_cores[0] * tt.s) @ tt.left
         transp = max(transp, _rel(frobenius_norm(transposed - left.T), norm_t))
 
     if dec.plane_terms:

@@ -21,8 +21,9 @@ the report, loaded by ``matio.doc_to_decomposition`` and dumped again,
 comes back byte for byte, whether a C-ordered copy of the input (most
 inputs are built Fortran-ordered) gives the same report, and the read
 side: ``realdecomp.apply(dec, x)`` for one seeded standard-normal x per
-input, the same x for both trees.  Last, it writes the input to a
-Matrix Market file in a temporary directory of its own and records what
+input, the same x for both trees, and ``realdecomp.reconstruct(dec)``.
+Last, it writes the input to a Matrix Market file in a temporary
+directory of its own and records what
 ``cli.main(["canonical", path, "-o", out])`` gives: the exit code and the
 JSON text, or the error line.  The child calls only names that every
 tree has (``cli.main`` and ``matio.write_matrix_market``), so trees whose
@@ -43,15 +44,16 @@ how many identity-suite tolerance lists differ, how many of NEW_SRC's
 reports change in that round trip and how many of NEW_SRC's reports
 depend on the input's memory order, and how many inputs that both trees
 apply give different ``apply`` outputs, with the largest
-``||delta|| / (||M||_F ||x||)`` and its input, and, for each check name,
-of the inputs whose suites on both trees report it, how many give
-residuals that differ bit for bit, and how many inputs' ``canonical``
-outputs differ.  For each check name it then prints
-the largest residual / tolerance on each tree, with the input it came
-from: how close that tree came to flipping the check's verdict, measured
-against the tolerance, so that a residual at rounding level cannot
-dominate.  It exits 1 if any input differs on shared fields or in its
-``canonical`` output.
+``||delta|| / (||M||_F ||x||)`` and its input, how many give different
+``reconstruct`` outputs, with the largest ``||delta||_F / ||M||_F`` and
+its input, and, for each check name, of the inputs whose suites on both
+trees report it, how many give residuals that differ bit for bit, and
+how many inputs' ``canonical`` outputs differ.  For each check name it
+then prints the largest residual / tolerance on each tree, with the
+input it came from: how close that tree came to flipping the check's
+verdict, measured against the tolerance, so that a residual at rounding
+level cannot dominate.  It exits 1 if any input differs on shared
+fields or in its ``canonical`` output.
 """
 
 import json
@@ -92,9 +94,9 @@ def report_of(m):
         return f"{type(exc).__name__}: {exc}", None
     return dump(dec), dec
 
-def applied(dec, x):
+def called(fn, *args):
     try:
-        return realdecomp.apply(dec, x).tolist()
+        return fn(*args).tolist()
     except Exception as exc:
         return type(exc).__name__
 
@@ -118,7 +120,10 @@ with np.load(inputs_path) as inputs, tempfile.TemporaryDirectory() as work:
     for key in sorted(k for k in inputs.files if k.startswith("m")):
         report, dec = report_of(inputs[key])
         same_in_c_order = report_of(np.ascontiguousarray(inputs[key]))[0] == report
-        action = None if dec is None else applied(dec, inputs["x" + key[1:]])
+        action = recon = None
+        if dec is not None:
+            action = called(realdecomp.apply, dec, inputs["x" + key[1:]])
+            recon = called(realdecomp.reconstruct, dec)
         round_trip = None
         if report.startswith("{"):
             try:
@@ -133,7 +138,7 @@ with np.load(inputs_path) as inputs, tempfile.TemporaryDirectory() as work:
         except Exception as exc:
             suite = tolerances = residuals = type(exc).__name__
         out.append([report, suite, tolerances, residuals, round_trip, same_in_c_order, action,
-                    canonical(inputs[key], key)])
+                    recon, canonical(inputs[key], key)])
 with open(out_path, "w", encoding="utf-8") as fh:
     json.dump(out, fh)
 """
@@ -252,11 +257,11 @@ def residual_changes(old_tols, new_tols, old_res, new_res):
 
 
 def apply_changes(labels, old, new, scales):
-    """(count, (ratio, label)): how many inputs have apply outputs on both
-    trees (lists of floats; None where a tree did not decompose, an
-    exception's name where apply raised) that differ as JSON text, and the
-    largest ||new - old|| / scale among them with its input, where scale
-    is ||M||_F ||x||."""
+    """(count, (ratio, label)): how many inputs have apply (or reconstruct)
+    outputs on both trees (lists of floats; None where a tree did not
+    decompose, an exception's name where the call raised) that differ as
+    JSON text, and the largest ||new - old||_F / scale among them with its
+    input, where scale is ||M||_F ||x|| (or ||M||_F)."""
     count, worst = 0, (0.0, "none")
     for label, a, b, scale in zip(labels, old, new, scales):
         if isinstance(a, list) and isinstance(b, list) and json.dumps(a) != json.dumps(b):
@@ -291,8 +296,9 @@ def main(argv):
         if any([p.wait() != 0 for p in procs]):
             print("a tree failed to run; see its traceback above", file=sys.stderr)
             return 1
-        (old, old_suite, old_tols, old_res, _, _, old_apply, old_canon), (
-            new, new_suite, new_tols, new_res, new_trips, new_layout, new_apply, new_canon) = (
+        (old, old_suite, old_tols, old_res, _, _, old_apply, old_recon, old_canon), (
+            new, new_suite, new_tols, new_res, new_trips, new_layout, new_apply, new_recon,
+            new_canon) = (
             zip(*json.loads(Path(out).read_text(encoding="utf-8"))) for out in outs
         )
     verdicts = [(_verdict(a), _verdict(b)) for a, b in zip(old, new)]
@@ -333,6 +339,10 @@ def main(argv):
     changed, (ratio, where) = apply_changes(labels, old_apply, new_apply, scales)
     print(f"{changed} of {len(both)} inputs that both trees decompose differ in apply(dec, x); "
           f"largest |delta| / (||M||_F ||x||) {ratio:.3g} ({where})")
+    norms = [frobenius_norm(m) for _, m in inputs]
+    changed, (ratio, where) = apply_changes(labels, old_recon, new_recon, norms)
+    print(f"{changed} of {len(both)} inputs that both trees decompose differ in reconstruct(dec); "
+          f"largest ||delta||_F / ||M||_F {ratio:.3g} ({where})")
     residuals = residual_changes(old_tols, new_tols, old_res, new_res)
     print("identity-suite residuals that differ bit for bit: "
           + (", ".join(f"{name}: {d} of {b}" for name, (d, b) in sorted(residuals.items())) or "none"))
