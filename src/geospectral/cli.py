@@ -45,11 +45,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _number(cast, accept, what):
-    """argparse type: cast the text and require accept(value); a NaN
-    fails every comparison, so it is rejected too."""
+    """argparse type: cast the text and require accept(value).  Text with a
+    '_' or a non-ASCII character is refused before the cast, as matio
+    refuses it in a matrix file (int() and float() read digit separators
+    and other scripts' digits); a NaN fails every comparison, so it is
+    rejected too."""
 
     def parse(text):
         try:
+            if not matio._plain(text):
+                raise ValueError(text)
             value = cast(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value {text!r}") from None

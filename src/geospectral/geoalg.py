@@ -7,9 +7,10 @@ direction taking v towards u.
 
 The plane term (1/nu) (b^p) [ omega (d d^T + q q^T) - sigma (d^q) ] is
 written out here as an n x n array, with the wedge on either side, and
-with its right and left planes swapped.  These forms are the reference
-that verify's identity checks compare the factored form U C V^T against;
-decompose, reconstruct and apply never build them.
+with its right and left planes swapped.  verify's identity checks compare
+the factored form U C V^T against the left and right forms taken as
+rank-two factors; these n x n forms are the tests' reference for those
+checks, and decompose, reconstruct, apply and verify never build them.
 """
 
 import numpy as np

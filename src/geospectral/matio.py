@@ -159,15 +159,17 @@ def _parse_csv(path):
 
 
 def write_matrix_market(path, m, comment=None):
+    """Write m as a Matrix Market array, one shortest round-trip decimal per
+    line, in one write."""
     m = np.asarray(m, dtype=float)
+    lines = ["%%MatrixMarket matrix array real general"]
+    if comment:
+        lines.append(f"% {comment}")
+    lines.append(f"{m.shape[0]} {m.shape[1]}")
+    # array format stores the body column by column
+    lines += map(repr, m.ravel(order="F").tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("%%MatrixMarket matrix array real general\n")
-        if comment:
-            fh.write(f"% {comment}\n")
-        fh.write(f"{m.shape[0]} {m.shape[1]}\n")
-        for j in range(m.shape[1]):
-            for i in range(m.shape[0]):
-                fh.write(f"{float(m[i, j])!r}\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_csv(path, m):

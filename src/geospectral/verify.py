@@ -12,13 +12,16 @@ their transpose, each pair's U, V and U C as (k, n, 2) views of its rows,
 the Grams and cores as (k, 2, 2), U C and the cores multiplied back by
 the stacks' power of two s, which is exact): eigen-action,
 biorthogonality, the annihilation column norms and the k x 100 phase
-factors.  Only the comparisons with geoalg's explicit wedge forms, the
-reference code the production modules never call, need an n x n array
-per pair (form equality, the phase distance's U C V^T - left and
-transposition); they run one pair at a time in one reused (5, n, n)
-array, so the checks' extra memory stays O(n^2) whatever k is.  Random
-draws use numpy's PCG64 generator with explicit seeds so reports
-reproduce bit-for-bit across platforms.
+factors.  The comparisons with the plane term's explicit wedge forms
+(form equality, the phase distance's U C V^T - left and transposition)
+take each form as rank-two factors, the paper's brackets applied by
+associativity, so each difference of two forms is a product F G^T of
+(n, 4) factors, and its norm that of R_F R_G^T, from two batched QR
+factorizations over all k pairs: no n x n array is formed per pair, and
+the checks' extra memory stays O(n^2) whatever k is.  geoalg's n x n
+forms, which the production modules never call, are the tests' reference
+for them.  Random draws use numpy's PCG64 generator with explicit seeds
+so reports reproduce bit-for-bit across platforms.
 """
 
 import time
@@ -160,11 +163,11 @@ def _rel(residual, scale):
 def _phase_distance(nu, g, thetas, norm_a, inner, norm_e):
     """||rotated term - left||_F for each pair and each of its phases
     (thetas is k x S), from the pair's nu, its Gram g = U^T V and three
-    numbers of its n x n comparison.  Rotating both splits maps U, V to
-    U R, V R and the Gram to R^T (U^T V) R; R commutes with J and with
-    omega I - sigma J, so the rotated term is (nu / nu_theta) A with
-    A = U C V^T.  With f = nu / nu_theta - 1 and E = A - left, its squared
-    distance is f^2 ||A||^2 + 2 f <A, E> + ||E||^2."""
+    numbers of its comparison with the left form.  Rotating both splits
+    maps U, V to U R, V R and the Gram to R^T (U^T V) R; R commutes with J
+    and with omega I - sigma J, so the rotated term is (nu / nu_theta) A
+    with A = U C V^T.  With f = nu / nu_theta - 1 and E = A - left, its
+    squared distance is f^2 ||A||^2 + 2 f <A, E> + ||E||^2."""
     # nu_theta is the squared norm of the rotated Gram's first row, and
     # R^T's first row is (cos, -sin)
     row = np.cos(thetas)[..., None] * g[:, None, 0] - np.sin(thetas)[..., None] * g[:, None, 1]
@@ -173,39 +176,55 @@ def _phase_distance(nu, g, thetas, norm_a, inner, norm_e):
     return np.sqrt(np.maximum(square, 0.0))
 
 
-def _frobenius_norms(a):
-    """frobenius_norm of each n x n slice of a (m, n, n) stack.  Where every
-    slice's largest absolute entry lies in (2^-400, 2^400), the plain sums of
-    squares can neither overflow nor lose more than rounding to underflow,
-    so they need no scaling pass; otherwise each slice goes through
-    frobenius_norm."""
-    big = np.maximum(a.max(axis=(1, 2)), -a.min(axis=(1, 2)))
-    if np.all((big > 2.0**-400) & (big < 2.0**400)):
-        return np.sqrt(np.einsum("ijk,ijk->i", a, a))
-    return np.array([frobenius_norm(x) for x in a])
+def _bracket(sigma, omega, e, f, z):
+    """Each pair's bracket omega (e e^T + f f^T) - sigma (e^f) applied to the
+    columns of z by associativity, as omega (e (e.z) + f (f.z))
+    - sigma (e (f.z) - f (e.z)), so that it is never formed: e and f are
+    (k, n, 1) stacks, z is (k, n, m) and sigma and omega are (k, 1, 1)."""
+    ez, fz = np.sum(e * z, axis=1, keepdims=True), np.sum(f * z, axis=1, keepdims=True)
+    return omega * (e * ez + f * fz) - sigma * (e * fz - f * ez)
 
 
-def _form_comparisons(planes, w, v, wt, vt):
-    """Each pair's n x n comparisons against its explicit wedge forms, one
-    pair at a time in one reused (5, n, n) array, so that the extra memory
-    stays O(n^2).  With W = U C, A = W V^T and E = A - left, returns the
-    k x 5 Frobenius norms of left, left - right, A, E and
-    W_t V_t^T - left^T (the transposed term's factors, from wt and vt),
-    and <A, E> for each pair."""
-    k, n = w.shape[:2]
-    work = np.empty((5, n, n))
-    left, diff, a, e, transposed = work
-    norms, inner = np.empty((k, 5)), np.empty(k)
-    for i, t in enumerate(planes):
-        left[...] = ga.plane_term_left_form(t)
-        np.subtract(left, ga.plane_term_right_form(t), out=diff)
-        np.matmul(w[i], v[i].T, out=a)
-        np.subtract(a, left, out=e)
-        np.matmul(wt[i], vt[i].T, out=transposed)
-        transposed -= left.T
-        inner[i] = np.vdot(a, e)
-        norms[i] = _frobenius_norms(work)
-    return norms, inner
+def _r_factors(*pairs):
+    """The R factor of [X Y] for each pair (X, Y) of (k, n, 2) stacks, from
+    one batched QR of their (len(pairs), k, n, 4) stack."""
+    k, n = pairs[0][0].shape[:2]
+    stack = np.empty((len(pairs), k, n, 4))
+    for s, (x, y) in zip(stack, pairs):
+        s[..., :2], s[..., 2:] = x, y
+    return np.linalg.qr(stack, mode="r")
+
+
+def _form_comparisons(sigma, omega, nu, u, v, w, wt, vt):
+    """The k pairs' comparisons with their explicit wedge forms, on rank-two
+    factors.  By associativity the left form (1/nu) (b^p) X is
+    b x^T - p y^T, with X the bracket of d, q, x = X^T p / nu and
+    y = X^T b / nu, and the right form (1/nu) X' (d^q) is x' q^T - y' d^T,
+    with X' the bracket of b, p, x' = X' d / nu and y' = X' q / nu.  So
+    each difference below is one product F G^T of (n, 4) factors, whose
+    Frobenius norm is ||R_F R_G^T||_F, as is that of the product of any of
+    their column blocks: Householder QR is backward stable, so this is as
+    accurate as the n x n difference, which is never formed.  With
+    W = U C, A = W V^T and E = A - left, returns the k x 5 norms of left,
+    left - right, A, E and W_t V_t^T - left^T (the transposed term's
+    factors, from wt and vt), and <A, E>."""
+    sigma, omega, nu = sigma[:, None, None], omega[:, None, None], nu[:, None, None]
+    # left = P_l Q_l^T with P_l = [b -p] and Q_l = [x y] (X^T is the bracket
+    # of q, d, as q^d = -(d^q)), and right = P_r Q_r^T with P_r = [x' -y']
+    # and Q_r = [q d]
+    sign = np.array([1.0, -1.0])
+    p_l, q_l = u * sign, _bracket(sigma, omega, v[..., 1:], v[..., :1], u[..., ::-1]) / nu
+    p_r, q_r = _bracket(sigma, omega, u[..., :1], u[..., 1:], v) * (sign / nu), v[..., ::-1]
+    # E = [W -P_l] [V Q_l]^T, left - right = [P_l -P_r] [Q_l Q_r]^T and
+    # W_t V_t^T - left^T = [W_t Q_l] [V_t -P_l]^T
+    rf = _r_factors((w, -p_l), (p_l, -p_r), (wt, q_l))
+    rg = np.swapaxes(_r_factors((v, q_l), (q_l, q_r), (vt, -p_l)), 2, 3)
+    e, diff, transposed = rf @ rg
+    # A and -left are the products of E's first and of its last two factor
+    # columns, in the same orthonormal coordinates as E
+    a, left = rf[0, ..., :2] @ rg[0, :, :2], rf[0, ..., 2:] @ rg[0, :, 2:]
+    norms = np.linalg.norm(np.stack((left, diff, a, e, transposed), axis=1), axis=(2, 3))
+    return norms, np.sum(a * e, axis=(1, 2))
 
 
 def _decomposition_checks(m, dec):
@@ -228,7 +247,7 @@ def _decomposition_checks(m, dec):
     u, v, w, wt, vt = (np.swapaxes(x[-2 * k:].reshape(k, 2, n), 1, 2)
                        for x in (st.right, st.left, st.w * st.s, tt.w * tt.s, tt.left))
     g, c, nu = st.gram, st.plane_cores * st.s, st.nu
-    norms, inner = _form_comparisons(planes, w, v, wt, vt)
+    norms, inner = _form_comparisons(st.sigma, st.omega, nu, u, v, w, wt, vt)
     norm_t, form, norm_a, norm_e, transp = norms.T
 
     # every other check runs on all k pairs at once, from the factors

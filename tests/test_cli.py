@@ -70,6 +70,34 @@ def test_matrix_market_write_parse_round_trip(tmp_path):
     np.testing.assert_array_equal(matio.parse_matrix(str(path)), m)
 
 
+def _write_matrix_market_per_entry(path, m, comment=None):
+    # reference: one write per line, each entry through float() and repr
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("%%MatrixMarket matrix array real general\n")
+        if comment:
+            fh.write(f"% {comment}\n")
+        fh.write(f"{m.shape[0]} {m.shape[1]}\n")
+        for j in range(m.shape[1]):
+            for i in range(m.shape[0]):
+                fh.write(f"{float(m[i, j])!r}\n")
+
+
+@pytest.mark.parametrize("comment", [None, "", "planted spectrum, seed 3"])
+def test_matrix_market_writer_matches_per_entry_writes(tmp_path, comment):
+    # signed zeros, subnormals, the float range's ends and a rectangular,
+    # Fortran-ordered block: the same bytes as one write per entry
+    tiny = np.finfo(float).smallest_subnormal
+    special = [0.0, -0.0, tiny, -tiny, 3 * tiny, 1e-310, 2.0**-1022, 1e308, -1e308,
+               np.finfo(float).max, 0.1, -1.5, 1e16, 123456789.0]
+    rng = np.random.default_rng(7)
+    for m in (np.reshape(special, (2, 7)), np.asfortranarray(rng.standard_normal((5, 3))),
+              np.reshape(special, (14, 1)), np.zeros((0, 0)), np.array([[-0.0]])):
+        got, want = tmp_path / "got.mtx", tmp_path / "want.mtx"
+        matio.write_matrix_market(got, m, comment=comment)
+        _write_matrix_market_per_entry(want, m, comment=comment)
+        assert got.read_bytes() == want.read_bytes()
+
+
 def test_decompose_real_only(tmp_path, capsys):
     path = tmp_path / "d.csv"
     path.write_text("5,0\n0,6\n")
@@ -597,6 +625,21 @@ def test_verify_honours_tol_env(tmp_path, capsys, monkeypatch):
     assert status["reconstruction"] == "PASS"
 
 
+# Python-only numerals: a digit separator, Arabic-Indic and full-width digits,
+# a non-ASCII space; float() and int() read every one of them
+_PYTHON_ONLY_NUMBERS = ["1_0e-9", "1_2", "\u0661\u0662", "\uff11\uff12", "\u00a012"]
+
+
+@pytest.mark.parametrize("value", _PYTHON_ONLY_NUMBERS)
+@pytest.mark.parametrize("command", [["decompose", "--tol"], ["canonical", "--tol"], ["verify", "--tol-scale"]],
+                         ids=["decompose", "canonical", "verify"])
+def test_tol_flags_refuse_python_only_numerals(rotation_csv, capsys, command, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], rotation_csv, command[1], value])
+    assert exc.value.code == 64
+    assert f"invalid float value {value!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["nan", "-1", "0"])
 @pytest.mark.parametrize("command", [["decompose"], ["canonical"]], ids=["decompose", "canonical"])
 def test_tol_flags_reject_non_positive(rotation_csv, capsys, command, value):
@@ -608,10 +651,10 @@ def test_tol_flags_reject_non_positive(rotation_csv, capsys, command, value):
         assert "not a positive number" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "-1", "0"])
+@pytest.mark.parametrize("value", ["nan", "-1", "0", *_PYTHON_ONLY_NUMBERS])
 def test_tol_env_non_positive_ignored(tmp_path, capsys, monkeypatch, value):
     # ignored, so the default 1e-9 gates the Jordan-coupled pair (residual
-    # a few 1e-9) instead of no gate at all
+    # a few 1e-9) instead of no gate at all, or of 1e-8 for "1_0e-9"
     path = tmp_path / "j.mtx"
     matio.write_matrix_market(path, Case((1.0, 1.0), (0,), 0, 0).matrix())
     monkeypatch.setenv("GEOSPECTRAL_TOL", value)
@@ -626,6 +669,12 @@ def test_tol_env_non_positive_ignored(tmp_path, capsys, monkeypatch, value):
         ["--size", "2", "--pairs", "-1"],
         ["--size", "2", "--seed", "-1"],
         ["--size", "2", "--cond-cap", "inf"],
+        # Python-only numerals, which int() and float() read
+        ["--size", "1_2"],
+        ["--size", "\u0661\u0662"],
+        ["--size", "4", "--pairs", "\u0661"],
+        ["--size", "2", "--seed", "\uff11"],
+        ["--size", "2", "--cond-cap", "1_0e3"],
     ],
 )
 def test_gen_rejects_out_of_range_arguments(tmp_path, capsys, args):

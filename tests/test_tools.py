@@ -174,3 +174,30 @@ def test_compare_reports_child_records_canonical_output(tmp_path):
     assert doc["L_real"] == pair.tolist() and doc["similarity_residual"] <= 1e-15
     assert empty_code == 1 and line.startswith("error: ") and "0x0" in line
     assert not list(tmp_path.glob("*.mtx"))
+
+
+def test_compare_reports_exits_1_when_suite_verdicts_or_tolerances_differ(tmp_path, monkeypatch, capsys):
+    # trees whose reports agree but whose identity suites do not: one fails
+    # eigen-action everywhere, one states another transposition tolerance
+    cr = _import_tool("compare_reports")
+    monkeypatch.setattr(cr, "build_inputs", lambda: [("pair", np.array([[1.0, 2.0], [-2.0, 1.0]]))])
+    source = (ROOT / "src" / "geospectral" / "verify.py").read_text(encoding="utf-8")
+    edits = {"verdict": ('("eigen_action", eigact.max())', '("eigen_action", np.inf)'),
+             "tolerance": ('"transposition": 1e-12', '"transposition": 2e-12')}
+    for name, (old, new) in edits.items():
+        assert old in source
+        shutil.copytree(ROOT / "src" / "geospectral", tmp_path / name / "geospectral",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        (tmp_path / name / "geospectral" / "verify.py").write_text(source.replace(old, new), encoding="utf-8")
+    src = str(ROOT / "src")
+    assert cr.main(["compare_reports.py", src, src]) == 0
+    assert "0 of 1 identity-suite verdicts differ" in capsys.readouterr().out
+    assert cr.main(["compare_reports.py", src, str(tmp_path / "verdict")]) == 1
+    out = capsys.readouterr().out
+    assert "0 of 1 inputs differ on shared fields" in out
+    assert "1 of 1 identity-suite verdicts differ" in out
+    assert "0 of 1 identity-suite tolerance lists differ" in out
+    assert cr.main(["compare_reports.py", src, str(tmp_path / "tolerance")]) == 1
+    out = capsys.readouterr().out
+    assert "0 of 1 identity-suite verdicts differ" in out
+    assert "1 of 1 identity-suite tolerance lists differ" in out

@@ -53,7 +53,8 @@ then prints the largest residual / tolerance on each tree, with the
 input it came from: how close that tree came to flipping the check's
 verdict, measured against the tolerance, so that a residual at rounding
 level cannot dominate.  It exits 1 if any input differs on shared
-fields or in its ``canonical`` output.
+fields, in its ``canonical`` output, in its identity-suite verdict or in
+its identity-suite tolerance list.
 """
 
 import json
@@ -354,7 +355,7 @@ def main(argv):
         sides = [f"{w[name][0]:.3g} ({w[name][1]})" if name in w else "none"
                  for w in (old_worst, new_worst)]
         print(f"{name}: largest residual / tolerance {sides[0]} -> {sides[1]}")
-    return 1 if differ or canon else 0
+    return 1 if differ or canon or suites or tols else 0
 
 
 if __name__ == "__main__":

@@ -29,6 +29,10 @@ an earlier call already reduced does other work:
   the term assembly and the residual check alone, which
   ``decompose - eigensystem`` gives only to within both stages' noise
 - ``verify.run_identity_suite`` of M: decompose and every identity check
+- ``checks``: ``verify._decomposition_checks`` of M brought to unit scale,
+  as the suite brings it, on its decomposition, computed once: the
+  identity checks alone, which ``suite - decompose`` gives only to within
+  both stages' noise
 - ``np.linalg.eig`` of M (LAPACK, the reference speed)
 
 Each size runs in its own subprocess.  In each of ROUNDS rounds, every
@@ -64,7 +68,7 @@ from workloads import grid_spectrum  # noqa: E402
 SIZES = (2, 8, 16, 64, 128, 256)
 ROUNDS = 3
 STAGES = ("hessenberg", "schur", "right_vecs", "basis_inv", "eigensystem", "decompose", "assembly",
-          "suite", "np_eig")
+          "suite", "checks", "np_eig")
 COLUMNS = (*STAGES, "us/step")
 
 # run as ``python -c`` in each tree: argv[1] is the inputs, argv[2] the output
@@ -72,7 +76,7 @@ _CHILD = """
 import copy, json, sys, time
 from functools import partial
 import numpy as np
-from geospectral import eigensolve, realdecomp, verify
+from geospectral import densecore, eigensolve, realdecomp, verify
 
 # the stages eigensystem calls, each timed on copies of the arguments it is given there
 CALLED = {
@@ -132,6 +136,8 @@ with np.load(sys.argv[1]) as inputs:
         stages["decompose"] = realdecomp.decompose, (m,)
         stages["assembly"] = partial(assembly, system=eigensolve.eigensystem(m)), (m,)
         stages["suite"] = verify.run_identity_suite, (m,)
+        unit = m / densecore.pow2_scale(m)
+        stages["checks"] = verify._decomposition_checks, (unit, realdecomp.decompose(unit))
         stages["np_eig"] = np.linalg.eig, (m,)
         row = dict.fromkeys(stages, float("inf"))
         # each pass times every stage once, so a slow spell hits them alike;
