@@ -93,15 +93,15 @@ def _write_json(doc, output):
 
 
 def cmd_decompose(args):
-    m = matio.parse_matrix(args.input, args.format)
+    m, digest = matio.parse_matrix(args.input, args.format)
     dec = decompose(m, _resolve_tol(args.tol))
-    doc = matio.decomposition_to_doc(dec, input_digest=matio.file_digest(args.input))
+    doc = matio.decomposition_to_doc(dec, input_digest=digest)
     _write_json(doc, args.output)
     return EXIT_OK
 
 
 def cmd_verify(args):
-    m = matio.parse_matrix(args.input, args.format)
+    m, _ = matio.parse_matrix(args.input, args.format)
     report = run_identity_suite(m, _resolve_tol(None), args.tol_scale)
     width = max(len(c.name) for c in report.checks)
     print(f"{'check':<{width}}  {'residual':>12}  {'tolerance':>12}  status")
@@ -117,7 +117,7 @@ def cmd_verify(args):
 
 
 def cmd_canonical(args):
-    m = matio.parse_matrix(args.input, args.format)
+    m, _ = matio.parse_matrix(args.input, args.format)
     dec = decompose(m, _resolve_tol(args.tol))
     b_real, l_real, b_inv = real_canonical_form(dec)
     # decompose's exact power-of-two scale keeps the norms finite at any |M|

@@ -11,6 +11,9 @@ import numpy as np
 from .errors import ShapeError
 
 EPS = float(np.finfo(np.float64).eps)
+# a sum of squares at least this is exact to rounding: each square that
+# underflowed is off by at most 2^-1074
+_SQUARE_FLOOR = 2.0**-900
 
 
 def as_array(x, ndim):
@@ -36,9 +39,14 @@ def as_array(x, ndim):
 
 
 def frobenius_norm(a):
-    """Frobenius norm, scaled by the largest absolute entry so that squaring
-    neither overflows nor underflows (Blue 1978)."""
+    """Frobenius norm, safe from overflow and underflow: one dot (np.vdot,
+    which raises no overflow warning) where the sum of squares is finite and
+    at least _SQUARE_FLOOR, else scaled by the largest absolute entry so
+    that squaring neither overflows nor underflows (Blue 1978)."""
     a = np.asarray(a, dtype=float)
+    square = float(np.vdot(a, a))
+    if _SQUARE_FLOOR <= square < math.inf:
+        return math.sqrt(square)
     big = float(np.abs(a).max(initial=0.0))
     if big == 0.0 or not math.isfinite(big):
         return big

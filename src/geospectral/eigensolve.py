@@ -29,18 +29,24 @@ as matrix-vector products when it is reached, and the rest of the work
 array takes the whole panel's as GEMMs, one left GEMM covering both
 halves.  The QR sweep is Python-bound, not flop-bound: each bulge
 reflector is a 3x3 matrix built from Python floats, and its right product
-touches only the columns of T above the bulge.  A 3x3 bulge step takes
-both slabs from a list of views of the work array that real_schur builds
-once per call, and packs its nine reflector entries into one
-preallocated array with a single struct call; the last, 2x2 step follows
-the loop and tests nothing; two strided writes per sweep clear the bulge
-entries, and the deflation test between sweeps is one numpy scan of the
-subdiagonal.
+touches only the columns of T above the bulge.  A bulge step takes both
+slabs from a list of views of the work array that real_schur builds once
+per call, and packs its reflector's entries into one preallocated array
+with a single struct call; the last, 2x2 step of a sweep follows the loop
+and runs the same way; two strided writes per sweep clear the bulge
+entries.  The deflation test reads the subdiagonal as Python floats: all
+of it once, then after each sweep the swept block's only, since a sweep
+changes no subdiagonal outside its block and a deflation none above its
+own.  A deflated 2x2 block with two real eigenvalues is made
+triangular in closed form, as LAPACK dlanv2 standardizes one, by one
+rotation built from Python floats and applied as a bulge step is.
 
 The pair blocks of T are disjoint, so the rotations that make them
 triangular form one block diagonal G, and G^H T G, Z G and G Y are each
 one update of the gathered rows or columns of all blocks; one stacked
-call canonicalizes every eigenvector column's sign or phase.
+call canonicalizes every eigenvector column's sign or phase.  A Schur
+form with no pair block skips the rotations, and the back-substitution
+skips the last block's rows, which solve for no eigenvalue.
 
 As in LAPACK dgeev, the eigenvalues are one complex array, an entry per
 diagonal block: exactly real for a real eigenvalue, sigma + i omega with
@@ -68,6 +74,7 @@ _HESS_NX = 32
 _NORM_MIN = 2.0**-480  # above it, a sum of squares keeps full precision
 _FLIP = np.array([[1.0, -1.0], [-1.0, 1.0]])
 _pack_3x3 = struct.Struct("9d").pack_into  # nine floats into a 3x3 array, row by row
+_pack_2x2 = struct.Struct("4d").pack_into
 
 
 @dataclass(frozen=True)
@@ -165,18 +172,23 @@ def hessenberg_reduce(a):
             continue
         v2 = 2.0 * v
         rows = a[k + 1:, k:]
-        rows -= np.outer(v2, v @ rows)
+        rows -= v2[:, None] * (v @ rows)
         cols = a[:, k + 1:n]
-        cols -= np.outer(cols @ v, v2)
+        cols -= (cols @ v)[:, None] * v2
         a[k + 2:, k] = 0.0
 
 
 def _bulge_slabs(a):
-    """Views of the work array a = [T | Z^T] that the 3x3 bulge step at row
-    k transforms, one (rows, cols) pair for each k < n - 2: rows k..k+2 from
-    column k-1 on (from column 0 at k = 0), and columns k..k+2 of T down to
-    row k+3."""
-    return [(a[k:k + 3, max(k - 1, 0):], a[:k + 4, k:k + 3]) for k in range(a.shape[0] - 2)]
+    """Views of the work array a = [T | Z^T] that a sweep's steps transform,
+    one entry for each k < n - 2.  Its first two are the 3x3 bulge step's
+    at row k: rows k..k+2 from column k-1 on (from column 0 at k = 0), and
+    columns k..k+2 of T down to row k+3.  Its last two are the closing 2x2
+    step's of a sweep whose active block ends at row k + 2: rows k+1..k+2
+    from column k on, and columns k+1..k+2 of T down to row k+2."""
+    return [
+        (a[k:k + 3, max(k - 1, 0):], a[:k + 4, k:k + 3], a[k + 1:k + 3, k:], a[:k + 3, k + 1:k + 3])
+        for k in range(a.shape[0] - 2)
+    ]
 
 
 def _francis_step(a, lo, hi, r1, r2, slabs):
@@ -193,14 +205,15 @@ def _francis_step(a, lo, hi, r1, r2, slabs):
     rows k..k+2 of a, from column max(lo, k-1) on, updates those rows of T
     and columns k..k+2 of Z together; the right product touches columns
     k..k+2 of T down to row min(k+3, hi).  slabs is _bulge_slabs(a), the
-    views of both products for every k; only the first step's rows (from
+    views of every step's products; only the first step's rows (from
     column lo) and the last 3x3 step's columns (down to row hi) are sliced
     here.  The loop runs the 3x3 steps; the last step (w = 0) is a 2x2
-    reflector after it.  The entries each reflector zeroes below the
-    subdiagonal are never read again in the sweep, so two strided writes
-    set the second and third subdiagonals of [lo, hi] to 0 at its end.
+    reflector after it, packed and applied as they are.  The entries each
+    reflector zeroes below the subdiagonal are never read again in the
+    sweep, so two strided writes set the second and third subdiagonals of
+    [lo, hi] to 0 at its end.
     """
-    pm = np.empty((3, 3))
+    pm, pm2 = np.empty((3, 3)), np.empty((2, 2))
     t00, t10 = a.item(lo, lo), a.item(lo + 1, lo)
     x = ((t00 - r1) * (t00 - r2)).real + a.item(lo, lo + 1) * t10
     y = t10 * (t00 + a.item(lo + 1, lo + 1) - (r1 + r2).real)
@@ -209,9 +222,9 @@ def _francis_step(a, lo, hi, r1, r2, slabs):
     steps = slabs[lo:last + 1]
     # the first step's rows start at column lo and the last step's columns
     # end at row hi, so no product takes in column lo - 1 or row hi + 1
-    steps[0] = a[lo:lo + 3, lo:], steps[0][1]
-    steps[-1] = steps[-1][0], a[:hi + 1, last:last + 3]
-    for k, (rows, cols) in enumerate(steps, lo):
+    steps[0] = a[lo:lo + 3, lo:], steps[0][1], None, None
+    steps[-1] = steps[-1][0], a[:hi + 1, last:last + 3], None, None
+    for k, (rows, cols, _, _) in enumerate(steps, lo):
         alpha = math.hypot(x, y, w)
         if alpha != 0.0:
             u = x + alpha if x >= 0.0 else x - alpha
@@ -233,32 +246,31 @@ def _francis_step(a, lo, hi, r1, r2, slabs):
         u = x + alpha if x >= 0.0 else x - alpha
         nv = math.hypot(u, y)
         u, v = u / nv, y / nv
-        pm = np.array(((1.0 - 2.0 * u * u, -2.0 * u * v), (-2.0 * u * v, 1.0 - 2.0 * v * v)))
-        rows = a[hi - 1:hi + 1, hi - 2:]
-        rows[...] = pm.dot(rows)
-        cols = a[:hi + 1, hi - 1:hi + 1]
-        cols[...] = cols.dot(pm)
+        uv = -2.0 * u * v
+        _pack_2x2(pm2, 0, 1.0 - 2.0 * u * u, uv, uv, 1.0 - 2.0 * v * v)
+        rows, cols = slabs[last][2:]
+        rows[...] = pm2.dot(rows)
+        cols[...] = cols.dot(pm2)
     flat, d = a.reshape(-1), a.shape[1] + 1  # a[i, i - s] is flat[i * d - s]
     flat[(lo + 2) * d - 2:hi * d:d] = 0.0
     flat[(lo + 3) * d - 3:hi * d:d] = 0.0
 
 
 def _triangularize_blocks(t, z, los, lams):
-    """Rotate the disjoint 2x2 diagonal blocks of t at rows los to upper
-    triangular, each with its eigenvalue lams[i] at its top left: t <- G^H
-    t G and z <- z G for the block diagonal unitary G whose block at lo has
-    the block's unit eigenvector for lam as its first column (MATLAB
-    rsf2csf).  Each product is one update of the gathered row or column
-    pairs of all blocks.  Returns the (k, 2, 2) stack of G's blocks and the
-    (k, 2) row pairs; real for real lams, and t and z must be complex
-    otherwise."""
+    """Rotate the disjoint 2x2 pair blocks of the complex t at rows los to
+    upper triangular, each with its eigenvalue lams[i] at its top left:
+    t <- G^H t G and z <- z G for the block diagonal unitary G whose block
+    at lo has the block's unit eigenvector for lam as its first column
+    (MATLAB rsf2csf).  Each product is one update of the gathered row or
+    column pairs of all blocks.  Returns the (k, 2, 2) stack of G's blocks
+    and the (k, 2) row pairs.  right_eigenvectors is its one caller;
+    real_schur splits a real block by itself (_split_2x2)."""
     pairs = np.add.outer(los, (0, 1))
     shifted = t[pairs[:, :, None], pairs[:, None, :]] - np.multiply.outer(lams, np.eye(2))
     # eigenvectors (b, lam - a) and (lam - d, c) from the two rows of each
     # block minus lam; the better-scaled one wins, the first on a tie
     both = shifted[:, :, ::-1] * _FLIP
-    # each norm one dot, as np.linalg.norm takes it: a real split in
-    # real_schur keeps the bits it had when it rotated one block by itself
+    # each norm one dot of the entries' magnitudes
     mags = abs(both)[:, :, None, :]
     norms = np.sqrt(mags @ mags.transpose(0, 1, 3, 2))[:, :, 0, 0]
     v = np.where(norms[:, 1:] > norms[:, :1], both[:, 1], both[:, 0]) / norms.max(axis=1, keepdims=True)
@@ -287,15 +299,39 @@ def _eig_2x2(t, l):
     return mid + sq, mid - sq
 
 
-def _split_2x2(t, z, l):
-    """Eigenvalue entries of the deflated 2x2 block at l, in block order:
-    [sigma + i omega] for a complex pair, whose block is kept, or the two
-    diagonal entries after the block is triangularized."""
-    lam, _ = _eig_2x2(t, l)
+def _split_2x2(a, l):
+    """Eigenvalue entries of the deflated 2x2 block of T at l in the work
+    array a = [T | Z^T], in block order: [sigma + i omega] for a complex
+    pair, whose block is kept, or the two diagonal entries after the block
+    of two real eigenvalues is made upper triangular in closed form.
+
+    As LAPACK dlanv2 standardizes a block, one rotation G = [[c, -s],
+    [s, c]] built from Python floats puts the first eigenvalue lam of
+    _eig_2x2 at the block's top left: (c, s) is the block's unit
+    eigenvector for lam, the better-scaled of (b, lam - t_ll) and
+    (lam - t_l+1,l+1, t_l+1,l), the first on a tie, as _triangularize_blocks
+    chooses a pair's.  G is applied as a bulge reflector is: G^T on rows l
+    and l+1 of a from column l on, which updates T's rows and Z's columns
+    together, then G on T's columns l and l+1 down to row l+1; the entry
+    below the block's diagonal is then set to an exact 0.
+    """
+    lam, _ = _eig_2x2(a, l)
     if isinstance(lam, complex):
         return [lam]
-    _triangularize_blocks(t, z, np.array([l]), lam)
-    return [complex(t[l, l]), complex(t[l + 1, l + 1])]
+    (p, b), (c, d) = a[l:l + 2, l:l + 2].tolist()
+    u, v, u2, v2 = b, lam - p, lam - d, c
+    norm, norm2 = math.hypot(u, v), math.hypot(u2, v2)
+    if norm2 > norm:
+        u, v, norm = u2, v2, norm2
+    cs, sn = u / norm, v / norm
+    g = np.empty((2, 2))
+    _pack_2x2(g, 0, cs, -sn, sn, cs)
+    rows = a[l:l + 2, l:]
+    rows[...] = g.T.dot(rows)
+    cols = a[:l + 2, l:l + 2]
+    cols[...] = cols.dot(g)
+    a[l + 1, l] = 0.0
+    return [complex(a.item(l, l)), complex(a.item(l + 1, l + 1))]
 
 
 def real_schur(a):
@@ -305,16 +341,19 @@ def real_schur(a):
     T is quasi-upper-triangular (every surviving 2x2 diagonal block has
     complex eigenvalues) and Z T Z^T = Q H Q^T.  Returns the complex
     eigenvalue array of the module docstring, one entry per diagonal block
-    in block order.  Before each sweep one scan finds the lowest
-    subdiagonal with |t[l, l-1]| <= n eps ||T||_F, the normwise rule of
-    Golub & Van Loan, Matrix Computations, section 7.5, and zeroes it.  As
-    in LAPACK dlahqr, each block's entry is recorded when the block
-    deflates; no later sweep touches it.  eigensystem hands it the
-    Hessenberg form of M with ||M||_F = 1, so squared entries of T's scale
-    do not underflow.
+    in block order.  The active block starts below the lowest subdiagonal
+    with |t[l, l-1]| <= n eps ||T||_F, the normwise rule of Golub & Van
+    Loan, Matrix Computations, section 7.5, which is zeroed.  As in LAPACK
+    dlahqr, each block's entry is recorded when the block deflates, and no
+    later sweep touches it; a deflation leaves every subdiagonal above the
+    block as it was and a sweep every one outside its block, so one scan
+    of the whole subdiagonal comes first and each sweep's block is scanned
+    again after it.  A 2x2 block with two real eigenvalues is split in
+    closed form (_split_2x2).  eigensystem hands it the Hessenberg form of
+    M with ||M||_F = 1, so squared entries of T's scale do not underflow.
     """
     n = a.shape[0]
-    t, z = a[:, :n], a[:, n:].T
+    t = a[:, :n]
     slabs = _bulge_slabs(a)
     # normwise, not local: a repeated eigenvalue stalls its subdiagonal
     # near eps ||H||, far above eps (|t_ll| + |t_l-1,l-1|)
@@ -325,20 +364,25 @@ def real_schur(a):
     block_iters = 0
     eigs = []  # bottom block first
     hi = n - 1
+    # the negligible subdiagonals above row hi, ascending; a deflation
+    # changes none above its block, and a sweep none outside it, so only
+    # the swept block is scanned again (LAPACK dlahqr)
+    small = [i for i, x in enumerate(sub[:hi].tolist()) if abs(x) <= tol]
     while hi >= 0:
         # the active block starts below the last negligible subdiagonal
-        small = np.flatnonzero(np.abs(sub[:hi]) <= tol)
-        l = int(small[-1]) + 1 if small.size else 0
+        l = small[-1] + 1 if small else 0
         if l > 0:
             t[l, l - 1] = 0.0
         if l == hi:
             eigs.append(complex(t[hi, hi]))
             hi -= 1
             block_iters = 0
+            del small[-1:]
         elif l == hi - 1:
-            eigs.extend(reversed(_split_2x2(t, z, l)))
+            eigs.extend(reversed(_split_2x2(a, l)))
             hi -= 2
             block_iters = 0
+            del small[-1:]
         else:
             if sweeps >= max_sweeps:
                 raise ConvergenceError(hi, sweeps)
@@ -351,6 +395,7 @@ def real_schur(a):
             _francis_step(a, l, hi, r1, r2, slabs)
             sweeps += 1
             block_iters += 1
+            small += [i for i, x in enumerate(sub[l:hi].tolist(), l) if abs(x) <= tol]
     return np.array(eigs[::-1], dtype=complex)
 
 
@@ -366,15 +411,16 @@ def right_eigenvectors(t, z, eigs):
     eigs is real_schur's eigenvalue array, lambda_j for block j.  Complex
     copies of T and Z are made triangular by rotating every pair block to
     put lambda_j at its top left: T_c = G^H T G and Z_c = Z G (MATLAB
-    rsf2csf), with G block diagonal, so each product is one update of the
-    gathered rows or columns of all pair blocks.  Y holds one column per
-    eigenvalue, with T_c y_j = lambda_j y_j and 1 atop block j.  One
-    bottom-up sweep solves row i for every eigenvalue whose block starts
-    below it, a division by t_ii - lambda_k raised to smin in magnitude, so
-    a repeated eigenvalue still gives a finite vector (Golub & Van Loan,
-    Matrix Computations, section 7.6; LAPACK ztrevc).  Complex vectors stay
-    inside this function.  It returns (X, Y_r), both real n x n in T's
-    block order.  X = Z_c Y has a column for each real eigenvalue, unit
+    rsf2csf, _triangularize_blocks), with G block diagonal, so each
+    product is one update of the gathered rows or columns of all pair
+    blocks; a Schur form with no pair block has G = I and skips them.  Y
+    holds one column per eigenvalue, with T_c y_j = lambda_j y_j and 1
+    atop block j.  One bottom-up sweep solves row i for every eigenvalue
+    whose block starts below it, a division by t_ii - lambda_k raised to
+    smin in magnitude, so a repeated eigenvalue still gives a finite vector
+    (Golub & Van Loan, Matrix Computations, section 7.6; LAPACK ztrevc).
+    Complex vectors stay inside this function.  It returns (X, Y_r), both
+    real n x n in T's block order.  X = Z_c Y has a column for each real eigenvalue, unit
     with its sign canonicalized, and the (re, im) columns for each pair,
     unit together with the phase canonicalized; one _canonical_phase call
     normalizes all of them, a real column as a complex one with zero
@@ -386,34 +432,41 @@ def right_eigenvectors(t, z, eigs):
     n = t.shape[0]
     if not n:
         return np.zeros((0, 0)), np.zeros((0, 0))
-    starts = block_starts(eigs)
+    m = len(eigs)
     pairs = eigs.imag > 0
-    los = starts[:-1][pairs]
+    widths = pairs + 1
+    starts = np.cumsum(widths) - widths
+    los = starts[pairs]
+    # for each row, its block plus 1: the first eigenvalue whose block starts
+    # below the row; and its column among the (re, im) column pairs of all
+    # eigenvalues
+    later = np.repeat(np.arange(1, m + 1), widths).tolist()
+    cols = np.arange(n) + np.repeat(2 * np.arange(m) - starts, widths)
     smin = EPS * np.abs(t).max()
     t, z = t.astype(complex), z.astype(complex)
-    g, rows = _triangularize_blocks(t, z, los, eigs[pairs])
+    if los.size:
+        g, rows = _triangularize_blocks(t, z, los, eigs[pairs])
     # every divisor t_ii - lambda_k, raised to smin in magnitude
     d = np.subtract.outer(t.diagonal(), eigs)
     d[np.abs(d) < smin] = smin
-    # the first eigenvalue whose block starts below each row
-    later = np.searchsorted(starts, np.arange(n), side="right").tolist()
-    y = np.zeros((n, len(eigs)), dtype=complex)
-    y[starts[:-1], np.arange(len(eigs))] = 1.0
-    for i in range(n - 1, -1, -1):
+    y = np.zeros((n, m), dtype=complex)
+    y[starts, np.arange(m)] = 1.0
+    # the last block's rows solve for no eigenvalue
+    for i in range(int(starts[-1]) - 1, -1, -1):
         k = later[i]
         y[i, k:] = -(t[i, i + 1:] @ y[i + 1:, k:]) / d[i, k:]
     zy = z @ y
-    y[rows] = g @ y[rows]  # y becomes G Y, the eigenvectors of T itself
+    if los.size:
+        y[rows] = g @ y[rows]  # y becomes G Y, the eigenvectors of T itself
     # a real eigenvalue's vector is real; its imaginary part is rounding
     re, im = zy.real, np.where(pairs, zy.imag, 0.0)
     scale = np.sqrt((re**2).sum(axis=0) + (im**2).sum(axis=0))
     re, im, c, s = _canonical_phase(re / scale, im / scale)
     # the same rotation by -phi, as the complex factor e^(-i phi)
     w = y * ((c - 1j * s) / scale)
-    x, y_r = np.empty((n, n)), np.zeros((n, n))
-    x[:, starts[:-1]], y_r[:, starts[:-1]] = re, w.real
-    x[:, los + 1], y_r[:, los + 1] = im[:, pairs], w.imag[:, pairs]
-    return x, y_r
+    x = np.empty((n, m, 2))
+    x[:, :, 0], x[:, :, 1] = re, im
+    return x.reshape(n, -1)[:, cols], w.view(float)[:, cols]
 
 
 def _canonical_phase(re, im):

@@ -51,27 +51,27 @@ def detect_format(path):
 
 
 def parse_matrix(path, fmt=None):
-    """Parse a dense real square matrix from a UTF-8 file whose entries are
-    decimal floats in ASCII, without Python's '_' digit separators."""
+    """A dense real square matrix from a UTF-8 file whose entries are decimal
+    floats in ASCII, without Python's '_' digit separators, and
+    "sha256:<hex>" of the bytes it was parsed from: the file is read once,
+    so the digest is of the parsed bytes even if the file is rewritten."""
     fmt = fmt or detect_format(path)
     if fmt is None:
         raise ParseError(f"cannot infer format of '{path}'; pass it explicitly")
-    if fmt == FORMAT_MATRIX_MARKET:
-        m = _parse_matrix_market(path)
-    elif fmt == FORMAT_CSV:
-        m = _parse_csv(path)
-    else:
+    parsers = {FORMAT_MATRIX_MARKET: _parse_matrix_market, FORMAT_CSV: _parse_csv}
+    if fmt not in parsers:
         raise ParseError(f"unknown format '{fmt}'")
-    if m.shape[0] != m.shape[1]:
-        raise ShapeError(f"matrix in '{path}' is {m.shape[0]}x{m.shape[1]}, not square")
-    return as_array(m, 2)
-
-
-def _read_text(path):
-    """The file's text; a byte that is not UTF-8 raises ParseError naming the
-    file and the line of the first such byte."""
     with open(path, "rb") as fh:
         data = fh.read()
+    m = parsers[fmt](_decode(data, path))
+    if m.shape[0] != m.shape[1]:
+        raise ShapeError(f"matrix in '{path}' is {m.shape[0]}x{m.shape[1]}, not square")
+    return as_array(m, 2), "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def _decode(data, path):
+    """The file's bytes as text; a byte that is not UTF-8 raises ParseError
+    naming the file and the line of the first such byte."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -97,8 +97,21 @@ def _parse_float(text, lineno):
     return x
 
 
-def _parse_matrix_market(path):
-    lines = _read_text(path).splitlines()
+def _floats(tokens):
+    """The tokens as a float array, from one _plain test of them all and one
+    float() pass, or None if some token is not a plain finite decimal; the
+    caller then parses token by token to name the line of the first."""
+    if not _plain("".join(tokens)):
+        return None
+    try:
+        values = np.array(list(map(float, tokens)), dtype=float)
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _parse_matrix_market(text):
+    lines = text.splitlines()
     if not lines:
         raise ParseError("empty file", line=1)
     header = lines[0].strip().lower().split()
@@ -106,14 +119,13 @@ def _parse_matrix_market(path):
         raise ParseError(
             "expected header '%%MatrixMarket matrix array real general'", line=1
         )
-    body = [
-        (i + 1, ln.strip())
-        for i, ln in enumerate(lines[1:], start=1)
-        if ln.strip() and not ln.lstrip().startswith("%")
-    ]
-    if not body:
+    # the size line is the first after the header that is neither blank nor
+    # a comment; every later line that is not a comment holds entries
+    size = next((i for i in range(1, len(lines))
+                 if lines[i].strip() and not lines[i].lstrip().startswith("%")), None)
+    if size is None:
         raise ParseError("missing size line", line=len(lines))
-    lineno, size_line = body[0]
+    lineno, size_line = size + 1, lines[size].strip()
     parts = size_line.split()
     if len(parts) != 2:
         raise ParseError(f"bad size line '{size_line}'", line=lineno)
@@ -125,37 +137,41 @@ def _parse_matrix_market(path):
         raise ParseError(f"bad size line '{size_line}'", line=lineno) from exc
     if rows <= 0 or cols <= 0:
         raise ParseError(f"non-positive dimensions {rows}x{cols}", line=lineno)
-    values = []
-    for lineno, ln in body[1:]:
-        for tok in ln.split():
-            values.append(_parse_float(tok, lineno))
+    body = lines[size + 1:]
+    entries = "\n".join(body)
+    if "%" in entries:
+        body = ["" if ln.lstrip().startswith("%") else ln for ln in body]
+        entries = "\n".join(body)
+    values = _floats(entries.split())
+    if values is None:
+        values = [_parse_float(tok, i) for i, ln in enumerate(body, lineno + 1) for tok in ln.split()]
     if len(values) != rows * cols:
-        raise ParseError(
-            f"expected {rows * cols} entries, found {len(values)}",
-            line=body[-1][0] if len(body) > 1 else lineno,
-        )
+        last = max((i for i, ln in enumerate(body, lineno + 1) if ln.strip()), default=lineno)
+        raise ParseError(f"expected {rows * cols} entries, found {len(values)}", line=last)
     # array format stores the body column by column
-    return np.array(values).reshape((cols, rows)).T
+    return np.asarray(values).reshape((cols, rows)).T
 
 
-def _parse_csv(path):
-    rows = []
-    width = None
-    with io.StringIO(_read_text(path), newline="") as fh:  # as csv wants a file
-        for lineno, record in enumerate(csv.reader(fh), start=1):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            row = [_parse_float(tok.strip(), lineno) for tok in record]
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ParseError(
-                    f"ragged row: {len(row)} entries, expected {width}", line=lineno
-                )
-            rows.append(row)
-    if not rows:
+def _parse_csv(text):
+    with io.StringIO(text, newline="") as fh:  # as csv wants a file
+        records = [
+            (lineno, record) for lineno, record in enumerate(csv.reader(fh), start=1)
+            if record and not (len(record) == 1 and not record[0].strip())
+        ]
+    if not records:
         raise ParseError("no data rows", line=1)
-    return np.array(rows)
+    width = len(records[0][1])
+    values = None
+    if all(len(record) == width for _, record in records):
+        values = _floats([tok for _, record in records for tok in record])
+    if values is None:
+        values = []
+        for lineno, record in records:
+            row = [_parse_float(tok.strip(), lineno) for tok in record]
+            if len(row) != width:
+                raise ParseError(f"ragged row: {len(row)} entries, expected {width}", line=lineno)
+            values += row
+    return np.asarray(values).reshape(len(records), width)
 
 
 def write_matrix_market(path, m, comment=None):
@@ -177,13 +193,6 @@ def write_csv(path, m):
     with open(path, "w", encoding="utf-8") as fh:
         for row in m:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def file_digest(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return "sha256:" + h.hexdigest()
 
 
 def matrix_to_doc(m):

@@ -40,21 +40,7 @@ _NU_REL_FLOOR = 1e-24
 # a c.a or nu below the normal range is refused: above it, the core
 # (alpha / s) / c.a of an alpha / s < 2 is finite, and nu keeps full precision
 _TINY = float(np.finfo(float).tiny)
-# a sum of n squares at least this is exact to rounding: each square that
-# underflowed is off by at most 2^-1074
-_SQUARE_FLOOR = 2.0**-900
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
-def _norm(v):
-    """||v||_2 of v flattened, safe from overflow and underflow: one dot
-    (np.vdot, which raises no overflow warning) where the sum of squares is
-    finite and at least _SQUARE_FLOOR, else math.hypot, which scales its
-    arguments."""
-    square = float(np.vdot(v, v))
-    if _SQUARE_FLOOR <= square < math.inf:
-        return math.sqrt(square)
-    return math.hypot(*v.ravel().tolist())
 
 
 def _check_vectors(*vectors):
@@ -63,7 +49,7 @@ def _check_vectors(*vectors):
     shapes = [v.shape for v in vectors]
     if len(set(shapes)) != 1:
         raise ShapeError(f"term vectors differ: {shapes}")
-    norms = [_norm(v) for v in vectors]
+    norms = [frobenius_norm(v) for v in vectors]
     # a sum of squares is finite unless an entry is not, or it overflows
     if not math.isfinite(sum(norms)) and not np.isfinite(vectors).all():
         raise ShapeError("term vectors must be finite")

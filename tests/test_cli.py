@@ -1,8 +1,11 @@
+import hashlib
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geospectral import eigensolve, matio
 from geospectral.cli import main
@@ -22,7 +25,7 @@ def rotation_csv(tmp_path):
 
 def test_parse_csv(rotation_csv):
     np.testing.assert_array_equal(
-        matio.parse_matrix(rotation_csv), [[1.0, 2.0], [-2.0, 1.0]]
+        matio.parse_matrix(rotation_csv)[0], [[1.0, 2.0], [-2.0, 1.0]]
     )
 
 
@@ -31,13 +34,13 @@ def test_parse_matrix_market_identity(tmp_path):
     path.write_text(
         "%%MatrixMarket matrix array real general\n% identity\n2 2\n1\n0\n0\n1\n"
     )
-    np.testing.assert_array_equal(matio.parse_matrix(str(path)), np.eye(2))
+    np.testing.assert_array_equal(matio.parse_matrix(str(path))[0], np.eye(2))
 
 
 def test_parse_matrix_market_column_major(tmp_path):
     path = tmp_path / "m.mtx"
     path.write_text("%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n")
-    np.testing.assert_array_equal(matio.parse_matrix(str(path)), [[1.0, 3.0], [2.0, 4.0]])
+    np.testing.assert_array_equal(matio.parse_matrix(str(path))[0], [[1.0, 3.0], [2.0, 4.0]])
 
 
 def test_parse_csv_ragged_rows(tmp_path):
@@ -62,12 +65,56 @@ def test_parse_rejects_non_square(tmp_path):
         matio.parse_matrix(str(path))
 
 
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-310, 1.7e308, -1.7e308, 0.1, -1.5]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=n * n, max_size=n * n).map(lambda xs: np.reshape(xs, (n, n)))))
+def test_matrix_market_round_trip_bitwise(tmp_path_factory, m):
+    # one float() pass over the body gives back every bit: signed zeros,
+    # subnormals and the ends of the float range included
+    path = tmp_path_factory.mktemp("rt") / "m.mtx"
+    matio.write_matrix_market(path, m)
+    got, digest = matio.parse_matrix(str(path))
+    assert got.dtype == m.dtype and got.shape == m.shape
+    assert got.tobytes() == np.ascontiguousarray(m).tobytes()
+    assert digest == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_decompose_reads_its_input_once(tmp_path, capsys, monkeypatch):
+    # the file is rewritten as soon as it has been read: the report is of
+    # the bytes that were read, digest and matrix alike, and nothing opens
+    # the input a second time
+    path, other = tmp_path / "m.mtx", tmp_path / "other.mtx"
+    matio.write_matrix_market(path, _M3)
+    matio.write_matrix_market(other, 2.0 * _M3)
+    original = path.read_bytes()
+    opened = []
+
+    def open_then_rewrite(file, mode="r", *args, **kwargs):
+        opened.append((str(file), mode))
+        with open(file, mode, *args, **kwargs) as fh:
+            data = fh.read()
+        path.write_bytes(other.read_bytes())
+        return io.BytesIO(data)
+
+    monkeypatch.setattr(matio, "open", open_then_rewrite, raising=False)
+    assert main(["decompose", str(path)]) == 0
+    monkeypatch.undo()
+    assert opened == [(str(path), "rb")]
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["input_digest"] == "sha256:" + hashlib.sha256(original).hexdigest()
+    assert doc == matio.decomposition_to_doc(decompose(_M3), input_digest=doc["input_digest"])
+
+
 def test_matrix_market_write_parse_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     m = rng.standard_normal((4, 4))
     path = tmp_path / "rt.mtx"
     matio.write_matrix_market(str(path), m)
-    np.testing.assert_array_equal(matio.parse_matrix(str(path)), m)
+    np.testing.assert_array_equal(matio.parse_matrix(str(path))[0], m)
 
 
 def _write_matrix_market_per_entry(path, m, comment=None):
@@ -152,6 +199,13 @@ def test_decompose_parse_error_exit_code(tmp_path, capsys):
 
 
 _MM = "%%MatrixMarket matrix array real general\n"
+_LATE_TOKENS = [
+    ("separator", "1_0", "bad number '1_0'"),
+    ("arabic", "\u0661", "bad number"),
+    ("nan", "nan", "non-finite entry 'nan'"),
+    ("inf", "inf", "non-finite entry 'inf'"),
+    ("overflow", "1e999", "non-finite entry '1e999'"),
+]
 
 
 @pytest.mark.parametrize(
@@ -179,6 +233,11 @@ _MM = "%%MatrixMarket matrix array real general\n"
         ("arabic.csv", "1,2\n\u0661,4\n".encode(), "bad number", 2),
         ("fullwidth.mtx", (_MM + "1 1\n\uff14\n").encode(), "bad number", 3),
         ("sizesep.mtx", _MM + "1_0 1\n1\n", "bad size line", 2),
+        # each such token, or one that is not finite, on a later line of a
+        # body whose other entries parse, after a comment line in .mtx
+        *((f"late-{name}.mtx", _MM + f"2 2\n1 2\n% c\n3\n{tok}\n", message, 6)
+          for name, tok, message in _LATE_TOKENS),
+        *((f"late-{name}.csv", f"1,2\n3,{tok}\n", message, 2) for name, tok, message in _LATE_TOKENS),
     ],
 )
 def test_parse_errors_name_their_line(tmp_path, capsys, name, text, message, line):
@@ -200,7 +259,7 @@ def test_parse_reads_plain_numbers_and_non_ascii_comments(tmp_path):
     csv = tmp_path / "m.csv"
     csv.write_text("\n".join(",".join(tokens[i:i + 3]) for i in (0, 3, 6)) + "\n")
     for path in (mtx, csv):
-        got = matio.parse_matrix(str(path))
+        got = matio.parse_matrix(str(path))[0]
         assert got.tobytes() == want.tobytes()
 
 
@@ -225,8 +284,8 @@ def test_canonical_output_dir(tmp_path, capsys):
     assert main(["canonical", str(path), "--output-dir", str(out)]) == 0
     printed = capsys.readouterr().out.splitlines()
     b_real, l_real, _ = real_canonical_form(decompose(m))
-    np.testing.assert_array_equal(matio.parse_matrix(str(out / "B_real.mtx")), b_real)
-    np.testing.assert_array_equal(matio.parse_matrix(str(out / "L_real.mtx")), l_real)
+    np.testing.assert_array_equal(matio.parse_matrix(str(out / "B_real.mtx"))[0], b_real)
+    np.testing.assert_array_equal(matio.parse_matrix(str(out / "L_real.mtx"))[0], l_real)
     assert printed == [
         f"wrote {out / 'B_real.mtx'} and {out / 'L_real.mtx'}",
         f"similarity residual: {residual:.3e}",
@@ -245,7 +304,7 @@ def _gen_decompose_round_trip(tmp_path, capsys, gen_args):
     got_pairs = sorted((t["sigma"], t["omega"]) for t in doc["plane_terms"])
     want_pairs = sorted((s, w) for s, w in planted["complex_pairs"])
     assert len(got_pairs) == len(want_pairs)
-    m = matio.parse_matrix(str(out))
+    m = matio.parse_matrix(str(out))[0]
     tol = 1e-8 * np.linalg.norm(m)
     for (gs, gw), (ws, ww) in zip(got_pairs, want_pairs):
         assert gs == pytest.approx(ws, abs=tol)
@@ -288,7 +347,7 @@ def test_gen_deterministic_per_seed(tmp_path, capsys):
     assert main(["gen", "--size", "4", "--pairs", "2", "--seed", "3", "-o", str(a)]) == 0
     assert main(["gen", "--size", "4", "--pairs", "2", "--seed", "3", "-o", str(b)]) == 0
     capsys.readouterr()
-    np.testing.assert_array_equal(matio.parse_matrix(str(a)), matio.parse_matrix(str(b)))
+    np.testing.assert_array_equal(matio.parse_matrix(str(a))[0], matio.parse_matrix(str(b))[0])
 
 
 def test_verify_exit_codes(tmp_path, capsys, rotation_csv):

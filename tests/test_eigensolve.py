@@ -498,6 +498,82 @@ def test_schur_eigenvalue_cases():
     np.testing.assert_allclose(eigs.real, [3.0, 1.0], rtol=0.0, atol=1e-15)
 
 
+_TINY = 5e-324  # the smallest subnormal
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        [[1.0, 0.0], [3.0, 2.0]],
+        [[1.0, 3.0], [0.0, -2.0]],
+        [[-2.0, 3.0], [0.0, 1.0]],
+        [[1.0, 1.0], [-0.25, 2.0]],
+        [[1.0, 2.0], [3.0, -1.0]],
+        [[-1.0, 2.0], [3.0, 1.0]],
+        np.multiply([[1.0, 2.0], [3.0, -1.0]], 2.0**500),
+        np.multiply([[1.0, 2.0], [3.0, -1.0]], 2.0**-500),
+        [[1.0, 1.0], [_TINY, 2.0]],
+        [[1.0, _TINY], [1.0, -2.0]],
+    ],
+    ids=["b=0", "c=0", "c=0-larger-top", "double", "opposite-signs", "opposite-signs-2",
+         "2^500", "2^-500", "subnormal-c", "subnormal-b"],
+)
+@pytest.mark.parametrize("l", [0, 1])
+def test_split_2x2_closed_form(block, l):
+    # the block sits at l in an upper triangular T, with one orthogonal Z
+    # carried beside it; every other entry of T below its diagonal is 0
+    block = np.asarray(block, dtype=float)
+    n = 4
+    rng = np.random.default_rng(l)
+    scale = np.abs(block).max()
+    t = np.triu(rng.standard_normal((n, n))) * scale
+    t[l:l + 2, l:l + 2] = block
+    lam, mu = eg._eig_2x2(t, l)
+    assert not isinstance(lam, complex)
+    for start in ("identity", "orthogonal"):
+        z = np.eye(n) if start == "identity" else np.linalg.qr(rng.standard_normal((n, n)))[0]
+        a = _work(t, z)
+        got = eg._split_2x2(a, l)
+        t1, z1 = a[:, :n], a[:, n:].T
+        # upper triangular, the split block's subdiagonal an exact 0
+        assert t1[l + 1, l] == 0.0
+        assert not np.any(np.tril(t1, -1))
+        # its diagonal, in _eig_2x2's order
+        _assert_eigs_equal(got, [t1[l, l], t1[l + 1, l + 1]])
+        np.testing.assert_allclose(got, [lam, mu], rtol=0.0, atol=4 * eg.EPS * frobenius_norm(block))
+        if start == "identity":
+            # Z = G: the rotation, at the block, and I elsewhere
+            g = z1[l:l + 2, l:l + 2]
+            assert np.abs(g.T @ g - np.eye(2)).max() <= 4 * eg.EPS
+            np.testing.assert_array_equal(np.delete(np.delete(z1, [l, l + 1], 0), [l, l + 1], 1),
+                                          np.eye(n - 2))
+        before, after = z @ t @ z.T, z1 @ t1 @ z1.T
+        assert frobenius_norm(after - before) <= 1e-15 * frobenius_norm(before)
+        # rows and columns outside the block are left as they were
+        outside = np.ones(n, dtype=bool)
+        outside[l:l + 2] = False
+        np.testing.assert_array_equal(t1[np.ix_(outside, outside)], t[np.ix_(outside, outside)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(3, 12), st.integers(0, 2**32 - 1))
+def test_schur_real_spectrum_dense_recipe(n, seed):
+    # only real eigenvalues, so every 2x2 block that deflates is split in
+    # closed form; the Schur form meets test_schur_planted_structure's checks
+    reals, _ = _draw_spectrum(np.random.default_rng(seed), n, 0)
+    spec = PlantedSpectrum(reals, (), basis_seed=seed, condition_cap=1e6)
+    m = gen_test_matrix(spec)
+    norm_m = frobenius_norm(m)
+    t, z, eigs = _schur(*_hessenberg(m))
+    assert not np.any(eigs.imag)
+    assert frobenius_norm(z @ t @ z.T - m) <= 1e-12 * norm_m
+    assert frobenius_norm(z.T @ z - np.eye(n)) <= 1e-12
+    assert not np.any(np.tril(t, -1))
+    _assert_eigs_match_blocks(t, eigs)
+    gap = np.abs(spec.as_complex()[:, None] - eigs[None, :])
+    assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-8 * norm_m
+
+
 def _schur_right_vectors(m):
     t, z, eigs = _schur(*_hessenberg(m))
     x, _ = eg.right_eigenvectors(t, z, eigs)

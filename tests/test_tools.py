@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
+from geospectral import matio
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -32,6 +34,12 @@ def test_stage_times_runs_every_stage(tmp_path):
     assert all(np.isfinite(row[stage]) for stage in st.STAGES)
     assert row["sweeps"] >= 1
     assert row["steps"] >= 2 * row["sweeps"]
+    # the cli stage, beside decompose, wrote M's file and its report in the
+    # child's working directory, the inputs' directory
+    assert st.STAGES.index("cli") == st.STAGES.index("decompose") + 1
+    assert matio.parse_matrix(str(tmp_path / "n00.mtx"))[0].tobytes() == m.tobytes()
+    report = json.loads((tmp_path / "n00.json").read_text(encoding="utf-8"))
+    assert report["dim"] == n and report["input_digest"].startswith("sha256:")
 
 
 def test_compare_docs_reads_shared_fields_only():

@@ -24,6 +24,9 @@ an earlier call already reduced does other work:
 - ``basis_inverse``: the inverse of the real eigenvector basis
 - ``eigensolve.eigensystem`` of M: every stage above and what joins them
 - ``realdecomp.decompose`` of M
+- ``cli``: in-process ``cli.main(["decompose", FILE, "-o", OUT])`` on M,
+  written once as Matrix Market: parsing, ``decompose`` and the JSON
+  report, the path the bench's cli-corpus workload times
 - ``assembly``: ``realdecomp.decompose`` of M with ``eigensystem``
   replaced by a function that returns its result for M, computed once:
   the term assembly and the residual check alone, which
@@ -67,8 +70,8 @@ from workloads import grid_spectrum  # noqa: E402
 
 SIZES = (2, 8, 16, 64, 128, 256)
 ROUNDS = 3
-STAGES = ("hessenberg", "schur", "right_vecs", "basis_inv", "eigensystem", "decompose", "assembly",
-          "suite", "checks", "np_eig")
+STAGES = ("hessenberg", "schur", "right_vecs", "basis_inv", "eigensystem", "decompose", "cli",
+          "assembly", "suite", "checks", "np_eig")
 COLUMNS = (*STAGES, "us/step")
 
 # run as ``python -c`` in each tree: argv[1] is the inputs, argv[2] the output
@@ -76,7 +79,7 @@ _CHILD = """
 import copy, json, sys, time
 from functools import partial
 import numpy as np
-from geospectral import densecore, eigensolve, realdecomp, verify
+from geospectral import cli, densecore, eigensolve, matio, realdecomp, verify
 
 # the stages eigensystem calls, each timed on copies of the arguments it is given there
 CALLED = {
@@ -134,6 +137,9 @@ with np.load(sys.argv[1]) as inputs:
         }
         stages["eigensystem"] = eigensolve.eigensystem, (m,)
         stages["decompose"] = realdecomp.decompose, (m,)
+        # the whole command on M, written once in the working directory
+        matio.write_matrix_market(f"{key}.mtx", m)
+        stages["cli"] = cli.main, (["decompose", f"{key}.mtx", "-o", f"{key}.json"],)
         stages["assembly"] = partial(assembly, system=eigensolve.eigensystem(m)), (m,)
         stages["suite"] = verify.run_identity_suite, (m,)
         unit = m / densecore.pow2_scale(m)
