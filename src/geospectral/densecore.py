@@ -53,6 +53,13 @@ def frobenius_norm(a):
     return big * math.sqrt(((a / big) ** 2).sum())
 
 
+def row_norms(a):
+    """frobenius_norm of each row of the 2-D a, as a list, from one batched
+    sum of squares (einsum, which warns of no overflow, as np.vdot)."""
+    return [math.sqrt(x) if _SQUARE_FLOOR <= x < math.inf else frobenius_norm(a[i])
+            for i, x in enumerate(np.einsum("ij,ij->i", a, a).tolist())]
+
+
 def pow2_scale(a):
     """The power of two s with s <= max|a_ij| < 2s (0.5 for a zero or empty
     array); dividing by it is exact and brings the largest entry to [1, 2)."""

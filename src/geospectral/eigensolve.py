@@ -28,25 +28,11 @@ I - V T V^T, each panel column takes the earlier reflectors' products
 as matrix-vector products when it is reached, and the rest of the work
 array takes the whole panel's as GEMMs, one left GEMM covering both
 halves.  The QR sweep is Python-bound, not flop-bound: each bulge
-reflector is a 3x3 matrix built from Python floats, and its right product
-touches only the columns of T above the bulge.  A bulge step takes both
-slabs from a list of views of the work array that real_schur builds once
-per call, and packs its reflector's entries into one preallocated array
-with a single struct call; the last, 2x2 step of a sweep follows the loop
-and runs the same way; two strided writes per sweep clear the bulge
-entries.  The deflation test reads the subdiagonal as Python floats: all
-of it once, then after each sweep the swept block's only, since a sweep
-changes no subdiagonal outside its block and a deflation none above its
-own.  A deflated 2x2 block with two real eigenvalues is made
-triangular in closed form, as LAPACK dlanv2 standardizes one, by one
-rotation built from Python floats and applied as a bulge step is.
-
-The pair blocks of T are disjoint, so the rotations that make them
-triangular form one block diagonal G, and G^H T G, Z G and G Y are each
-one update of the gathered rows or columns of all blocks; one stacked
-call canonicalizes every eigenvector column's sign or phase.  A Schur
-form with no pair block skips the rotations, and the back-substitution
-skips the last block's rows, which solve for no eigenvalue.
+reflector is built from Python floats, packed by one struct call into a
+buffer and applied to views of the work array, both of which real_schur
+makes once per call (_francis_step).  A deflated 2x2 block with two real
+eigenvalues is made triangular in closed form, as LAPACK dlanv2
+standardizes one, by one rotation applied as a bulge step is.
 
 As in LAPACK dgeev, the eigenvalues are one complex array, an entry per
 diagonal block: exactly real for a real eigenvalue, sigma + i omega with
@@ -191,7 +177,7 @@ def _bulge_slabs(a):
     ]
 
 
-def _francis_step(a, lo, hi, r1, r2, slabs):
+def _francis_step(a, lo, hi, r1, r2, slabs, pm, pm2, flat):
     """One implicit double-shift sweep on the active block [lo, hi] of the
     work array a = [T | Z^T] (C-ordered, n x 2n).
 
@@ -199,21 +185,19 @@ def _francis_step(a, lo, hi, r1, r2, slabs):
     column of (T - r1 I)(T - r2 I) subtracts each before multiplying, so a
     cluster far from 0 does not cancel it to rounding noise (LAPACK dlahqr).
     Each bulge reflector is built from (x, y, w) in Python floats, packed
-    into one preallocated 3x3 Householder matrix and applied only where the
-    Hessenberg bulge is nonzero (Golub & Van Loan, Matrix Computations,
-    section 7.5.5).  The reflector is symmetric, so one left product on
-    rows k..k+2 of a, from column max(lo, k-1) on, updates those rows of T
-    and columns k..k+2 of Z together; the right product touches columns
-    k..k+2 of T down to row min(k+3, hi).  slabs is _bulge_slabs(a), the
-    views of every step's products; only the first step's rows (from
-    column lo) and the last 3x3 step's columns (down to row hi) are sliced
-    here.  The loop runs the 3x3 steps; the last step (w = 0) is a 2x2
-    reflector after it, packed and applied as they are.  The entries each
-    reflector zeroes below the subdiagonal are never read again in the
-    sweep, so two strided writes set the second and third subdiagonals of
-    [lo, hi] to 0 at its end.
+    into the 3x3 buffer pm and applied only where the Hessenberg bulge is
+    nonzero (Golub & Van Loan, Matrix Computations, section 7.5.5).  The
+    reflector is symmetric, so one left product on rows k..k+2 of a, from
+    column max(lo, k-1) on, updates those rows of T and columns k..k+2 of
+    Z together; the right product touches columns k..k+2 of T down to row
+    min(k+3, hi).  slabs is _bulge_slabs(a); only the first step's rows
+    and the last 3x3 step's columns are sliced here.  The last step
+    (w = 0) is a 2x2 reflector, packed into the 2x2 buffer pm2.  The
+    entries the reflectors zero below the subdiagonal are never read again
+    in the sweep, so two strided writes through flat, a's flat view, set
+    the second and third subdiagonals of [lo, hi] to 0 at its end.
+    real_schur makes slabs, pm, pm2 and flat once per call.
     """
-    pm, pm2 = np.empty((3, 3)), np.empty((2, 2))
     t00, t10 = a.item(lo, lo), a.item(lo + 1, lo)
     x = ((t00 - r1) * (t00 - r2)).real + a.item(lo, lo + 1) * t10
     y = t10 * (t00 + a.item(lo + 1, lo + 1) - (r1 + r2).real)
@@ -251,7 +235,7 @@ def _francis_step(a, lo, hi, r1, r2, slabs):
         rows, cols = slabs[last][2:]
         rows[...] = pm2.dot(rows)
         cols[...] = cols.dot(pm2)
-    flat, d = a.reshape(-1), a.shape[1] + 1  # a[i, i - s] is flat[i * d - s]
+    d = a.shape[1] + 1  # a[i, i - s] is flat[i * d - s]
     flat[(lo + 2) * d - 2:hi * d:d] = 0.0
     flat[(lo + 3) * d - 3:hi * d:d] = 0.0
 
@@ -354,7 +338,7 @@ def real_schur(a):
     """
     n = a.shape[0]
     t = a[:, :n]
-    slabs = _bulge_slabs(a)
+    slabs, pm, pm2, flat = _bulge_slabs(a), np.empty((3, 3)), np.empty((2, 2)), a.reshape(-1)
     # normwise, not local: a repeated eigenvalue stalls its subdiagonal
     # near eps ||H||, far above eps (|t_ll| + |t_l-1,l-1|)
     tol = n * EPS * dc.frobenius_norm(t)
@@ -392,7 +376,7 @@ def real_schur(a):
                 r1 = r2 = t.item(hi, hi) + 0.75 * ex
             else:
                 r1, r2 = _eig_2x2(t, hi - 1)
-            _francis_step(a, l, hi, r1, r2, slabs)
+            _francis_step(a, l, hi, r1, r2, slabs, pm, pm2, flat)
             sweeps += 1
             block_iters += 1
             small += [i for i, x in enumerate(sub[l:hi].tolist(), l) if abs(x) <= tol]

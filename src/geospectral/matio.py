@@ -253,8 +253,8 @@ def doc_to_decomposition(doc):
     missing or unknown key, a dim that is not a JSON integer, a scalar or
     vector entry that is not a JSON number, an input_digest that is not a
     string or a basis_rcond that is not the terms' own raises ParseError; a
-    dim other than j + 2k, or a term its constructor refuses (non-finite
-    value or vector, omega <= 0), ShapeError."""
+    dim other than j + 2k raises ShapeError, and terms SpectralDecomposition
+    refuses its ShapeError or DegeneratePairError."""
     try:
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise ParseError(f"unsupported schema_version {doc.get('schema_version')!r}")

@@ -1,27 +1,26 @@
 """Real, coordinate-free spectral decomposition.
 
-Each complex-conjugate eigenvalue pair sigma +- i omega contributes one
-real "plane term", built from the real/imaginary splits (b, p) and (d, q)
-of the right and left eigenvectors, with nu = (d.b)^2 + (q.b)^2.  Each
-real eigenvalue contributes the usual rank-one term alpha a c^T / (c.a).
-Their sum reconstructs the matrix.
+Each conjugate pair sigma +- i omega contributes one real "plane term",
+from the real/imaginary splits (b, p) and (d, q) of its right and left
+eigenvectors, with nu = (d.b)^2 + (q.b)^2; each real eigenvalue
+contributes the rank-one term alpha a c^T / (c.a).  Their sum
+reconstructs the matrix.  The terms are plain records: constructing a
+SpectralDecomposition is their one check.
 
 Every term is computed as a factored product U C V^T: U = [b p],
 V = [d q] and the 2x2 core C = J (U^T V)(omega I - sigma J) / nu with
-J = [[0, 1], [-1, 0]]; a real term has U = a, V = c and
-C = [[alpha / c.a]].  term_stacks builds every term's factors in one
-pass from one gather of the terms' vectors, and they stay rows in term
-order: TermStacks holds every U^T, V^T and (U C)^T as (j + 2k, n) arrays
-and all cores, on the terms' eigenvalues divided by their own exact
-power of two s, so no core overflows and the stacks are one function of
-the terms.  reconstruct, apply and decompose's residual (on the terms it
-returns) are one product of these rows, real_canonical_form reads
-B_real, L_real and B_real^-1 off them and verify's identity checks run
-on them.
+J = [[0, 1], [-1, 0]]; a real term has U = a, V = c and C = [[alpha / c.a]].
+term_stacks gathers the terms' vectors once and builds every factor as
+(j + 2k, n) rows in term order, on the eigenvalues divided by their own
+power of two s, so no core overflows.  reconstruct, apply and
+decompose's residual are one product of these rows, real_canonical_form
+reads B_real, L_real and B_real^-1 off them and verify's checks run on
+them.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,47 +40,22 @@ _NU_REL_FLOOR = 1e-24
 # (alpha / s) / c.a of an alpha / s < 2 is finite, and nu keeps full precision
 _TINY = float(np.finfo(float).tiny)
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
-def _check_vectors(*vectors):
-    """Refuse term vectors of different shapes or with a non-finite entry,
-    before anything computes with them; returns their norms."""
-    shapes = [v.shape for v in vectors]
-    if len(set(shapes)) != 1:
-        raise ShapeError(f"term vectors differ: {shapes}")
-    norms = [frobenius_norm(v) for v in vectors]
-    # a sum of squares is finite unless an entry is not, or it overflows
-    if not math.isfinite(sum(norms)) and not np.isfinite(vectors).all():
-        raise ShapeError("term vectors must be finite")
-    return norms
+_EMPTY = np.empty(0)  # leads each concatenation of term rows: float, and defined at n = 0
 
 
 @dataclass(frozen=True)
 class RealTerm:
-    """One real eigenvalue alpha with right/left eigenvectors a, c; a c.a
-    at most 1e-12 |c| |a|, or below the normal range, raises
-    DegeneratePairError."""
+    """One real eigenvalue alpha with right/left eigenvectors a, c."""
 
     alpha: float
     a: np.ndarray
     c: np.ndarray
 
-    def __post_init__(self):
-        if not math.isfinite(self.alpha):
-            raise ShapeError(f"real term needs a finite alpha, got {self.alpha}")
-        norm_a, norm_c = _check_vectors(self.a, self.c)
-        ca = float(np.add.reduce(self.c * self.a))
-        if abs(ca) <= 1e-12 * (norm_c * norm_a) or abs(ca) < _TINY:
-            raise DegeneratePairError(f"left/right product c.a = {ca:.3e} is degenerate")
-
 
 @dataclass(frozen=True)
 class ComplexPlaneTerm:
     """One conjugate pair's plane data: eigenvalue sigma + i omega, right
-    split (b, p) and left split (d, q), and the normalization
-    nu = (d.b)^2 + (q.b)^2, computed once, on construction.  A nu that is
-    not finite, below the normal range or at most
-    _NU_REL_FLOOR (|d| |b| + |q| |b|)^2 raises DegeneratePairError."""
+    split (b, p), left split (d, q) and nu = (d.b)^2 + (q.b)^2."""
 
     sigma: float
     omega: float
@@ -89,24 +63,34 @@ class ComplexPlaneTerm:
     p: np.ndarray
     d: np.ndarray
     q: np.ndarray
-    nu: float = field(init=False)
 
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma) and 0.0 < self.omega < math.inf):
-            raise ShapeError(f"plane term needs a finite sigma and finite omega > 0, "
-                             f"got {self.sigma}, {self.omega}")
-        norm_b, _, norm_d, norm_q = _check_vectors(self.b, self.p, self.d, self.q)
-        db, qb = float(np.add.reduce(self.d * self.b)), float(np.add.reduce(self.q * self.b))
+    @cached_property
+    def nu(self):
+        return float(_dots(np.array([self.b, self.p]), np.array([self.d, self.q]), 0)[1][0])
+
+
+def _dots(right, left, j):
+    """c.a of the j real terms and nu of each pair after them, as arrays, from
+    the terms' rows: each left row's dot with its term's a or b by
+    np.add.reduce, each square by Python's float power (inf on overflow)."""
+    partner = right.copy()
+    partner[j + 1::2] = right[j::2]
+    dots = np.add.reduce(left * partner, axis=1)
+    nus = []
+    for db, qb in dots[j:].reshape(-1, 2).tolist():
         try:
-            value = db ** 2 + qb ** 2
-        except OverflowError:  # a square above the float range
-            value = math.inf
-        root = norm_d * norm_b + norm_q * norm_b
-        # the floor as (floor root) root overflows only where it exceeds every
-        # finite nu; a NaN fails the comparisons, so it is refused too
-        if not (_NU_REL_FLOOR * root * root < value < math.inf and value >= _TINY):
-            raise DegeneratePairError(f"nu = {value:.3e} below degeneracy floor or not finite")
-        object.__setattr__(self, "nu", value)
+            nus.append(db ** 2 + qb ** 2)
+        except OverflowError:
+            nus.append(math.inf)
+    return dots[:j], np.array(nus, dtype=float)
+
+
+def _vectors(real_terms, plane_terms):
+    """Every term vector in row order, the right rows (each a, then each
+    pair's b, p) then the left rows, for one np.concatenate (a copy, which
+    takes a fraction of np.array's time on a list of arrays)."""
+    vectors = [t.a for t in real_terms] + [v for t in plane_terms for v in (t.b, t.p)]
+    return vectors + [t.c for t in real_terms] + [v for t in plane_terms for v in (t.d, t.q)]
 
 
 @dataclass(frozen=True)
@@ -117,20 +101,42 @@ class Diagnostics:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """The j real terms and k plane terms of an n x n matrix, n = j + 2k;
-    every term vector must be of length n (the terms check that their
-    eigenvalues and vectors are finite)."""
+    """The j real terms and k plane terms of an n x n matrix, n = j + 2k.
+    Its construction is the terms' one check, over their gathered rows: a
+    vector not of length n, a non-finite eigenvalue or entry, or an
+    omega <= 0 raises ShapeError; then, on norms safe from overflow and
+    underflow, a c.a at most 1e-12 |c| |a| or a nu at most
+    _NU_REL_FLOOR (|d| |b| + |q| |b|)^2, either below the normal range,
+    or a nu that is not finite, raises DegeneratePairError."""
 
     real_terms: tuple
     plane_terms: tuple
     diagnostics: Diagnostics = field(compare=False)
 
     def __post_init__(self):
-        n = self.dim
-        vectors = [v for t in self.real_terms for v in (t.a, t.c)]
-        vectors += [v for t in self.plane_terms for v in (t.b, t.p, t.d, t.q)]
+        reals, planes = self.real_terms, self.plane_terms
+        n, j, vectors = self.dim, len(reals), _vectors(reals, planes)
         if any(v.shape != (n,) for v in vectors):
             raise ShapeError(f"term vectors must be of length j + 2k = {n}")
+        eigs = [t.alpha for t in reals] + [x for t in planes for x in (t.sigma, t.omega)]
+        bad = [x for x in eigs if not math.isfinite(x)] + [t.omega for t in planes if t.omega <= 0]
+        if bad:
+            raise ShapeError(f"term eigenvalues must be finite and omega > 0, got {bad[0]}")
+        rows = np.concatenate((_EMPTY, *vectors)).reshape(2 * n, n)
+        norms = dc.row_norms(rows)
+        # a norm is finite unless an entry is not, or it overflows
+        if not math.isfinite(sum(norms)) and not np.isfinite(rows).all():
+            raise ShapeError("term vectors must be finite")
+        cas, nus = _dots(rows[:n], rows[n:], j)
+        for ca, norm_a, norm_c in zip(cas.tolist(), norms, norms[n:]):
+            if abs(ca) <= 1e-12 * (norm_c * norm_a) or abs(ca) < _TINY:
+                raise DegeneratePairError(f"left/right product c.a = {ca:.3e} is degenerate")
+        for nu, nb, nd, nq in zip(nus.tolist(), norms[j:n:2], norms[n + j::2], norms[n + j + 1::2]):
+            root = nd * nb + nq * nb
+            # the floor as (floor root) root overflows only where it exceeds
+            # every finite nu; a NaN fails the comparisons, so it is refused too
+            if not (_NU_REL_FLOOR * root * root < nu < math.inf and nu >= _TINY):
+                raise DegeneratePairError(f"nu = {nu:.3e} below degeneracy floor or not finite")
 
     @property
     def dim(self):
@@ -149,10 +155,9 @@ class TermStacks:
     B_real^T (each a, then each pair's b, p), left the left factors (each c,
     then each pair's d, q) and w = (U C)^T's rows (a times its core, C^T [b; p]
     for a pair), so the terms' sum is (w^T left) s; the pairs' Grams U^T V
-    and cores as (k, 2, 2), and the eigenvalues and nu as read off the
-    terms.  Each core is on the eigenvalues divided by s, the power of two
-    with s <= the largest |alpha|, |sigma| or omega < 2s (0.5 if none is
-    nonzero)."""
+    and cores as (k, 2, 2), the eigenvalues and nu.  Each core is on the
+    eigenvalues divided by s, the power of two with s <= the largest
+    |alpha|, |sigma| or omega < 2s (0.5 if none is nonzero)."""
 
     s: float
     alpha: np.ndarray
@@ -167,17 +172,22 @@ class TermStacks:
 
 
 def term_stacks(real_terms, plane_terms):
-    """TermStacks of the terms from one gather of their vectors: the j real
-    terms' a or c, then each pair's (b, p) or (d, q)."""
-    j, k = len(real_terms), len(plane_terms)
-    right = [t.a for t in real_terms] + [v for t in plane_terms for v in (t.b, t.p)]
-    left = [t.c for t in real_terms] + [v for t in plane_terms for v in (t.d, t.q)]
-    n = len(right[0]) if right else 0
-    right, left = (np.array(rows).reshape(len(rows), n) for rows in (right, left))
+    """TermStacks of the terms from one gather of their vectors."""
+    vectors = _vectors(real_terms, plane_terms)
+    m = len(vectors) // 2
+    rows = np.concatenate((_EMPTY, *vectors)).reshape(2 * m, len(vectors[0]) if m else 0)
     alpha = np.array([t.alpha for t in real_terms], dtype=float)
-    sigma, omega, nu_ = np.array([(t.sigma, t.omega, t.nu) for t in plane_terms]).reshape(k, 3).T
+    sigma, omega = np.array([(t.sigma, t.omega) for t in plane_terms], dtype=float).reshape(-1, 2).T
+    return stacks_from_rows(alpha, sigma, omega, rows[:m], rows[m:])
+
+
+def stacks_from_rows(alpha, sigma, omega, right, left):
+    """TermStacks of the j real terms alpha and the k pairs sigma + i omega
+    whose vectors are the rows of the (j + 2k, n) right and left."""
+    j, k, n = len(alpha), len(sigma), right.shape[1]
+    cas, nu_ = _dots(right, left, j)
     s = dc.pow2_scale(np.concatenate((alpha, sigma, omega)))
-    real_cores = alpha / s / np.add.reduce(left[:j] * right[:j], axis=1)
+    real_cores = alpha / s / cas
     # (k, b p, n) and (k, d q, n): the pairs' U^T and V^T
     ut, vt = right[j:].reshape(k, 2, n), left[j:].reshape(k, 2, n)
     gram = ut @ np.swapaxes(vt, 1, 2)
@@ -215,10 +225,11 @@ def decompose(m, tol=DEFAULT_TOL):
     real_terms = tuple(map(RealTerm, alpha.tolist(), right[:j], left[:j]))
     plane_terms = tuple(map(ComplexPlaneTerm, sigma.tolist(), omega.tolist(),
                             right[j::2], right[j + 1::2], left[j::2], left[j + 1::2]))
-    # w^T left against M / s, on the stacks of the terms returned: the cores
-    # take the eigenvalues over s and left the conditioning, and the rcond gate
-    # keeps ||M||_1 within 1e12 ||L_real||_1, so nothing overflows
-    st = term_stacks(real_terms, plane_terms)
+    dec = SpectralDecomposition(real_terms, plane_terms, None)  # the check, before the residual
+    # w^T left - M / s on the stacks of the terms returned (views of right and
+    # left): the cores take the eigenvalues over s and left the conditioning,
+    # and the rcond gate keeps ||M||_1 <= 1e12 ||L_real||_1: nothing overflows
+    st = stacks_from_rows(alpha, sigma, omega, right, left)
     m_s = m / st.s
     resid = frobenius_norm(st.w.T @ st.left - m_s) / (frobenius_norm(m_s) or 1.0)
     if not math.isfinite(resid):
@@ -227,7 +238,8 @@ def decompose(m, tol=DEFAULT_TOL):
         raise NotDiagonalizableError(
             f"reconstruction residual {resid:.3e} above tolerance {tol:.3e}"
         )
-    return SpectralDecomposition(real_terms, plane_terms, Diagnostics(resid, system.basis_rcond))
+    object.__setattr__(dec, "diagnostics", Diagnostics(resid, system.basis_rcond))
+    return dec
 
 
 def reconstruct(dec):

@@ -1,27 +1,19 @@
 """Independent oracles and the identity-check harness.
 
-The production decomposition is real in its basis and every output
-(complex values exist only inside eigensolve, for its eigenvalue array and
-back-substitution).  The complex eigendecomposition here, LAPACK dgeev
-through numpy, is a different algorithm and exists purely to cross-check
+The complex eigendecomposition here, LAPACK dgeev through numpy, is a
+different algorithm from eigensolve's and exists purely to cross-check
 it.  The identity checks evaluate the plane terms' factors U C V^T, each
 against a fixed relative tolerance that one scale multiplies.  Every check
 runs once over all k pairs, on one realdecomp.term_stacks of the
-decomposition's terms, the rows reconstruct and apply read (B_real as
-their transpose, each pair's U, V and U C as (k, n, 2) views of its rows,
-the Grams and cores as (k, 2, 2), U C and the cores multiplied back by
-the stacks' power of two s, which is exact): eigen-action,
-biorthogonality, the annihilation column norms and the k x 100 phase
-factors.  The comparisons with the plane term's explicit wedge forms
-(form equality, the phase distance's U C V^T - left and transposition)
-take each form as rank-two factors, the paper's brackets applied by
+decomposition's terms: the reconstruction, B_real, each pair's U, V and
+U C as (k, n, 2) views of the rows and the transposed terms' stacks all
+come from its rows.  The comparisons with the explicit wedge forms take
+each form as rank-two factors, the paper's brackets applied by
 associativity, so each difference of two forms is a product F G^T of
-(n, 4) factors, and its norm that of R_F R_G^T, from two batched QR
-factorizations over all k pairs: no n x n array is formed per pair, and
-the checks' extra memory stays O(n^2) whatever k is.  geoalg's n x n
-forms, which the production modules never call, are the tests' reference
-for them.  Random draws use numpy's PCG64 generator with explicit seeds
-so reports reproduce bit-for-bit across platforms.
+(n, 4) factors whose norm is that of R_F R_G^T, from two batched QR
+factorizations: no n x n array is formed per pair.  geoalg's n x n forms
+are the tests' reference.  Random draws use numpy's PCG64 generator with
+explicit seeds so reports reproduce bit-for-bit across platforms.
 """
 
 import time
@@ -29,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geoalg as ga
 from . import realdecomp as rd
 from .densecore import as_array, frobenius_norm, pow2_scale
 from .errors import GenerationError, GeoSpectralError, OracleInconsistencyError
@@ -229,7 +220,8 @@ def _form_comparisons(sigma, omega, nu, u, v, w, wt, vt):
 
 def _decomposition_checks(m, dec):
     norm_m = frobenius_norm(m)
-    recon = rd.reconstruct(dec)
+    st = rd.term_stacks(dec.real_terms, dec.plane_terms)
+    recon = (st.w.T @ st.left) * st.s  # reconstruct(dec)
     checks = [("reconstruction", _rel(frobenius_norm(recon - m), norm_m))]
 
     oracle = brute_force_reconstruct(m)
@@ -239,11 +231,12 @@ def _decomposition_checks(m, dec):
     if not planes:
         return checks
     k, n, first = len(planes), dec.dim, len(dec.real_terms)
-    st = rd.term_stacks(dec.real_terms, planes)
-    tt = rd.term_stacks((), [ga.transpose_term(t) for t in planes])
+    # geoalg.transpose_term's (b, p, d, q) -> (d, -q, b, -p), on the same rows
+    flip = np.tile([1.0, -1.0], k)[:, None]
+    tt = rd.stacks_from_rows(st.alpha[:0], st.sigma, st.omega, st.left[first:] * flip,
+                             st.right[first:] * flip)
     # each pair's U, V, U C and the transposed term's U C and V as (k, n, 2)
-    # views of the pairs' rows, the last 2k; the cores and U C times s, which
-    # is exact, s being a power of two
+    # views of the last 2k rows; the cores and U C times s, a power of two
     u, v, w, wt, vt = (np.swapaxes(x[-2 * k:].reshape(k, 2, n), 1, 2)
                        for x in (st.right, st.left, st.w * st.s, tt.w * tt.s, tt.left))
     g, c, nu = st.gram, st.plane_cores * st.s, st.nu
@@ -261,8 +254,7 @@ def _decomposition_checks(m, dec):
         _rel(np.linalg.norm(act_l, axis=1).max(axis=1), norm_t * norm_v.sum(axis=1)),
     )
 
-    # [d q]^T against every column of B_real, where each pair's own two
-    # columns are masked out
+    # [d q]^T against every column of B_real but the pair's own two
     basis = st.right.T
     vb = np.swapaxes(v, 1, 2) @ basis
     others = np.ones((k, n), dtype=bool)
@@ -271,13 +263,17 @@ def _decomposition_checks(m, dec):
     # the term U C V^T maps column x to U y, y = C V^T x, and with U = QR
     # ||U y|| = ||R y||: no n x n term is formed
     killed = np.linalg.norm(np.linalg.qr(u, mode="r") @ (c @ vb), axis=1)
-    annih = _rel(killed, norm_t[:, None] * np.linalg.norm(basis, axis=0))
+    norm_x = np.linalg.norm(basis, axis=0)
+    annih = _rel(killed, norm_t[:, None] * norm_x)
 
-    # d_i^dag b_j = 0 = d_i^dag conj(b_j) for every other eigenvector, and
-    # the pair's own d.b - q.p and q.b + d.p vanish
-    cross = np.where(others, np.abs(vb).max(axis=1), 0.0).max(axis=1, initial=0.0)
+    # d_i^dag b_j = 0 = d_i^dag conj(b_j) for every other eigenvector, each
+    # d_i.x_j and q_i.x_j over its own two norms (so scaling one term leaves
+    # it as it is), and the pair's own d.b - q.p and q.b + d.p vanish
+    scale = norm_v[:, :, None] * norm_x
+    cosines = np.divide(np.abs(vb), scale, out=np.zeros_like(vb), where=scale > 0.0)
+    cross = np.where(others, cosines.max(axis=1), 0.0).max(axis=1, initial=0.0)
     own = np.maximum(np.abs(g[:, 0, 0] - g[:, 1, 1]), np.abs(g[:, 0, 1] + g[:, 1, 0]))
-    bio = _rel(np.maximum(own, cross), np.sum(norm_u * norm_v, axis=1))
+    bio = np.maximum(_rel(own, np.sum(norm_u * norm_v, axis=1)), cross)
 
     # one (k, 100) draw gives each pair the 100 phases k draws of 100 would
     rng = np.random.default_rng(np.random.PCG64(0xC0FFEE))

@@ -386,7 +386,8 @@ def test_francis_sweep_inside_the_matrix_matches_reference(n, lo, hi, shifts):
     r1, r2 = shifts or eg._eig_2x2(h, hi - 1)
     a = np.empty((n, 2 * n))
     a[:, :n], a[:, n:] = h, q.T
-    eg._francis_step(a, lo, hi, r1, r2, eg._bulge_slabs(a))
+    eg._francis_step(a, lo, hi, r1, r2, eg._bulge_slabs(a), np.empty((3, 3)), np.empty((2, 2)),
+                     a.reshape(-1))
     assert np.all(a[:, :n][np.tril_indices(n, -2)] == 0.0)
     _reference_sweep(h, q, lo, hi, r1, r2)
     np.testing.assert_array_equal(a[:, :n], h, strict=True)
@@ -429,7 +430,7 @@ def test_francis_sweep_on_cached_slabs_matches_reference(block):
     slabs = eg._bulge_slabs(a)
     assert len(slabs) == n - 2
     assert all(np.shares_memory(s, a) for pair in slabs for s in pair)
-    eg._francis_step(a, lo, hi, r1, r2, slabs)
+    eg._francis_step(a, lo, hi, r1, r2, slabs, np.empty((3, 3)), np.empty((2, 2)), a.reshape(-1))
     _reference_sweep(h, q, lo, hi, r1, r2)
     np.testing.assert_array_equal(a[:, :n], h, strict=True)
     np.testing.assert_array_equal(a[:, n:].T, q, strict=True)

@@ -1,8 +1,11 @@
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geospectral import cli, matio
 from geospectral import eigensolve as eg
@@ -16,6 +19,14 @@ from test_properties import UNDERFLOWING_PAIR
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
+
+
+def _decomposition(*terms):
+    """The decomposition of terms, real and plane terms each in their given
+    order, without diagnostics: constructing it is the terms' one check."""
+    real = tuple(t for t in terms if isinstance(t, rd.RealTerm))
+    plane = tuple(t for t in terms if isinstance(t, rd.ComplexPlaneTerm))
+    return rd.SpectralDecomposition(real, plane, None)
 
 
 def _pipeline_terms(seeds):
@@ -42,8 +53,9 @@ def test_nu_degenerate():
     b = np.array([0.0, 0.0, 1.0])
     d = np.array([1.0, 0.0, 0.0])
     q = np.array([0.0, 1.0, 0.0])
+    # a real term on b makes the length j + 2k = 3
     with pytest.raises(DegeneratePairError):
-        rd.ComplexPlaneTerm(1.0, 2.0, b, d, d, q)
+        _decomposition(rd.RealTerm(1.0, b, b), rd.ComplexPlaneTerm(1.0, 2.0, b, d, d, q))
 
 
 def test_nu_homogeneity():
@@ -133,8 +145,9 @@ def test_plane_term_factors_match_left_form():
 
 
 def test_real_term_degenerate_pairing_rejected():
+    # a second, well-paired real term makes the length j + 2k = 2
     with pytest.raises(DegeneratePairError):
-        rd.RealTerm(1.0, E1, E2)
+        _decomposition(rd.RealTerm(1.0, E1, E2), rd.RealTerm(1.0, E2, E2))
 
 
 def test_term_with_subnormal_c_a_or_nu_rejected():
@@ -143,10 +156,11 @@ def test_term_with_subnormal_c_a_or_nu_rejected():
     # [[1, 2], [-2, 1]] with b, p, d, q times 1e-80 has a subnormal
     # nu = 2.5e-321, which has lost most of its digits
     with pytest.raises(DegeneratePairError, match="c.a"):
-        rd.RealTerm(1.0, np.array([3e-162]), np.array([3e-162]))
+        _decomposition(rd.RealTerm(1.0, np.array([3e-162]), np.array([3e-162])))
     t = rd.decompose(np.array([[1.0, 2.0], [-2.0, 1.0]])).plane_terms[0]
     with pytest.raises(DegeneratePairError, match="nu"):
-        rd.ComplexPlaneTerm(t.sigma, t.omega, *(1e-80 * v for v in (t.b, t.p, t.d, t.q)))
+        _decomposition(rd.ComplexPlaneTerm(t.sigma, t.omega,
+                                           *(1e-80 * v for v in (t.b, t.p, t.d, t.q))))
     # at the bottom of the normal range the real core is finite, and here exact
     tiny = np.finfo(float).tiny
     dec = rd.SpectralDecomposition((rd.RealTerm(1.0, np.array([tiny]), np.array([1.0])),), (), None)
@@ -154,24 +168,31 @@ def test_term_with_subnormal_c_a_or_nu_rejected():
     assert rd.apply(dec, [2.0]).tolist() == [2.0]
     # a -> 2^e a, c -> 2^-e c (b, p and d, q alike) leaves each term's matrix
     # and so its verdict as it is: every norm is safe from overflow and
-    # underflow, and none raises a warning (an error under pytest's settings)
+    # underflow, and none raises a warning (an error under pytest's settings);
+    # a second real term on e_2 makes the length-2 cases' j + 2k = 2
     for e in (-600, -515, 515, 600):
         r = 2.0**e
-        for a, c in (([r], [1 / r]), ([r, 0.0], [1 / r, 0.0])):
-            rd.RealTerm(1.0, np.array(a), np.array(c))
+        _decomposition(rd.RealTerm(1.0, np.array([r]), np.array([1 / r])))
+        _decomposition(rd.RealTerm(1.0, np.array([r, 0.0]), np.array([1 / r, 0.0])),
+                       rd.RealTerm(1.0, E2, E2))
         with pytest.raises(DegeneratePairError, match="c.a"):
-            rd.RealTerm(1.0, np.array([r, 0.0]), np.array([1e-13, 1.0]) / r)
-        assert rd.ComplexPlaneTerm(t.sigma, t.omega, r * t.b, r * t.p, t.d / r, t.q / r).nu == t.nu
+            _decomposition(rd.RealTerm(1.0, np.array([r, 0.0]), np.array([1e-13, 1.0]) / r),
+                           rd.RealTerm(1.0, E2, E2))
+        scaled = rd.ComplexPlaneTerm(t.sigma, t.omega, r * t.b, r * t.p, t.d / r, t.q / r)
+        _decomposition(scaled)
+        assert scaled.nu == t.nu
     # (b, p) -> 2^e (b, p) alone leaves the term's matrix as it is and scales
     # nu = 1/4 by 2^2e: finite up to e = 512, where only the degeneracy
     # floor's (|d| |b| + |q| |b|)^2 would overflow, and refused from 513 on
     for e in (511, 512):
         r = 2.0**e
-        assert rd.ComplexPlaneTerm(t.sigma, t.omega, r * t.b, r * t.p, t.d, t.q).nu == t.nu * r * r
+        scaled = rd.ComplexPlaneTerm(t.sigma, t.omega, r * t.b, r * t.p, t.d, t.q)
+        _decomposition(scaled)
+        assert scaled.nu == t.nu * r * r
     for e in (513, 600):
         r = 2.0**e
         with pytest.raises(DegeneratePairError, match="nu = inf"):
-            rd.ComplexPlaneTerm(t.sigma, t.omega, r * t.b, r * t.p, t.d, t.q)
+            _decomposition(rd.ComplexPlaneTerm(t.sigma, t.omega, r * t.b, r * t.p, t.d, t.q))
 
 
 def test_plane_term_computes_nu():
@@ -183,7 +204,7 @@ def test_plane_term_computes_nu():
 
 def test_plane_term_vectors_must_share_shape():
     with pytest.raises(ShapeError):
-        rd.ComplexPlaneTerm(1.0, 2.0, E1, E2, E1, np.array([0.0, 1.0, 0.0]))
+        _decomposition(rd.ComplexPlaneTerm(1.0, 2.0, E1, E2, E1, np.array([0.0, 1.0, 0.0])))
 
 
 def test_nu_rejects_nan():
@@ -191,7 +212,109 @@ def test_nu_rejects_nan():
     # and so nu are NaN
     b, d, q = np.array([2.0**600, 2.0**600]), np.array([2.0**600, -(2.0**600)]), np.array([1.0, -1.0])
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DegeneratePairError, match="nu = nan"):
-        rd.ComplexPlaneTerm(1.0, 2.0, b, E2, d, q)
+        _decomposition(rd.ComplexPlaneTerm(1.0, 2.0, b, E2, d, q))
+
+
+_TINY = float(np.finfo(float).tiny)
+
+
+def _oracle(real_terms, plane_terms):
+    """The exception type the decomposition's check must raise on the terms,
+    or None, each condition stated term by term with frobenius_norm: any
+    shape fault (a vector not of length j + 2k, an eigenvalue out of range,
+    a non-finite entry) is a ShapeError, else any degenerate c.a or nu is
+    a DegeneratePairError."""
+    n = len(real_terms) + 2 * len(plane_terms)
+    vectors = ([v for t in real_terms for v in (t.a, t.c)]
+               + [v for t in plane_terms for v in (t.b, t.p, t.d, t.q)])
+    if (any(v.shape != (n,) for v in vectors)
+            or not all(math.isfinite(t.alpha) for t in real_terms)
+            or not all(math.isfinite(t.sigma) and 0.0 < t.omega < math.inf for t in plane_terms)
+            or not all(np.isfinite(v).all() for v in vectors)):
+        return ShapeError
+    for t in real_terms:
+        ca = float(np.add.reduce(t.c * t.a))
+        if abs(ca) <= 1e-12 * (frobenius_norm(t.c) * frobenius_norm(t.a)) or abs(ca) < _TINY:
+            return DegeneratePairError
+    for t in plane_terms:
+        try:
+            nu = float(np.add.reduce(t.d * t.b)) ** 2 + float(np.add.reduce(t.q * t.b)) ** 2
+        except OverflowError:
+            nu = math.inf
+        norm_b, norm_d, norm_q = map(frobenius_norm, (t.b, t.d, t.q))
+        root = norm_d * norm_b + norm_q * norm_b
+        if not (1e-24 * root * root < nu < math.inf and nu >= _TINY):
+            return DegeneratePairError
+    return None
+
+
+def _perp(v):
+    """A vector exactly orthogonal to v: its first two entries swapped, one
+    negated, so the dot's two products cancel (zero if len(v) < 2)."""
+    out = np.zeros_like(v)
+    if len(v) >= 2:
+        out[0], out[1] = -v[1], v[0]
+    return out
+
+
+_ENTRIES = [0.0, -0.0, 5e-324, 2.0**-1000, 2.0**1000, -(2.0**1000), np.nan, np.inf, -np.inf]
+_SCALES = [0.0, 2.0**-1000, 2.0**1000, 2.0**-600, 2.0**600]
+_EIGENVALUES = [0.0, -0.0, -1.0, 5e-324, np.nan, np.inf, -np.inf]
+# c = perp(a) + eps a: c.a / (|c| |a|) is at least about eps, against the
+# floor 1e-12 (2^-39.9); d = perp(b) + eps b: nu / root^2 is about eps^2 / 4,
+# so 2^-39 and below fall under the relative floor 1e-24 and 2^-38 pass it
+_EPS = [0.0, 2.0**-45, 2.0**-39, 2.0**-38, 2.0**-30]
+_FAULTS = st.tuples(
+    st.sampled_from(["entry", "scale", "eigenvalue", "orthogonal", "nu", "tiny-nu", "length"]),
+    st.integers(0, 2**16), st.integers(0, 2**16), st.integers(0, 2**16))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2**32 - 1), st.lists(_FAULTS, max_size=3))
+def test_the_one_check_accepts_what_the_per_term_oracle_accepts(j, k, seed, faults):
+    # well-paired random terms, then each fault on one term: an entry or a
+    # whole vector set to zero, subnormal, 2^+-1000-scaled, NaN or inf; an
+    # eigenvalue out of range; c (nearly) orthogonal to a; nu below the
+    # relative floor or at and below the normal range; one vector an entry
+    # short
+    n = j + 2 * k
+    rng = np.random.default_rng(seed)
+    reals = [[float(rng.standard_normal()), *rng.standard_normal((2, n))] for _ in range(j)]
+    pairs = [[float(rng.standard_normal()), float(rng.uniform(0.1, 2.0)),
+              *rng.standard_normal((4, n))] for _ in range(k)]
+    for kind, i, v, x in faults if j + k else ():
+        term = (reals + pairs)[i % (j + k)]
+        real = len(term) == 3
+        slot = 1 + v % 2 if real else 2 + v % 4  # one of the term's vectors
+        vec = term[slot]
+        if kind == "entry" and len(vec):
+            vec[x // len(_ENTRIES) % len(vec)] = _ENTRIES[x % len(_ENTRIES)]
+        elif kind == "scale":
+            with np.errstate(over="ignore"):
+                term[slot] = vec * _SCALES[x % len(_SCALES)]
+        elif kind == "eigenvalue":
+            term[v % (1 if real else 2)] = _EIGENVALUES[x % len(_EIGENVALUES)]
+        elif kind == "orthogonal" and real:
+            term[2] = _perp(term[1]) + _EPS[x % len(_EPS)] * term[1]
+        elif kind == "nu" and not real:
+            b = term[2]
+            term[4], term[5] = _perp(b) + _EPS[x % len(_EPS)] * b, _perp(b)
+        elif kind == "tiny-nu" and not real:
+            # d.b = 2^-511 or 2^-512 and q.b = 0: nu = 2^-1022, the least
+            # normal float, which passes, or 2^-1024, which does not
+            e = np.eye(n)[v % n]
+            term[2:] = [2.0**-255 * e, e, 2.0**-(256 + x % 2) * e, np.zeros(n)]
+        elif kind == "length":
+            term[slot] = vec[:-1]
+    real_terms = tuple(rd.RealTerm(*t) for t in reals)
+    plane_terms = tuple(rd.ComplexPlaneTerm(*t) for t in pairs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _oracle(real_terms, plane_terms)
+        if want is None:
+            rd.SpectralDecomposition(real_terms, plane_terms, None)
+        else:
+            with pytest.raises(want):
+                rd.SpectralDecomposition(real_terms, plane_terms, None)
 
 
 @pytest.mark.parametrize(
@@ -200,8 +323,7 @@ def test_nu_rejects_nan():
     ids=["length", "infinite"],
 )
 def test_decomposition_rejects_bad_term_vectors(vectors):
-    # one pair, so every vector must be finite and of length j + 2k = 2;
-    # the term itself refuses the infinite one
+    # one pair, so every vector must be finite and of length j + 2k = 2
     with pytest.raises(ShapeError):
         rd.SpectralDecomposition((), (rd.ComplexPlaneTerm(1.0, 2.0, *vectors),), None)
 
@@ -211,15 +333,15 @@ def test_decomposition_rejects_bad_term_vectors(vectors):
 def test_term_rejects_non_finite_vector(field, bad):
     # refused as a shape error before c.a or nu is computed, so neither a
     # DegeneratePairError nor a numpy warning (an error under pytest's
-    # settings) comes first
+    # settings) comes first; a lone real term's vectors are of length 1
     names = "ac" if field in "ac" else "bpdq"
-    vectors = np.array([E1, E2, E1, E2][:len(names)])
-    vectors[names.index(field), 1] = bad
+    vectors = np.array([[1.0], [1.0]]) if names == "ac" else np.array([E1, E2, E1, E2])
+    vectors[names.index(field), -1] = bad
     with pytest.raises(ShapeError, match="finite"):
         if names == "ac":
-            rd.RealTerm(1.0, *vectors)
+            _decomposition(rd.RealTerm(1.0, *vectors))
         else:
-            rd.ComplexPlaneTerm(1.0, 2.0, *vectors)
+            _decomposition(rd.ComplexPlaneTerm(1.0, 2.0, *vectors))
 
 
 @pytest.mark.parametrize(
@@ -229,15 +351,15 @@ def test_term_rejects_non_finite_vector(field, bad):
         lambda: rd.ComplexPlaneTerm(1.0, np.nan, E1, E2, E1, E2),
         lambda: rd.ComplexPlaneTerm(1.0, np.inf, E1, E2, E1, E2),
         lambda: rd.ComplexPlaneTerm(np.nan, 1.0, E1, E2, E1, E2),
-        lambda: rd.RealTerm(np.nan, E1, E1),
-        lambda: rd.RealTerm(-np.inf, E1, E1),
+        lambda: rd.RealTerm(np.nan, E1[:1], E1[:1]),
+        lambda: rd.RealTerm(-np.inf, E1[:1], E1[:1]),
     ],
     ids=["zero-omega", "nan-omega", "infinite-omega", "nan-sigma", "nan-alpha", "infinite-alpha"],
 )
 def test_term_rejects_out_of_range_eigenvalue(build):
     # a typed error, so the CLI maps it to an exit code
-    with pytest.raises(ShapeError):
-        build()
+    with pytest.raises(ShapeError, match="finite"):
+        _decomposition(build())
 
 
 def test_decompose_identity():
@@ -664,11 +786,14 @@ def _bits(x):
 
 
 def _assert_decompose_matches_reference(m, monkeypatch):
-    stacks = []
-    build = rd.term_stacks
+    stacks, checked = [], []
+    build, row_norms = rd.stacks_from_rows, rd.dc.row_norms
     with monkeypatch.context() as mp:
-        mp.setattr(rd, "term_stacks", lambda *args: stacks.append(build(*args)) or stacks[-1])
+        mp.setattr(rd, "stacks_from_rows", lambda *args: stacks.append(build(*args)) or stacks[-1])
+        mp.setattr(rd.dc, "row_norms", lambda rows: checked.append(len(rows)) or row_norms(rows))
         dec = rd.decompose(m)
+    # decompose checks its terms once, on all 2n rows
+    assert checked == [2 * len(m)]
     system, real_terms, plane_terms, st, resid = _reference_decompose(m)
     assert len(dec.real_terms) == len(real_terms) and len(dec.plane_terms) == len(plane_terms)
     for t, ref in zip(dec.real_terms + dec.plane_terms, real_terms + plane_terms):
@@ -781,8 +906,9 @@ def test_underflowing_pair_is_a_pair_before_scaling():
 )
 def test_decompose_refuses_a_degenerate_term_from_the_eigensystem(eigenvalues, basis_inv,
                                                                    monkeypatch):
-    # decompose builds its terms with the checking constructors, so a term
-    # the eigensolver got wrong is refused, not returned
+    # decompose checks its terms once, as it constructs the decomposition and
+    # before its residual, so a term the eigensolver got wrong is refused as
+    # degenerate, not returned and not reported as an AccuracyError
     system = eg.EigenSystem(np.array(eigenvalues, dtype=complex), np.eye(2),
                             np.array(basis_inv), 1.0)
     monkeypatch.setattr(eg, "eigensystem", lambda m: system)

@@ -168,11 +168,12 @@ def test_compare_reports_child_records_canonical_output(tmp_path):
     cr = _import_tool("compare_reports")
     pair = np.array([[1.0, 2.0], [-2.0, 1.0]])
     inputs_path = tmp_path / "inputs.npz"
-    np.savez(inputs_path, m0000=pair, x0000=np.ones(2), m0001=np.zeros((0, 0)), x0001=np.ones(0))
+    np.savez(inputs_path, m0000=pair, x0000=np.ones(2), m0001=np.zeros((0, 0)), x0001=np.ones(0),
+             refusals=np.array("[]"))
     out = tmp_path / "out.json"
     assert cr.run_tree(ROOT / "src", str(inputs_path), str(out)).wait() == 0
     [*_, recon, (code, text)], [*_, empty_recon, (empty_code, line)] = json.loads(
-        out.read_text(encoding="utf-8"))
+        out.read_text(encoding="utf-8"))["inputs"]
     # reconstruct(dec) beside the apply record: the pair back to rounding,
     # and the 0 x 0 matrix as an empty list
     assert np.linalg.norm(np.subtract(recon, pair)) <= 1e-15 * np.linalg.norm(pair)
@@ -209,3 +210,29 @@ def test_compare_reports_exits_1_when_suite_verdicts_or_tolerances_differ(tmp_pa
     out = capsys.readouterr().out
     assert "0 of 1 identity-suite verdicts differ" in out
     assert "1 of 1 identity-suite tolerance lists differ" in out
+
+
+def test_compare_reports_child_records_how_refused_reports_load(tmp_path):
+    # each degenerate report is refused with the check's own exception type,
+    # and the report it was made from loads
+    cr = _import_tool("compare_reports")
+    m = np.array([[3.0, 0.0, 0.0, 0.0], [0.0, 1.0, 2.0, 0.0], [0.0, -2.0, 1.0, 0.0],
+                  [1.0, 0.0, 0.0, -1.0]])
+    doc = matio.decomposition_to_doc(cr.realdecomp.decompose(m))
+    pool = cr.degenerate_reports(doc)
+    assert [how for how, _ in pool] == [
+        "real term: NaN entry", "real term: one entry short", "real term: c orthogonal to a",
+        "real term: c nearly orthogonal to a", "real term: subnormal c.a",
+        "plane term: NaN entry", "plane term: one entry short", "plane term: nu below the floor"]
+    inputs_path = tmp_path / "inputs.npz"
+    np.savez(inputs_path, m0000=m, x0000=np.ones(4),
+             refusals=np.array(json.dumps([doc] + [edited for _, edited in pool])))
+    out = tmp_path / "out.json"
+    assert cr.run_tree(ROOT / "src", str(inputs_path), str(out)).wait() == 0
+    refusals = json.loads(out.read_text(encoding="utf-8"))["refusals"]
+    assert refusals == ["ok"] + ["ShapeError"] * 2 + ["DegeneratePairError"] * 3 + [
+        "ShapeError"] * 2 + ["DegeneratePairError"]
+    # the pool takes every 20th input of at least two rows that decomposes
+    inputs = [("m", m)] + [("skipped", m)] * 19 + [("one row", np.eye(1))]
+    labels = [label for label, _ in cr.refusal_pool(inputs)]
+    assert len(labels) == 8 and all(label.startswith("m, ") for label in labels)

@@ -3,11 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geospectral import geoalg as ga
 from geospectral import realdecomp as rd
 from geospectral import verify as vf
-from geospectral.densecore import frobenius_norm
+from geospectral.densecore import frobenius_norm, pow2_scale
 from geospectral.errors import GenerationError, ShapeError
 
 
@@ -393,3 +395,30 @@ def test_checks_keep_their_verdicts_under_an_exact_rescaling_of_the_splits(expon
     for (name, residual), (_, reference) in zip(got, want):
         assert np.isfinite(residual), name
         assert (residual <= tolerances[name]) == (reference <= tolerances[name]), name
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(-300, 300), min_size=6, max_size=6))
+@example(3, [0, 0, 0, -40, -40, -40])
+def test_checks_keep_their_verdicts_when_each_term_is_scaled_on_its_own(seed, exponents):
+    # term i's right vectors times 2^e_i and its left ones times 2^-e_i leave
+    # every term's matrix as it is; biorthogonality takes each cross term
+    # d_i.x_j over its own ||d_i|| ||x_j||, so its residual stays as it was
+    # (over pair i's ||d|| ||b|| + ||q|| ||p||, the example, whose pairs'
+    # (b, p) are times 2^-40 and (d, q) times 2^40, read 1.6e-3 against 1e-10)
+    spec = vf.PlantedSpectrum((0.5, -1.0, 1.5), ((0.2, 1.0), (-0.7, 0.4), (1.1, 2.0)), basis_seed=seed)
+    m = vf.gen_test_matrix(spec)
+    m = m / pow2_scale(m)  # as run_identity_suite brings m to unit scale
+    dec = rd.decompose(m)
+    up = iter(2.0 ** np.array(exponents, dtype=float))
+    reals = tuple(rd.RealTerm(t.alpha, t.a * r, t.c / r) for t, r in zip(dec.real_terms, up))
+    planes = tuple(rd.ComplexPlaneTerm(t.sigma, t.omega, t.b * r, t.p * r, t.d / r, t.q / r)
+                   for t, r in zip(dec.plane_terms, up))
+    scaled = rd.SpectralDecomposition(reals, planes, dec.diagnostics)
+    tolerances = dict(vf._TOLERANCES, reconstruction=rd.DEFAULT_TOL)
+    got, want = dict(vf._decomposition_checks(m, scaled)), dict(vf._decomposition_checks(m, dec))
+    assert list(got) == list(want)
+    for name, reference in want.items():
+        assert (got[name] <= tolerances[name]) == (reference <= tolerances[name]), name
+    assert want["biorthogonality"] <= tolerances["biorthogonality"]
+    assert got["biorthogonality"] == pytest.approx(want["biorthogonality"], rel=1e-12, abs=0.0)

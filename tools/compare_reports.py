@@ -29,6 +29,16 @@ JSON text, or the error line.  The child calls only names that every
 tree has (``cli.main`` and ``matio.write_matrix_market``), so trees whose
 ``real_canonical_form`` return different tuples compare alike.
 
+Each child also loads a pool of refused reports, built once from this
+checkout: for every 20th input that decomposes and has at least two
+rows, its report with one term made degenerate in each way that applies
+(the first real term's ``c`` orthogonal or nearly orthogonal to ``a``,
+or scaled by 2^-1040, so that ``c.a`` is subnormal; the first plane
+term's ``d`` and ``q`` turned nearly orthogonal to ``b``, so that ``nu``
+is far below its floor; either term's first vector with a NaN entry or
+its last vector one entry short), and records what
+``matio.doc_to_decomposition`` gives: "ok" or the exception type's name.
+
 Two JSON reports are compared on the fields both carry, recursively and
 value by value as JSON text, ignoring ``schema_version``; a field that
 only one of them carries counts apart, so trees with different report
@@ -54,10 +64,12 @@ input it came from: how close that tree came to flipping the check's
 verdict, measured against the tolerance, so that a residual at rounding
 level cannot dominate.  It exits 1 if any input differs on shared
 fields, in its ``canonical`` output, in its identity-suite verdict or in
-its identity-suite tolerance list.
+its identity-suite tolerance list, or if a refused report's load
+outcome differs.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -70,8 +82,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from geospectral import verify  # noqa: E402
+from geospectral import matio, realdecomp, verify  # noqa: E402
 from geospectral.densecore import frobenius_norm  # noqa: E402
+from geospectral.errors import GeoSpectralError  # noqa: E402
 from workloads import corpus_spectrum, grid_spectrum  # noqa: E402
 
 _POOL_REAL = (0.0, 1.0, -0.5)
@@ -114,9 +127,17 @@ def canonical(m, key):
     with open(key + ".json", encoding="utf-8") as fh:
         return [code, fh.read()]
 
+def load_outcome(doc):
+    try:
+        matio.doc_to_decomposition(doc)
+    except Exception as exc:
+        return type(exc).__name__
+    return "ok"
+
 inputs_path, out_path = map(os.path.abspath, sys.argv[1:3])
 out = []
 with np.load(inputs_path) as inputs, tempfile.TemporaryDirectory() as work:
+    refusals = [load_outcome(doc) for doc in json.loads(str(inputs["refusals"]))]
     os.chdir(work)  # canonical's files, under the same relative names in every tree
     for key in sorted(k for k in inputs.files if k.startswith("m")):
         report, dec = report_of(inputs[key])
@@ -141,7 +162,7 @@ with np.load(inputs_path) as inputs, tempfile.TemporaryDirectory() as work:
         out.append([report, suite, tolerances, residuals, round_trip, same_in_c_order, action,
                     recon, canonical(inputs[key], key)])
 with open(out_path, "w", encoding="utf-8") as fh:
-    json.dump(out, fh)
+    json.dump({"inputs": out, "refusals": refusals}, fh)
 """
 
 
@@ -193,6 +214,64 @@ def build_inputs():
     }
     inputs.extend(edge.items())
     return inputs
+
+
+def _perp(v):
+    """A vector exactly orthogonal to v, a list of at least two floats, and
+    as long as v: v's largest entry v_i and the next one v_k placed as
+    (-v_k, v_i) at i and k, so the dot's two products cancel."""
+    i = max(range(len(v)), key=lambda x: abs(v[x]))
+    k = (i + 1) % len(v)
+    out = [0.0] * len(v)
+    out[i], out[k] = -v[k], v[i]
+    return out
+
+
+def degenerate_reports(doc):
+    """(how, report) for each way the report doc, of at least two rows, has
+    one term made degenerate: each a copy of doc with one term changed."""
+    out = []
+    for kind, keys in (("real_terms", "ac"), ("plane_terms", "bpdq")):
+        if not doc[kind]:
+            continue
+        first, last = keys[0], keys[-1]
+        t = doc[kind][0]
+        edits = {"NaN entry": {first: [math.nan] + t[first][1:]},
+                 "one entry short": {last: t[last][:-1]}}
+        if kind == "real_terms":
+            # a is a unit vector and |c| at least sqrt(2 / n): c.a is 0, or
+            # 2^-45, below 1e-12 |c| |a| for n <= 128
+            edits["c orthogonal to a"] = {"c": _perp(t["a"])}
+            edits["c nearly orthogonal to a"] = {
+                "c": [x + 2.0**-45 * y for x, y in zip(_perp(t["a"]), t["a"])]}
+            edits["subnormal c.a"] = {"c": [x * 2.0**-1040 for x in t["c"]]}
+        else:
+            # d.b is 2^-45 |b|^2 and q.b is 0: nu / (|d| |b| + |q| |b|)^2 is
+            # 2^-92 to 2^-93 n, far below the floor 1e-24
+            perp = _perp(t["b"])
+            edits["nu below the floor"] = {"d": [x + 2.0**-45 * y for x, y in zip(perp, t["b"])],
+                                           "q": perp}
+        for how, fields in edits.items():
+            edited = json.loads(json.dumps(doc))
+            edited[kind][0].update(fields)
+            out.append((f"{kind[:-6]} term: {how}", edited))
+    return out
+
+
+def refusal_pool(inputs):
+    """(label, report) for every degenerate report of every 20th input that
+    decomposes, on this checkout, and has at least two rows."""
+    pool = []
+    for label, m in inputs[::20]:
+        if len(m) < 2:
+            continue
+        try:
+            dec = realdecomp.decompose(m)
+        except GeoSpectralError:
+            continue
+        pool += [(f"{label}, {how}", doc)
+                 for how, doc in degenerate_reports(matio.decomposition_to_doc(dec))]
+    return pool
 
 
 def _verdict(report):
@@ -288,20 +367,22 @@ def main(argv):
     inputs = build_inputs()
     rng = np.random.default_rng(4)
     xs = [rng.standard_normal(len(m)) for _, m in inputs]
+    pool = refusal_pool(inputs)
     with tempfile.TemporaryDirectory() as tmp:
         inputs_path = os.path.join(tmp, "inputs.npz")
         np.savez(inputs_path, **{f"m{i:04d}": m for i, (_, m) in enumerate(inputs)},
-                 **{f"x{i:04d}": x for i, x in enumerate(xs)})
+                 **{f"x{i:04d}": x for i, x in enumerate(xs)},
+                 refusals=np.array(json.dumps([doc for _, doc in pool])))
         outs = [os.path.join(tmp, f"{side}.json") for side in ("old", "new")]
         procs = [run_tree(src, inputs_path, out) for src, out in zip(argv[1:], outs)]
         if any([p.wait() != 0 for p in procs]):
             print("a tree failed to run; see its traceback above", file=sys.stderr)
             return 1
-        (old, old_suite, old_tols, old_res, _, _, old_apply, old_recon, old_canon), (
-            new, new_suite, new_tols, new_res, new_trips, new_layout, new_apply, new_recon,
-            new_canon) = (
-            zip(*json.loads(Path(out).read_text(encoding="utf-8"))) for out in outs
-        )
+        records = [json.loads(Path(out).read_text(encoding="utf-8")) for out in outs]
+    (old, old_suite, old_tols, old_res, _, _, old_apply, old_recon, old_canon), (
+        new, new_suite, new_tols, new_res, new_trips, new_layout, new_apply, new_recon,
+        new_canon) = (zip(*r["inputs"]) for r in records)
+    old_refusals, new_refusals = (r["refusals"] for r in records)
     verdicts = [(_verdict(a), _verdict(b)) for a, b in zip(old, new)]
     both, differ, field_sets, only, by_field = [], [], 0, set(), Counter()
     for (label, _), a, b, v in zip(inputs, old, new, verdicts):
@@ -349,13 +430,18 @@ def main(argv):
           + (", ".join(f"{name}: {d} of {b}" for name, (d, b) in sorted(residuals.items())) or "none"))
     canon = sum(a != b for a, b in zip(old_canon, new_canon))
     print(f"{canon} of {len(inputs)} inputs differ in their canonical output")
+    refused = [label for (label, _), a, b in zip(pool, old_refusals, new_refusals) if a != b]
+    for label in refused[:10]:
+        print(f"load outcome differs: {label}")
+    print(f"{len(refused)} of {len(pool)} degenerate reports differ in their load outcome; "
+          + ", ".join(f"{outcome}: {count}" for outcome, count in sorted(Counter(new_refusals).items())))
     old_worst = closest_to_tolerance(labels, old_tols, old_res)
     new_worst = closest_to_tolerance(labels, new_tols, new_res)
     for name in sorted(old_worst.keys() | new_worst.keys()):
         sides = [f"{w[name][0]:.3g} ({w[name][1]})" if name in w else "none"
                  for w in (old_worst, new_worst)]
         print(f"{name}: largest residual / tolerance {sides[0]} -> {sides[1]}")
-    return 1 if differ or canon or suites or tols else 0
+    return 1 if differ or canon or suites or tols or refused else 0
 
 
 if __name__ == "__main__":
