@@ -301,7 +301,7 @@ def _check_rcond(dec):
     orders give to within 2 (n - 1) u of each other (u = EPS / 2), and the
     product and reciprocal round twice more: two rcond computations agree
     to about 2 n EPS, and twice that is allowed."""
-    with np.errstate(over="ignore"):  # in rcond, and in cores the check does not read
+    with np.errstate(over="ignore"):  # in rcond, and in B_real^-1's doubled rows
         b_real, _, b_inv = real_canonical_form(dec)
         rcond = rcond_1norm(b_real, b_inv)
     stated = dec.diagnostics.basis_rcond

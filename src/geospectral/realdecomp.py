@@ -5,17 +5,18 @@ from the real/imaginary splits (b, p) and (d, q) of its right and left
 eigenvectors, with nu = (d.b)^2 + (q.b)^2; each real eigenvalue
 contributes the rank-one term alpha a c^T / (c.a).  Their sum
 reconstructs the matrix.  The terms are plain records: constructing a
-SpectralDecomposition is their one check.
+SpectralDecomposition is their one check, and it keeps the rows,
+eigenvalues, c.a and nu the check validated, the snapshot every reader
+builds from.
 
 Every term is computed as a factored product U C V^T: U = [b p],
 V = [d q] and the 2x2 core C = J (U^T V)(omega I - sigma J) / nu with
 J = [[0, 1], [-1, 0]]; a real term has U = a, V = c and C = [[alpha / c.a]].
-term_stacks gathers the terms' vectors once and builds every factor as
-(j + 2k, n) rows in term order, on the eigenvalues divided by their own
-power of two s, so no core overflows.  reconstruct, apply and
-decompose's residual are one product of these rows, real_canonical_form
-reads B_real, L_real and B_real^-1 off them and verify's checks run on
-them.
+term_stacks builds every factor from the kept rows as (j + 2k, n) rows in
+term order, on the eigenvalues divided by their own power of two s, so no
+core overflows.  reconstruct, apply and decompose's residual are one
+product of these stacks, verify's checks run on them, and
+real_canonical_form reads B_real, L_real and B_real^-1 off the kept rows.
 """
 
 import math
@@ -72,10 +73,13 @@ class ComplexPlaneTerm:
 def _dots(right, left, j):
     """c.a of the j real terms and nu of each pair after them, as arrays, from
     the terms' rows: each left row's dot with its term's a or b by
-    np.add.reduce, each square by Python's float power (inf on overflow)."""
+    np.add.reduce (NaN, without a warning, where products overflow to
+    infinities of both signs), each square by Python's float power (inf on
+    overflow)."""
     partner = right.copy()
     partner[j + 1::2] = right[j::2]
-    dots = np.add.reduce(left * partner, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dots = np.add.reduce(left * partner, axis=1)
     nus = []
     for db, qb in dots[j:].reshape(-1, 2).tolist():
         try:
@@ -83,14 +87,6 @@ def _dots(right, left, j):
         except OverflowError:
             nus.append(math.inf)
     return dots[:j], np.array(nus, dtype=float)
-
-
-def _vectors(real_terms, plane_terms):
-    """Every term vector in row order, the right rows (each a, then each
-    pair's b, p) then the left rows, for one np.concatenate (a copy, which
-    takes a fraction of np.array's time on a list of arrays)."""
-    vectors = [t.a for t in real_terms] + [v for t in plane_terms for v in (t.b, t.p)]
-    return vectors + [t.c for t in real_terms] + [v for t in plane_terms for v in (t.d, t.q)]
 
 
 @dataclass(frozen=True)
@@ -107,15 +103,33 @@ class SpectralDecomposition:
     omega <= 0 raises ShapeError; then, on norms safe from overflow and
     underflow, a c.a at most 1e-12 |c| |a| or a nu at most
     _NU_REL_FLOOR (|d| |b| + |q| |b|)^2, either below the normal range,
-    or a nu that is not finite, raises DegeneratePairError."""
+    either not a number, or a nu that is not finite, raises
+    DegeneratePairError.
+
+    A decomposition is the snapshot its check validated: it keeps, as
+    read-only arrays, the (n, n) rows right = B_real^T (each a, then each
+    pair's b, p) and left (each c, then each pair's d, q: B_real^-1 with
+    the pair rows halved), the eigenvalues alpha, sigma and omega, each
+    real term's c.a and each pair's nu.  Readers build from these, not from
+    the terms, whose vectors the check copied."""
 
     real_terms: tuple
     plane_terms: tuple
     diagnostics: Diagnostics = field(compare=False)
+    right: np.ndarray = field(init=False, repr=False, compare=False)
+    left: np.ndarray = field(init=False, repr=False, compare=False)
+    alpha: np.ndarray = field(init=False, repr=False, compare=False)
+    sigma: np.ndarray = field(init=False, repr=False, compare=False)
+    omega: np.ndarray = field(init=False, repr=False, compare=False)
+    ca: np.ndarray = field(init=False, repr=False, compare=False)
+    nu: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         reals, planes = self.real_terms, self.plane_terms
-        n, j, vectors = self.dim, len(reals), _vectors(reals, planes)
+        n, j = self.dim, len(reals)
+        # the right rows (a, then b, p), then the left rows (c, then d, q)
+        vectors = ([t.a for t in reals] + [v for t in planes for v in (t.b, t.p)]
+                   + [t.c for t in reals] + [v for t in planes for v in (t.d, t.q)])
         if any(v.shape != (n,) for v in vectors):
             raise ShapeError(f"term vectors must be of length j + 2k = {n}")
         eigs = [t.alpha for t in reals] + [x for t in planes for x in (t.sigma, t.omega)]
@@ -128,15 +142,22 @@ class SpectralDecomposition:
         if not math.isfinite(sum(norms)) and not np.isfinite(rows).all():
             raise ShapeError("term vectors must be finite")
         cas, nus = _dots(rows[:n], rows[n:], j)
+        # each test is the negation of what a well-formed term satisfies, as a
+        # NaN fails every comparison; the floor as (floor root) root overflows
+        # only where it exceeds every finite nu
         for ca, norm_a, norm_c in zip(cas.tolist(), norms, norms[n:]):
-            if abs(ca) <= 1e-12 * (norm_c * norm_a) or abs(ca) < _TINY:
+            if not (1e-12 * (norm_c * norm_a) < abs(ca) and abs(ca) >= _TINY):
                 raise DegeneratePairError(f"left/right product c.a = {ca:.3e} is degenerate")
         for nu, nb, nd, nq in zip(nus.tolist(), norms[j:n:2], norms[n + j::2], norms[n + j + 1::2]):
             root = nd * nb + nq * nb
-            # the floor as (floor root) root overflows only where it exceeds
-            # every finite nu; a NaN fails the comparisons, so it is refused too
             if not (_NU_REL_FLOOR * root * root < nu < math.inf and nu >= _TINY):
                 raise DegeneratePairError(f"nu = {nu:.3e} below degeneracy floor or not finite")
+        eigs = np.array(eigs, dtype=float)
+        kept = {"right": rows[:n], "left": rows[n:], "alpha": eigs[:j], "sigma": eigs[j::2],
+                "omega": eigs[j + 1::2], "ca": cas, "nu": nus}
+        for name, value in kept.items():
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self):
@@ -171,31 +192,27 @@ class TermStacks:
     plane_cores: np.ndarray
 
 
-def term_stacks(real_terms, plane_terms):
-    """TermStacks of the terms from one gather of their vectors."""
-    vectors = _vectors(real_terms, plane_terms)
-    m = len(vectors) // 2
-    rows = np.concatenate((_EMPTY, *vectors)).reshape(2 * m, len(vectors[0]) if m else 0)
-    alpha = np.array([t.alpha for t in real_terms], dtype=float)
-    sigma, omega = np.array([(t.sigma, t.omega) for t in plane_terms], dtype=float).reshape(-1, 2).T
-    return stacks_from_rows(alpha, sigma, omega, rows[:m], rows[m:])
+def term_stacks(dec):
+    """TermStacks of the decomposition, from the rows, eigenvalues, c.a and
+    nu its check kept."""
+    return stacks_from_rows(dec.alpha, dec.sigma, dec.omega, dec.right, dec.left, dec.ca, dec.nu)
 
 
-def stacks_from_rows(alpha, sigma, omega, right, left):
+def stacks_from_rows(alpha, sigma, omega, right, left, ca, nu):
     """TermStacks of the j real terms alpha and the k pairs sigma + i omega
-    whose vectors are the rows of the (j + 2k, n) right and left."""
+    whose vectors are the rows of the (j + 2k, n) right and left, with
+    their c.a and nu as _dots gives them from those rows."""
     j, k, n = len(alpha), len(sigma), right.shape[1]
-    cas, nu_ = _dots(right, left, j)
     s = dc.pow2_scale(np.concatenate((alpha, sigma, omega)))
-    real_cores = alpha / s / cas
+    real_cores = alpha / s / ca
     # (k, b p, n) and (k, d q, n): the pairs' U^T and V^T
     ut, vt = right[j:].reshape(k, 2, n), left[j:].reshape(k, 2, n)
     gram = ut @ np.swapaxes(vt, 1, 2)
     cores = plane_core((sigma / s)[:, None, None], (omega / s)[:, None, None], gram,
-                       nu_[:, None, None])
+                       nu[:, None, None])
     w = np.concatenate((right[:j] * real_cores[:, None],
                         (np.swapaxes(cores, 1, 2) @ ut).reshape(2 * k, n)))
-    return TermStacks(s, alpha, sigma, omega, nu_, right, left, w, gram, cores)
+    return TermStacks(s, alpha, sigma, omega, nu, right, left, w, gram, cores)
 
 
 def decompose(m, tol=DEFAULT_TOL):
@@ -226,10 +243,10 @@ def decompose(m, tol=DEFAULT_TOL):
     plane_terms = tuple(map(ComplexPlaneTerm, sigma.tolist(), omega.tolist(),
                             right[j::2], right[j + 1::2], left[j::2], left[j + 1::2]))
     dec = SpectralDecomposition(real_terms, plane_terms, None)  # the check, before the residual
-    # w^T left - M / s on the stacks of the terms returned (views of right and
-    # left): the cores take the eigenvalues over s and left the conditioning,
-    # and the rcond gate keeps ||M||_1 <= 1e12 ||L_real||_1: nothing overflows
-    st = stacks_from_rows(alpha, sigma, omega, right, left)
+    # w^T left - M / s on the stacks of the decomposition returned: the cores
+    # take the eigenvalues over s and left the conditioning, and the rcond
+    # gate keeps ||M||_1 <= 1e12 ||L_real||_1: nothing overflows
+    st = term_stacks(dec)
     m_s = m / st.s
     resid = frobenius_norm(st.w.T @ st.left - m_s) / (frobenius_norm(m_s) or 1.0)
     if not math.isfinite(resid):
@@ -245,7 +262,7 @@ def decompose(m, tol=DEFAULT_TOL):
 def reconstruct(dec):
     """Sum of all rank-one and plane terms, as the one product (w^T left) s
     of their TermStacks."""
-    st = term_stacks(dec.real_terms, dec.plane_terms)
+    st = term_stacks(dec)
     return (st.w.T @ st.left) * st.s
 
 
@@ -255,7 +272,7 @@ def apply(dec, x):
     x = dc.as_array(x, 1)
     if x.shape[0] != dec.dim:
         raise ShapeError(f"vector dim {x.shape[0]} against decomposition dim {dec.dim}")
-    st = term_stacks(dec.real_terms, dec.plane_terms)
+    st = term_stacks(dec)
     return (st.w.T @ (st.left @ x)) * st.s
 
 
@@ -270,10 +287,10 @@ def real_block_form(alpha, sigma, omega):
 
 
 def real_canonical_form(dec):
-    """Real similarity form (B_real, L_real, B_real^-1) from one TermStacks:
-    B_real's columns are a_i then (b_i, p_i), L_real is real_block_form of
-    the terms' eigenvalues, and B_real^-1 is the left factors as rows, each
-    pair's doubled (c_i, 2 d_i, 2 q_i, as eigensystem's basis_inv)."""
-    st = term_stacks(dec.real_terms, dec.plane_terms)
-    doubled = np.repeat([1.0, 2.0], [len(st.alpha), 2 * len(st.sigma)])[:, None]
-    return st.right.T, real_block_form(st.alpha, st.sigma, st.omega), st.left * doubled
+    """Real similarity form (B_real, L_real, B_real^-1) read off the
+    decomposition's kept rows and eigenvalues: B_real's columns are a_i then
+    (b_i, p_i), L_real is real_block_form of the eigenvalues, and
+    B_real^-1 is the left rows, each pair's doubled (c_i, 2 d_i, 2 q_i, as
+    eigensystem's basis_inv)."""
+    doubled = np.repeat([1.0, 2.0], [len(dec.alpha), 2 * len(dec.sigma)])[:, None]
+    return dec.right.T, real_block_form(dec.alpha, dec.sigma, dec.omega), dec.left * doubled

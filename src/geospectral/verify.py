@@ -1,19 +1,21 @@
 """Independent oracles and the identity-check harness.
 
 The complex eigendecomposition here, LAPACK dgeev through numpy, is a
-different algorithm from eigensolve's and exists purely to cross-check
-it.  The identity checks evaluate the plane terms' factors U C V^T, each
+different algorithm from eigensolve's and exists purely to cross-check it.
+The identity checks evaluate the plane terms' factors U C V^T, each
 against a fixed relative tolerance that one scale multiplies.  Every check
-runs once over all k pairs, on one realdecomp.term_stacks of the
-decomposition's terms: the reconstruction, B_real, each pair's U, V and
-U C as (k, n, 2) views of the rows and the transposed terms' stacks all
-come from its rows.  The comparisons with the explicit wedge forms take
-each form as rank-two factors, the paper's brackets applied by
-associativity, so each difference of two forms is a product F G^T of
-(n, 4) factors whose norm is that of R_F R_G^T, from two batched QR
-factorizations: no n x n array is formed per pair.  geoalg's n x n forms
-are the tests' reference.  Random draws use numpy's PCG64 generator with
-explicit seeds so reports reproduce bit-for-bit across platforms.
+runs once over all k pairs, on the decomposition's one term_stacks: the
+reconstruction, B_real, each pair's U, V and U C as (k, n, 2) views of its
+rows and the transposed terms' stacks all come from its rows.  A check of
+a vector's image takes it over that vector's norm, then relative to the
+term's, so scaling one term's vectors leaves the residual as is.  The
+comparisons with the explicit wedge forms take each form as rank-two
+factors, the paper's brackets applied by associativity, so each difference
+of two forms is a product F G^T of (n, 4) factors whose norm is that of
+R_F R_G^T, from two batched QR factorizations: no n x n array is formed
+per pair.  geoalg's n x n forms are the tests' reference.  Random draws
+use numpy's PCG64 generator with explicit seeds so reports reproduce
+bit-for-bit across platforms.
 """
 
 import time
@@ -220,21 +222,22 @@ def _form_comparisons(sigma, omega, nu, u, v, w, wt, vt):
 
 def _decomposition_checks(m, dec):
     norm_m = frobenius_norm(m)
-    st = rd.term_stacks(dec.real_terms, dec.plane_terms)
+    st = rd.term_stacks(dec)
     recon = (st.w.T @ st.left) * st.s  # reconstruct(dec)
     checks = [("reconstruction", _rel(frobenius_norm(recon - m), norm_m))]
 
     oracle = brute_force_reconstruct(m)
     checks.append(("oracle_agreement", _rel(frobenius_norm(oracle - recon), norm_m)))
 
-    planes = dec.plane_terms
-    if not planes:
+    k, n, first = len(st.sigma), dec.dim, len(st.alpha)
+    if not k:
         return checks
-    k, n, first = len(planes), dec.dim, len(dec.real_terms)
-    # geoalg.transpose_term's (b, p, d, q) -> (d, -q, b, -p), on the same rows
+    # geoalg.transpose_term's (b, p, d, q) -> (d, -q, b, -p), on the same
+    # rows, with its own nu
     flip = np.tile([1.0, -1.0], k)[:, None]
-    tt = rd.stacks_from_rows(st.alpha[:0], st.sigma, st.omega, st.left[first:] * flip,
-                             st.right[first:] * flip)
+    right_t, left_t = st.left[first:] * flip, st.right[first:] * flip
+    tt = rd.stacks_from_rows(st.alpha[:0], st.sigma, st.omega, right_t, left_t,
+                             *rd._dots(right_t, left_t, 0))
     # each pair's U, V, U C and the transposed term's U C and V as (k, n, 2)
     # views of the last 2k rows; the cores and U C times s, a power of two
     u, v, w, wt, vt = (np.swapaxes(x[-2 * k:].reshape(k, 2, n), 1, 2)
@@ -245,14 +248,14 @@ def _decomposition_checks(m, dec):
 
     # every other check runs on all k pairs at once, from the factors
     norm_u, norm_v = np.linalg.norm(u, axis=1), np.linalg.norm(v, axis=1)
-    block = np.array([[[t.sigma, t.omega], [-t.omega, t.sigma]] for t in planes])
-    # M_t [b p] = [b p] block and M_t^T [d q] = [d q] block^T
+    block = np.stack((st.sigma, st.omega, -st.omega, st.sigma), axis=1).reshape(k, 2, 2)
+    # M_t [b p] = [b p] block and M_t^T [d q] = [d q] block^T, each miss over
+    # ||b|| + ||p|| (||d|| + ||q||), then relative to ||left||
     act_r = u @ (c @ np.swapaxes(g, 1, 2)) - u @ block
     act_l = v @ (np.swapaxes(c, 1, 2) @ g) - v @ np.swapaxes(block, 1, 2)
-    eigact = np.maximum(
-        _rel(np.linalg.norm(act_r, axis=1).max(axis=1), norm_t * norm_u.sum(axis=1)),
-        _rel(np.linalg.norm(act_l, axis=1).max(axis=1), norm_t * norm_v.sum(axis=1)),
-    )
+    eigact = _rel(np.maximum(np.linalg.norm(act_r, axis=1).max(axis=1) / norm_u.sum(axis=1),
+                             np.linalg.norm(act_l, axis=1).max(axis=1) / norm_v.sum(axis=1)),
+                  norm_t)
 
     # [d q]^T against every column of B_real but the pair's own two
     basis = st.right.T
@@ -264,7 +267,7 @@ def _decomposition_checks(m, dec):
     # ||U y|| = ||R y||: no n x n term is formed
     killed = np.linalg.norm(np.linalg.qr(u, mode="r") @ (c @ vb), axis=1)
     norm_x = np.linalg.norm(basis, axis=0)
-    annih = _rel(killed, norm_t[:, None] * norm_x)
+    annih = _rel(killed / norm_x, norm_t[:, None])
 
     # d_i^dag b_j = 0 = d_i^dag conj(b_j) for every other eigenvector, each
     # d_i.x_j and q_i.x_j over its own two norms (so scaling one term leaves

@@ -29,6 +29,19 @@ def _decomposition(*terms):
     return rd.SpectralDecomposition(real, plane, None)
 
 
+def lone_term_stacks(t):
+    """TermStacks of the one term t alone, whose vectors may be of any
+    length (a decomposition of one term has n = 1 or 2): stacks_from_rows
+    on its rows, with their c.a and nu from _dots, as verify builds the
+    transposed terms' stacks."""
+    real = isinstance(t, rd.RealTerm)
+    right, left = ([t.a], [t.c]) if real else ([t.b, t.p], [t.d, t.q])
+    right, left = np.array(right, dtype=float), np.array(left, dtype=float)
+    alpha, sigma, omega = (np.array(x, dtype=float) for x in
+                           (([t.alpha], [], []) if real else ([], [t.sigma], [t.omega])))
+    return rd.stacks_from_rows(alpha, sigma, omega, right, left, *rd._dots(right, left, len(alpha)))
+
+
 def _pipeline_terms(seeds):
     for seed in seeds:
         spec = PlantedSpectrum((1.5, -0.4), ((0.6, 1.2), (-0.9, 0.8)), basis_seed=seed)
@@ -126,7 +139,7 @@ def test_real_rank_one_term():
     for alpha, a, c, want in ((2.0, E1, [1.0, 1.0], [[2.0, 2.0], [0.0, 0.0]]),
                               (0.0, [1.0, 2.0], [3.0, 1.0], np.zeros((2, 2))),
                               (5.0, E1, E1, np.diag([5.0, 0.0]))):
-        st = rd.term_stacks((rd.RealTerm(alpha, np.array(a), np.array(c)),), ())
+        st = lone_term_stacks(rd.RealTerm(alpha, np.array(a), np.array(c)))
         np.testing.assert_array_equal((st.w.T @ st.left) * st.s, want)
 
 
@@ -139,7 +152,7 @@ def test_plane_term_factors_match_left_form():
             b, p, d, q = (rng.standard_normal(n) for _ in range(4))
             sigma, omega = rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0)
             t = rd.ComplexPlaneTerm(sigma, omega, b, p, d, q)
-            st = rd.term_stacks((), (t,))
+            st = lone_term_stacks(t)
             left = ga.plane_term_left_form(t)
             assert frobenius_norm((st.w.T @ st.left) * st.s - left) <= 1e-13 * frobenius_norm(left)
 
@@ -200,6 +213,45 @@ def test_plane_term_computes_nu():
     b, p, d, q = (rng.standard_normal(5) for _ in range(4))
     nu = float(np.add.reduce(d * b)) ** 2 + float(np.add.reduce(q * b)) ** 2
     assert rd.ComplexPlaneTerm(0.5, 1.5, b, p, d, q).nu == nu
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real-term", "plane-term"])
+def test_overflowing_dot_is_refused_as_degenerate(real):
+    # finite vectors whose products overflow to +inf and -inf: c.a (d.b,
+    # with q.b = 0) is NaN, which the check refuses as degenerate, with no
+    # numpy warning (an error here) on the way; a second real term on e_2
+    # makes j + 2k = 2
+    big = 2.0**600
+    a, c = np.array([big, big]), np.array([big, -big])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegeneratePairError, match="= nan"):
+            if real:
+                _decomposition(rd.RealTerm(1.0, a, c), rd.RealTerm(2.0, E2, E2))
+            else:
+                _decomposition(rd.ComplexPlaneTerm(1.0, 2.0, a, E2, c, np.array([1.0, -1.0])))
+
+
+def test_decomposition_keeps_its_checked_factors_read_only():
+    # the kept rows, eigenvalues, c.a and nu are those of the terms the
+    # check validated, and none of them can be written afterwards
+    _, dec = next(_pipeline_terms([0]))
+    j, k = len(dec.real_terms), len(dec.plane_terms)
+    rows = [t.a for t in dec.real_terms] + [v for t in dec.plane_terms for v in (t.b, t.p)]
+    np.testing.assert_array_equal(dec.right, rows)
+    rows = [t.c for t in dec.real_terms] + [v for t in dec.plane_terms for v in (t.d, t.q)]
+    np.testing.assert_array_equal(dec.left, rows)
+    assert dec.alpha.tolist() == [t.alpha for t in dec.real_terms]
+    assert (dec.sigma.tolist(), dec.omega.tolist()) == ([t.sigma for t in dec.plane_terms],
+                                                        [t.omega for t in dec.plane_terms])
+    assert dec.ca.tolist() == [float(np.add.reduce(t.c * t.a)) for t in dec.real_terms]
+    assert dec.nu.tolist() == [t.nu for t in dec.plane_terms]
+    assert (len(dec.ca), len(dec.nu)) == (j, k)
+    for name in ("right", "left", "alpha", "sigma", "omega", "ca", "nu"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(dec, name)[0] = 1.0
+    # the check copied the terms' vectors: B_real^T is not a view of them
+    assert not np.shares_memory(dec.right, dec.real_terms[0].a)
 
 
 def test_plane_term_vectors_must_share_shape():
@@ -611,7 +663,7 @@ def test_conjugate_pair_symmetry():
     for _, dec in _pipeline_terms(range(3)):
         for t in dec.plane_terms:
             base = ga.plane_term_left_form(t)
-            st = rd.term_stacks((), (t,))
+            st = lone_term_stacks(t)
             u, v = st.right.T * flip, st.left.T * flip
             conj = u @ rd.plane_core(t.sigma, -t.omega, u.T @ v, t.nu) @ v.T
             assert frobenius_norm(conj - base) <= 1e-12 * frobenius_norm(base)
@@ -664,7 +716,7 @@ def _loop_rows(dec, s):
 def _assert_stacks_match_loop(dec):
     s = pow2_scale([t.alpha for t in dec.real_terms]
                    + [x for t in dec.plane_terms for x in (t.sigma, t.omega)])
-    st = rd.term_stacks(dec.real_terms, dec.plane_terms)
+    st = rd.term_stacks(dec)
     assert st.s == s
     refs = _loop_rows(dec, s)
     for got, want in zip((st.right, st.left, st.w), refs):
@@ -672,8 +724,20 @@ def _assert_stacks_match_loop(dec):
         np.testing.assert_array_equal(got, want)
     right, left, w = refs
     x = np.random.default_rng(dec.dim).standard_normal(dec.dim)
-    np.testing.assert_array_equal(rd.apply(dec, x), (w.T @ (left @ x)) * s)
-    np.testing.assert_array_equal(rd.reconstruct(dec), (w.T @ left) * s)
+    j, k = len(dec.real_terms), len(dec.plane_terms)
+    eigs = (np.array([t.alpha for t in dec.real_terms], dtype=float),
+            *np.array([(t.sigma, t.omega) for t in dec.plane_terms], dtype=float).reshape(-1, 2).T)
+    canonical = (right.T, rd.real_block_form(*eigs), left * np.repeat([1.0, 2.0], [j, 2 * k])[:, None])
+    # decompose's own decomposition and one built straight from copies of
+    # its terms read the same bits off their kept factors
+    copies = rd.SpectralDecomposition(
+        tuple(rd.RealTerm(t.alpha, t.a.copy(), t.c.copy()) for t in dec.real_terms),
+        tuple(rd.ComplexPlaneTerm(t.sigma, t.omega, *(v.copy() for v in (t.b, t.p, t.d, t.q)))
+              for t in dec.plane_terms), None)
+    for d in (dec, copies):
+        assert _bits(rd.apply(d, x)) == _bits((w.T @ (left @ x)) * s)
+        assert _bits(rd.reconstruct(d)) == _bits((w.T @ left) * s)
+        assert list(map(_bits, rd.real_canonical_form(d))) == list(map(_bits, canonical))
 
 
 def _corpus_matrix(i):
@@ -719,7 +783,7 @@ def test_term_stacks_match_per_term_loop_dense(n, share):
 def test_term_stacks_edge_cases(m):
     dec = rd.decompose(m)
     j, k, n = len(dec.real_terms), len(dec.plane_terms), dec.dim
-    st = rd.term_stacks(dec.real_terms, dec.plane_terms)
+    st = rd.term_stacks(dec)
     assert st.right.shape == st.left.shape == st.w.shape == (n, n)
     assert st.alpha.shape == (j,)
     assert st.gram.shape == st.plane_cores.shape == (k, 2, 2) and st.nu.shape == (k,)
@@ -751,7 +815,7 @@ def test_apply_and_reconstruct_scale_exactly(e):
         np.testing.assert_array_equal(rd.apply(scaled, x), rd.apply(dec, x) * 2.0**e)
         np.testing.assert_array_equal(rd.reconstruct(scaled), rd.reconstruct(dec) * 2.0**e)
         # the stacks are on the eigenvalues' own power of two, so only s moves
-        st, st_scaled = (rd.term_stacks(d.real_terms, d.plane_terms) for d in (dec, scaled))
+        st, st_scaled = (rd.term_stacks(d) for d in (dec, scaled))
         assert st_scaled.s == st.s * 2.0**e
         for name in ("right", "left", "w", "gram", "plane_cores"):
             assert _bits(getattr(st_scaled, name)) == _bits(getattr(st, name)), name
@@ -762,7 +826,7 @@ def test_apply_and_reconstruct_scale_exactly(e):
 def _reference_decompose(m):
     """decompose as it cut its terms one at a time: each term from its
     columns of basis and rows of basis_inv, then the residual on the
-    term_stacks of those terms; decompose must equal it bit for bit."""
+    term_stacks of their decomposition; decompose must equal it bit for bit."""
     m = np.ascontiguousarray(m, dtype=float)  # decompose's layout, which the norms' sums follow
     system = eg.eigensystem(m)
     right, rows = np.ascontiguousarray(system.basis.T), system.basis_inv
@@ -774,7 +838,7 @@ def _reference_decompose(m):
         else:
             b, p, d, q = right[i], right[i + 1], rows[i] / 2.0, rows[i + 1] / 2.0
             plane_terms.append(rd.ComplexPlaneTerm(lam.real, lam.imag, b, p, d, q))
-    st = rd.term_stacks(real_terms, plane_terms)
+    st = rd.term_stacks(rd.SpectralDecomposition(tuple(real_terms), tuple(plane_terms), None))
     m_s = m / st.s
     resid = frobenius_norm(st.w.T @ st.left - m_s) / (frobenius_norm(m_s) or 1.0)
     return system, real_terms, plane_terms, st, resid
@@ -786,14 +850,17 @@ def _bits(x):
 
 
 def _assert_decompose_matches_reference(m, monkeypatch):
-    stacks, checked = [], []
-    build, row_norms = rd.stacks_from_rows, rd.dc.row_norms
+    stacks, checked, dotted = [], [], []
+    build, row_norms, dots = rd.stacks_from_rows, rd.dc.row_norms, rd._dots
     with monkeypatch.context() as mp:
         mp.setattr(rd, "stacks_from_rows", lambda *args: stacks.append(build(*args)) or stacks[-1])
         mp.setattr(rd.dc, "row_norms", lambda rows: checked.append(len(rows)) or row_norms(rows))
+        mp.setattr(rd, "_dots", lambda right, left, j: dotted.append(len(right)) or dots(right, left, j))
         dec = rd.decompose(m)
-    # decompose checks its terms once, on all 2n rows
+    # decompose checks its terms once, on all 2n rows, and its residual's
+    # stacks take the c.a and nu that check computed
     assert checked == [2 * len(m)]
+    assert dotted == [len(m)]
     system, real_terms, plane_terms, st, resid = _reference_decompose(m)
     assert len(dec.real_terms) == len(real_terms) and len(dec.plane_terms) == len(plane_terms)
     for t, ref in zip(dec.real_terms + dec.plane_terms, real_terms + plane_terms):
@@ -813,8 +880,8 @@ def _assert_decompose_matches_reference(m, monkeypatch):
         if np.ndim(value) >= 2 and value.size:
             assert got.flags.c_contiguous and got.strides == value.strides, name
     # the stacks the residual was checked on are those every reader rebuilds
-    # from the returned terms, scale included
-    again = rd.term_stacks(dec.real_terms, dec.plane_terms)
+    # from the returned decomposition, scale included
+    again = rd.term_stacks(dec)
     for name, value in vars(again).items():
         assert _bits(getattr(st_dec, name)) == _bits(value), name
     assert _bits(dec.diagnostics.reconstruction_residual) == _bits(resid)

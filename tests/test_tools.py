@@ -37,6 +37,10 @@ def test_stage_times_runs_every_stage(tmp_path):
     # the cli stage, beside decompose, wrote M's file and its report in the
     # child's working directory, the inputs' directory
     assert st.STAGES.index("cli") == st.STAGES.index("decompose") + 1
+    # the read side, apply and reconstruct of M's decomposition, follows
+    # the term assembly, as its layer follows in the pipeline
+    assert st.STAGES.index("apply") == st.STAGES.index("assembly") + 1
+    assert st.STAGES.index("reconstruct") == st.STAGES.index("apply") + 1
     assert matio.parse_matrix(str(tmp_path / "n00.mtx"))[0].tobytes() == m.tobytes()
     report = json.loads((tmp_path / "n00.json").read_text(encoding="utf-8"))
     assert report["dim"] == n and report["input_digest"].startswith("sha256:")

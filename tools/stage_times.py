@@ -1,4 +1,4 @@
-"""Time each eigensolver stage and the identity suite of source trees on the bench's dense recipe.
+"""Time each eigensolver stage, apply, reconstruct and the identity suite of source trees on the bench's dense recipe.
 
 Usage: python tools/stage_times.py SRC [SRC ...]
 
@@ -31,6 +31,10 @@ an earlier call already reduced does other work:
   replaced by a function that returns its result for M, computed once:
   the term assembly and the residual check alone, which
   ``decompose - eigensystem`` gives only to within both stages' noise
+- ``apply``: ``realdecomp.apply`` of M's decomposition, computed once, to
+  a vector drawn from rng ``[7, n]``: the read side, as the bench's
+  apply-stream workload times it
+- ``reconstruct``: ``realdecomp.reconstruct`` of that decomposition
 - ``verify.run_identity_suite`` of M: decompose and every identity check
 - ``checks``: ``verify._decomposition_checks`` of M brought to unit scale,
   as the suite brings it, on its decomposition, computed once: the
@@ -71,7 +75,7 @@ from workloads import grid_spectrum  # noqa: E402
 SIZES = (2, 8, 16, 64, 128, 256)
 ROUNDS = 3
 STAGES = ("hessenberg", "schur", "right_vecs", "basis_inv", "eigensystem", "decompose", "cli",
-          "assembly", "suite", "checks", "np_eig")
+          "assembly", "apply", "reconstruct", "suite", "checks", "np_eig")
 COLUMNS = (*STAGES, "us/step")
 
 # run as ``python -c`` in each tree: argv[1] is the inputs, argv[2] the output
@@ -141,6 +145,10 @@ with np.load(sys.argv[1]) as inputs:
         matio.write_matrix_market(f"{key}.mtx", m)
         stages["cli"] = cli.main, (["decompose", f"{key}.mtx", "-o", f"{key}.json"],)
         stages["assembly"] = partial(assembly, system=eigensolve.eigensystem(m)), (m,)
+        dec = realdecomp.decompose(m)
+        x = np.random.default_rng([7, len(m)]).standard_normal(len(m))
+        stages["apply"] = realdecomp.apply, (dec, x)
+        stages["reconstruct"] = realdecomp.reconstruct, (dec,)
         stages["suite"] = verify.run_identity_suite, (m,)
         unit = m / densecore.pow2_scale(m)
         stages["checks"] = verify._decomposition_checks, (unit, realdecomp.decompose(unit))
