@@ -18,13 +18,7 @@ import numpy as np
 
 from .densecore import EPS, as_array, rcond_1norm
 from .errors import ParseError, ShapeError
-from .realdecomp import (
-    ComplexPlaneTerm,
-    Diagnostics,
-    RealTerm,
-    SpectralDecomposition,
-    real_canonical_form,
-)
+from .realdecomp import Diagnostics, SpectralDecomposition, real_canonical_form
 
 SCHEMA_VERSION = "2"
 
@@ -248,20 +242,21 @@ def _vector(x):
 
 
 def doc_to_decomposition(doc):
-    """Rebuild a SpectralDecomposition from its JSON document; each plane
-    term's nu is computed from its vectors.  Another schema_version, a
-    missing or unknown key, a dim that is not a JSON integer, a scalar or
-    vector entry that is not a JSON number, an input_digest that is not a
-    string or a basis_rcond that is not the terms' own raises ParseError; a
-    dim other than j + 2k raises ShapeError, and terms SpectralDecomposition
-    refuses its ShapeError or DegeneratePairError."""
+    """Rebuild a SpectralDecomposition from its JSON document, the terms'
+    vectors stacked into its rows.  Another schema_version, a missing or
+    unknown key, a dim that is not a JSON integer, a scalar or vector entry
+    that is not a JSON number, an input_digest that is not a string or a
+    basis_rcond that is not the terms' own raises ParseError; a term vector
+    length or a dim other than j + 2k raises ShapeError, and rows
+    SpectralDecomposition refuses its ShapeError or DegeneratePairError."""
     try:
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise ParseError(f"unsupported schema_version {doc.get('schema_version')!r}")
         _check_keys(doc, REPORT_KEYS, "report", OPTIONAL_REPORT_KEYS)
-        for t in doc["real_terms"]:
+        reals, planes = doc["real_terms"], doc["plane_terms"]
+        for t in reals:
             _check_keys(t, REAL_TERM_KEYS, "real term")
-        for t in doc["plane_terms"]:
+        for t in planes:
             _check_keys(t, PLANE_TERM_KEYS, "plane term")
         _check_keys(doc["diagnostics"], DIAGNOSTICS_KEYS, "diagnostics")
         dim = doc["dim"]
@@ -269,25 +264,24 @@ def doc_to_decomposition(doc):
             raise ParseError(f"dim is not a JSON integer: {dim!r}")
         if type(doc.get("input_digest", "")) is not str:
             raise ParseError(f"input_digest is not a string: {doc['input_digest']!r}")
-        real_terms = tuple(
-            RealTerm(_number(t["alpha"]), *(_vector(t[f]) for f in "ac"))
-            for t in doc["real_terms"]
-        )
-        plane_terms = tuple(
-            ComplexPlaneTerm(
-                _number(t["sigma"]), _number(t["omega"]), *(_vector(t[f]) for f in "bpdq")
-            )
-            for t in doc["plane_terms"]
-        )
+        eigs = [[_number(t[key]) for t in terms]
+                for terms, key in ((reals, "alpha"), (planes, "sigma"), (planes, "omega"))]
+        right = [_vector(t["a"]) for t in reals] + [_vector(t[f]) for t in planes for f in "bp"]
+        left = [_vector(t["c"]) for t in reals] + [_vector(t[f]) for t in planes for f in "dq"]
         diagnostics = Diagnostics(*(_number(doc["diagnostics"][key]) for key in DIAGNOSTICS_KEYS))
+        n = len(right)
+        if any(len(v) != n for v in right + left):
+            raise ShapeError(f"term vectors must be of length j + 2k = {n}")
+        args = [np.array(x, dtype=float) for x in eigs]
+        args += [np.array(v, dtype=float).reshape(n, n) for v in (right, left)]
     # AttributeError: a report is not a JSON object; OverflowError: an
     # integer too large for a float
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed report: {type(exc).__name__}: {exc}") from exc
-    dec = SpectralDecomposition(real_terms, plane_terms, diagnostics)
+    dec = SpectralDecomposition(*args, diagnostics)
     if dec.dim != dim:
         raise ShapeError(
-            f"term counts j={len(real_terms)}, k={len(plane_terms)} "
+            f"term counts j={len(reals)}, k={len(planes)} "
             f"do not satisfy j + 2k = {dim}"
         )
     _check_rcond(dec)

@@ -4,19 +4,20 @@ Each conjugate pair sigma +- i omega contributes one real "plane term",
 from the real/imaginary splits (b, p) and (d, q) of its right and left
 eigenvectors, with nu = (d.b)^2 + (q.b)^2; each real eigenvalue
 contributes the rank-one term alpha a c^T / (c.a).  Their sum
-reconstructs the matrix.  The terms are plain records: constructing a
-SpectralDecomposition is their one check, and it keeps the rows,
-eigenvalues, c.a and nu the check validated, the snapshot every reader
-builds from.
+reconstructs the matrix.  A SpectralDecomposition is stored once, as its
+eigenvalues and the rows B_real^T and B_real^-1 (pair rows halved);
+constructing it is the one check, and its terms are records built on
+first read, whose vectors are read-only views of those rows.
 
 Every term is computed as a factored product U C V^T: U = [b p],
 V = [d q] and the 2x2 core C = J (U^T V)(omega I - sigma J) / nu with
 J = [[0, 1], [-1, 0]]; a real term has U = a, V = c and C = [[alpha / c.a]].
-term_stacks builds every factor from the kept rows as (j + 2k, n) rows in
-term order, on the eigenvalues divided by their own power of two s, so no
-core overflows.  reconstruct, apply and decompose's residual are one
-product of these stacks, verify's checks run on them, and
-real_canonical_form reads B_real, L_real and B_real^-1 off the kept rows.
+term_stacks derives w = (U C)^T's rows, the Grams and the cores from the
+rows, on the eigenvalues divided by their own power of two s, so no core
+overflows.  reconstruct, apply and decompose's residual are one product
+of w and the left rows, verify's checks run on them, and
+real_canonical_form reads B_real, L_real and B_real^-1 off the
+decomposition.
 """
 
 import math
@@ -41,10 +42,9 @@ _NU_REL_FLOOR = 1e-24
 # (alpha / s) / c.a of an alpha / s < 2 is finite, and nu keeps full precision
 _TINY = float(np.finfo(float).tiny)
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-_EMPTY = np.empty(0)  # leads each concatenation of term rows: float, and defined at n = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealTerm:
     """One real eigenvalue alpha with right/left eigenvectors a, c."""
 
@@ -53,7 +53,7 @@ class RealTerm:
     c: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexPlaneTerm:
     """One conjugate pair's plane data: eigenvalue sigma + i omega, right
     split (b, p), left split (d, q) and nu = (d.b)^2 + (q.b)^2."""
@@ -95,53 +95,51 @@ class Diagnostics:
     basis_rcond: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """The j real terms and k plane terms of an n x n matrix, n = j + 2k.
-    Its construction is the terms' one check, over their gathered rows: a
-    vector not of length n, a non-finite eigenvalue or entry, or an
-    omega <= 0 raises ShapeError; then, on norms safe from overflow and
-    underflow, a c.a at most 1e-12 |c| |a| or a nu at most
-    _NU_REL_FLOOR (|d| |b| + |q| |b|)^2, either below the normal range,
-    either not a number, or a nu that is not finite, raises
-    DegeneratePairError.
+    """The j real eigenvalues alpha and k pairs sigma + i omega of an n x n
+    matrix, n = j + 2k, and the (n, n) rows right = B_real^T (each a, then
+    each pair's b, p) and left (each c, then each pair's d, q: B_real^-1
+    with the pair rows halved).  Its construction is the one check: rows
+    not both (n, n), an omega per sigma missing, a non-finite eigenvalue or
+    entry, or an omega <= 0 raises ShapeError; then, on norms safe from
+    overflow and underflow, a c.a at most 1e-12 |c| |a| or a nu at most
+    _NU_REL_FLOOR (|d| |b| + |q| |b|)^2, either below the normal range or
+    not a number, or a nu that is not finite, raises DegeneratePairError.
 
-    A decomposition is the snapshot its check validated: it keeps, as
-    read-only arrays, the (n, n) rows right = B_real^T (each a, then each
-    pair's b, p) and left (each c, then each pair's d, q: B_real^-1 with
-    the pair rows halved), the eigenvalues alpha, sigma and omega, each
-    real term's c.a and each pair's nu.  Readers build from these, not from
-    the terms, whose vectors the check copied."""
+    The rows are the decomposition: the arrays it is given are made
+    read-only, not copied, and each c.a and nu is kept beside them.  The
+    terms are records built on first read, their vectors read-only views
+    of the rows.  == is identity, so a decomposition hashes."""
 
-    real_terms: tuple
-    plane_terms: tuple
-    diagnostics: Diagnostics = field(compare=False)
-    right: np.ndarray = field(init=False, repr=False, compare=False)
-    left: np.ndarray = field(init=False, repr=False, compare=False)
-    alpha: np.ndarray = field(init=False, repr=False, compare=False)
-    sigma: np.ndarray = field(init=False, repr=False, compare=False)
-    omega: np.ndarray = field(init=False, repr=False, compare=False)
-    ca: np.ndarray = field(init=False, repr=False, compare=False)
-    nu: np.ndarray = field(init=False, repr=False, compare=False)
+    alpha: np.ndarray
+    sigma: np.ndarray
+    omega: np.ndarray
+    right: np.ndarray
+    left: np.ndarray
+    diagnostics: Diagnostics = None
+    ca: np.ndarray = field(init=False, repr=False)
+    nu: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        reals, planes = self.real_terms, self.plane_terms
-        n, j = self.dim, len(reals)
-        # the right rows (a, then b, p), then the left rows (c, then d, q)
-        vectors = ([t.a for t in reals] + [v for t in planes for v in (t.b, t.p)]
-                   + [t.c for t in reals] + [v for t in planes for v in (t.d, t.q)])
-        if any(v.shape != (n,) for v in vectors):
-            raise ShapeError(f"term vectors must be of length j + 2k = {n}")
-        eigs = [t.alpha for t in reals] + [x for t in planes for x in (t.sigma, t.omega)]
-        bad = [x for x in eigs if not math.isfinite(x)] + [t.omega for t in planes if t.omega <= 0]
+        alpha, sigma, omega, right, left = (np.asarray(getattr(self, name), dtype=float)
+                                            for name in ("alpha", "sigma", "omega", "right", "left"))
+        j, k = alpha.size, sigma.size
+        n = j + 2 * k
+        if (right.shape != (n, n) or left.shape != (n, n) or alpha.shape != (j,)
+                or sigma.shape != (k,) or omega.shape != (k,)):
+            raise ShapeError(f"rows must be (j + 2k) x (j + 2k) = {n} x {n} with one omega per "
+                             f"sigma, got {right.shape}, {left.shape} and {omega.shape}")
+        eigs = alpha.tolist() + np.column_stack((sigma, omega)).ravel().tolist()
+        bad = [x for x in eigs if not math.isfinite(x)] + [w for w in omega.tolist() if w <= 0]
         if bad:
             raise ShapeError(f"term eigenvalues must be finite and omega > 0, got {bad[0]}")
-        rows = np.concatenate((_EMPTY, *vectors)).reshape(2 * n, n)
+        rows = np.concatenate((right, left))
         norms = dc.row_norms(rows)
         # a norm is finite unless an entry is not, or it overflows
         if not math.isfinite(sum(norms)) and not np.isfinite(rows).all():
             raise ShapeError("term vectors must be finite")
-        cas, nus = _dots(rows[:n], rows[n:], j)
+        cas, nus = _dots(right, left, j)
         # each test is the negation of what a well-formed term satisfies, as a
         # NaN fails every comparison; the floor as (floor root) root overflows
         # only where it exceeds every finite nu
@@ -152,16 +150,26 @@ class SpectralDecomposition:
             root = nd * nb + nq * nb
             if not (_NU_REL_FLOOR * root * root < nu < math.inf and nu >= _TINY):
                 raise DegeneratePairError(f"nu = {nu:.3e} below degeneracy floor or not finite")
-        eigs = np.array(eigs, dtype=float)
-        kept = {"right": rows[:n], "left": rows[n:], "alpha": eigs[:j], "sigma": eigs[j::2],
-                "omega": eigs[j + 1::2], "ca": cas, "nu": nus}
+        kept = {"alpha": alpha, "sigma": sigma, "omega": omega, "right": right, "left": left,
+                "ca": cas, "nu": nus}
         for name, value in kept.items():
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     @property
     def dim(self):
-        return len(self.real_terms) + 2 * len(self.plane_terms)
+        return len(self.right)
+
+    @cached_property
+    def real_terms(self):
+        j = len(self.alpha)
+        return tuple(map(RealTerm, self.alpha.tolist(), self.right[:j], self.left[:j]))
+
+    @cached_property
+    def plane_terms(self):
+        j, right, left = len(self.alpha), self.right, self.left
+        return tuple(map(ComplexPlaneTerm, self.sigma.tolist(), self.omega.tolist(),
+                         right[j::2], right[j + 1::2], left[j::2], left[j + 1::2]))
 
 
 def plane_core(sigma, omega, g, nu_value):
@@ -172,29 +180,21 @@ def plane_core(sigma, omega, g, nu_value):
 
 @dataclass(frozen=True)
 class TermStacks:
-    """Every term's factors as (j + 2k, n) rows in term order: right is
-    B_real^T (each a, then each pair's b, p), left the left factors (each c,
-    then each pair's d, q) and w = (U C)^T's rows (a times its core, C^T [b; p]
-    for a pair), so the terms' sum is (w^T left) s; the pairs' Grams U^T V
-    and cores as (k, 2, 2), the eigenvalues and nu.  Each core is on the
-    eigenvalues divided by s, the power of two with s <= the largest
-    |alpha|, |sigma| or omega < 2s (0.5 if none is nonzero)."""
+    """What the terms' factors derive, as rows in term order beside the
+    decomposition's right and left: w = (U C)^T's rows (a times its core,
+    C^T [b; p] for a pair), so the terms' sum is (w^T left) s, and the pairs'
+    Grams U^T V and cores as (k, 2, 2).  Each core is on the eigenvalues
+    divided by s, the power of two with s <= the largest |alpha|, |sigma|
+    or omega < 2s (0.5 if none is nonzero)."""
 
     s: float
-    alpha: np.ndarray
-    sigma: np.ndarray
-    omega: np.ndarray
-    nu: np.ndarray
-    right: np.ndarray
-    left: np.ndarray
     w: np.ndarray
     gram: np.ndarray
     plane_cores: np.ndarray
 
 
 def term_stacks(dec):
-    """TermStacks of the decomposition, from the rows, eigenvalues, c.a and
-    nu its check kept."""
+    """TermStacks of the decomposition, from its rows, eigenvalues, c.a and nu."""
     return stacks_from_rows(dec.alpha, dec.sigma, dec.omega, dec.right, dec.left, dec.ca, dec.nu)
 
 
@@ -212,7 +212,7 @@ def stacks_from_rows(alpha, sigma, omega, right, left, ca, nu):
                        nu[:, None, None])
     w = np.concatenate((right[:j] * real_cores[:, None],
                         (np.swapaxes(cores, 1, 2) @ ut).reshape(2 * k, n)))
-    return TermStacks(s, alpha, sigma, omega, nu, right, left, w, gram, cores)
+    return TermStacks(s, w, gram, cores)
 
 
 def decompose(m, tol=DEFAULT_TOL):
@@ -239,16 +239,13 @@ def decompose(m, tol=DEFAULT_TOL):
     # basis_inv's rows are the c_i, then each pair's (2d, 2q): d^dag b = 1
     right = np.ascontiguousarray(system.basis.T)
     left = system.basis_inv / np.repeat([1.0, 2.0], [j, 2 * k])[:, None]
-    real_terms = tuple(map(RealTerm, alpha.tolist(), right[:j], left[:j]))
-    plane_terms = tuple(map(ComplexPlaneTerm, sigma.tolist(), omega.tolist(),
-                            right[j::2], right[j + 1::2], left[j::2], left[j + 1::2]))
-    dec = SpectralDecomposition(real_terms, plane_terms, None)  # the check, before the residual
+    dec = SpectralDecomposition(alpha, sigma, omega, right, left)  # the check, before the residual
     # w^T left - M / s on the stacks of the decomposition returned: the cores
     # take the eigenvalues over s and left the conditioning, and the rcond
     # gate keeps ||M||_1 <= 1e12 ||L_real||_1: nothing overflows
     st = term_stacks(dec)
     m_s = m / st.s
-    resid = frobenius_norm(st.w.T @ st.left - m_s) / (frobenius_norm(m_s) or 1.0)
+    resid = frobenius_norm(st.w.T @ left - m_s) / (frobenius_norm(m_s) or 1.0)
     if not math.isfinite(resid):
         raise AccuracyError(resid, tol)
     if resid > tol:
@@ -263,7 +260,7 @@ def reconstruct(dec):
     """Sum of all rank-one and plane terms, as the one product (w^T left) s
     of their TermStacks."""
     st = term_stacks(dec)
-    return (st.w.T @ st.left) * st.s
+    return (st.w.T @ dec.left) * st.s
 
 
 def apply(dec, x):
@@ -273,7 +270,7 @@ def apply(dec, x):
     if x.shape[0] != dec.dim:
         raise ShapeError(f"vector dim {x.shape[0]} against decomposition dim {dec.dim}")
     st = term_stacks(dec)
-    return (st.w.T @ (st.left @ x)) * st.s
+    return (st.w.T @ (dec.left @ x)) * st.s
 
 
 def real_block_form(alpha, sigma, omega):
@@ -288,7 +285,7 @@ def real_block_form(alpha, sigma, omega):
 
 def real_canonical_form(dec):
     """Real similarity form (B_real, L_real, B_real^-1) read off the
-    decomposition's kept rows and eigenvalues: B_real's columns are a_i then
+    decomposition's rows and eigenvalues: B_real's columns are a_i then
     (b_i, p_i), L_real is real_block_form of the eigenvalues, and
     B_real^-1 is the left rows, each pair's doubled (c_i, 2 d_i, 2 q_i, as
     eigensystem's basis_inv)."""

@@ -4,11 +4,11 @@ The complex eigendecomposition here, LAPACK dgeev through numpy, is a
 different algorithm from eigensolve's and exists purely to cross-check it.
 The identity checks evaluate the plane terms' factors U C V^T, each
 against a fixed relative tolerance that one scale multiplies.  Every check
-runs once over all k pairs, on the decomposition's one term_stacks: the
-reconstruction, B_real, each pair's U, V and U C as (k, n, 2) views of its
-rows and the transposed terms' stacks all come from its rows.  A check of
-a vector's image takes it over that vector's norm, then relative to the
-term's, so scaling one term's vectors leaves the residual as is.  The
+runs once over all k pairs, on the decomposition's rows and its one
+term_stacks: B_real, each pair's U, V and U C are (k, n, 2) views of rows.
+A check of a vector's image takes it over that vector's norm (each norm
+safe from overflow and underflow), then relative to the term's, so
+scaling one term's vectors leaves the residual as is.  The
 comparisons with the explicit wedge forms take each form as rank-two
 factors, the paper's brackets applied by associativity, so each difference
 of two forms is a product F G^T of (n, 4) factors whose norm is that of
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import realdecomp as rd
-from .densecore import as_array, frobenius_norm, pow2_scale
+from .densecore import as_array, frobenius_norm, pow2_scale, row_norms
 from .errors import GenerationError, GeoSpectralError, OracleInconsistencyError
 
 _RESAMPLE_CAP = 100
@@ -220,53 +220,61 @@ def _form_comparisons(sigma, omega, nu, u, v, w, wt, vt):
     return norms, np.sum(a * e, axis=(1, 2))
 
 
+def _column_norms(x):
+    """The norms of the columns of the (k, n, m) stack x, as (k, m), safe
+    from overflow and underflow."""
+    return np.reshape(row_norms(np.swapaxes(x, 1, 2).reshape(-1, x.shape[1])), (len(x), -1))
+
+
 def _decomposition_checks(m, dec):
     norm_m = frobenius_norm(m)
     st = rd.term_stacks(dec)
-    recon = (st.w.T @ st.left) * st.s  # reconstruct(dec)
+    recon = (st.w.T @ dec.left) * st.s  # reconstruct(dec)
     checks = [("reconstruction", _rel(frobenius_norm(recon - m), norm_m))]
 
     oracle = brute_force_reconstruct(m)
     checks.append(("oracle_agreement", _rel(frobenius_norm(oracle - recon), norm_m)))
 
-    k, n, first = len(st.sigma), dec.dim, len(st.alpha)
+    k, n, first = len(dec.sigma), dec.dim, len(dec.alpha)
     if not k:
         return checks
     # geoalg.transpose_term's (b, p, d, q) -> (d, -q, b, -p), on the same
     # rows, with its own nu
     flip = np.tile([1.0, -1.0], k)[:, None]
-    right_t, left_t = st.left[first:] * flip, st.right[first:] * flip
-    tt = rd.stacks_from_rows(st.alpha[:0], st.sigma, st.omega, right_t, left_t,
+    right_t, left_t = dec.left[first:] * flip, dec.right[first:] * flip
+    tt = rd.stacks_from_rows(dec.alpha[:0], dec.sigma, dec.omega, right_t, left_t,
                              *rd._dots(right_t, left_t, 0))
     # each pair's U, V, U C and the transposed term's U C and V as (k, n, 2)
     # views of the last 2k rows; the cores and U C times s, a power of two
     u, v, w, wt, vt = (np.swapaxes(x[-2 * k:].reshape(k, 2, n), 1, 2)
-                       for x in (st.right, st.left, st.w * st.s, tt.w * tt.s, tt.left))
-    g, c, nu = st.gram, st.plane_cores * st.s, st.nu
-    norms, inner = _form_comparisons(st.sigma, st.omega, nu, u, v, w, wt, vt)
+                       for x in (dec.right, dec.left, st.w * st.s, tt.w * tt.s, left_t))
+    g, c, nu = st.gram, st.plane_cores * st.s, dec.nu
+    norms, inner = _form_comparisons(dec.sigma, dec.omega, nu, u, v, w, wt, vt)
     norm_t, form, norm_a, norm_e, transp = norms.T
 
-    # every other check runs on all k pairs at once, from the factors
-    norm_u, norm_v = np.linalg.norm(u, axis=1), np.linalg.norm(v, axis=1)
-    block = np.stack((st.sigma, st.omega, -st.omega, st.sigma), axis=1).reshape(k, 2, 2)
+    # every other check runs on all k pairs at once, from the factors; every
+    # norm of a vector is safe from overflow and underflow
+    norm_u, norm_v = (_column_norms(x) for x in (u, v))
+    block = np.stack((dec.sigma, dec.omega, -dec.omega, dec.sigma), axis=1).reshape(k, 2, 2)
     # M_t [b p] = [b p] block and M_t^T [d q] = [d q] block^T, each miss over
     # ||b|| + ||p|| (||d|| + ||q||), then relative to ||left||
     act_r = u @ (c @ np.swapaxes(g, 1, 2)) - u @ block
     act_l = v @ (np.swapaxes(c, 1, 2) @ g) - v @ np.swapaxes(block, 1, 2)
-    eigact = _rel(np.maximum(np.linalg.norm(act_r, axis=1).max(axis=1) / norm_u.sum(axis=1),
-                             np.linalg.norm(act_l, axis=1).max(axis=1) / norm_v.sum(axis=1)),
+    eigact = _rel(np.maximum(_column_norms(act_r).max(axis=1) / norm_u.sum(axis=1),
+                             _column_norms(act_l).max(axis=1) / norm_v.sum(axis=1)),
                   norm_t)
 
     # [d q]^T against every column of B_real but the pair's own two
-    basis = st.right.T
+    basis = dec.right.T
     vb = np.swapaxes(v, 1, 2) @ basis
     others = np.ones((k, n), dtype=bool)
     mine = first + 2 * np.arange(k)
     others[np.arange(k), mine] = others[np.arange(k), mine + 1] = False
     # the term U C V^T maps column x to U y, y = C V^T x, and with U = QR
-    # ||U y|| = ||R y||: no n x n term is formed
-    killed = np.linalg.norm(np.linalg.qr(u, mode="r") @ (c @ vb), axis=1)
-    norm_x = np.linalg.norm(basis, axis=0)
+    # ||U y|| = ||R y||, a safe hypot: no n x n term is formed
+    ry = np.linalg.qr(u, mode="r") @ (c @ vb)
+    killed = np.hypot(ry[:, 0], ry[:, 1])
+    norm_x = np.array(row_norms(dec.right))
     annih = _rel(killed / norm_x, norm_t[:, None])
 
     # d_i^dag b_j = 0 = d_i^dag conj(b_j) for every other eigenvector, each

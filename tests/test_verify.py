@@ -185,16 +185,16 @@ def _dense_phase_distance(t, left, thetas):
         c, s = np.cos(theta), np.sin(theta)
         b, p = c * t.b - s * t.p, s * t.b + c * t.p
         d, q = c * t.d - s * t.q, s * t.d + c * t.q
-        st = lone_term_stacks(rd.ComplexPlaneTerm(t.sigma, t.omega, b, p, d, q))
-        out.append(frobenius_norm(st.right.T @ (st.plane_cores[0] * st.s) @ st.left - left))
+        right, rows, st = lone_term_stacks(rd.ComplexPlaneTerm(t.sigma, t.omega, b, p, d, q))
+        out.append(frobenius_norm(right.T @ (st.plane_cores[0] * st.s) @ rows - left))
     return np.array(out)
 
 
 def _fast_phase_distance(t, left, thetas):
     # the suite's evaluation for one pair: A = U C V^T against left, then
     # every rotation from the Gram alone
-    st = lone_term_stacks(t)
-    u, c, v = st.right.T, st.plane_cores[0] * st.s, st.left.T
+    right, rows, st = lone_term_stacks(t)
+    u, c, v = right.T, st.plane_cores[0] * st.s, rows.T
     a = u @ c @ v.T
     e = a - left
     norm_a, inner, norm_e = (np.array([x]) for x in (frobenius_norm(a), np.vdot(a, e), frobenius_norm(e)))
@@ -256,8 +256,8 @@ def _loop_checks(m, dec):
         norm_t = frobenius_norm(left)
         form = max(form, _rel(frobenius_norm(left - right), norm_t))
 
-        st = lone_term_stacks(t)
-        u, c, v = st.right.T, st.plane_cores[0] * st.s, st.left.T
+        right, rows, st = lone_term_stacks(t)
+        u, c, v = right.T, st.plane_cores[0] * st.s, rows.T
         block = np.array([[t.sigma, t.omega], [-t.omega, t.sigma]])
         act_r = u @ (c @ (v.T @ u)) - u @ block
         act_l = v @ (c.T @ (u.T @ v)) - v @ block.T
@@ -278,8 +278,8 @@ def _loop_checks(m, dec):
         thetas = rng.uniform(0.0, 2.0 * np.pi, vf._PHASE_SAMPLES)
         phase = max(phase, _rel(_loop_phase_distance(t, u, c, v, left, thetas), norm_t).max())
 
-        tt = lone_term_stacks(ga.transpose_term(t))
-        transposed = tt.right.T @ (tt.plane_cores[0] * tt.s) @ tt.left
+        right_t, left_t, tt = lone_term_stacks(ga.transpose_term(t))
+        transposed = right_t.T @ (tt.plane_cores[0] * tt.s) @ left_t
         transp = max(transp, _rel(frobenius_norm(transposed - left.T), norm_t))
 
     if dec.plane_terms:
@@ -374,19 +374,17 @@ def test_suite_extreme_scale(exponent):
     assert vf.run_identity_suite(m * 2.0**exponent).checks == base.checks
 
 
-@pytest.mark.parametrize("exponent", [-300, 300])
+@pytest.mark.parametrize("exponent", [-300, 300, -600, 600])
 def test_checks_keep_their_verdicts_under_an_exact_rescaling_of_the_splits(exponent):
     # b, p -> 2^e b, 2^e p and d, q -> 2^-e d, 2^-e q (a and c alike, so that
     # B_real -> 2^e B_real) leave every term, nu and every core as they are;
-    # the rank-two factors of the form comparisons then lie 2^600 apart, and
-    # their R factors still give the norms
+    # the rank-two factors of the form comparisons then lie 2^2|e| apart, and
+    # their R factors still give the norms; at |e| = 600 a vector's squared
+    # norm overflows or underflows, so every vector norm is taken safely
     m = _repeated_pair()
     dec = rd.decompose(m)
     up, down = 2.0**exponent, 2.0**-exponent
-    reals = tuple(rd.RealTerm(t.alpha, t.a * up, t.c * down) for t in dec.real_terms)
-    planes = tuple(rd.ComplexPlaneTerm(t.sigma, t.omega, t.b * up, t.p * up, t.d * down, t.q * down)
-                   for t in dec.plane_terms)
-    scaled = rd.SpectralDecomposition(reals, planes, dec.diagnostics)
+    scaled = rd.SpectralDecomposition(dec.alpha, dec.sigma, dec.omega, dec.right * up, dec.left * down)
     tolerances = dict(vf._TOLERANCES, reconstruction=rd.DEFAULT_TOL)
     got, want = vf._decomposition_checks(m, scaled), vf._decomposition_checks(m, dec)
     assert [name for name, _ in got] == [name for name, _ in want]
@@ -398,6 +396,8 @@ def test_checks_keep_their_verdicts_under_an_exact_rescaling_of_the_splits(expon
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1), st.lists(st.integers(-300, 300), min_size=6, max_size=6))
 @example(3, [0, 0, 0, -40, -40, -40])
+@example(3, [-600] * 6)
+@example(3, [600] * 6)
 def test_checks_keep_their_verdicts_when_each_term_is_scaled_on_its_own(seed, exponents):
     # term i's right vectors times 2^e_i and its left ones times 2^-e_i leave
     # every term's matrix as it is, and every residual stays as it was:
@@ -411,11 +411,10 @@ def test_checks_keep_their_verdicts_when_each_term_is_scaled_on_its_own(seed, ex
     m = vf.gen_test_matrix(spec)
     m = m / pow2_scale(m)  # as run_identity_suite brings m to unit scale
     dec = rd.decompose(m)
-    up = iter(2.0 ** np.array(exponents, dtype=float))
-    reals = tuple(rd.RealTerm(t.alpha, t.a * r, t.c / r) for t, r in zip(dec.real_terms, up))
-    planes = tuple(rd.ComplexPlaneTerm(t.sigma, t.omega, t.b * r, t.p * r, t.d / r, t.q / r)
-                   for t, r in zip(dec.plane_terms, up))
-    scaled = rd.SpectralDecomposition(reals, planes, dec.diagnostics)
+    j, k = len(dec.alpha), len(dec.sigma)
+    # each term's factor on its one (real) or two (pair) rows
+    up = np.repeat(2.0 ** np.array(exponents[:j + k], dtype=float), [1] * j + [2] * k)[:, None]
+    scaled = rd.SpectralDecomposition(dec.alpha, dec.sigma, dec.omega, dec.right * up, dec.left / up)
     tolerances = dict(vf._TOLERANCES, reconstruction=rd.DEFAULT_TOL)
     got, want = dict(vf._decomposition_checks(m, scaled)), dict(vf._decomposition_checks(m, dec))
     assert list(got) == list(want)

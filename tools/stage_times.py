@@ -29,8 +29,10 @@ an earlier call already reduced does other work:
   report, the path the bench's cli-corpus workload times
 - ``assembly``: ``realdecomp.decompose`` of M with ``eigensystem``
   replaced by a function that returns its result for M, computed once:
-  the term assembly and the residual check alone, which
-  ``decompose - eigensystem`` gives only to within both stages' noise
+  the rows' check and the residual alone, which
+  ``decompose - eigensystem`` gives only to within both stages' noise;
+  the term records are built on their first read (the JSON report, in
+  ``cli``), not inside ``decompose``
 - ``apply``: ``realdecomp.apply`` of M's decomposition, computed once, to
   a vector drawn from rng ``[7, n]``: the read side, as the bench's
   apply-stream workload times it
