@@ -273,7 +273,7 @@ def doc_to_decomposition(doc):
         if any(len(v) != n for v in right + left):
             raise ShapeError(f"term vectors must be of length j + 2k = {n}")
         args = [np.array(x, dtype=float) for x in eigs]
-        args += [np.array(v, dtype=float).reshape(n, n) for v in (right, left)]
+        args += [np.array(v or np.empty((0, 0)), dtype=float) for v in (right, left)]  # owned rows
     # AttributeError: a report is not a JSON object; OverflowError: an
     # integer too large for a float
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:

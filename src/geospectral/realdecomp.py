@@ -107,10 +107,10 @@ class SpectralDecomposition:
     _NU_REL_FLOOR (|d| |b| + |q| |b|)^2, either below the normal range or
     not a number, or a nu that is not finite, raises DegeneratePairError.
 
-    The rows are the decomposition: the arrays it is given are made
-    read-only, not copied, and each c.a and nu is kept beside them.  The
-    terms are records built on first read, their vectors read-only views
-    of the rows.  == is identity, so a decomposition hashes."""
+    The rows are the decomposition: the arrays it is given, copied only if
+    views, are made read-only, and each c.a and nu is kept beside them.
+    The terms are records built on first read, their vectors read-only
+    views of the rows.  == is identity, so a decomposition hashes."""
 
     alpha: np.ndarray
     sigma: np.ndarray
@@ -122,8 +122,9 @@ class SpectralDecomposition:
     nu: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        alpha, sigma, omega, right, left = (np.asarray(getattr(self, name), dtype=float)
-                                            for name in ("alpha", "sigma", "omega", "right", "left"))
+        given = (np.asarray(getattr(self, name), dtype=float)
+                 for name in ("alpha", "sigma", "omega", "right", "left"))
+        alpha, sigma, omega, right, left = (x if x.flags.owndata else x.copy() for x in given)
         j, k = alpha.size, sigma.size
         n = j + 2 * k
         if (right.shape != (n, n) or left.shape != (n, n) or alpha.shape != (j,)

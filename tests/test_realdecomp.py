@@ -272,6 +272,16 @@ def test_decomposition_keeps_its_checked_factors_read_only():
     m = np.array([[1.0, 2.0], [-2.0, 1.0]])
     assert rd.decompose(m) != rd.decompose(m)
     assert len({rd.decompose(m), rd.decompose(m)}) == 2
+    # rows given as views of an array its caller keeps are copied, so a
+    # later write there changes neither the decomposition nor its kept nu
+    rows = np.concatenate((dec.right, dec.left))
+    n, reconstructed = len(dec.right), rd.reconstruct(dec)
+    view_dec = rd.SpectralDecomposition(dec.alpha, dec.sigma, dec.omega, rows[:n], rows[n:])
+    rows[:] = 7.0
+    np.testing.assert_array_equal(view_dec.right, dec.right)
+    np.testing.assert_array_equal(view_dec.left, dec.left)
+    np.testing.assert_array_equal(rd.reconstruct(view_dec), reconstructed)
+    assert view_dec.nu.tolist() == [t.nu for t in view_dec.plane_terms] == dec.nu.tolist()
 
 
 def _ragged_report():

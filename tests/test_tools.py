@@ -5,8 +5,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from geospectral import matio
+from geospectral import matio, realdecomp, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -240,3 +241,44 @@ def test_compare_reports_child_records_how_refused_reports_load(tmp_path):
     inputs = [("m", m)] + [("skipped", m)] * 19 + [("one row", np.eye(1))]
     labels = [label for label, _ in cr.refusal_pool(inputs)]
     assert len(labels) == 8 and all(label.startswith("m, ") for label in labels)
+
+
+def _import_bench(*names):
+    """The bench modules of those names; bench is on sys.path only while
+    they are imported."""
+    saved = list(sys.path)
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        return [importlib.import_module(name) for name in names]
+    finally:
+        sys.path[:] = saved
+
+
+def _wrong_pair(dec):
+    """dec with its first pair's sigma 1e-6 off: a wrong output that is still
+    a well-formed decomposition, built from its rows."""
+    sigma = dec.sigma.copy()
+    sigma[0] += 1e-6
+    return realdecomp.SpectralDecomposition(dec.alpha, sigma, dec.omega, dec.right, dec.left,
+                                            dec.diagnostics)
+
+
+def test_bench_checks_fail_a_wrong_decomposition(tmp_path, monkeypatch):
+    # bench/tests perturbs a decomposition through its terms, which the one
+    # constructor no longer takes; this keeps, from the rows, what it checks
+    harness, oracles, workloads = _import_bench("harness", "oracles", "workloads")
+    spec = verify.PlantedSpectrum((0.5,), ((0.2, 1.0), (-1.0, 0.7)), basis_seed=3)
+    m = verify.gen_test_matrix(spec)
+    dec = realdecomp.decompose(m)
+    assert oracles.check_decomposition(m, dec, spec)["rel_residual"] <= 1e-9
+    with pytest.raises(oracles.CheckFailed):
+        oracles.check_decomposition(m, _wrong_pair(dec), spec)
+    runs = [workloads.WORKLOADS["dense-128"](3, str(tmp_path), n=12),
+            workloads.WORKLOADS["identity-suite"](3, str(tmp_path), n=8)]
+    decompose = realdecomp.decompose
+    monkeypatch.setattr(realdecomp, "decompose", lambda m, *a: _wrong_pair(decompose(m, *a)))
+    for workload in runs:
+        phase = harness.measure(workload, 0.02)
+        # each operation ran, and its output's check, not an exception, failed it
+        assert phase.latencies and len(phase.failures) == len(phase.latencies)
+        assert all(error.startswith("check: ") for _, error in phase.failures)
