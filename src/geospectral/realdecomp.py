@@ -10,12 +10,14 @@ constructing it is the one check, and its terms are records built on
 first read, whose vectors are read-only views of those rows.
 
 Every term is computed as a factored product U C V^T: U = [b p],
-V = [d q] and the 2x2 core C = J (U^T V)(omega I - sigma J) / nu with
-J = [[0, 1], [-1, 0]]; a real term has U = a, V = c and C = [[alpha / c.a]].
-term_stacks derives w = (U C)^T's rows, the Grams and the cores from the
-rows, on the eigenvalues divided by their own power of two s, so no core
-overflows.  reconstruct, apply and decompose's residual are one product
-of w and the left rows, verify's checks run on them, and
+V = [d q] and the 2x2 core C = J G (omega I - sigma J) / nu with
+J = [[0, 1], [-1, 0]] and G = U^T V the pair's Gram, whose first row's
+squared norm is nu; a real term has U = a, V = c and C = [[alpha / c.a]].
+The one check computes every c.a and Gram, nu and the eigenvalues' power
+of two s, and the decomposition keeps them; term_stacks reads them and
+builds only w = (U C)^T's rows and the cores, on the eigenvalues divided
+by s, so no core overflows.  reconstruct, apply and decompose's residual
+are one product of w and the left rows, verify's checks run on them, and
 real_canonical_form reads B_real, L_real and B_real^-1 off the
 decomposition.
 """
@@ -67,26 +69,23 @@ class ComplexPlaneTerm:
 
     @cached_property
     def nu(self):
-        return float(_dots(np.array([self.b, self.p]), np.array([self.d, self.q]), 0)[1][0])
+        return float(_grams(np.array([self.b, self.p]), np.array([self.d, self.q]), 0)[2][0])
 
 
-def _dots(right, left, j):
-    """c.a of the j real terms and nu of each pair after them, as arrays, from
-    the terms' rows: each left row's dot with its term's a or b by
-    np.add.reduce (NaN, without a warning, where products overflow to
-    infinities of both signs), each square by Python's float power (inf on
-    overflow)."""
-    partner = right.copy()
-    partner[j + 1::2] = right[j::2]
+def _grams(right, left, j):
+    """c.a of the j real terms, the Gram G = U^T V = [[b.d, b.q], [p.d, p.q]]
+    of each pair after them as (k, 2, 2) and its nu = (d.b)^2 + (q.b)^2,
+    from the terms' rows: every dot product in one np.add.reduce of their
+    products (NaN, without a warning, where products overflow to
+    infinities of both signs; nu inf where it overflows).  The dots are
+    read-only, so no view of them can be written."""
+    k, n = (len(right) - j) // 2, right.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        dots = np.add.reduce(left * partner, axis=1)
-    nus = []
-    for db, qb in dots[j:].reshape(-1, 2).tolist():
-        try:
-            nus.append(db ** 2 + qb ** 2)
-        except OverflowError:
-            nus.append(math.inf)
-    return dots[:j], np.array(nus, dtype=float)
+        products = right[j:].reshape(k, 2, 1, n) * left[j:].reshape(k, 1, 2, n)
+        dots = np.add.reduce(np.concatenate((right[:j] * left[:j], products.reshape(4 * k, n))), axis=1)
+        dots.flags.writeable = False
+        gram = dots[j:].reshape(k, 2, 2)
+        return dots[:j], gram, gram[:, 0, 0] ** 2 + gram[:, 0, 1] ** 2
 
 
 @dataclass(frozen=True)
@@ -108,9 +107,13 @@ class SpectralDecomposition:
     not a number, or a nu that is not finite, raises DegeneratePairError.
 
     The rows are the decomposition: the arrays it is given, copied only if
-    views, are made read-only, and each c.a and nu is kept beside them.
-    The terms are records built on first read, their vectors read-only
-    views of the rows.  == is identity, so a decomposition hashes."""
+    views, are kept read-only beside what the check computes from them,
+    each c.a, each pair's Gram U^T V and nu, and the eigenvalues' power of
+    two s (s <= the largest |alpha|, |sigma| or omega < 2s, 0.5 if none is
+    nonzero).  Each array is exposed as a view of its read-only owner,
+    which numpy will not make writeable again.  The terms are records
+    built on first read, their vectors read-only views of the rows.  == is
+    identity, so a decomposition hashes."""
 
     alpha: np.ndarray
     sigma: np.ndarray
@@ -119,7 +122,9 @@ class SpectralDecomposition:
     left: np.ndarray
     diagnostics: Diagnostics = None
     ca: np.ndarray = field(init=False, repr=False)
+    gram: np.ndarray = field(init=False, repr=False)
     nu: np.ndarray = field(init=False, repr=False)
+    s: float = field(init=False, repr=False)
 
     def __post_init__(self):
         given = (np.asarray(getattr(self, name), dtype=float)
@@ -140,7 +145,7 @@ class SpectralDecomposition:
         # a norm is finite unless an entry is not, or it overflows
         if not math.isfinite(sum(norms)) and not np.isfinite(rows).all():
             raise ShapeError("term vectors must be finite")
-        cas, nus = _dots(right, left, j)
+        cas, gram, nus = _grams(right, left, j)
         # each test is the negation of what a well-formed term satisfies, as a
         # NaN fails every comparison; the floor as (floor root) root overflows
         # only where it exceeds every finite nu
@@ -152,10 +157,11 @@ class SpectralDecomposition:
             if not (_NU_REL_FLOOR * root * root < nu < math.inf and nu >= _TINY):
                 raise DegeneratePairError(f"nu = {nu:.3e} below degeneracy floor or not finite")
         kept = {"alpha": alpha, "sigma": sigma, "omega": omega, "right": right, "left": left,
-                "ca": cas, "nu": nus}
+                "ca": cas, "gram": gram, "nu": nus}
         for name, value in kept.items():
             value.flags.writeable = False
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, value.view())
+        object.__setattr__(self, "s", dc.pow2_scale(np.concatenate((alpha, sigma, omega))))
 
     @property
     def dim(self):
@@ -179,41 +185,20 @@ def plane_core(sigma, omega, g, nu_value):
     return _J @ g @ (omega * np.eye(2) - sigma * _J) / nu_value
 
 
-@dataclass(frozen=True)
-class TermStacks:
-    """What the terms' factors derive, as rows in term order beside the
-    decomposition's right and left: w = (U C)^T's rows (a times its core,
-    C^T [b; p] for a pair), so the terms' sum is (w^T left) s, and the pairs'
-    Grams U^T V and cores as (k, 2, 2).  Each core is on the eigenvalues
-    divided by s, the power of two with s <= the largest |alpha|, |sigma|
-    or omega < 2s (0.5 if none is nonzero)."""
-
-    s: float
-    w: np.ndarray
-    gram: np.ndarray
-    plane_cores: np.ndarray
-
-
 def term_stacks(dec):
-    """TermStacks of the decomposition, from its rows, eigenvalues, c.a and nu."""
-    return stacks_from_rows(dec.alpha, dec.sigma, dec.omega, dec.right, dec.left, dec.ca, dec.nu)
-
-
-def stacks_from_rows(alpha, sigma, omega, right, left, ca, nu):
-    """TermStacks of the j real terms alpha and the k pairs sigma + i omega
-    whose vectors are the rows of the (j + 2k, n) right and left, with
-    their c.a and nu as _dots gives them from those rows."""
-    j, k, n = len(alpha), len(sigma), right.shape[1]
-    s = dc.pow2_scale(np.concatenate((alpha, sigma, omega)))
-    real_cores = alpha / s / ca
-    # (k, b p, n) and (k, d q, n): the pairs' U^T and V^T
-    ut, vt = right[j:].reshape(k, 2, n), left[j:].reshape(k, 2, n)
-    gram = ut @ np.swapaxes(vt, 1, 2)
-    cores = plane_core((sigma / s)[:, None, None], (omega / s)[:, None, None], gram,
-                       nu[:, None, None])
-    w = np.concatenate((right[:j] * real_cores[:, None],
+    """(w, cores) of the decomposition, from its rows, eigenvalues, c.a,
+    Grams, nu and s: w = (U C)^T's rows in term order (a times its core,
+    C^T [b; p] for a pair), so the terms' sum is (w^T left) s, and the
+    pairs' cores as (k, 2, 2), each on the eigenvalues divided by s."""
+    j, k, n = len(dec.alpha), len(dec.sigma), dec.right.shape[1]
+    s = dec.s
+    cores = plane_core((dec.sigma / s)[:, None, None], (dec.omega / s)[:, None, None], dec.gram,
+                       dec.nu[:, None, None])
+    # (k, b p, n): the pairs' U^T
+    ut = dec.right[j:].reshape(k, 2, n)
+    w = np.concatenate((dec.right[:j] * (dec.alpha / s / dec.ca)[:, None],
                         (np.swapaxes(cores, 1, 2) @ ut).reshape(2 * k, n)))
-    return TermStacks(s, w, gram, cores)
+    return w, cores
 
 
 def decompose(m, tol=DEFAULT_TOL):
@@ -244,9 +229,9 @@ def decompose(m, tol=DEFAULT_TOL):
     # w^T left - M / s on the stacks of the decomposition returned: the cores
     # take the eigenvalues over s and left the conditioning, and the rcond
     # gate keeps ||M||_1 <= 1e12 ||L_real||_1: nothing overflows
-    st = term_stacks(dec)
-    m_s = m / st.s
-    resid = frobenius_norm(st.w.T @ left - m_s) / (frobenius_norm(m_s) or 1.0)
+    w, _ = term_stacks(dec)
+    m_s = m / dec.s
+    resid = frobenius_norm(w.T @ left - m_s) / (frobenius_norm(m_s) or 1.0)
     if not math.isfinite(resid):
         raise AccuracyError(resid, tol)
     if resid > tol:
@@ -259,19 +244,19 @@ def decompose(m, tol=DEFAULT_TOL):
 
 def reconstruct(dec):
     """Sum of all rank-one and plane terms, as the one product (w^T left) s
-    of their TermStacks."""
-    st = term_stacks(dec)
-    return (st.w.T @ dec.left) * st.s
+    of their term_stacks."""
+    w, _ = term_stacks(dec)
+    return (w.T @ dec.left) * dec.s
 
 
 def apply(dec, x):
     """Action of the decomposition on a vector, (w^T (left x)) s from its
-    TermStacks, without forming any n x n matrix."""
+    term_stacks, without forming any n x n matrix."""
     x = dc.as_array(x, 1)
     if x.shape[0] != dec.dim:
         raise ShapeError(f"vector dim {x.shape[0]} against decomposition dim {dec.dim}")
-    st = term_stacks(dec)
-    return (st.w.T @ (dec.left @ x)) * st.s
+    w, _ = term_stacks(dec)
+    return (w.T @ (dec.left @ x)) * dec.s
 
 
 def real_block_form(alpha, sigma, omega):

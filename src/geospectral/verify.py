@@ -4,8 +4,10 @@ The complex eigendecomposition here, LAPACK dgeev through numpy, is a
 different algorithm from eigensolve's and exists purely to cross-check it.
 The identity checks evaluate the plane terms' factors U C V^T, each
 against a fixed relative tolerance that one scale multiplies.  Every check
-runs once over all k pairs, on the decomposition's rows and its one
-term_stacks: B_real, each pair's U, V and U C are (k, n, 2) views of rows.
+runs once over all k pairs, on the decomposition's rows, Grams and nu and
+its one term_stacks: B_real, each pair's U, V and U C are (k, n, 2) views
+of rows, and the transposed terms' Grams, nu and cores follow from the
+pairs' own.
 A check of a vector's image takes it over that vector's norm (each norm
 safe from overflow and underflow), then relative to the term's, so
 scaling one term's vectors leaves the residual as is.  The
@@ -13,9 +15,9 @@ comparisons with the explicit wedge forms take each form as rank-two
 factors, the paper's brackets applied by associativity, so each difference
 of two forms is a product F G^T of (n, 4) factors whose norm is that of
 R_F R_G^T, from two batched QR factorizations: no n x n array is formed
-per pair.  geoalg's n x n forms are the tests' reference.  Random draws
-use numpy's PCG64 generator with explicit seeds so reports reproduce
-bit-for-bit across platforms.
+per pair.  geoalg's n x n forms are the tests' reference.  Test matrices
+are drawn from numpy's PCG64 generator with explicit seeds, so they
+reproduce bit-for-bit across platforms; the checks draw nothing.
 """
 
 import time
@@ -29,7 +31,6 @@ from .errors import GenerationError, GeoSpectralError, OracleInconsistencyError
 
 _RESAMPLE_CAP = 100
 _ABS_FLOOR = 1e-14
-_PHASE_SAMPLES = 100
 # relative tolerance of every check but reconstruction, whose tolerance is
 # decompose's (absolute floor 1e-14 throughout)
 _TOLERANCES = {
@@ -153,20 +154,25 @@ def _rel(residual, scale):
     return residual / np.maximum(scale, _ABS_FLOOR)
 
 
-def _phase_distance(nu, g, thetas, norm_a, inner, norm_e):
-    """||rotated term - left||_F for each pair and each of its phases
-    (thetas is k x S), from the pair's nu, its Gram g = U^T V and three
-    numbers of its comparison with the left form.  Rotating both splits
-    maps U, V to U R, V R and the Gram to R^T (U^T V) R; R commutes with J
-    and with omega I - sigma J, so the rotated term is (nu / nu_theta) A
-    with A = U C V^T.  With f = nu / nu_theta - 1 and E = A - left, its
-    squared distance is f^2 ||A||^2 + 2 f <A, E> + ||E||^2."""
-    # nu_theta is the squared norm of the rotated Gram's first row, and
-    # R^T's first row is (cos, -sin)
-    row = np.cos(thetas)[..., None] * g[:, None, 0] - np.sin(thetas)[..., None] * g[:, None, 1]
-    f = nu[:, None] / np.sum(row**2, axis=2) - 1.0
-    square = f**2 * norm_a[:, None] ** 2 + 2.0 * f * inner[:, None] + norm_e[:, None] ** 2
-    return np.sqrt(np.maximum(square, 0.0))
+def _phase_distance(nu, g, norm_a, inner, norm_e):
+    """The largest ||rotated term - left||_F over all phases, for each
+    pair, from its nu, its Gram g = U^T V and three numbers of its
+    comparison with the left form.  Rotating both splits maps U, V to
+    U R, V R and the Gram to R^T G R; R commutes with J and with
+    omega I - sigma J, so the rotated term is (nu / nu_theta) A with
+    A = U C V^T, where nu_theta = |(cos, -sin) G|^2 spans the eigenvalues
+    of G G^T.  With f = nu / nu_theta - 1 and E = A - left, the squared
+    distance f^2 ||A||^2 + 2 f <A, E> + ||E||^2 is convex in f, so its
+    largest value is at one of those two ends; a singular G reads inf."""
+    # G G^T's diagonal and off-diagonal entry; its smaller eigenvalue is
+    # det(G)^2 over its larger
+    rows, cross = np.sum(g * g, axis=2), np.sum(g[:, 0] * g[:, 1], axis=1)
+    top = (rows[:, 0] + rows[:, 1] + np.hypot(rows[:, 0] - rows[:, 1], 2.0 * cross)) / 2.0
+    det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        f = nu[:, None] / np.stack((top, det * det / top), axis=1) - 1.0
+        square = f * (f * norm_a[:, None] ** 2 + 2.0 * inner[:, None]) + norm_e[:, None] ** 2
+    return np.sqrt(np.maximum(square, 0.0)).max(axis=1)
 
 
 def _bracket(sigma, omega, e, f, z):
@@ -228,8 +234,8 @@ def _column_norms(x):
 
 def _decomposition_checks(m, dec):
     norm_m = frobenius_norm(m)
-    st = rd.term_stacks(dec)
-    recon = (st.w.T @ dec.left) * st.s  # reconstruct(dec)
+    w, cores = rd.term_stacks(dec)
+    recon = (w.T @ dec.left) * dec.s  # reconstruct(dec)
     checks = [("reconstruction", _rel(frobenius_norm(recon - m), norm_m))]
 
     oracle = brute_force_reconstruct(m)
@@ -238,18 +244,18 @@ def _decomposition_checks(m, dec):
     k, n, first = len(dec.sigma), dec.dim, len(dec.alpha)
     if not k:
         return checks
-    # geoalg.transpose_term's (b, p, d, q) -> (d, -q, b, -p), on the same
-    # rows, with its own nu
-    flip = np.tile([1.0, -1.0], k)[:, None]
-    right_t, left_t = dec.left[first:] * flip, dec.right[first:] * flip
-    tt = rd.stacks_from_rows(dec.alpha[:0], dec.sigma, dec.omega, right_t, left_t,
-                             *rd._dots(right_t, left_t, 0))
-    # each pair's U, V, U C and the transposed term's U C and V as (k, n, 2)
-    # views of the last 2k rows; the cores and U C times s, a power of two
-    u, v, w, wt, vt = (np.swapaxes(x[-2 * k:].reshape(k, 2, n), 1, 2)
-                       for x in (dec.right, dec.left, st.w * st.s, tt.w * tt.s, left_t))
-    g, c, nu = st.gram, st.plane_cores * st.s, dec.nu
-    norms, inner = _form_comparisons(dec.sigma, dec.omega, nu, u, v, w, wt, vt)
+    # each pair's U, V and U C as (k, n, 2) views of the last 2k rows; the
+    # cores and U C times s, a power of two
+    u, v, w = (np.swapaxes(x[-2 * k:].reshape(k, 2, n), 1, 2) for x in (dec.right, dec.left, w * dec.s))
+    g, c, nu = dec.gram, cores * dec.s, dec.nu
+    # geoalg.transpose_term's (b, p, d, q) -> (d, -q, b, -p) has U_t = V F
+    # and V_t = U F, F = diag(1, -1): its Gram is F G^T F, its nu that
+    # Gram's first row's squared norm and its U_t C_t is (V F) C_t
+    flip = np.array([1.0, -1.0])
+    g_t = np.swapaxes(g, 1, 2) * np.outer(flip, flip)
+    c_t = rd.plane_core(dec.sigma[:, None, None], dec.omega[:, None, None], g_t,
+                        np.sum(g_t[:, :1] ** 2, axis=2, keepdims=True))
+    norms, inner = _form_comparisons(dec.sigma, dec.omega, nu, u, v, w, (v * flip) @ c_t, u * flip)
     norm_t, form, norm_a, norm_e, transp = norms.T
 
     # every other check runs on all k pairs at once, from the factors; every
@@ -286,10 +292,7 @@ def _decomposition_checks(m, dec):
     own = np.maximum(np.abs(g[:, 0, 0] - g[:, 1, 1]), np.abs(g[:, 0, 1] + g[:, 1, 0]))
     bio = np.maximum(_rel(own, np.sum(norm_u * norm_v, axis=1)), cross)
 
-    # one (k, 100) draw gives each pair the 100 phases k draws of 100 would
-    rng = np.random.default_rng(np.random.PCG64(0xC0FFEE))
-    thetas = rng.uniform(0.0, 2.0 * np.pi, (k, _PHASE_SAMPLES))
-    phase = _rel(_phase_distance(nu, g, thetas, norm_a, inner, norm_e), norm_t[:, None])
+    phase = _rel(_phase_distance(nu, g, norm_a, inner, norm_e), norm_t)
 
     checks.append(("form_equality", _rel(form, norm_t).max()))
     checks.append(("eigen_action", eigact.max()))

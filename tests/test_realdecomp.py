@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,17 +38,20 @@ def _decomposition(*terms):
 
 
 def lone_term_stacks(t):
-    """The rows right and left of the one term t alone, whose vectors may be
-    of any length (a decomposition of one term has n = 1 or 2), and their
-    TermStacks: stacks_from_rows on those rows, with their c.a and nu from
-    _dots, as verify builds the transposed terms' stacks."""
+    """The one term t alone, whose vectors may be of any length (a
+    decomposition of one term has n = 1 or 2), as the fields term_stacks
+    reads: its eigenvalues, its rows right and left, the c.a, Gram and nu
+    the check computes from those rows and the eigenvalues' power of two s;
+    returned with its term_stacks w and cores."""
     real = isinstance(t, rd.RealTerm)
     right, left = ([t.a], [t.c]) if real else ([t.b, t.p], [t.d, t.q])
     right, left = np.array(right, dtype=float), np.array(left, dtype=float)
     alpha, sigma, omega = (np.array(x, dtype=float) for x in
                            (([t.alpha], [], []) if real else ([], [t.sigma], [t.omega])))
-    return right, left, rd.stacks_from_rows(alpha, sigma, omega, right, left,
-                                            *rd._dots(right, left, len(alpha)))
+    ca, gram, nu = rd._grams(right, left, len(alpha))
+    lone = SimpleNamespace(alpha=alpha, sigma=sigma, omega=omega, right=right, left=left, ca=ca,
+                           gram=gram, nu=nu, s=pow2_scale(np.concatenate((alpha, sigma, omega))))
+    return (lone, *rd.term_stacks(lone))
 
 
 def _pipeline_terms(seeds):
@@ -147,8 +151,8 @@ def test_real_rank_one_term():
     for alpha, a, c, want in ((2.0, E1, [1.0, 1.0], [[2.0, 2.0], [0.0, 0.0]]),
                               (0.0, [1.0, 2.0], [3.0, 1.0], np.zeros((2, 2))),
                               (5.0, E1, E1, np.diag([5.0, 0.0]))):
-        _, left, st = lone_term_stacks(rd.RealTerm(alpha, np.array(a), np.array(c)))
-        np.testing.assert_array_equal((st.w.T @ left) * st.s, want)
+        lone, w, _ = lone_term_stacks(rd.RealTerm(alpha, np.array(a), np.array(c)))
+        np.testing.assert_array_equal((w.T @ lone.left) * lone.s, want)
 
 
 def test_plane_term_factors_match_left_form():
@@ -160,9 +164,9 @@ def test_plane_term_factors_match_left_form():
             b, p, d, q = (rng.standard_normal(n) for _ in range(4))
             sigma, omega = rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0)
             t = rd.ComplexPlaneTerm(sigma, omega, b, p, d, q)
-            _, rows, st = lone_term_stacks(t)
+            lone, w, _ = lone_term_stacks(t)
             left = ga.plane_term_left_form(t)
-            assert frobenius_norm((st.w.T @ rows) * st.s - left) <= 1e-13 * frobenius_norm(left)
+            assert frobenius_norm((w.T @ lone.left) * lone.s - left) <= 1e-13 * frobenius_norm(left)
 
 
 def test_real_term_degenerate_pairing_rejected():
@@ -255,9 +259,13 @@ def test_decomposition_keeps_its_checked_factors_read_only():
     assert dec.ca.tolist() == [float(np.add.reduce(t.c * t.a)) for t in dec.real_terms]
     assert dec.nu.tolist() == [t.nu for t in dec.plane_terms]
     assert (len(dec.ca), len(dec.nu)) == (j, k)
-    for name in ("right", "left", "alpha", "sigma", "omega", "ca", "nu"):
+    for name in ("right", "left", "alpha", "sigma", "omega", "ca", "gram", "nu"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(dec, name)[0] = 1.0
+        # each is a view of a read-only owner, which numpy will not make
+        # writeable again: a write could not leave nu stale
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            getattr(dec, name).flags.writeable = True
     # every term vector is a read-only view of the rows: B_real^T is stored once
     assert all(np.shares_memory(dec.right, t.a) and np.shares_memory(dec.left, t.c)
                for t in dec.real_terms)
@@ -722,8 +730,8 @@ def test_conjugate_pair_symmetry():
     for _, dec in _pipeline_terms(range(3)):
         for t in dec.plane_terms:
             base = ga.plane_term_left_form(t)
-            right, left, _ = lone_term_stacks(t)
-            u, v = right.T * flip, left.T * flip
+            lone, _, _ = lone_term_stacks(t)
+            u, v = lone.right.T * flip, lone.left.T * flip
             conj = u @ rd.plane_core(t.sigma, -t.omega, u.T @ v, t.nu) @ v.T
             assert frobenius_norm(conj - base) <= 1e-12 * frobenius_norm(base)
 
@@ -759,8 +767,8 @@ def test_term_ordering_is_canonical():
 
 def _term_matrix(t):
     """The n x n matrix of one term, U C V^T from its one-term stacks."""
-    _, left, st = lone_term_stacks(t)
-    return (st.w.T @ left) * st.s
+    lone, w, _ = lone_term_stacks(t)
+    return (w.T @ lone.left) * lone.s
 
 
 def _kappa(t):
@@ -824,18 +832,24 @@ def _loop_rows(dec, s):
         rows += [t.a[None], t.c[None], t.a[None] * core]
     for t in dec.plane_terms:
         ut, vt = np.array([t.b, t.p]), np.array([t.d, t.q])
-        core = rd.plane_core(t.sigma / s, t.omega / s, ut @ vt.T, t.nu)
+        core = rd.plane_core(t.sigma / s, t.omega / s, _own_gram(t), t.nu)
         rows += [ut, vt, core.T @ ut]
     return tuple(np.concatenate(rows[i::3]) for i in range(3))
+
+
+def _own_gram(t):
+    """The pair's U^T V = [[b.d, b.q], [p.d, p.q]], each entry summed as
+    np.add.reduce sums the products of two of its vectors."""
+    return np.array([[np.add.reduce(x * y) for y in (t.d, t.q)] for x in (t.b, t.p)])
 
 
 def _assert_stacks_match_loop(dec):
     s = pow2_scale([t.alpha for t in dec.real_terms]
                    + [x for t in dec.plane_terms for x in (t.sigma, t.omega)])
-    st = rd.term_stacks(dec)
-    assert st.s == s
+    w, _ = rd.term_stacks(dec)
+    assert dec.s == s
     refs = _loop_rows(dec, s)
-    for got, want in zip((dec.right, dec.left, st.w), refs):
+    for got, want in zip((dec.right, dec.left, w), refs):
         assert got.flags.c_contiguous
         np.testing.assert_array_equal(got, want)
     right, left, w = refs
@@ -899,10 +913,10 @@ def test_term_stacks_match_per_term_loop_dense(n, share):
 def test_term_stacks_edge_cases(m):
     dec = rd.decompose(m)
     j, k, n = len(dec.real_terms), len(dec.plane_terms), dec.dim
-    st = rd.term_stacks(dec)
-    assert dec.right.shape == dec.left.shape == st.w.shape == (n, n)
-    assert dec.alpha.shape == (j,)
-    assert st.gram.shape == st.plane_cores.shape == (k, 2, 2) and dec.nu.shape == (k,)
+    w, cores = rd.term_stacks(dec)
+    assert dec.right.shape == dec.left.shape == w.shape == (n, n)
+    assert dec.alpha.shape == dec.ca.shape == (j,)
+    assert dec.gram.shape == cores.shape == (k, 2, 2) and dec.nu.shape == (k,)
     _assert_stacks_match_loop(dec)
     b_real, l_real, b_inv = rd.real_canonical_form(dec)
     assert b_real.shape == l_real.shape == b_inv.shape == (n, n)
@@ -931,11 +945,10 @@ def test_apply_and_reconstruct_scale_exactly(e):
         np.testing.assert_array_equal(rd.apply(scaled, x), rd.apply(dec, x) * 2.0**e)
         np.testing.assert_array_equal(rd.reconstruct(scaled), rd.reconstruct(dec) * 2.0**e)
         # the stacks are on the eigenvalues' own power of two, so only s moves
-        st, st_scaled = (rd.term_stacks(d) for d in (dec, scaled))
-        assert st_scaled.s == st.s * 2.0**e
-        for name in ("w", "gram", "plane_cores"):
-            assert _bits(getattr(st_scaled, name)) == _bits(getattr(st, name)), name
-        for name in ("right", "left"):
+        assert scaled.s == dec.s * 2.0**e
+        for got, want in zip(rd.term_stacks(scaled), rd.term_stacks(dec)):
+            assert _bits(got) == _bits(want)
+        for name in ("right", "left", "ca", "gram", "nu"):
             assert _bits(getattr(scaled, name)) == _bits(getattr(dec, name)), name
         assert (_bits(scaled.diagnostics.reconstruction_residual)
                 == _bits(dec.diagnostics.reconstruction_residual))
@@ -958,10 +971,10 @@ def _reference_decompose(m):
             b, p, d, q = right[i], right[i + 1], rows[i] / 2.0, rows[i + 1] / 2.0
             plane_terms.append(rd.ComplexPlaneTerm(lam.real, lam.imag, b, p, d, q))
     ref = _decomposition(*real_terms, *plane_terms)
-    st = rd.term_stacks(ref)
-    m_s = m / st.s
-    resid = frobenius_norm(st.w.T @ ref.left - m_s) / (frobenius_norm(m_s) or 1.0)
-    return system, real_terms, plane_terms, ref, st, resid
+    stacks = rd.term_stacks(ref)
+    m_s = m / ref.s
+    resid = frobenius_norm(stacks[0].T @ ref.left - m_s) / (frobenius_norm(m_s) or 1.0)
+    return system, real_terms, plane_terms, ref, stacks, resid
 
 
 def _bits(x):
@@ -971,16 +984,24 @@ def _bits(x):
 
 def _assert_decompose_matches_reference(m, monkeypatch):
     stacks, checked, dotted = [], [], []
-    build, row_norms, dots = rd.stacks_from_rows, rd.dc.row_norms, rd._dots
+    build, row_norms, grams = rd.term_stacks, rd.dc.row_norms, rd._grams
     with monkeypatch.context() as mp:
-        mp.setattr(rd, "stacks_from_rows", lambda *args: stacks.append(build(*args)) or stacks[-1])
+        mp.setattr(rd, "term_stacks", lambda dec: stacks.append(build(dec)) or stacks[-1])
         mp.setattr(rd.dc, "row_norms", lambda rows: checked.append(len(rows)) or row_norms(rows))
-        mp.setattr(rd, "_dots", lambda right, left, j: dotted.append(len(right)) or dots(right, left, j))
+        mp.setattr(rd, "_grams", lambda right, left, j: dotted.append(len(right)) or grams(right, left, j))
         dec = rd.decompose(m)
-    # decompose checks its terms once, on all 2n rows, and its residual's
-    # stacks take the c.a and nu that check computed
+        # the readers compute no dot product and no scale: they read the
+        # c.a, Grams, nu and s the check kept
+        mp.setattr(rd.dc, "pow2_scale", lambda a: dotted.append("pow2_scale"))
+        rd.apply(dec, np.ones(len(m)))
+        rd.reconstruct(dec)
+        rd.real_canonical_form(dec)
+    # decompose checks its terms once, on all 2n rows, computing every dot
+    # product in one Gram pass, and its residual's stacks, as apply's and
+    # reconstruct's, read what that check kept
     assert checked == [2 * len(m)]
     assert dotted == [len(m)]
+    assert len(stacks) == 3
     system, real_terms, plane_terms, ref_dec, st, resid = _reference_decompose(m)
     assert len(dec.real_terms) == len(real_terms) and len(dec.plane_terms) == len(plane_terms)
     for t, ref in zip(dec.real_terms + dec.plane_terms, real_terms + plane_terms):
@@ -991,26 +1012,25 @@ def _assert_decompose_matches_reference(m, monkeypatch):
             assert _bits(got) == _bits(value), name
             if isinstance(value, np.ndarray):
                 assert got.flags.c_contiguous
-    # the rows, eigenvalues, c.a and nu the terms stack into, the rows
-    # C-ordered
-    for name in ("alpha", "sigma", "omega", "right", "left", "ca", "nu"):
+    # the rows, eigenvalues, c.a, Grams, nu and scale the terms stack into,
+    # the rows C-ordered
+    for name in ("alpha", "sigma", "omega", "right", "left", "ca", "gram", "nu", "s"):
         got, value = getattr(dec, name), getattr(ref_dec, name)
         assert _bits(got) == _bits(value), name
         if np.ndim(value) >= 2 and value.size:
             assert got.flags.c_contiguous and got.strides == value.strides, name
-    # every stack, its rows and (k, 2, 2) stacks C-ordered as term_stacks
-    # lays them out
-    [st_dec] = stacks
-    for name, value in vars(st).items():
-        got = getattr(st_dec, name)
-        assert _bits(got) == _bits(value), name
+    # each c.a and Gram is the term's own, summed as np.add.reduce sums its
+    # vectors' products, and nu is the squared norm of the Gram's first row
+    assert dec.ca.tolist() == [float(np.add.reduce(t.c * t.a)) for t in dec.real_terms]
+    for g, t in zip(dec.gram, dec.plane_terms):
+        assert _bits(g) == _bits(_own_gram(t))
+    assert _bits(dec.nu) == _bits(dec.gram[:, 0, 0] ** 2 + dec.gram[:, 0, 1] ** 2)
+    # w and the cores, C-ordered as term_stacks lays them out; the stacks
+    # the residual was checked on are those every reader rebuilds
+    for name, got, value, again in zip(("w", "cores"), stacks[0], st, stacks[1]):
+        assert _bits(got) == _bits(value) == _bits(again), name
         if np.ndim(value) >= 2 and value.size:
             assert got.flags.c_contiguous and got.strides == value.strides, name
-    # the stacks the residual was checked on are those every reader rebuilds
-    # from the returned decomposition, scale included
-    again = rd.term_stacks(dec)
-    for name, value in vars(again).items():
-        assert _bits(getattr(st_dec, name)) == _bits(value), name
     assert _bits(dec.diagnostics.reconstruction_residual) == _bits(resid)
     assert _bits(dec.diagnostics.basis_rcond) == _bits(system.basis_rcond)
     return dec

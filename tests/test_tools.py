@@ -177,12 +177,15 @@ def test_compare_reports_child_records_canonical_output(tmp_path):
              refusals=np.array("[]"))
     out = tmp_path / "out.json"
     assert cr.run_tree(ROOT / "src", str(inputs_path), str(out)).wait() == 0
-    [*_, recon, (code, text)], [*_, empty_recon, (empty_code, line)] = json.loads(
-        out.read_text(encoding="utf-8"))["inputs"]
+    records = json.loads(out.read_text(encoding="utf-8"))["inputs"]
+    [*_, kept, _, recon, (code, text)], [*_, empty_kept, _, empty_recon, (empty_code, line)] = records
     # reconstruct(dec) beside the apply record: the pair back to rounding,
-    # and the 0 x 0 matrix as an empty list
+    # and the 0 x 0 matrix as an empty list; before them the decomposition's
+    # kept c.a and nu, none for the 0 x 0 matrix
     assert np.linalg.norm(np.subtract(recon, pair)) <= 1e-15 * np.linalg.norm(pair)
-    assert empty_recon == []
+    assert empty_recon == empty_kept == []
+    dec = realdecomp.decompose(pair)
+    assert kept == dec.ca.tolist() + dec.nu.tolist() and len(kept) == 1
     doc = json.loads(text)
     assert code == 0 and set(doc) == {"schema_version", "B_real", "L_real", "similarity_residual"}
     assert doc["L_real"] == pair.tolist() and doc["similarity_residual"] <= 1e-15
@@ -192,20 +195,29 @@ def test_compare_reports_child_records_canonical_output(tmp_path):
 
 def test_compare_reports_exits_1_when_suite_verdicts_or_tolerances_differ(tmp_path, monkeypatch, capsys):
     # trees whose reports agree but whose identity suites do not: one fails
-    # eigen-action everywhere, one states another transposition tolerance
+    # eigen-action everywhere, one states another transposition tolerance;
+    # and one whose kept nu moves by an ulp once the report's residual is
+    # taken, which is counted but does not set the exit code
     cr = _import_tool("compare_reports")
     monkeypatch.setattr(cr, "build_inputs", lambda: [("pair", np.array([[1.0, 2.0], [-2.0, 1.0]]))])
-    source = (ROOT / "src" / "geospectral" / "verify.py").read_text(encoding="utf-8")
-    edits = {"verdict": ('("eigen_action", eigact.max())', '("eigen_action", np.inf)'),
-             "tolerance": ('"transposition": 1e-12', '"transposition": 2e-12')}
-    for name, (old, new) in edits.items():
+    edits = {"verdict": ("verify", '("eigen_action", eigact.max())', '("eigen_action", np.inf)'),
+             "tolerance": ("verify", '"transposition": 1e-12', '"transposition": 2e-12'),
+             "nu": ("realdecomp", "    return dec\n",
+                    "    object.__setattr__(dec, 'nu', dec.nu * (1 + 2**-52))\n    return dec\n")}
+    for name, (module, old, new) in edits.items():
+        source = (ROOT / "src" / "geospectral" / f"{module}.py").read_text(encoding="utf-8")
         assert old in source
         shutil.copytree(ROOT / "src" / "geospectral", tmp_path / name / "geospectral",
                         ignore=shutil.ignore_patterns("__pycache__"))
-        (tmp_path / name / "geospectral" / "verify.py").write_text(source.replace(old, new), encoding="utf-8")
+        edited = tmp_path / name / "geospectral" / f"{module}.py"
+        edited.write_text(source.replace(old, new), encoding="utf-8")
     src = str(ROOT / "src")
     assert cr.main(["compare_reports.py", src, src]) == 0
-    assert "0 of 1 identity-suite verdicts differ" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "0 of 1 identity-suite verdicts differ" in out
+    assert "0 of 1 inputs that both trees decompose differ in dec.ca or dec.nu" in out
+    assert cr.main(["compare_reports.py", src, str(tmp_path / "nu")]) == 0
+    assert "1 of 1 inputs that both trees decompose differ in dec.ca or dec.nu" in capsys.readouterr().out
     assert cr.main(["compare_reports.py", src, str(tmp_path / "verdict")]) == 1
     out = capsys.readouterr().out
     assert "0 of 1 inputs differ on shared fields" in out

@@ -1,5 +1,6 @@
 import functools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -179,62 +180,78 @@ def test_suite_scale_multiplies_every_tolerance():
 
 
 def _dense_phase_distance(t, left, thetas):
-    # reference: rotate both splits by theta and build each term densely
+    # reference: rotate both splits by each theta and build each rotated
+    # term U C V^T densely from its own vectors, 500 phases at a time
     out = []
-    for theta in thetas:
-        c, s = np.cos(theta), np.sin(theta)
-        b, p = c * t.b - s * t.p, s * t.b + c * t.p
-        d, q = c * t.d - s * t.q, s * t.d + c * t.q
-        right, rows, st = lone_term_stacks(rd.ComplexPlaneTerm(t.sigma, t.omega, b, p, d, q))
-        out.append(frobenius_norm(right.T @ (st.plane_cores[0] * st.s) @ rows - left))
-    return np.array(out)
+    for chunk in np.array_split(thetas, -(-len(thetas) // 500)):
+        c, s = np.cos(chunk)[:, None], np.sin(chunk)[:, None]
+        u = np.stack((c * t.b - s * t.p, s * t.b + c * t.p), axis=2)
+        v = np.stack((c * t.d - s * t.q, s * t.d + c * t.q), axis=2)
+        g = np.swapaxes(u, 1, 2) @ v
+        cores = rd.plane_core(t.sigma, t.omega, g, np.sum(g[:, :1] ** 2, axis=2, keepdims=True))
+        out.append(np.linalg.norm(u @ cores @ np.swapaxes(v, 1, 2) - left, axis=(1, 2)))
+    return np.concatenate(out)
 
 
-def _fast_phase_distance(t, left, thetas):
+def _extreme_phases(t):
+    # the two phases whose (cos, -sin) is an eigenvector of G G^T, where
+    # nu_theta = |(cos, -sin) G|^2 is least and greatest
+    lone, _, _ = lone_term_stacks(t)
+    g = lone.gram[0]
+    vectors = np.linalg.eigh(g @ g.T)[1]
+    return np.arctan2(-vectors[1], vectors[0])
+
+
+def _fast_phase_distance(t, left):
     # the suite's evaluation for one pair: A = U C V^T against left, then
-    # every rotation from the Gram alone
-    right, rows, st = lone_term_stacks(t)
-    u, c, v = right.T, st.plane_cores[0] * st.s, rows.T
+    # the supremum over every rotation from the Gram alone
+    lone, _, cores = lone_term_stacks(t)
+    u, c, v = lone.right.T, cores[0] * lone.s, lone.left.T
     a = u @ c @ v.T
     e = a - left
     norm_a, inner, norm_e = (np.array([x]) for x in (frobenius_norm(a), np.vdot(a, e), frobenius_norm(e)))
-    return vf._phase_distance(np.array([t.nu]), (u.T @ v)[None], thetas[None], norm_a, inner, norm_e)[0]
+    return vf._phase_distance(lone.nu, lone.gram, norm_a, inner, norm_e)[0]
 
 
 def test_phase_distance_matches_dense_rotation():
+    # the supremum is the larger of the dense distances at the two extreme
+    # phases, and no dense distance over 10,000 phases exceeds it
     rng = np.random.default_rng(11)
+    grid = np.linspace(0.0, 2.0 * np.pi, 10_000, endpoint=False)
     for n, cap in [(2, 1e1), (5, 1e3), (12, 1e5), (21, 1e7)]:
         pairs = [(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0)) for _ in range(n // 2)]
         spec = vf.PlantedSpectrum(rng.uniform(-2.0, 2.0, n % 2), pairs, basis_seed=n, condition_cap=cap)
         for t in rd.decompose(vf.gen_test_matrix(spec)).plane_terms:
             left = ga.plane_term_left_form(t)
-            thetas = rng.uniform(0.0, 2.0 * np.pi, 100)
-            fast = _fast_phase_distance(t, left, thetas)
-            diff = np.abs(fast - _dense_phase_distance(t, left, thetas))
-            assert diff.max() <= 1e-12 * frobenius_norm(left)
+            tol = 1e-12 * frobenius_norm(left)
+            fast = _fast_phase_distance(t, left)
+            assert abs(fast - _dense_phase_distance(t, left, _extreme_phases(t)).max()) <= tol
+            assert fast >= _dense_phase_distance(t, left, grid).max() - tol
     # unrelated b, p, d, q: the rotated terms differ from the reference by
     # O(1), and the fast evaluation still measures that distance
     for n in (2, 3, 7, 12):
         b, p, d, q = (rng.standard_normal(n) for _ in range(4))
         t = rd.ComplexPlaneTerm(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0), b, p, d, q)
         left = ga.plane_term_left_form(t)
-        thetas = rng.uniform(0.0, 2.0 * np.pi, 100)
-        dense = _dense_phase_distance(t, left, thetas)
-        fast = _fast_phase_distance(t, left, thetas)
+        fast = _fast_phase_distance(t, left)
+        dense = _dense_phase_distance(t, left, _extreme_phases(t)).max()
         np.testing.assert_allclose(fast, dense, rtol=1e-9, atol=0.0)
+        assert fast >= _dense_phase_distance(t, left, grid).max() * (1.0 - 1e-9)
+
+
+def test_phase_distance_of_a_singular_gram_is_inf():
+    # nu_theta reaches 0, so the rotated term is unbounded: the check reads
+    # inf, and fails, without a numpy warning
+    g = np.array([[[1.0, 2.0], [2.0, 4.0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = vf._phase_distance(np.array([5.0]), g, np.array([1.0]), np.array([-0.5]), np.array([1.0]))
+    assert got.tolist() == [np.inf]
 
 
 # The identity checks as one loop over the plane terms, each check
 # evaluated term by term: the reference for the checks that run on all
 # pairs at once.
-def _loop_phase_distance(t, u, c, v, left, thetas):
-    g = u.T @ v
-    row = np.outer(np.cos(thetas), g[0]) - np.outer(np.sin(thetas), g[1])
-    f = t.nu / np.sum(row**2, axis=1) - 1.0
-    a = u @ c @ v.T
-    e = a - left
-    square = f**2 * frobenius_norm(a) ** 2 + 2.0 * f * np.sum(a * e) + frobenius_norm(e) ** 2
-    return np.sqrt(np.maximum(square, 0.0))
 
 
 def _loop_checks(m, dec):
@@ -248,7 +265,6 @@ def _loop_checks(m, dec):
 
     basis, _, _ = rd.real_canonical_form(dec)
     first = len(dec.real_terms)
-    rng = np.random.default_rng(np.random.PCG64(0xC0FFEE))
     form = eigact = annih = bio = phase = transp = 0.0
     for i, t in enumerate(dec.plane_terms):
         left = ga.plane_term_left_form(t)
@@ -256,8 +272,8 @@ def _loop_checks(m, dec):
         norm_t = frobenius_norm(left)
         form = max(form, _rel(frobenius_norm(left - right), norm_t))
 
-        right, rows, st = lone_term_stacks(t)
-        u, c, v = right.T, st.plane_cores[0] * st.s, rows.T
+        lone, _, cores = lone_term_stacks(t)
+        u, c, v = lone.right.T, cores[0] * lone.s, lone.left.T
         block = np.array([[t.sigma, t.omega], [-t.omega, t.sigma]])
         act_r = u @ (c @ (v.T @ u)) - u @ block
         act_l = v @ (c.T @ (u.T @ v)) - v @ block.T
@@ -275,11 +291,10 @@ def _loop_checks(m, dec):
         scale_b = np.linalg.norm(t.d) * np.linalg.norm(t.b) + np.linalg.norm(t.q) * np.linalg.norm(t.p)
         bio = max(bio, _rel(max(abs(r1), abs(r2), cross), scale_b))
 
-        thetas = rng.uniform(0.0, 2.0 * np.pi, vf._PHASE_SAMPLES)
-        phase = max(phase, _rel(_loop_phase_distance(t, u, c, v, left, thetas), norm_t).max())
+        phase = max(phase, _rel(_dense_phase_distance(t, left, _extreme_phases(t)).max(), norm_t))
 
-        right_t, left_t, tt = lone_term_stacks(ga.transpose_term(t))
-        transposed = right_t.T @ (tt.plane_cores[0] * tt.s) @ left_t
+        lone_t, _, cores_t = lone_term_stacks(ga.transpose_term(t))
+        transposed = lone_t.right.T @ (cores_t[0] * lone_t.s) @ lone_t.left
         transp = max(transp, _rel(frobenius_norm(transposed - left.T), norm_t))
 
     if dec.plane_terms:
@@ -338,13 +353,18 @@ def test_checks_match_per_pair_loop(make):
         assert abs(residual - reference) <= 0.1 * tol, name
 
 
-def test_phase_samples_are_one_draw_per_pair():
-    # one (k, 100) draw from the suite's seed is k draws of 100, bit for bit
-    k = 7
-    draws = np.random.default_rng(np.random.PCG64(0xC0FFEE)).uniform(0.0, 2.0 * np.pi, (k, vf._PHASE_SAMPLES))
-    rng = np.random.default_rng(np.random.PCG64(0xC0FFEE))
-    for row in draws:
-        np.testing.assert_array_equal(row, rng.uniform(0.0, 2.0 * np.pi, vf._PHASE_SAMPLES))
+def test_checks_draw_nothing_and_read_the_kept_grams(monkeypatch):
+    # phase invariance is read off each pair's Gram at its two extreme
+    # phases, so the checks draw no random number, and they read the c.a,
+    # Grams, nu and s the decomposition's check kept: none is computed again
+    m = _planted(16, 5, 1e4, seed=7)
+    dec = rd.decompose(m)
+    calls = []
+    for module, name in ((np.random, "default_rng"), (rd, "_grams"), (rd.dc, "pow2_scale")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+    checks = dict(vf._decomposition_checks(m, dec))
+    assert calls == []
+    assert checks["phase_invariance"] <= vf._TOLERANCES["phase_invariance"]
 
 
 def test_checks_memory_is_quadratic():

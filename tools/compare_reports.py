@@ -21,7 +21,9 @@ the report, loaded by ``matio.doc_to_decomposition`` and dumped again,
 comes back byte for byte, whether a C-ordered copy of the input (most
 inputs are built Fortran-ordered) gives the same report, and the read
 side: ``realdecomp.apply(dec, x)`` for one seeded standard-normal x per
-input, the same x for both trees, and ``realdecomp.reconstruct(dec)``.
+input, the same x for both trees, and ``realdecomp.reconstruct(dec)``,
+and the ``c.a`` and ``nu`` the decomposition keeps (``dec.ca`` and
+``dec.nu``).
 Last, it writes the input to a Matrix Market file in a temporary
 directory of its own and records what
 ``cli.main(["canonical", path, "-o", out])`` gives: the exit code and the
@@ -56,7 +58,8 @@ depend on the input's memory order, and how many inputs that both trees
 apply give different ``apply`` outputs, with the largest
 ``||delta|| / (||M||_F ||x||)`` and its input, how many give different
 ``reconstruct`` outputs, with the largest ``||delta||_F / ||M||_F`` and
-its input, and, for each check name, of the inputs whose suites on both
+its input, how many have a ``dec.ca`` or ``dec.nu`` that differs bit for
+bit, and, for each check name, of the inputs whose suites on both
 trees report it, how many give residuals that differ bit for bit, and
 how many inputs' ``canonical`` outputs differ.  For each check name it
 then prints the largest residual / tolerance on each tree, with the
@@ -142,8 +145,9 @@ with np.load(inputs_path) as inputs, tempfile.TemporaryDirectory() as work:
     for key in sorted(k for k in inputs.files if k.startswith("m")):
         report, dec = report_of(inputs[key])
         same_in_c_order = report_of(np.ascontiguousarray(inputs[key]))[0] == report
-        action = recon = None
+        kept = action = recon = None
         if dec is not None:
+            kept = dec.ca.tolist() + dec.nu.tolist()
             action = called(realdecomp.apply, dec, inputs["x" + key[1:]])
             recon = called(realdecomp.reconstruct, dec)
         round_trip = None
@@ -159,8 +163,8 @@ with np.load(inputs_path) as inputs, tempfile.TemporaryDirectory() as work:
             residuals = [c.residual for c in checks]
         except Exception as exc:
             suite = tolerances = residuals = type(exc).__name__
-        out.append([report, suite, tolerances, residuals, round_trip, same_in_c_order, action,
-                    recon, canonical(inputs[key], key)])
+        out.append([report, suite, tolerances, residuals, round_trip, same_in_c_order, kept,
+                    action, recon, canonical(inputs[key], key)])
 with open(out_path, "w", encoding="utf-8") as fh:
     json.dump({"inputs": out, "refusals": refusals}, fh)
 """
@@ -379,8 +383,8 @@ def main(argv):
             print("a tree failed to run; see its traceback above", file=sys.stderr)
             return 1
         records = [json.loads(Path(out).read_text(encoding="utf-8")) for out in outs]
-    (old, old_suite, old_tols, old_res, _, _, old_apply, old_recon, old_canon), (
-        new, new_suite, new_tols, new_res, new_trips, new_layout, new_apply, new_recon,
+    (old, old_suite, old_tols, old_res, _, _, old_kept, old_apply, old_recon, old_canon), (
+        new, new_suite, new_tols, new_res, new_trips, new_layout, new_kept, new_apply, new_recon,
         new_canon) = (zip(*r["inputs"]) for r in records)
     old_refusals, new_refusals = (r["refusals"] for r in records)
     verdicts = [(_verdict(a), _verdict(b)) for a, b in zip(old, new)]
@@ -425,6 +429,8 @@ def main(argv):
     changed, (ratio, where) = apply_changes(labels, old_recon, new_recon, norms)
     print(f"{changed} of {len(both)} inputs that both trees decompose differ in reconstruct(dec); "
           f"largest ||delta||_F / ||M||_F {ratio:.3g} ({where})")
+    changed, _ = apply_changes(labels, old_kept, new_kept, norms)
+    print(f"{changed} of {len(both)} inputs that both trees decompose differ in dec.ca or dec.nu")
     residuals = residual_changes(old_tols, new_tols, old_res, new_res)
     print("identity-suite residuals that differ bit for bit: "
           + (", ".join(f"{name}: {d} of {b}" for name, (d, b) in sorted(residuals.items())) or "none"))
